@@ -1,13 +1,20 @@
 """Bit-accurate integer inference mirroring the streaming micro-architecture,
 plus analytic cycle-latency and hardware-resource models.
 
-Numerics: every layer performs exact int64 MAC accumulation in a canonical
-order (input channels advance sequentially; the kernel taps of one channel
+Numerics: every layer computes the exact integer MAC of the stepped hardware
+schedule (input channels advance sequentially; the kernel taps of one channel
 are summed as a parallel adder tree within the step), then requantizes with
-one multiply, one rounding right-shift, a folded ReLU, and saturation.
+one multiply, one rounding right-shift, a folded ReLU, and saturation. The MAC
+takes one of two paths with bit-identical results. When taps x max|x| x max|w|
+is below both 2^(acc_width-1) and 2^53, that product bounds every partial sum
+in every order, so no partial sum can leave the register and every float64
+product and sum is an exact integer: one float64 GEMM (the FP model's im2col
+conv kernel for conv layers) followed by rint is the exact accumulator.
+Otherwise the stepped schedule runs in int64 and checks every partial sum
+against the register; it is the only path that can raise
+AccumulatorOverflowError, and it raises exactly where the register would wrap.
 Kernel or global max-pooling is a comparator pass over the requantized
-stream, so it commutes with the monotone requantization. The accumulation
-register never wraps: exceeding its width raises AccumulatorOverflowError.
+stream, so it commutes with the monotone requantization.
 
 Timing: serial schedules run feature branches one after another, parallel
 schedules run them concurrently; both produce bit-identical values and
@@ -20,9 +27,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import AccumulatorOverflowError
-from .model import BranchSpec, Frame, ModelSpec
+from .model import BranchSpec, Frame, ModelSpec, _conv_batch
 from .quantize import QLayer, QuantizedModel
 
 __all__ = [
@@ -79,40 +87,47 @@ def quantize_frame(frame: Frame | dict, n_bits: int) -> dict[str, np.ndarray]:
 
 
 def _check_partial_sums(cum: np.ndarray, acc_width: int, where: str) -> None:
-    lim = np.int64(1) << np.int64(acc_width - 1)
-    if cum.size and (cum.max() > lim - 1 or cum.min() < -lim):
+    lim = 1 << (acc_width - 1)  # Python ints: exact at any register width
+    if cum.size and (int(cum.max()) > lim - 1 or int(cum.min()) < -lim):
         raise AccumulatorOverflowError(
             f"{where}: MAC partial sum exceeds the {acc_width}-bit accumulator"
         )
 
 
-def _qconv1d(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np.ndarray:
-    k, c, f = w.shape
-    lo = x.shape[0] - k + 1
-    if lo < 1:
-        raise ValueError(f"{where}: input length {x.shape[0]} < kernel {k}")
-    per_chan = np.zeros((lo, c, f), dtype=np.int64)
-    for i in range(k):
-        per_chan += x[i : i + lo, :, None] * w[i][None, :, :]
-    cum = np.cumsum(per_chan, axis=1)
-    _check_partial_sums(cum, acc_width, where)
-    return cum[:, -1, :]
+def _mac(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np.ndarray:
+    """Exact integer MAC of x against w: dense x (C,) with w (C, F); conv x
+    (L, C) or (T, H, W, C) with w (K, C, F) or (K, K, C, F), valid padding.
+
+    One float64 GEMM when the bound in the module docstring proves it exact,
+    else the stepped schedule.
+    """
+    taps = w.size // w.shape[-1]
+    bound = taps * int(np.abs(x).max(initial=0)) * int(np.abs(w).max(initial=0))
+    if bound >= 1 << min(acc_width - 1, 53):
+        return _mac_stepped(x, w, acc_width, where)
+    xf, wf = x.astype(np.float64), w.astype(np.float64)
+    acc = xf @ wf if w.ndim == 2 else _conv_batch(xf[None], wf)[0]
+    return np.rint(acc).astype(np.int64)
 
 
-def _qconv2d(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np.ndarray:
-    k = w.shape[0]
-    c, f = w.shape[2], w.shape[3]
-    ho = x.shape[1] - k + 1
-    wo = x.shape[2] - k + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"{where}: grid {x.shape[1:3]} < kernel {k}")
-    per_chan = np.zeros((x.shape[0], ho, wo, c, f), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            per_chan += x[:, i : i + ho, j : j + wo, :, None] * w[i, j][None, None, None]
-    cum = np.cumsum(per_chan, axis=3)
+def _mac_stepped(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np.ndarray:
+    """The hardware MAC order: one input channel (dense: one input feature)
+    per step, its kernel taps summed as one adder-tree step, and every partial
+    sum checked against the register."""
+    nd = w.ndim - 2
+    c, f = w.shape[-2], w.shape[-1]
+    if nd == 0:
+        cols, w3, out_shape = x[None, :, None], w[:, None, :], (f,)
+    else:
+        k = w.shape[0]
+        spatial = tuple(range(x.ndim - 1 - nd, x.ndim - 1))
+        win = sliding_window_view(x, (k,) * nd, axis=spatial)
+        cols = win.reshape(-1, c, k**nd)
+        w3 = np.moveaxis(w, -2, 0).reshape(c, k**nd, f)
+        out_shape = (*win.shape[: -nd - 1], f)
+    cum = np.cumsum(np.einsum("pct,ctf->pcf", cols, w3), axis=1)
     _check_partial_sums(cum, acc_width, where)
-    return cum[:, :, :, -1, :]
+    return cum[:, -1, :].reshape(out_shape)
 
 
 def _pool1d_int(z: np.ndarray, p: int) -> np.ndarray:
@@ -141,11 +156,11 @@ def qconv_layer(
     """
     _check_storage(x, n_bits, where + " input")
     _check_storage(qlayer.w_int, n_bits, where + " weights", weights=True)
-    if qlayer.w_int.ndim == 3:
-        acc = _qconv1d(x, qlayer.w_int, acc_width, where)
-    else:
-        acc = _qconv2d(x, qlayer.w_int, acc_width, where)
-    out = _requant_array(acc, qlayer, n_bits)
+    k = qlayer.w_int.shape[0]
+    grid = x.shape[1:3] if qlayer.w_int.ndim == 4 else x.shape[:1]
+    if min(grid) < k:
+        raise ValueError(f"{where}: input {grid} < kernel {k}")
+    out = _requant_array(_mac(x, qlayer.w_int, acc_width, where), qlayer, n_bits)
     if pool == "global":
         return out.reshape(-1, out.shape[-1]).max(axis=0)
     if pool:
@@ -167,10 +182,7 @@ def qdense_layer(
         raise ValueError(
             f"{where}: {x.shape[0]} inputs vs weight rows {qlayer.w_int.shape[0]}"
         )
-    per_feat = x[:, None] * qlayer.w_int
-    cum = np.cumsum(per_feat, axis=0)
-    _check_partial_sums(cum, acc_width, where)
-    return _requant_array(cum[-1], qlayer, n_bits)
+    return _requant_array(_mac(x, qlayer.w_int, acc_width, where), qlayer, n_bits)
 
 
 def _check_storage(a: np.ndarray, n_bits: int, where: str, weights: bool = False) -> None:

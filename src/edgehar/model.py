@@ -6,15 +6,22 @@ and an argmax output head instead of softmax. Branches end in a global
 max-pool producing one feature vector per sensor; the data-fusion baseline
 runs a single 2D convolution stack over the stacked (window x channels)
 matrix and flattens it, which is what makes its dense layer large.
+
+Every convolution in the package runs through one kernel, _conv_batch: an
+im2col GEMM over patch columns built in fixed-size blocks. The forward pass
+here, training's cached forward and backward passes, calibration, and the
+integer engine's exact fast path all call it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ConvSpec",
@@ -37,6 +44,11 @@ __all__ = [
 ]
 
 MODEL_SCHEMA = "edgehar.model/v1"
+
+# Cap in bytes on one block of im2col patch columns. It keeps conv memory flat
+# in the batch size, and a block small enough to stay in cache between its
+# copy and its GEMM measured faster than larger ones (1 MiB vs 2-32 MiB).
+_COL_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -243,31 +255,46 @@ def validate_params(spec: ModelSpec, params: ModelParams) -> None:
 # Layer primitives (batched; leading axis is the batch)
 # ---------------------------------------------------------------------------
 
-def _conv1d_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (B, L, C), w (K, C, F) -> (B, L-K+1, F); valid padding, stride 1."""
-    k = w.shape[0]
-    lo = x.shape[1] - k + 1
-    if lo < 1:
-        raise ValueError(f"input length {x.shape[1]} shorter than kernel {k}")
-    out = x[:, 0:lo, :] @ w[0]
-    for i in range(1, k):
-        out = out + x[:, i : i + lo, :] @ w[i]
-    return out
+def _conv_blocks(x: np.ndarray, k: int, nd: int):
+    """Yield the im2col patch matrix of x in blocks over its flattened lead axes.
+
+    x is (*lead, *spatial, C) with nd spatial axes. Each item is (rows, cols):
+    rows slices the flattened lead axes, cols is (rows x positions, k**nd * C)
+    ordered tap-major, so it pairs with a weight reshaped to (-1, F). A block
+    holds at most _COL_BLOCK_BYTES of columns (or one lead row if that is
+    larger), so memory stays flat in the batch size.
+    """
+    spatial = x.shape[-nd - 1 : -1]
+    flat = x.reshape(math.prod(x.shape[: -nd - 1]), *spatial, x.shape[-1])
+    width = k**nd * x.shape[-1]
+    per_row = math.prod(d - k + 1 for d in spatial) * width * x.itemsize
+    step = max(1, _COL_BLOCK_BYTES // per_row)
+    axes = tuple(range(1, nd + 1))
+    # sliding_window_view appends the window axes after C; move them before it
+    order = (0, *axes, *range(nd + 2, 2 * nd + 2), nd + 1)
+    win = sliding_window_view(flat, (k,) * nd, axis=axes).transpose(order)
+    for s in range(0, flat.shape[0], step):
+        yield slice(s, s + step), win[s : s + step].reshape(-1, width)
 
 
-def _conv2d_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (B, T, H, W, C), w (K, K, C, F) -> (B, T, H-K+1, W-K+1, F)."""
-    k = w.shape[0]
-    ho = x.shape[2] - k + 1
-    wo = x.shape[3] - k + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"grid {x.shape[2:4]} smaller than kernel {k}")
-    out = None
-    for i in range(k):
-        for j in range(k):
-            part = x[:, :, i : i + ho, j : j + wo, :] @ w[i, j]
-            out = part if out is None else out + part
-    return out
+def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Batched valid stride-1 convolution as one im2col GEMM per column block.
+
+    1D: x (B, L, C), w (K, C, F) -> (B, L-K+1, F).
+    2D: x (B, T, H, W, C), w (K, K, C, F) -> (B, T, H-K+1, W-K+1, F).
+    """
+    nd = w.ndim - 2
+    k, f = w.shape[0], w.shape[-1]
+    spatial = x.shape[-nd - 1 : -1]
+    out_sp = tuple(d - k + 1 for d in spatial)
+    if min(out_sp) < 1:
+        raise ValueError(f"input {spatial} shorter than kernel {k}")
+    lead = x.shape[: -nd - 1]
+    out = np.empty((math.prod(lead), *out_sp, f), dtype=np.result_type(x, w))
+    wmat = w.reshape(-1, f)
+    for rows, cols in _conv_blocks(x, k, nd):
+        out[rows] = (cols @ wmat).reshape(-1, *out_sp, f)
+    return out.reshape(*lead, *out_sp, f)
 
 
 def _pool_time(x: np.ndarray, p: int) -> np.ndarray:
@@ -296,20 +323,13 @@ def conv_forward(
     1D: x (L, C) with w (K, C, F). 2D: x (T, H, W, C) with w (K, K, C, F).
     Valid padding, stride 1; optional kernel max-pool of size pool.
     """
-    if w.ndim == 3:
-        out = _conv1d_batch(x[None], w)
-        if relu:
-            out = np.maximum(out, 0)
-        if pool:
-            out = _pool_time(out, pool)
-    elif w.ndim == 4:
-        out = _conv2d_batch(x[None], w)
-        if relu:
-            out = np.maximum(out, 0)
-        if pool:
-            out = _pool_grid(out, pool)
-    else:
+    if w.ndim not in (3, 4):
         raise ValueError(f"weight tensor must be 3D or 4D, got {w.ndim}D")
+    out = _conv_batch(x[None], w)
+    if relu:
+        out = np.maximum(out, 0)
+    if pool:
+        out = _pool_time(out, pool) if w.ndim == 3 else _pool_grid(out, pool)
     return out[0]
 
 
@@ -355,14 +375,10 @@ def _branch_input(spec: ModelSpec, branch: BranchSpec, x: np.ndarray) -> np.ndar
 def _run_branch(spec: ModelSpec, branch: BranchSpec, ws, x: np.ndarray) -> np.ndarray:
     h = _branch_input(spec, branch, x)
     for lspec, w in zip(branch.layers, ws):
-        if branch.conv_dim == 1:
-            h = np.maximum(_conv1d_batch(h, w), 0)
-            if lspec.pool:
-                h = _pool_time(h, lspec.pool)
-        else:
-            h = np.maximum(_conv2d_batch(h, w), 0)
-            if lspec.pool:
-                h = _pool_grid(h, lspec.pool)
+        h = np.maximum(_conv_batch(h, w), 0)
+        if lspec.pool:
+            pool = _pool_time if branch.conv_dim == 1 else _pool_grid
+            h = pool(h, lspec.pool)
     b = h.shape[0]
     if branch.head == "gmax":
         return h.reshape(b, -1, h.shape[-1]).max(axis=1)

@@ -6,10 +6,16 @@ Gradients are exact (max-pool uses the subgradient at the first maximal
 element); every path is checked against central finite differences in the
 test suite. A fixed seed fully determines initialization, the train/val
 split, and batch order.
+
+Conv layers share the model's im2col kernel: the cached forward pass calls
+it, dW is the patch columns transposed times dZ, and dX is the same kernel run
+on dZ padded by K-1 against the spatially flipped kernel with C and F swapped.
+The first layer's input gradient is never computed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +25,8 @@ from .model import (
     Frame,
     ModelParams,
     ModelSpec,
+    _conv_batch,
+    _conv_blocks,
     softmax,
     validate_params,
 )
@@ -152,50 +160,25 @@ def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 # Layer forward/backward pairs
 # ---------------------------------------------------------------------------
 
-def _conv1d_fwd(x, w):
-    k = w.shape[0]
-    lo = x.shape[1] - k + 1
-    z = x[:, 0:lo, :] @ w[0]
-    for i in range(1, k):
-        z = z + x[:, i : i + lo, :] @ w[i]
-    return z
+def _conv_bwd(dz, x, w, need_dx: bool):
+    """Conv gradients through the forward kernel's im2col rule.
 
-
-def _conv1d_bwd(dz, x, w):
-    k = w.shape[0]
-    lo = dz.shape[1]
-    dw = np.empty_like(w)
-    dx = np.zeros_like(x)
-    for i in range(k):
-        xs = x[:, i : i + lo, :]
-        dw[i] = np.einsum("blc,blf->cf", xs, dz)
-        dx[:, i : i + lo, :] += dz @ w[i].T
-    return dx, dw
-
-
-def _conv2d_fwd(x, w):
-    k = w.shape[0]
-    ho = x.shape[2] - k + 1
-    wo = x.shape[3] - k + 1
-    z = None
-    for i in range(k):
-        for j in range(k):
-            part = x[:, :, i : i + ho, j : j + wo, :] @ w[i, j]
-            z = part if z is None else z + part
-    return z
-
-
-def _conv2d_bwd(dz, x, w):
-    k = w.shape[0]
-    ho, wo = dz.shape[2], dz.shape[3]
-    dw = np.empty_like(w)
-    dx = np.zeros_like(x)
-    for i in range(k):
-        for j in range(k):
-            xs = x[:, :, i : i + ho, j : j + wo, :]
-            dw[i, j] = np.einsum("bthwc,bthwf->cf", xs, dz)
-            dx[:, :, i : i + ho, j : j + wo, :] += dz @ w[i, j].T
-    return dx, dw
+    dW is the patch columns of x, transposed, times dZ. dX, when needed, is
+    the forward conv of dZ zero-padded by K-1 on each spatial side against
+    the kernel flipped in space with C and F swapped.
+    """
+    nd = w.ndim - 2
+    k, f = w.shape[0], w.shape[-1]
+    dz_rows = dz.reshape(math.prod(dz.shape[: -nd - 1]), -1)
+    dw = np.zeros((w.size // f, f), dtype=w.dtype)
+    for rows, cols in _conv_blocks(x, k, nd):
+        dw += cols.T @ dz_rows[rows].reshape(-1, f)
+    dx = None
+    if need_dx:
+        pad = [(0, 0)] * (dz.ndim - nd - 1) + [(k - 1, k - 1)] * nd + [(0, 0)]
+        w_flip = np.flip(w, axis=tuple(range(nd))).swapaxes(-1, -2)
+        dx = _conv_batch(np.pad(dz, pad), w_flip)
+    return dx, dw.reshape(w.shape)
 
 
 def _pool1d_fwd(a, p):
@@ -273,7 +256,7 @@ def _branch_fwd(spec: ModelSpec, branch: BranchSpec, ws, x):
     h = _branch_input(spec, branch, x)
     layers = []
     for lspec, w in zip(branch.layers, ws):
-        z = _conv1d_fwd(h, w) if branch.conv_dim == 1 else _conv2d_fwd(h, w)
+        z = _conv_batch(h, w)
         a = np.maximum(z, 0)
         if lspec.pool:
             pf = _pool1d_fwd if branch.conv_dim == 1 else _pool2d_fwd
@@ -296,13 +279,14 @@ def _branch_bwd(spec: ModelSpec, cache, dfeat):
     else:
         dh = dfeat.reshape(cache["head"])
     dws = []
-    for lc in reversed(cache["layers"]):
+    for depth in reversed(range(len(cache["layers"]))):
+        lc = cache["layers"][depth]
         if lc["pool"] is not None:
             pb = _pool1d_bwd if branch.conv_dim == 1 else _pool2d_bwd
             dh = pb(dh, lc["pool"])
         dz = dh * (lc["z"] > 0)
-        cb = _conv1d_bwd if branch.conv_dim == 1 else _conv2d_bwd
-        dh, dw = cb(dz, lc["x"], lc["w"])
+        # the branch input's own gradient is never used
+        dh, dw = _conv_bwd(dz, lc["x"], lc["w"], need_dx=depth > 0)
         dws.append(dw)
     dws.reverse()
     return dws

@@ -181,6 +181,38 @@ def qinfer(qm, qframe, acc_width=None):
 
 
 # ---------------------------------------------------------------------------
+# FP convolution oracle
+# ---------------------------------------------------------------------------
+
+def conv_per_tap(x, w):
+    """Valid stride-1 conv as a sum of one shifted channel matmul per kernel
+    tap. x (*lead, *spatial, C), w (K, [K,] C, F) with w.ndim - 2 spatial axes."""
+    nd = w.ndim - 2
+    k = w.shape[0]
+    out_sp = [d - k + 1 for d in x.shape[-nd - 1 : -1]]
+    out = 0.0
+    for tap in np.ndindex(*(k,) * nd):
+        win = (Ellipsis, *(slice(t, t + o) for t, o in zip(tap, out_sp)), slice(None))
+        out = out + x[win] @ w[tap]
+    return out
+
+
+def conv_bwd_per_tap(dz, x, w):
+    """(dX, dW) of conv_per_tap for the upstream gradient dz, tap by tap."""
+    nd = w.ndim - 2
+    k, f = w.shape[0], w.shape[-1]
+    out_sp = dz.shape[-nd - 1 : -1]
+    dx = np.zeros_like(x)
+    dw = np.empty_like(w)
+    for tap in np.ndindex(*(k,) * nd):
+        win = (Ellipsis, *(slice(t, t + o) for t, o in zip(tap, out_sp)), slice(None))
+        xs = x[win]
+        dw[tap] = xs.reshape(-1, xs.shape[-1]).T @ dz.reshape(-1, f)
+        dx[win] += dz @ w[tap].T
+    return dx, dw
+
+
+# ---------------------------------------------------------------------------
 # Gradient oracle
 # ---------------------------------------------------------------------------
 

@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from edgehar.engine import (
     CycleReport,
+    _check_partial_sums,
+    _mac,
+    _mac_stepped,
     ResourceReport,
     conv_layer_cycles,
     dense_layer_cycles,
@@ -75,6 +78,89 @@ class TestQConvLayer:
         q = QLayer(np.ones((1, 1, 1), dtype=np.int64), mult=1, shift=0)
         with pytest.raises(ValueError, match="storage"):
             qconv_layer(x, q, n)
+
+
+def _mac_case(data, n):
+    """Draw a dense, 1D or 2D integer MAC case at n fractional bits, either
+    random or at the extreme corner of signed (n+1)-bit storage."""
+    kind = data.draw(st.sampled_from(["dense", "1d", "2d"]))
+    c = data.draw(st.sampled_from([1, 2, 3, 8]))
+    f = data.draw(st.integers(1, 3))
+    if kind == "dense":
+        x_shape, w_shape = (c,), (c, f)
+    elif kind == "1d":
+        k = data.draw(st.integers(1, 4))
+        x_shape, w_shape = (k + data.draw(st.integers(0, 5)), c), (k, c, f)
+    else:
+        k = data.draw(st.integers(1, 3))
+        h, w = (k + data.draw(st.integers(0, 3)) for _ in range(2))
+        x_shape, w_shape = (data.draw(st.integers(1, 2)), h, w, c), (k, k, c, f)
+    lim = 1 << n
+    if data.draw(st.booleans()):
+        x = np.full(x_shape, -lim, dtype=np.int64)
+        return kind, x, np.full(w_shape, lim, dtype=np.int64)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-lim, lim, size=x_shape, dtype=np.int64)
+    return kind, x, rng.integers(-lim, lim + 1, size=w_shape, dtype=np.int64)
+
+
+class TestMacPaths:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gemm_path_equals_stepped_path(self, data):
+        n = data.draw(st.integers(2, 15))
+        _, x, w = _mac_case(data, n)
+        assert w.size // w.shape[-1] << (2 * n) < 1 << 53  # _mac takes the GEMM path
+        got = _mac(x, w, 64, "t")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _mac_stepped(x, w, 64, "t"))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_narrow_register_raises_where_oracle_raises(self, data):
+        n = data.draw(st.integers(2, 15))
+        kind, x, w = _mac_case(data, n)
+        need = (w.size // w.shape[-1] << (2 * n)).bit_length() + 1
+        width = data.draw(st.integers(max(n + 2, 2 * n - 2), need + 1))
+        q = QLayer(w, mult=3, shift=n, relu=False)
+        if kind == "dense":
+            run = lambda: qdense_layer(x, q, n, acc_width=width)
+            ref = lambda: oracles.dense(x.tolist(), w.tolist(), 3, n, n, width, False)
+        else:
+            run = lambda: qconv_layer(x, q, n, acc_width=width)
+            conv = oracles.conv1d if kind == "1d" else oracles.conv2d
+            ref = lambda: conv(x.tolist(), w.tolist(), 3, n, n, width, relu=False)
+        try:
+            want = ref()
+        except oracles.OracleOverflow:
+            with pytest.raises(AccumulatorOverflowError):
+                run()
+        else:
+            assert run().tolist() == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("width", [64, 65])
+    def test_wide_registers_match_oracle(self, rng, width):
+        n = 8
+        x = rng.integers(-(1 << n), 1 << n, size=(3, 2), dtype=np.int64)
+        w = rng.integers(-(1 << n), (1 << n) + 1, size=(2, 2, 3), dtype=np.int64)
+        q = QLayer(w, mult=5, shift=n, relu=False)
+        assert qconv_layer(x, q, n, acc_width=width).tolist() == oracles.conv1d(
+            x.tolist(), w.tolist(), 5, n, n, width, relu=False)
+        qd = QLayer(w[0], mult=5, shift=n, relu=False)
+        assert qdense_layer(x[0], qd, n, acc_width=width).tolist() == oracles.dense(
+            x[0].tolist(), w[0].tolist(), 5, n, n, width, False)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("width,raises", [(63, True), (64, False), (65, False)])
+    def test_partial_sum_check_at_int64_limits(self, width, raises):
+        info = np.iinfo(np.int64)
+        cum = np.array([info.min, info.max], dtype=np.int64)
+        if raises:
+            with pytest.raises(AccumulatorOverflowError):
+                _check_partial_sums(cum, width, "t")
+        else:
+            _check_partial_sums(cum, width, "t")
 
 
 class TestQDenseLayer:

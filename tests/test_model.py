@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgehar import model
 from edgehar.model import (
     BranchSpec,
     ConvSpec,
@@ -21,6 +22,7 @@ from edgehar.model import (
 from edgehar.persist import SchemaError
 from edgehar.train import init_params
 
+import oracles
 from conftest import random_inputs, rows_for, tiny_spec
 
 
@@ -53,6 +55,21 @@ class TestConvForward:
         x = rng.normal(size=(4, 8, 8, 1))
         w = rng.normal(size=(3, 3, 1, 5))
         assert conv_forward(x, w).shape == (4, 6, 6, 5)
+
+
+class TestConvKernel:
+    @pytest.mark.parametrize("c", [1, 8])
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_matches_per_tap_over_several_blocks(self, rng, monkeypatch, nd, c):
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 512)
+        k = 3
+        lead_sp = (7, 12) if nd == 1 else (3, 4, 7, 6)
+        x = rng.normal(size=(*lead_sp, c))
+        w = rng.normal(size=(*(k,) * nd, c, 5))
+        assert len(list(model._conv_blocks(x, k, nd))) > 1
+        # float64 sums of at most 72 unit-scale products, reordered
+        np.testing.assert_allclose(model._conv_batch(x, w), oracles.conv_per_tap(x, w),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestGlobalMaxPool:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from edgehar import model
 from edgehar.daq import SensorSpec, bundle_frames, gen_dataset
 from edgehar.model import BranchSpec, ConvSpec, ModelSpec, feature_fusion_spec
 from edgehar.train import (
@@ -18,6 +19,7 @@ from edgehar.train import (
     select_modalities,
     train,
     train_importance,
+    _conv_bwd,
     _iter_tensors,
 )
 
@@ -101,6 +103,31 @@ class TestGradients:
             backward(spec, params, X, np.zeros(0, dtype=int))
 
 
+class TestConvBackward:
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_matches_per_tap_over_several_blocks(self, rng, monkeypatch, nd):
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 512)
+        k, c = 3, 4
+        x = rng.normal(size=((7, 12) if nd == 1 else (3, 4, 7, 6)) + (c,))
+        w = rng.normal(size=(*(k,) * nd, c, 5))
+        dz = rng.normal(size=model._conv_batch(x, w).shape)
+        dx, dw = _conv_bwd(dz, x, w, need_dx=True)
+        ref_dx, ref_dw = oracles.conv_bwd_per_tap(dz, x, w)
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+        # the first layer's path: the same dW and no input gradient
+        dx0, dw0 = _conv_bwd(dz, x, w, need_dx=False)
+        assert dx0 is None
+        np.testing.assert_array_equal(dw0, dw)
+
+    def test_short_1d_window_names_the_kernel(self, rng):
+        layers = (ConvSpec(2, 4), ConvSpec(2, 4), ConvSpec(2, 4))
+        spec = ModelSpec((BranchSpec("s", 2, layers),), hidden=3, classes=2)
+        X = {"s": rng.normal(size=(2, 8, 2))}  # 8 -> 5 -> 2 rows, third layer starves
+        with pytest.raises(ValueError, match="shorter than kernel"):
+            backward(spec, init_params(spec, seed=0), X, np.array([0, 1]))
+
+
 def _two_class_separable(rng, n=40, t=16):
     """Two zero-mean tones at distinct frequencies; linearly separable by
     construction (a perceptron on flattened frames must converge). Zero-mean
@@ -176,7 +203,8 @@ class TestTrain:
                 w -= 1e-4 * g
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.filterwarnings("ignore:overflow|ignore:invalid value")
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_reports_epoch(self, rng):
         X = {"s": rng.normal(size=(12, 16, 1)) * 1e120}
         y = (np.arange(12) % 2).astype(np.int64)
