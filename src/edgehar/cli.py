@@ -35,7 +35,9 @@ DEFAULT_CONFIG: dict = {
     "n_per_class": 8,
     "n_per_class_test": 4,
     "noise_level": 0.3,
-    "window_ms": 1000,
+    # 3.25 s gives the slowest sensor (gas, 4 Hz) the 13 rows that three
+    # k=5 convolutions need
+    "window_ms": 3250,
     "step_ms": 1000,
     "model": {"filters": 8, "kernel": 5, "hidden": 32, "fusion": "feature"},
     "train": {"epochs": 30, "batch_size": 16, "lr": 1e-3, "val_fraction": 0.2},
@@ -125,16 +127,29 @@ def _out(cfg) -> Path:
 
 def _model_spec(cfg, sensors, classes) -> mdl.ModelSpec:
     m = cfg["model"]
-    if m.get("fusion", "feature") == "data":
-        window = _window(cfg)
-        rows = window.timesteps(m.get("data_rate_hz", 32))
-        total = sum(s.channels for s in sensors)
-        return mdl.data_fusion_spec(total, rows, m["filters"], m["kernel"],
-                                    m["hidden"], classes)
     return mdl.feature_fusion_spec(
         sensors, m["filters"], m["kernel"], m["hidden"], classes,
         alpha_enabled=m.get("alpha_enabled", False),
     )
+
+
+def _check_config(cfg) -> None:
+    """Reject a config that cannot run before any stage does work: an unwired
+    fusion mode, or a window too short for some branch's layers."""
+    fusion = cfg["model"].get("fusion", "feature")
+    if fusion != "feature":
+        raise ValueError(f"model.fusion {fusion!r} is not available in the CLI; "
+                         f"only 'feature' fusion is wired through the pipeline")
+    sensors = _sensors(cfg)
+    spec = _model_spec(cfg, sensors, cfg["classes"])
+    window = _window(cfg)
+    for s, branch in zip(sensors, spec.branches):
+        rows = window.timesteps(s.rate_hz)
+        try:
+            spec.layer_dims(branch, rows)
+        except mdl.ShapeError as ex:
+            raise mdl.ShapeError(f"window_ms {cfg['window_ms']} gives sensor {s.name!r} "
+                                 f"{rows} rows at {s.rate_hz} Hz: {ex}") from None
 
 
 def _load_bundle_arrays(cfg, spec, stats=None, limit=None, test=False):
@@ -379,6 +394,7 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = _load_config(args)
+        _check_config(cfg)
         handlers = {
             "gen-data": lambda: cmd_gen_data(cfg),
             "train": lambda: cmd_train(cfg),

@@ -16,6 +16,11 @@ AccumulatorOverflowError, and it raises exactly where the register would wrap.
 Kernel or global max-pooling is a comparator pass over the requantized
 stream, so it commutes with the monotone requantization.
 
+Nothing here restates the model or the arithmetic: rounding, saturation,
+the register range and the multiply-shift requantization are fxp's; the
+branch input layout, the pooling windows and the layer-shape walk (which
+the cycle and resource models count) are the FP model's.
+
 Timing: serial schedules run feature branches one after another, parallel
 schedules run them concurrently; both produce bit-identical values and
 differ only in the cycle composition (sum versus max).
@@ -24,13 +29,15 @@ differ only in the cycle composition (sum versus max).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fxp import AccumulatorOverflowError
-from .model import BranchSpec, Frame, ModelSpec, _conv_batch
+from .fxp import AccumulatorOverflowError, FxFormat, fits, requantize, round_nearest, saturate
+from .model import (
+    BranchSpec, Frame, ModelSpec, _branch_input, _conv_batch, _head, _pool_windows,
+)
 from .quantize import QLayer, QuantizedModel
 
 __all__ = [
@@ -58,37 +65,18 @@ _SCHEDULES = ("serial", "parallel")
 # Integer numerics
 # ---------------------------------------------------------------------------
 
-def _round_half_away(v: np.ndarray, shift: int) -> np.ndarray:
-    if shift == 0:
-        return v
-    half = np.int64(1) << np.int64(shift - 1)
-    mag = (np.abs(v) + half) >> np.int64(shift)
-    return np.where(v >= 0, mag, -mag)
-
-
-def _requant_array(acc: np.ndarray, q: QLayer, n_bits: int) -> np.ndarray:
-    v = _round_half_away(acc * np.int64(q.mult), q.shift)
-    if q.relu:
-        v = np.maximum(v, 0)
-    lim = np.int64(1) << np.int64(n_bits)
-    return np.clip(v, -lim, lim - 1)
-
-
 def quantize_frame(frame: Frame | dict, n_bits: int) -> dict[str, np.ndarray]:
     """Map normalized [-1, 1] tensors onto the integer grid round(x * 2^n)."""
     tensors = frame.tensors if isinstance(frame, Frame) else frame
-    out = {}
-    lim = np.int64(1) << np.int64(n_bits)
-    for name, x in tensors.items():
-        v = np.asarray(x, dtype=np.float64) * float(2**n_bits)
-        q = np.sign(v) * np.floor(np.abs(v) + 0.5)
-        out[name] = np.clip(q, -lim, lim - 1).astype(np.int64)
-    return out
+    fmt = FxFormat(n_bits + 1, n_bits)
+    return {
+        name: saturate(round_nearest(np.asarray(x, dtype=np.float64) * float(2**n_bits)), fmt)
+        for name, x in tensors.items()
+    }
 
 
 def _check_partial_sums(cum: np.ndarray, acc_width: int, where: str) -> None:
-    lim = 1 << (acc_width - 1)  # Python ints: exact at any register width
-    if cum.size and (int(cum.max()) > lim - 1 or int(cum.min()) < -lim):
+    if not fits(cum, acc_width):
         raise AccumulatorOverflowError(
             f"{where}: MAC partial sum exceeds the {acc_width}-bit accumulator"
         )
@@ -130,29 +118,18 @@ def _mac_stepped(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np
     return cum[:, -1, :].reshape(out_shape)
 
 
-def _pool1d_int(z: np.ndarray, p: int) -> np.ndarray:
-    lp = z.shape[0] // p
-    return z[: lp * p].reshape(lp, p, z.shape[1]).max(axis=1)
-
-
-def _pool2d_int(z: np.ndarray, p: int) -> np.ndarray:
-    t, h, w, f = z.shape
-    hp, wp = h // p, w // p
-    return z[:, : hp * p, : wp * p, :].reshape(t, hp, p, wp, p, f).max(axis=(2, 4))
-
-
 def qconv_layer(
     x: np.ndarray,
     qlayer: QLayer,
     n_bits: int,
     acc_width: int = 32,
-    pool: str | int | None = None,
+    pool: int | None = None,
     where: str = "conv",
 ) -> np.ndarray:
-    """Stepped integer convolution with folded requantization/ReLU and pooling.
+    """Stepped integer convolution with folded requantization/ReLU and an
+    optional kernel max-pool of size pool.
 
-    1D input is (L, C); 2D input is (T, H, W, C). pool is an integer kernel
-    size, the string "global", or None.
+    1D input is (L, C); 2D input is (T, H, W, C).
     """
     _check_storage(x, n_bits, where + " input")
     _check_storage(qlayer.w_int, n_bits, where + " weights", weights=True)
@@ -160,11 +137,10 @@ def qconv_layer(
     grid = x.shape[1:3] if qlayer.w_int.ndim == 4 else x.shape[:1]
     if min(grid) < k:
         raise ValueError(f"{where}: input {grid} < kernel {k}")
-    out = _requant_array(_mac(x, qlayer.w_int, acc_width, where), qlayer, n_bits)
-    if pool == "global":
-        return out.reshape(-1, out.shape[-1]).max(axis=0)
+    acc = _mac(x, qlayer.w_int, acc_width, where)
+    out = requantize(acc, qlayer.mult, qlayer.shift, FxFormat(n_bits + 1, n_bits), qlayer.relu)
     if pool:
-        out = _pool1d_int(out, pool) if out.ndim == 2 else _pool2d_int(out, pool)
+        out = _pool_windows(out, pool, qlayer.w_int.ndim - 2).max(axis=-2)
     return out
 
 
@@ -182,7 +158,8 @@ def qdense_layer(
         raise ValueError(
             f"{where}: {x.shape[0]} inputs vs weight rows {qlayer.w_int.shape[0]}"
         )
-    return _requant_array(_mac(x, qlayer.w_int, acc_width, where), qlayer, n_bits)
+    acc = _mac(x, qlayer.w_int, acc_width, where)
+    return requantize(acc, qlayer.mult, qlayer.shift, FxFormat(n_bits + 1, n_bits), qlayer.relu)
 
 
 def _check_storage(a: np.ndarray, n_bits: int, where: str, weights: bool = False) -> None:
@@ -197,25 +174,11 @@ def _q_branch(
     spec: ModelSpec, branch: BranchSpec, qlayers: list[QLayer],
     x: np.ndarray, n_bits: int, acc_width: int,
 ) -> np.ndarray:
-    if branch.conv_dim == 2:
-        if spec.fusion == "data":
-            h = x[None, :, :, None]
-        else:
-            r, c = branch.grid
-            h = x.reshape(x.shape[0], r, c, 1)
-    else:
-        h = x
+    h = _branch_input(spec, branch, x[None])[0]
     for i, q in enumerate(qlayers):
-        is_last = i == 2
-        pool: str | int | None = q.pool
-        if is_last and branch.head == "gmax":
-            # the head's global max-pool folds into the last conv layer
-            if pool:
-                raise ValueError(f"branch {branch.name!r}: kernel pool under a gmax head")
-            pool = "global"
-        h = qconv_layer(h, q, n_bits, acc_width, pool,
+        h = qconv_layer(h, q, n_bits, acc_width, q.pool,
                         where=f"branch {branch.name!r} layer {i}")
-    return h.reshape(-1)
+    return _head(branch, h[None])[0][0]
 
 
 def _q_forward(qm: QuantizedModel, qframe: dict, acc_width: int) -> np.ndarray:
@@ -244,7 +207,6 @@ def qinfer(
     """
     if schedule not in _SCHEDULES:
         raise ValueError(f"schedule must be one of {_SCHEDULES}, got {schedule!r}")
-    _validate_headroom(qm)
     logits = _q_forward(qm, qframe, qm.acc_width)
     rows = {
         name: int(np.asarray(qframe[name]).shape[0]) for name in qframe
@@ -255,7 +217,6 @@ def qinfer(
 
 def qinfer_batch(qm: QuantizedModel, X: dict, acc_width: int | None = None) -> np.ndarray:
     """Predicted classes for a batch of normalized float inputs {name: (N, ...)}."""
-    _validate_headroom(qm)
     width = acc_width if acc_width is not None else qm.acc_width
     n = next(iter(X.values())).shape[0]
     preds = np.empty(n, dtype=np.int64)
@@ -263,12 +224,6 @@ def qinfer_batch(qm: QuantizedModel, X: dict, acc_width: int | None = None) -> n
         qframe = quantize_frame({k: v[i] for k, v in X.items()}, qm.n_bits)
         preds[i] = int(np.argmax(_q_forward(qm, qframe, width)))
     return preds
-
-
-def _validate_headroom(qm: QuantizedModel) -> None:
-    worst = max([l.mult for ls in qm.branches for l in ls] + [l.mult for l in qm.dense])
-    if (qm.acc_width - 1) + worst.bit_length() > 62:
-        raise ValueError("requant mult too large for exact int64 evaluation")
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +238,6 @@ def conv_layer_cycles(in_channels: int, positions: int, taps: int, kappa: int = 
 
 def dense_layer_cycles(n_in: int, n_out: int, lanes: int = 1, kappa: int = 0) -> int:
     return -(-n_in * n_out // lanes) + kappa
-
-
-def _branch_layer_dims(spec: ModelSpec, branch: BranchSpec, rows: int):
-    """Yield (c_in, positions, taps, out_words) per layer, walking the shapes."""
-    if branch.conv_dim == 1:
-        length = rows
-        for i, l in enumerate(branch.layers):
-            positions = length - l.kernel + 1
-            if positions < 1:
-                raise ValueError(f"branch {branch.name!r}: window too short at layer {i}")
-            out_len = positions // l.pool if l.pool else positions
-            yield branch.layer_in_channels(i), positions, l.kernel, out_len * l.filters
-            length = out_len
-    else:
-        t = 1 if spec.fusion == "data" else rows
-        dims = list(branch.grid)
-        for i, l in enumerate(branch.layers):
-            od = [d - l.kernel + 1 for d in dims]
-            if min(od) < 1:
-                raise ValueError(f"branch {branch.name!r}: grid too small at layer {i}")
-            positions = t * od[0] * od[1]
-            if l.pool:
-                od = [d // l.pool for d in od]
-            yield (branch.layer_in_channels(i), positions, l.kernel**2,
-                   t * od[0] * od[1] * l.filters)
-            dims = od
 
 
 @dataclass
@@ -354,12 +283,14 @@ def model_cycles(
     kappa: int = 0,
 ) -> CycleReport:
     """Analytic cycle report for a model at given per-branch window rows."""
-    per_branch = {}
-    for b in spec.branches:
-        per_branch[b.name] = [
-            conv_layer_cycles(c, p, t, kappa)
-            for c, p, t, _ in _branch_layer_dims(spec, b, input_rows[b.name])
+    per_branch = {
+        b.name: [
+            conv_layer_cycles(b.layer_in_channels(i), math.prod(conv),
+                              b.layers[i].kernel ** b.conv_dim, kappa)
+            for i, (_, conv, _) in enumerate(spec.layer_dims(b, input_rows[b.name]))
         ]
+        for b in spec.branches
+    }
     dense = [
         dense_layer_cycles(spec.dense_in, spec.hidden, kappa=kappa),
         dense_layer_cycles(spec.hidden, spec.classes, kappa=kappa),
@@ -454,12 +385,11 @@ def estimate_resources(
     branch_lanes = []
     for b in qm.spec.branches:
         rows = qm.input_rows.get(b.name, 0)
-        feature_words += rows * b.channels if b.conv_dim == 1 else (
-            (1 if qm.spec.fusion == "data" else rows) * b.channels
-        )
         if rows:
-            for _, _, _, out_words in _branch_layer_dims(qm.spec, b, rows):
-                feature_words += out_words
+            dims = qm.spec.layer_dims(b, rows)
+            feature_words += math.prod(dims[0][0]) * b.layer_in_channels(0)
+            feature_words += sum(math.prod(out) * l.filters
+                                 for (_, _, out), l in zip(dims, b.layers))
         branch_lanes.append(max(l.filters for l in b.layers))
     feature_words += qm.spec.hidden + qm.spec.classes
     lanes = (sum(branch_lanes) if schedule == "parallel" else max(branch_lanes)) if branch_lanes else 0

@@ -1,15 +1,20 @@
-"""Fixed-point numeric primitives: rounding, saturation, MAC accumulation,
-and multiply-shift requantization.
+"""Fixed-point numeric primitives: rounding, saturation, register range, MAC
+accumulation, and multiply-shift requantization.
 
-All functions are pure and operate on plain Python integers, so results are
-exact at any width. The same rules are mirrored by the vectorized integer
-engine; this module is the single definition of the arithmetic semantics.
+This module is the single definition of the arithmetic semantics: the
+quantizer and the integer engine call these functions instead of restating
+any rule. Every function takes plain Python numbers, on which integer
+results are exact at any width, or numpy arrays, to which it applies the
+same rule elementwise (integer arrays are int64; callers keep their values
+inside that range). Requantization is the integer multiply and rounding
+right-shift of Jacob et al. 2018 (arXiv:1712.05877).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "FxFormat",
@@ -18,6 +23,7 @@ __all__ = [
     "round_nearest",
     "rounding_rshift",
     "saturate",
+    "fits",
     "mac",
     "requantize",
 ]
@@ -65,8 +71,7 @@ class Accumulator:
     def __post_init__(self) -> None:
         if self.width < 2:
             raise ValueError(f"accumulator width must be >= 2, got {self.width}")
-        lim = 1 << (self.width - 1)
-        if not -lim <= self.value <= lim - 1:
+        if not fits(self.value, self.width):
             raise AccumulatorOverflowError(
                 f"value {self.value} does not fit a signed {self.width}-bit register"
             )
@@ -75,36 +80,49 @@ class Accumulator:
         return self.value
 
 
-def round_nearest(x: float) -> int:
-    """Round to the nearest integer, ties away from zero."""
-    if not math.isfinite(x):
+def round_nearest(x):
+    """Round to the nearest integer, ties away from zero.
+
+    A float gives an int; an array gives an int64 array. Non-finite input
+    is rejected.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(a).all():
         raise ValueError(f"cannot round non-finite value {x!r}")
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+    r = np.sign(a) * np.floor(np.abs(a) + 0.5)
+    return r.astype(np.int64) if isinstance(x, np.ndarray) else int(r)
 
 
-def rounding_rshift(v: int, shift: int) -> int:
+def rounding_rshift(v, shift: int):
     """Divide v by 2**shift, rounding to nearest with ties away from zero.
 
     Exact integer arithmetic; equal to round_nearest(v / 2**shift) at any
-    magnitude.
+    magnitude of a Python int.
     """
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     if shift == 0:
         return v
-    half = 1 << (shift - 1)
-    if v >= 0:
-        return (v + half) >> shift
-    return -((-v + half) >> shift)
+    mag = (abs(v) + (1 << (shift - 1))) >> shift
+    if isinstance(v, np.ndarray):
+        return np.where(v >= 0, mag, -mag)
+    return mag if v >= 0 else -mag
 
 
-def saturate(v: int, fmt: FxFormat) -> int:
+def saturate(v, fmt: FxFormat):
     """Clamp v into the signed n_bits range of fmt."""
-    if v > fmt.max_int:
-        return fmt.max_int
-    if v < fmt.min_int:
-        return fmt.min_int
-    return int(v)
+    if isinstance(v, np.ndarray):
+        return np.minimum(np.maximum(v, fmt.min_int), fmt.max_int)  # np.clip costs more per call
+    return min(max(int(v), fmt.min_int), fmt.max_int)
+
+
+def fits(v, width: int) -> bool:
+    """Whether v (an int, or every element of an integer array) fits a signed
+    width-bit register. Bounds compare as Python ints, exact at any width."""
+    lim = 1 << (width - 1)
+    if isinstance(v, np.ndarray):
+        return v.size == 0 or (-lim <= int(v.min()) and int(v.max()) <= lim - 1)
+    return -lim <= v <= lim - 1
 
 
 def mac(acc: Accumulator, a: int, b: int) -> Accumulator:
@@ -114,29 +132,23 @@ def mac(acc: Accumulator, a: int, b: int) -> Accumulator:
     which signals an undersized accumulator rather than silently wrapping.
     """
     total = acc.value + a * b
-    lim = 1 << (acc.width - 1)
-    if not -lim <= total <= lim - 1:
+    if not fits(total, acc.width):
         raise AccumulatorOverflowError(
             f"accumulating {a}*{b} onto {acc.value} exceeds {acc.width}-bit range"
         )
     return Accumulator(total, acc.width)
 
 
-def requantize(
-    acc: Accumulator | int,
-    mult: int,
-    shift: int,
-    fmt: FxFormat,
-    relu: bool = False,
-) -> int:
+def requantize(acc, mult: int, shift: int, fmt: FxFormat, relu: bool = False):
     """Rescale an accumulator to the output format: saturate(round(acc*mult/2^shift)).
 
-    With relu on, negative results clamp to 0 before saturation, folding the
-    activation into the requantization stage.
+    acc is an Accumulator, an int or an int64 array. With relu on, negative
+    results clamp to 0 before saturation, folding the activation into the
+    requantization stage.
     """
     if mult < 1:
         raise ValueError(f"mult must be >= 1, got {mult}")
-    v = rounding_rshift(int(acc) * mult, shift)
-    if relu and v < 0:
-        v = 0
+    v = rounding_rshift((acc if isinstance(acc, np.ndarray) else int(acc)) * mult, shift)
+    if relu:
+        v = np.maximum(v, 0) if isinstance(v, np.ndarray) else max(v, 0)
     return saturate(v, fmt)

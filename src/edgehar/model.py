@@ -7,18 +7,25 @@ max-pool producing one feature vector per sensor; the data-fusion baseline
 runs a single 2D convolution stack over the stacked (window x channels)
 matrix and flattens it, which is what makes its dense layer large.
 
-Every convolution in the package runs through one kernel, _conv_batch: an
-im2col GEMM over patch columns built in fixed-size blocks. The forward pass
-here, training's cached forward and backward passes, calibration, and the
-integer engine's exact fast path all call it.
+Each concept of the network is defined once, here:
+- _walk is the network. forward_batch runs it; training's backward pass and
+  the quantizer's calibration run it with an observer that keeps what they
+  need of each layer (activations and pool indices, or running maxima).
+- _conv_batch is every convolution in the package: an im2col GEMM over
+  patch columns built in fixed-size blocks. Training's backward pass and the
+  integer engine's exact fast path call it too.
+- _pool_windows is every kernel max-pool, FP and integer alike; _head is the
+  branch head (global max-pool or flatten) and _mix the importance mixing.
+- ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle
+  and memory models and the window check at config load all use it, and it
+  raises ShapeError naming the branch and layer that a window starves.
+  BranchSpec.weight_shape is the one weight-shape rule.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,9 +36,7 @@ __all__ = [
     "ModelSpec",
     "ModelParams",
     "Frame",
-    "conv_forward",
-    "global_max_pool",
-    "mix_features",
+    "ShapeError",
     "forward",
     "forward_batch",
     "count_params",
@@ -49,6 +54,10 @@ MODEL_SCHEMA = "edgehar.model/v1"
 # in the batch size, and a block small enough to stay in cache between its
 # copy and its GEMM measured faster than larger ones (1 MiB vs 2-32 MiB).
 _COL_BLOCK_BYTES = 1 << 20
+
+
+class ShapeError(ValueError):
+    """An input window is too small for one of a branch's layers."""
 
 
 @dataclass(frozen=True)
@@ -111,20 +120,10 @@ class BranchSpec:
             return 1 if self.conv_dim == 2 else self.channels
         return self.layers[idx - 1].filters
 
-    def spatial_dims_after(self, n_layers: int) -> tuple[int, ...] | None:
-        """Grid dims after n 2D conv layers, or None for 1D branches."""
-        if self.conv_dim != 2:
-            return None
-        dims = list(self.grid)
-        for spec in self.layers[:n_layers]:
-            dims = [d - spec.kernel + 1 for d in dims]
-            if spec.pool:
-                dims = [d // spec.pool for d in dims]
-            if min(dims) < 1:
-                raise ValueError(
-                    f"branch {self.name!r}: grid collapses at layer {n_layers}"
-                )
-        return tuple(dims)
+    def weight_shape(self, idx: int) -> tuple[int, ...]:
+        """Weight shape of layer idx: (K, C_in, F) in 1D, (K, K, C_in, F) in 2D."""
+        l = self.layers[idx]
+        return (*(l.kernel,) * self.conv_dim, self.layer_in_channels(idx), l.filters)
 
 
 @dataclass(frozen=True)
@@ -154,26 +153,43 @@ class ModelSpec:
             if len(fs) != 1:
                 raise ValueError("alpha mixing requires equal feature width per branch")
         for b in self.branches:
-            if b.head == "flatten" and self.window_rows is None:
-                raise ValueError("flatten head requires a fixed window_rows")
+            if b.head == "flatten":
+                if self.window_rows is None:
+                    raise ValueError("flatten head requires a fixed window_rows")
+                self.layer_dims(b, self.window_rows)
+
+    def layer_dims(self, branch: BranchSpec, rows: int) -> list[tuple[tuple[int, ...], ...]]:
+        """Walk a branch's shapes for an input window of `rows` rows.
+
+        Returns (input, conv output, pooled output) dims for each conv layer,
+        without the channel axis: (length,) for 1D branches and (T, H, W) for
+        2D ones (T is 1 under data fusion, whose grid already spans the
+        window). Raises ShapeError naming the branch and the layer at which
+        the window is too small.
+        """
+        if branch.conv_dim == 1:
+            lead, dims = (), (rows,)
+        else:
+            lead, dims = (1 if self.fusion == "data" else rows,), tuple(branch.grid)
+        walk = []
+        for i, l in enumerate(branch.layers):
+            conv = tuple(d - l.kernel + 1 for d in dims)
+            if min((*lead, *conv)) < 1:
+                raise ShapeError(f"branch {branch.name!r} layer {i}: input "
+                                 f"{(*lead, *dims)} shorter than kernel {l.kernel}")
+            pooled = tuple(d // l.pool for d in conv) if l.pool else conv
+            if min(pooled) < 1:
+                raise ShapeError(f"branch {branch.name!r} layer {i}: conv output "
+                                 f"{(*lead, *conv)} shorter than pool {l.pool}")
+            walk.append(((*lead, *dims), (*lead, *conv), (*lead, *pooled)))
+            dims = pooled
+        return walk
 
     def head_size(self, branch: BranchSpec) -> int:
         """Feature count a branch contributes to the dense input."""
         if branch.head == "gmax":
             return branch.out_features
-        dims = self._flatten_dims(branch)
-        return int(np.prod(dims)) * branch.out_features
-
-    def _flatten_dims(self, branch: BranchSpec) -> tuple[int, ...]:
-        if branch.conv_dim == 2:
-            t = 1 if self.fusion == "data" else self.window_rows
-            return (t, *branch.spatial_dims_after(3))
-        t = self.window_rows
-        for spec in branch.layers:
-            t = t - spec.kernel + 1
-            if spec.pool:
-                t //= spec.pool
-        return (t,)
+        return math.prod(self.layer_dims(branch, self.window_rows)[-1][2]) * branch.out_features
 
     @property
     def dense_in(self) -> int:
@@ -215,19 +231,6 @@ class Frame:
     t_end_ns: int = 0
 
 
-def _check_weight_shape(branch: BranchSpec, idx: int, w: np.ndarray) -> None:
-    spec = branch.layers[idx]
-    c_in = branch.layer_in_channels(idx)
-    if branch.conv_dim == 2:
-        want = (spec.kernel, spec.kernel, c_in, spec.filters)
-    else:
-        want = (spec.kernel, c_in, spec.filters)
-    if w.shape != want:
-        raise ValueError(
-            f"branch {branch.name!r} layer {idx}: weight shape {w.shape}, expected {want}"
-        )
-
-
 def validate_params(spec: ModelSpec, params: ModelParams) -> None:
     if len(params.branch_weights) != len(spec.branches):
         raise ValueError("branch count mismatch between spec and params")
@@ -235,7 +238,9 @@ def validate_params(spec: ModelSpec, params: ModelParams) -> None:
         if len(ws) != 3:
             raise ValueError(f"branch {branch.name!r} must carry 3 weight tensors")
         for i, w in enumerate(ws):
-            _check_weight_shape(branch, i, w)
+            if w.shape != branch.weight_shape(i):
+                raise ValueError(f"branch {branch.name!r} layer {i}: weight shape "
+                                 f"{w.shape}, expected {branch.weight_shape(i)}")
     if params.dense1.shape != (spec.dense_in, spec.hidden):
         raise ValueError(
             f"dense1 shape {params.dense1.shape}, expected {(spec.dense_in, spec.hidden)}"
@@ -297,47 +302,27 @@ def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, *out_sp, f)
 
 
-def _pool_time(x: np.ndarray, p: int) -> np.ndarray:
-    """Max-pool (B, L, F) over time with kernel and stride p; remainder dropped."""
-    lp = x.shape[1] // p
-    if lp < 1:
-        raise ValueError(f"length {x.shape[1]} too short for pool {p}")
-    return x[:, : lp * p, :].reshape(x.shape[0], lp, p, x.shape[2]).max(axis=2)
+def _pool_windows(a: np.ndarray, p: int, nd: int) -> np.ndarray:
+    """Kernel-p, stride-p max-pool windows of a (*lead, *spatial, F) tensor
+    over its nd spatial axes, the remainder dropped: (*lead, *spatial // p,
+    p**nd, F), row-major within a window. Pooling is max over axis -2."""
+    k = a.ndim - nd - 1
+    out = [d // p for d in a.shape[k:-1]]
+    if min(out) < 1:
+        raise ValueError(f"input {a.shape[k:-1]} shorter than pool {p}")
+    crop = a[(..., *(slice(o * p) for o in out), slice(None))]
+    split = crop.reshape(*a.shape[:k], *(n for o in out for n in (o, p)), a.shape[-1])
+    order = (*range(k), *range(k, k + 2 * nd, 2), *range(k + 1, k + 2 * nd, 2), k + 2 * nd)
+    return split.transpose(order).reshape(*a.shape[:k], *out, p**nd, a.shape[-1])
 
 
-def _pool_grid(x: np.ndarray, p: int) -> np.ndarray:
-    """Max-pool (B, T, H, W, F) spatially with kernel and stride p."""
-    b, t, h, w, f = x.shape
-    hp, wp = h // p, w // p
-    if hp < 1 or wp < 1:
-        raise ValueError(f"grid {(h, w)} too small for pool {p}")
-    x = x[:, :, : hp * p, : wp * p, :].reshape(b, t, hp, p, wp, p, f)
-    return x.max(axis=(3, 5))
-
-
-def conv_forward(
-    x: np.ndarray, w: np.ndarray, relu: bool = True, pool: int | None = None
-) -> np.ndarray:
-    """Single-tensor convolution layer, FP32 reference semantics.
-
-    1D: x (L, C) with w (K, C, F). 2D: x (T, H, W, C) with w (K, K, C, F).
-    Valid padding, stride 1; optional kernel max-pool of size pool.
-    """
-    if w.ndim not in (3, 4):
-        raise ValueError(f"weight tensor must be 3D or 4D, got {w.ndim}D")
-    out = _conv_batch(x[None], w)
-    if relu:
-        out = np.maximum(out, 0)
-    if pool:
-        out = _pool_time(out, pool) if w.ndim == 3 else _pool_grid(out, pool)
-    return out[0]
-
-
-def global_max_pool(x: np.ndarray) -> np.ndarray:
-    """Reduce every non-filter axis by max: (.., F) -> (F,)."""
-    if x.size == 0:
-        raise ValueError("cannot max-pool an empty tensor")
-    return x.reshape(-1, x.shape[-1]).max(axis=0)
+def _head(branch: BranchSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A branch's features (B, n) from its last layer's output h (B, ..., F),
+    with the windows a gmax head maxes over axis 1 (None for flatten)."""
+    if branch.head == "flatten":
+        return h.reshape(h.shape[0], -1), None
+    win = h.reshape(h.shape[0], -1, h.shape[-1])
+    return win.max(axis=1), win
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -345,20 +330,14 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def mix_features(features: list[np.ndarray], alpha: np.ndarray) -> np.ndarray:
-    """Softmax(alpha)-weighted sum of equal-length branch feature vectors."""
-    feats = [np.asarray(f).reshape(-1) for f in features]
-    n = len(feats)
-    if len(alpha) != n:
-        raise ValueError(f"{n} features but {len(alpha)} alpha entries")
-    if len({f.shape[0] for f in feats}) != 1:
-        raise ValueError("branch features must share one length to mix")
-    s = softmax(np.asarray(alpha, dtype=feats[0].dtype))
-    return sum(s[i] * feats[i] for i in range(n))
+def _mix(feats: list[np.ndarray], alpha: np.ndarray) -> np.ndarray:
+    """Softmax(alpha)-weighted sum of equal-width branch features."""
+    s = softmax(alpha.astype(feats[0].dtype))
+    return sum(s[i] * feats[i] for i in range(len(feats)))
 
 
 # ---------------------------------------------------------------------------
-# Full forward pass
+# The network
 # ---------------------------------------------------------------------------
 
 def _branch_input(spec: ModelSpec, branch: BranchSpec, x: np.ndarray) -> np.ndarray:
@@ -372,17 +351,53 @@ def _branch_input(spec: ModelSpec, branch: BranchSpec, x: np.ndarray) -> np.ndar
     return x.reshape(x.shape[0], x.shape[1], r, c, 1)
 
 
-def _run_branch(spec: ModelSpec, branch: BranchSpec, ws, x: np.ndarray) -> np.ndarray:
+def _walk(spec: ModelSpec, params: ModelParams, inputs: dict, observe=None) -> np.ndarray:
+    """Logits of the FP32 network for stacked branch inputs {name: (B, T, C)}
+    (data fusion: {name: (B, rows, cols)}).
+
+    observe, when given, is called as observe(key, x, a, win) once per layer
+    as the walk passes it. key is (branch index, depth) for conv depths 0-2,
+    (branch index, 3) for the branch head and "dense" for the hidden layer;
+    x is the layer's input and a its post-ReLU output (the head's features);
+    win is what the layer's max-pool reduces over axis -2, or None. An
+    observer that keeps only reductions of them, as calibration does, leaves
+    the walk's peak memory what it is without one.
+    """
+    validate_params(spec, params)
+    feats = [
+        _branch(spec, bi, branch, ws, inputs, observe)
+        for bi, (branch, ws) in enumerate(zip(spec.branches, params.branch_weights))
+    ]
+    fused = _mix(feats, params.alpha) if spec.alpha_enabled else np.concatenate(feats, axis=1)
+    hidden = np.maximum(fused @ params.dense1, 0)
+    if observe:
+        observe("dense", fused, hidden, None)
+    return hidden @ params.dense2
+
+
+def _branch(spec: ModelSpec, bi: int, branch: BranchSpec, ws, inputs: dict, observe):
+    """One branch of the walk, returning its features; a function of its own so
+    that the branch's activations are freed before the next branch runs."""
+    if branch.name not in inputs:
+        raise ValueError(f"missing input tensor for branch {branch.name!r}")
+    x = np.asarray(inputs[branch.name])
+    if x.shape[2] != branch.channels and spec.fusion != "data":
+        raise ValueError(
+            f"branch {branch.name!r}: {x.shape[2]} channels, expected {branch.channels}"
+        )
+    spec.layer_dims(branch, x.shape[1])
     h = _branch_input(spec, branch, x)
-    for lspec, w in zip(branch.layers, ws):
-        h = np.maximum(_conv_batch(h, w), 0)
-        if lspec.pool:
-            pool = _pool_time if branch.conv_dim == 1 else _pool_grid
-            h = pool(h, lspec.pool)
-    b = h.shape[0]
-    if branch.head == "gmax":
-        return h.reshape(b, -1, h.shape[-1]).max(axis=1)
-    return h.reshape(b, -1)
+    for depth, (lspec, w) in enumerate(zip(branch.layers, ws)):
+        a = _conv_batch(h, w)
+        np.maximum(a, 0, out=a)
+        win = _pool_windows(a, lspec.pool, branch.conv_dim) if lspec.pool else None
+        if observe:
+            observe((bi, depth), h, a, win)
+        h = a if win is None else win.max(axis=-2)
+    feat, win = _head(branch, h)
+    if observe:
+        observe((bi, 3), h, feat, win)
+    return feat
 
 
 def forward_batch(
@@ -390,24 +405,7 @@ def forward_batch(
 ) -> np.ndarray:
     """Batched logits for stacked branch inputs {name: (B, T, C)} (data fusion:
     {name: (B, rows, cols)})."""
-    validate_params(spec, params)
-    feats = []
-    for branch, ws in zip(spec.branches, params.branch_weights):
-        if branch.name not in inputs:
-            raise ValueError(f"missing input tensor for branch {branch.name!r}")
-        x = np.asarray(inputs[branch.name])
-        if x.shape[2] != branch.channels and spec.fusion != "data":
-            raise ValueError(
-                f"branch {branch.name!r}: {x.shape[2]} channels, expected {branch.channels}"
-            )
-        feats.append(_run_branch(spec, branch, ws, x))
-    if spec.alpha_enabled:
-        s = softmax(params.alpha.astype(feats[0].dtype))
-        fused = sum(s[i] * feats[i] for i in range(len(feats)))
-    else:
-        fused = np.concatenate(feats, axis=1)
-    hidden = np.maximum(fused @ params.dense1, 0)
-    return hidden @ params.dense2
+    return _walk(spec, params, inputs)
 
 
 def forward(
@@ -424,11 +422,7 @@ def forward(
 
 def count_params(spec: ModelSpec) -> int:
     """Total trainable weight count (the model has no bias terms)."""
-    total = 0
-    for b in spec.branches:
-        for i, lspec in enumerate(b.layers):
-            taps = lspec.kernel ** b.conv_dim
-            total += taps * b.layer_in_channels(i) * lspec.filters
+    total = sum(math.prod(b.weight_shape(i)) for b in spec.branches for i in range(3))
     total += spec.dense_in * spec.hidden + spec.hidden * spec.classes
     if spec.alpha_enabled:
         total += len(spec.branches)

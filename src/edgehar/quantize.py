@@ -16,13 +16,13 @@ pair. For conv layers S_out = R_l and R_w = R_l, leaving r = S_in = R_{l-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fxp import round_nearest
-from .model import ModelParams, ModelSpec, forward_batch
-from .train import _forward_caches
+from .model import ModelParams, ModelSpec, _walk, forward_batch
 
 __all__ = [
     "CalibStats",
@@ -61,7 +61,11 @@ class CalibStats:
 
 
 def calibrate(spec: ModelSpec, params: ModelParams, calib_X: dict) -> CalibStats:
-    """Collect per-(layer, branch) weight/activation magnitudes, layer by layer."""
+    """Collect per-(layer, branch) weight and output magnitudes.
+
+    One walk of the network over the whole set keeps only each layer's
+    running maximum, so no activation outlives its layer.
+    """
     if spec.alpha_enabled:
         raise ValueError(
             "quantization applies to models without importance mixing; "
@@ -70,33 +74,20 @@ def calibrate(spec: ModelSpec, params: ModelParams, calib_X: dict) -> CalibStats
     n = next(iter(calib_X.values())).shape[0]
     if n == 0:
         raise ValueError("calibration set is empty")
-    _, ctx = _forward_caches(spec, params, calib_X)
-    conv_w = [{} for _ in range(3)]
-    conv_o = [{} for _ in range(3)]
-    input_rows = {}
-    for branch, cache, ws in zip(spec.branches, ctx["caches"], params.branch_weights):
-        input_rows[branch.name] = int(np.asarray(calib_X[branch.name]).shape[1])
-        for l in range(3):
-            conv_w[l][branch.name] = float(np.abs(ws[l]).max())
-            act = np.maximum(cache["layers"][l]["z"], 0)
-            conv_o[l][branch.name] = float(act.max()) if act.size else 0.0
+    peak = {}
+
+    def keep_max(key, x, a, win):
+        peak[key] = float(a.max())
+
+    logits = _walk(spec, params, calib_X, keep_max)
+    names = [b.name for b in spec.branches]
+    conv_o = [{name: peak[bi, l] for bi, name in enumerate(names)} for l in range(3)]
+    conv_w = [{name: float(np.abs(ws[l]).max()) for name, ws in zip(names, params.branch_weights)}
+              for l in range(3)]
+    input_rows = {name: int(np.asarray(calib_X[name]).shape[1]) for name in names}
     dense_w = [float(np.abs(params.dense1).max()), float(np.abs(params.dense2).max())]
-    hidden = np.maximum(ctx["z1"], 0)
-    logits = ctx["h1"] @ params.dense2
-    dense_o = [float(hidden.max()), float(np.abs(logits).max())]
+    dense_o = [peak["dense"], float(np.abs(logits).max())]
     return CalibStats(conv_w, conv_o, dense_w, dense_o, input_rows, n)
-
-
-def merge_stats(a: CalibStats, b: CalibStats) -> CalibStats:
-    """Commutative max-merge of two calibration passes."""
-    return CalibStats(
-        [{k: max(d1[k], d2[k]) for k in d1} for d1, d2 in zip(a.conv_w, b.conv_w)],
-        [{k: max(d1[k], d2[k]) for k in d1} for d1, d2 in zip(a.conv_o, b.conv_o)],
-        [max(x, y) for x, y in zip(a.dense_w, b.dense_w)],
-        [max(x, y) for x, y in zip(a.dense_o, b.dense_o)],
-        dict(a.input_rows),
-        a.n_samples + b.n_samples,
-    )
 
 
 def compute_rescale(stats: CalibStats, layer: int) -> float:
@@ -134,6 +125,15 @@ class QuantizedModel:
     dense: list[QLayer]
     input_rows: dict[str, int]
 
+    def __post_init__(self) -> None:
+        # the engine multiplies int64 accumulators by mult; keep that exact
+        worst = max([l.mult for ls in self.branches for l in ls] + [l.mult for l in self.dense])
+        if (self.acc_width - 1) + worst.bit_length() > 62:
+            raise ValueError(
+                f"requant mult {worst} leaves no headroom at accumulator width "
+                f"{self.acc_width}; rescale coefficients are implausibly large"
+            )
+
     @property
     def storage_bits(self) -> int:
         return self.n_bits + 1
@@ -154,8 +154,7 @@ class QuantizedModel:
         worst_taps = 1
         for branch in self.spec.branches:
             for i in range(3):
-                k = branch.layers[i].kernel ** branch.conv_dim
-                worst_taps = max(worst_taps, k * branch.layer_in_channels(i))
+                worst_taps = max(worst_taps, math.prod(branch.weight_shape(i)[:-1]))
         for l in self.dense:
             worst_taps = max(worst_taps, l.w_int.shape[0])
         need = 2 * self.n_bits + int(np.ceil(np.log2(worst_taps))) + 2
@@ -170,8 +169,7 @@ def _quantize_tensor(w: np.ndarray, scale: float, n_bits: int) -> np.ndarray:
     """
     lim = (1 << n_bits) - 1
     scaled = np.asarray(w, dtype=np.float64) * (2.0**n_bits / scale)
-    q = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return np.clip(q, -lim, lim).astype(np.int64)
+    return np.clip(round_nearest(scaled), -lim, lim)
 
 
 def quantize_weights(
@@ -240,22 +238,8 @@ def quantize(
         d_scales.append((w_scale, out_scale))
         scale_in = out_scale
 
-    qm = QuantizedModel(spec, n_bits, rescales, d_scales, branches, dense,
-                        dict(stats.input_rows))
-    _check_requant_headroom(qm)
-    return qm
-
-
-def _check_requant_headroom(qm: QuantizedModel) -> None:
-    """The engine multiplies int64 accumulators by mult; keep that exact."""
-    worst_mult = max(
-        [l.mult for ls in qm.branches for l in ls] + [l.mult for l in qm.dense]
-    )
-    if (qm.acc_width - 1) + worst_mult.bit_length() > 62:
-        raise ValueError(
-            f"requant mult {worst_mult} leaves no headroom at accumulator width "
-            f"{qm.acc_width}; rescale coefficients are implausibly large"
-        )
+    return QuantizedModel(spec, n_bits, rescales, d_scales, branches, dense,
+                          dict(stats.input_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,19 @@ element); every path is checked against central finite differences in the
 test suite. A fixed seed fully determines initialization, the train/val
 split, and batch order.
 
-Conv layers share the model's im2col kernel: the cached forward pass calls
-it, dW is the patch columns transposed times dZ, and dX is the same kernel run
-on dZ padded by K-1 against the spatially flipped kernel with C and F swapped.
-The first layer's input gradient is never computed.
+The forward half of backprop is the model's own network walk (model._walk),
+run with an observer that keeps each layer's input, post-ReLU output and
+pool indices; there is no second copy of the network here. Conv gradients
+reuse the model's im2col kernel: dW is the patch columns transposed times
+dZ, and dX is the same kernel run on dZ padded by K-1 against the spatially
+flipped kernel with C and F swapped. The first layer's input gradient is
+never computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +30,8 @@ from .model import (
     ModelSpec,
     _conv_batch,
     _conv_blocks,
+    _walk,
     softmax,
-    validate_params,
 )
 from .seeding import substream
 
@@ -110,15 +113,10 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float64) -> ModelParams
     branch_weights = []
     for b in spec.branches:
         ws = []
-        for i, l in enumerate(b.layers):
-            c_in = b.layer_in_channels(i)
-            taps = l.kernel ** b.conv_dim
-            shape = (
-                (l.kernel, l.kernel, c_in, l.filters)
-                if b.conv_dim == 2
-                else (l.kernel, c_in, l.filters)
-            )
-            ws.append(_uniform_init(rng, taps * c_in, taps * l.filters, shape, dtype))
+        for i in range(3):
+            shape = b.weight_shape(i)
+            taps = math.prod(shape[:-2])
+            ws.append(_uniform_init(rng, taps * shape[-2], taps * shape[-1], shape, dtype))
         branch_weights.append(ws)
     d1 = _uniform_init(rng, spec.dense_in, spec.hidden,
                        (spec.dense_in, spec.hidden), dtype)
@@ -157,7 +155,7 @@ def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# Layer forward/backward pairs
+# Layer gradients
 # ---------------------------------------------------------------------------
 
 def _conv_bwd(dz, x, w, need_dx: bool):
@@ -181,170 +179,87 @@ def _conv_bwd(dz, x, w, need_dx: bool):
     return dx, dw.reshape(w.shape)
 
 
-def _pool1d_fwd(a, p):
-    b, l, f = a.shape
-    lp = l // p
-    win = a[:, : lp * p, :].reshape(b, lp, p, f)
-    amax = win.argmax(axis=2)  # first maximal element on ties
-    out = np.take_along_axis(win, amax[:, :, None, :], axis=2)[:, :, 0, :]
-    return out, (amax, a.shape, p)
+def _unmax(dout, idx, n):
+    """Gradient of a max over axis -2 of n-element windows: each window's
+    gradient goes to its first maximal element, the subgradient the tests
+    check against finite differences."""
+    dwin = np.zeros((*idx.shape[:-1], n, idx.shape[-1]), dtype=dout.dtype)
+    np.put_along_axis(dwin, idx[..., None, :], dout[..., None, :], axis=-2)
+    return dwin
 
 
-def _pool1d_bwd(dout, cache):
-    amax, shape, p = cache
-    b, l, f = shape
-    lp = l // p
-    dwin = np.zeros((b, lp, p, f), dtype=dout.dtype)
-    np.put_along_axis(dwin, amax[:, :, None, :], dout[:, :, None, :], axis=2)
-    da = np.zeros(shape, dtype=dout.dtype)
-    da[:, : lp * p, :] = dwin.reshape(b, lp * p, f)
+def _unwindow(dwin, shape, p: int, nd: int):
+    """Adjoint of model._pool_windows: scatter window-form dwin back onto a
+    zero tensor of the pooled input's shape."""
+    k = len(shape) - nd - 1
+    out = dwin.shape[k : k + nd]
+    split = dwin.reshape(*dwin.shape[:k], *out, *(p,) * nd, shape[-1])
+    order = (*range(k), *(i for j in range(nd) for i in (k + j, k + nd + j)), k + 2 * nd)
+    da = np.zeros(shape, dtype=dwin.dtype)
+    da[(..., *(slice(o * p) for o in out), slice(None))] = split.transpose(order).reshape(
+        *shape[:k], *(o * p for o in out), shape[-1])
     return da
 
 
-def _pool2d_fwd(a, p):
-    b, t, h, w, f = a.shape
-    hp, wp = h // p, w // p
-    win = (
-        a[:, :, : hp * p, : wp * p, :]
-        .reshape(b, t, hp, p, wp, p, f)
-        .transpose(0, 1, 2, 4, 3, 5, 6)
-        .reshape(b, t, hp, wp, p * p, f)
-    )
-    amax = win.argmax(axis=4)
-    out = np.take_along_axis(win, amax[:, :, :, :, None, :], axis=4)[:, :, :, :, 0, :]
-    return out, (amax, a.shape, p)
-
-
-def _pool2d_bwd(dout, cache):
-    amax, shape, p = cache
-    b, t, h, w, f = shape
-    hp, wp = h // p, w // p
-    dwin = np.zeros((b, t, hp, wp, p * p, f), dtype=dout.dtype)
-    np.put_along_axis(dwin, amax[:, :, :, :, None, :], dout[:, :, :, :, None, :], axis=4)
-    da = np.zeros(shape, dtype=dout.dtype)
-    da[:, :, : hp * p, : wp * p, :] = (
-        dwin.reshape(b, t, hp, wp, p, p, f)
-        .transpose(0, 1, 2, 4, 3, 5, 6)
-        .reshape(b, t, hp * p, wp * p, f)
-    )
-    return da
-
-
-def _gmax_fwd(h):
-    b, f = h.shape[0], h.shape[-1]
-    flat = h.reshape(b, -1, f)
-    amax = flat.argmax(axis=1)
-    feat = np.take_along_axis(flat, amax[:, None, :], axis=1)[:, 0, :]
-    return feat, (amax, h.shape)
-
-
-def _gmax_bwd(dfeat, cache):
-    amax, shape = cache
-    b, f = dfeat.shape
-    dflat = np.zeros((b, int(np.prod(shape[1:-1])), f), dtype=dfeat.dtype)
-    np.put_along_axis(dflat, amax[:, None, :], dfeat[:, None, :], axis=1)
-    return dflat.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
-# Whole-model forward with caches, and the matching backward
+# Backward pass over the model's walk
 # ---------------------------------------------------------------------------
 
-def _branch_fwd(spec: ModelSpec, branch: BranchSpec, ws, x):
-    from .model import _branch_input
-
-    h = _branch_input(spec, branch, x)
-    layers = []
-    for lspec, w in zip(branch.layers, ws):
-        z = _conv_batch(h, w)
-        a = np.maximum(z, 0)
-        if lspec.pool:
-            pf = _pool1d_fwd if branch.conv_dim == 1 else _pool2d_fwd
-            out, pcache = pf(a, lspec.pool)
-        else:
-            out, pcache = a, None
-        layers.append({"x": h, "w": w, "z": z, "pool": pcache})
-        h = out
-    if branch.head == "gmax":
-        feat, hcache = _gmax_fwd(h)
-    else:
-        feat, hcache = h.reshape(h.shape[0], -1), h.shape
-    return feat, {"layers": layers, "head": hcache, "branch": branch}
-
-
-def _branch_bwd(spec: ModelSpec, cache, dfeat):
-    branch: BranchSpec = cache["branch"]
-    if branch.head == "gmax":
-        dh = _gmax_bwd(dfeat, cache["head"])
-    else:
-        dh = dfeat.reshape(cache["head"])
+def _branch_bwd(branch: BranchSpec, ws, tape: dict, bi: int, dfeat):
+    h, _, idx = tape[bi, 3]
+    if idx is not None:
+        dfeat = _unmax(dfeat, idx, math.prod(h.shape[1:-1]))
+    dh = dfeat.reshape(h.shape)
     dws = []
-    for depth in reversed(range(len(cache["layers"]))):
-        lc = cache["layers"][depth]
-        if lc["pool"] is not None:
-            pb = _pool1d_bwd if branch.conv_dim == 1 else _pool2d_bwd
-            dh = pb(dh, lc["pool"])
-        dz = dh * (lc["z"] > 0)
+    for depth in reversed(range(3)):
+        x, a, idx = tape[bi, depth]
+        p = branch.layers[depth].pool
+        if p:
+            dh = _unwindow(_unmax(dh, idx, p**branch.conv_dim), a.shape, p, branch.conv_dim)
+        dz = dh * (a > 0)
         # the branch input's own gradient is never used
-        dh, dw = _conv_bwd(dz, lc["x"], lc["w"], need_dx=depth > 0)
+        dh, dw = _conv_bwd(dz, x, ws[depth], need_dx=depth > 0)
         dws.append(dw)
     dws.reverse()
     return dws
-
-
-def _forward_caches(spec: ModelSpec, params: ModelParams, X: dict):
-    feats, caches = [], []
-    for branch, ws in zip(spec.branches, params.branch_weights):
-        feat, cache = _branch_fwd(spec, branch, ws, np.asarray(X[branch.name]))
-        feats.append(feat)
-        caches.append(cache)
-    if spec.alpha_enabled:
-        s = softmax(params.alpha.astype(feats[0].dtype))
-        fused = sum(s[i] * feats[i] for i in range(len(feats)))
-        mix = (s, feats)
-    else:
-        fused = np.concatenate(feats, axis=1)
-        mix = None
-    z1 = fused @ params.dense1
-    h1 = np.maximum(z1, 0)
-    logits = h1 @ params.dense2
-    return logits, {"caches": caches, "mix": mix, "fused": fused, "z1": z1,
-                    "h1": h1, "feats": feats}
 
 
 def backward(
     spec: ModelSpec, params: ModelParams, X: dict, y: np.ndarray
 ) -> tuple[float, ModelParams]:
     """Mean loss over the batch and exact gradients, packed like ModelParams."""
-    validate_params(spec, params)
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("batch must be nonempty")
-    logits, ctx = _forward_caches(spec, params, X)
+    tape = {}
+
+    def keep(key, x, a, win):
+        tape[key] = (x, a, None if win is None else win.argmax(axis=-2))
+
+    logits = _walk(spec, params, X, keep)
     loss, dlogits = _ce_loss_grad(logits, y)
 
-    ddense2 = ctx["h1"].T @ dlogits
+    fused, hidden, _ = tape["dense"]
+    ddense2 = hidden.T @ dlogits
     dh1 = dlogits @ params.dense2.T
-    dz1 = dh1 * (ctx["z1"] > 0)
-    ddense1 = ctx["fused"].T @ dz1
+    dz1 = dh1 * (hidden > 0)
+    ddense1 = fused.T @ dz1
     dfused = dz1 @ params.dense1.T
 
+    feats = [tape[bi, 3][1] for bi in range(len(spec.branches))]
     dalpha = None
     if spec.alpha_enabled:
-        s, feats = ctx["mix"]
+        s = softmax(params.alpha.astype(feats[0].dtype))
         ds = np.array([float(np.sum(f * dfused)) for f in feats])
         dalpha = s * (ds - float(np.dot(s, ds)))
         dfeats = [s[i] * dfused for i in range(len(feats))]
     else:
-        dfeats, off = [], 0
-        for b in spec.branches:
-            n = spec.head_size(b)
-            dfeats.append(dfused[:, off : off + n])
-            off += n
+        dfeats = np.split(dfused, np.cumsum([f.shape[1] for f in feats])[:-1], axis=1)
 
     dbranches = [
-        _branch_bwd(spec, cache, dfeat)
-        for cache, dfeat in zip(ctx["caches"], dfeats)
+        _branch_bwd(branch, ws, tape, bi, dfeat)
+        for bi, (branch, ws, dfeat) in enumerate(
+            zip(spec.branches, params.branch_weights, dfeats))
     ]
     grads = ModelParams(dbranches, ddense1, ddense2,
                         None if dalpha is None else dalpha.astype(params.dense1.dtype))

@@ -73,13 +73,7 @@ def random_qmodel(rng: np.random.Generator, n_bits: int) -> tuple[QuantizedModel
     for b in spec.branches:
         qls = []
         for i, l in enumerate(b.layers):
-            c_in = b.layer_in_channels(i)
-            shape = (
-                (l.kernel, l.kernel, c_in, l.filters)
-                if b.conv_dim == 2
-                else (l.kernel, c_in, l.filters)
-            )
-            w = rng.integers(-lim, lim + 1, size=shape, dtype=np.int64)
+            w = rng.integers(-lim, lim + 1, size=b.weight_shape(i), dtype=np.int64)
             mult = int(rng.integers(1, 1 << 16))
             shift = n_bits + int(rng.integers(8, 16))
             qls.append(QLayer(w, mult, shift, relu=True, pool=l.pool))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgehar.cli import main
+from edgehar.cli import DEFAULT_CONFIG, _check_config, main
 
 CFG = {
     "seed": 3,
@@ -120,6 +120,26 @@ class TestExitCodes:
         bad.write_text(json.dumps(dict(CFG, out=str(tmp_path / "r"),
                                        sensors=["warp-core"])))
         assert _run("gen-data", "--config", str(bad)) == 2
+
+    def test_default_config_validates(self):
+        _check_config(DEFAULT_CONFIG)
+
+    def test_short_window_exit_2_names_sensor_and_layer(self, tmp_path, capsys):
+        # gas samples at 4 Hz: 1 s gives 4 rows, and the first k=5 conv needs 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"out": str(tmp_path / "r"), "window_ms": 1000}))
+        assert _run("gen-data", "--config", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "'gas'" in err and "layer 0" in err
+        assert not (tmp_path / "r").exists()  # rejected before any stage ran
+
+    def test_data_fusion_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(CFG, out=str(tmp_path / "r"),
+                                       model=dict(CFG["model"], fusion="data"))))
+        assert _run("gen-data", "--config", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "fusion" in err and "'data'" in err
 
     def test_schema_mismatch_exit_2(self, workdir):
         tmp, cfg, out = workdir

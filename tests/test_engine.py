@@ -20,7 +20,7 @@ from edgehar.engine import (
     schedule_latency,
 )
 from edgehar.fxp import AccumulatorOverflowError
-from edgehar.model import forward_batch
+from edgehar.model import BranchSpec, ConvSpec, _head, forward_batch
 from edgehar.quantize import QLayer, QuantizedModel, calibrate, quantize
 from edgehar.train import init_params
 
@@ -42,13 +42,14 @@ class TestQConvLayer:
         c = 57
         x = np.full((9, 1), c, dtype=np.int64)
         q = QLayer(np.full((1, 1, 3), 1 << n, dtype=np.int64), mult=1, shift=n)
-        out = qconv_layer(x, q, n, pool="global")
+        gmax = BranchSpec("s", 1, (ConvSpec(3, 1),) * 3)
+        out = _head(gmax, qconv_layer(x, q, n)[None])[0][0]
         np.testing.assert_array_equal(out, [c, c, c])
 
     def test_matches_fp32_within_one_grid_step(self, rng):
         # against the FP32 reference run on the dequantized weights, the only
         # divergence is the final rounding: at most one output grid ULP
-        from edgehar.model import conv_forward
+        from edgehar.model import _conv_batch
 
         n = 12
         # keep the true outputs inside the representable range, as a
@@ -61,7 +62,7 @@ class TestQConvLayer:
         got = qconv_layer(x_int, q, n, acc_width=48)
         x_fp = x_int.astype(np.float64) / 2.0**n
         w_fp = w_int.astype(np.float64) / 2.0**n
-        want = conv_forward(x_fp, w_fp, relu=True)
+        want = np.maximum(_conv_batch(x_fp[None], w_fp)[0], 0)
         err = np.abs(got.astype(np.float64) / 2.0**n - want)
         assert float(err.max()) <= 1.0 / 2.0**n + 1e-12
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgehar import model
 from edgehar.model import (
@@ -7,15 +8,13 @@ from edgehar.model import (
     ConvSpec,
     Frame,
     ModelSpec,
-    conv_forward,
+    ShapeError,
     count_params,
     data_fusion_spec,
     feature_fusion_spec,
     forward,
     forward_batch,
-    global_max_pool,
     load_model,
-    mix_features,
     normalize_inputs,
     save_model,
 )
@@ -26,35 +25,53 @@ import oracles
 from conftest import random_inputs, rows_for, tiny_spec
 
 
+def _conv(x, w, relu=False, pool=None):
+    """One unbatched conv layer through the shared kernel and pool."""
+    out = model._conv_batch(x[None], w)
+    if relu:
+        out = np.maximum(out, 0)
+    if pool:
+        out = model._pool_windows(out, pool, w.ndim - 2).max(axis=-2)
+    return out[0]
+
+
 class TestConvForward:
     def test_valid_padding_length(self, rng):
         x = rng.normal(size=(20, 3))
         w = rng.normal(size=(5, 3, 4))
-        assert conv_forward(x, w).shape == (16, 4)
+        assert _conv(x, w).shape == (16, 4)
 
     def test_zero_input_zero_output(self, rng):
         w = rng.normal(size=(5, 3, 4))
-        out = conv_forward(np.zeros((20, 3)), w)
+        out = _conv(np.zeros((20, 3)), w)
         assert np.all(out == 0.0)
 
     def test_hand_convolution(self):
         x = np.array([[1.0], [2.0], [3.0]])
         w = np.array([[[2.0]]])
-        assert conv_forward(x, w, relu=True).ravel().tolist() == [2.0, 4.0, 6.0]
+        assert _conv(x, w, relu=True).ravel().tolist() == [2.0, 4.0, 6.0]
 
     def test_kernel_pool_divides_length(self, rng):
         x = rng.normal(size=(21, 2))
         w = rng.normal(size=(2, 2, 3))
-        assert conv_forward(x, w, pool=2).shape == (10, 3)  # (21-2+1)//2
+        assert _conv(x, w, pool=2).shape == (10, 3)  # (21-2+1)//2
 
     def test_too_short_input_rejected(self, rng):
         with pytest.raises(ValueError):
-            conv_forward(rng.normal(size=(3, 2)), rng.normal(size=(5, 2, 1)))
+            _conv(rng.normal(size=(3, 2)), rng.normal(size=(5, 2, 1)))
 
     def test_2d_shapes(self, rng):
         x = rng.normal(size=(4, 8, 8, 1))
         w = rng.normal(size=(3, 3, 1, 5))
-        assert conv_forward(x, w).shape == (4, 6, 6, 5)
+        assert _conv(x, w).shape == (4, 6, 6, 5)
+
+    def test_2d_pool_takes_window_max(self, rng):
+        x = rng.normal(size=(2, 7, 9, 3))
+        got = model._pool_windows(x[None], 2, 2).max(axis=-2)[0]
+        want = np.array([[[[x[t, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, f].max()
+                            for f in range(3)] for j in range(4)] for i in range(3)]
+                         for t in range(2)])
+        np.testing.assert_array_equal(got, want)
 
 
 class TestConvKernel:
@@ -72,44 +89,55 @@ class TestConvKernel:
                                    rtol=1e-12, atol=1e-12)
 
 
+_GMAX = BranchSpec("g", 1, (ConvSpec(1, 1),) * 3)
+
+
+def _gmax(x):
+    """The gmax branch head on one unbatched (positions, F) tensor."""
+    return model._head(_GMAX, x[None])[0][0]
+
+
 class TestGlobalMaxPool:
     def test_columnwise_max(self):
-        assert global_max_pool(np.array([[1.0, 5.0], [3.0, 2.0]])).tolist() == [3.0, 5.0]
+        assert _gmax(np.array([[1.0, 5.0], [3.0, 2.0]])).tolist() == [3.0, 5.0]
 
     def test_constant_tensor(self):
-        assert global_max_pool(np.full((7, 3), 2.5)).tolist() == [2.5, 2.5, 2.5]
+        assert _gmax(np.full((7, 3), 2.5)).tolist() == [2.5, 2.5, 2.5]
 
     def test_single_timestep_identity(self):
         x = np.array([[1.0, -2.0, 3.0]])
-        assert global_max_pool(x).tolist() == [1.0, -2.0, 3.0]
+        assert _gmax(x).tolist() == [1.0, -2.0, 3.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            global_max_pool(np.zeros((0, 3)))
+            _gmax(np.zeros((0, 3)))
 
 
 class TestMixFeatures:
     def test_uniform_alpha_is_mean(self):
         a, b, c = (np.arange(3.0), np.ones(3), np.array([2.0, 0.0, 1.0]))
-        out = mix_features([a, b, c], np.zeros(3))
+        out = model._mix([a, b, c], np.zeros(3))
         np.testing.assert_allclose(out, (a + b + c) / 3)
 
     def test_log2_weighting(self):
         a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        out = mix_features([a, b], np.array([np.log(2.0), 0.0]))
+        out = model._mix([a, b], np.array([np.log(2.0), 0.0]))
         np.testing.assert_allclose(out, (2 * a + b) / 3)
 
     def test_singleton(self, rng):
         f = rng.normal(size=4)
-        np.testing.assert_allclose(mix_features([f], np.array([17.0])), f)
+        np.testing.assert_allclose(model._mix([f], np.array([17.0])), f)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mix_features([np.zeros(3), np.zeros(4)], np.zeros(2))
+        # branch features of unequal width cannot be mixed: the spec refuses them
+        branches = (BranchSpec("a", 1, (ConvSpec(3, 1),) * 3),
+                    BranchSpec("b", 1, (ConvSpec(4, 1),) * 3))
+        with pytest.raises(ValueError, match="equal feature width"):
+            ModelSpec(branches, hidden=2, classes=2, alpha_enabled=True)
 
     def test_convex_combination(self, rng):
         feats = [rng.normal(size=5) for _ in range(4)]
-        out = mix_features(feats, rng.normal(size=4))
+        out = model._mix(feats, rng.normal(size=4))
         lo = np.min(feats, axis=0)
         hi = np.max(feats, axis=0)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
@@ -298,3 +326,94 @@ class TestSpecValidation:
         layers = (ConvSpec(1, 1),) * 3
         with pytest.raises(ValueError):
             BranchSpec("a", 10, layers, conv_dim=2, grid=(3, 3))
+
+
+def _need(layers):
+    """Smallest input length that survives the layers: an independent
+    receptive-field count, walked backwards from one output row."""
+    r = 1
+    for l in reversed(layers):
+        r = r * (l.pool or 1) + l.kernel - 1
+    return r
+
+
+def _spec_and_rows(data):
+    """Draw a small spec and a window per branch around its receptive field.
+
+    Returns (build, rows, fits): build() makes the spec and checks it against
+    the window; fits says whether the receptive-field count lets it run.
+    """
+    near = lambda need, lo: max(lo, need + data.draw(st.integers(-2, 2)))
+    classes = data.draw(st.integers(2, 3))
+    if data.draw(st.integers(0, 3)) == 0:
+        k = data.draw(st.integers(1, 3))
+        need = 3 * k - 2
+        rows, total = near(need, 1), near(need, 1)
+        build = lambda: data_fusion_spec(total, rows, filters=2, kernel=k,
+                                         hidden=3, classes=classes)
+        return build, {"fused": rows}, min(rows, total) >= need
+    branches, rows, fits = [], {}, True
+    for i in range(data.draw(st.integers(1, 3))):
+        layers = tuple(
+            ConvSpec(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
+                     data.draw(st.sampled_from([None, None, 2, 3])))
+            for _ in range(3)
+        )
+        need = _need(layers)
+        if data.draw(st.booleans()):
+            grid = (near(need, 1), near(need, 1))
+            branches.append(BranchSpec(f"s{i}", grid[0] * grid[1], layers, 2, grid))
+            rows[f"s{i}"] = data.draw(st.integers(0, 2))
+            fits = fits and min(grid) >= need and rows[f"s{i}"] >= 1
+        else:
+            branches.append(BranchSpec(f"s{i}", data.draw(st.integers(1, 3)), layers))
+            rows[f"s{i}"] = near(need, 0)
+            fits = fits and rows[f"s{i}"] >= need
+    spec = ModelSpec(tuple(branches), hidden=3, classes=classes)
+
+    def build():
+        for b in spec.branches:
+            spec.layer_dims(b, rows[b.name])
+        return spec
+
+    return build, rows, fits
+
+
+class TestShapeWalker:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_accepted_windows_run_every_stage(self, data):
+        from edgehar.engine import qinfer, quantize_frame
+        from edgehar.quantize import calibrate, quantize
+        from edgehar.train import backward
+
+        build, rows, fits = _spec_and_rows(data)
+        if not fits:
+            with pytest.raises(ShapeError, match="layer"):
+                build()
+            return
+        spec = build()
+        params = init_params(spec, seed=data.draw(st.integers(0, 99)))
+        for ws in params.branch_weights:  # positive nets: no dead layer to refuse
+            for w in ws:
+                np.abs(w, out=w)
+        np.abs(params.dense1, out=params.dense1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        X = {b.name: rng.uniform(0.1, 1.0, size=(2, *b.grid) if spec.fusion == "data"
+                                 else (2, rows[b.name], b.channels))
+             for b in spec.branches}
+        assert forward_batch(spec, params, X).shape == (2, spec.classes)
+        backward(spec, params, X, np.array([0, 1]))
+        qm = quantize(spec, params, calibrate(spec, params, X), 8)
+        qinfer(qm, quantize_frame({k: v[0] for k, v in X.items()}, 8))
+
+    def test_rejected_window_is_typed_in_forward_too(self, rng):
+        spec = ModelSpec((BranchSpec("a", 2, (ConvSpec(2, 3),) * 3),), hidden=3, classes=2)
+        with pytest.raises(ShapeError, match="'a' layer 2"):
+            spec.layer_dims(spec.branches[0], 6)  # 6 -> 4 -> 2 rows
+        with pytest.raises(ShapeError, match="'a' layer 2"):
+            forward_batch(spec, init_params(spec), {"a": rng.normal(size=(1, 6, 2))})
+
+    def test_data_fusion_window_checked_when_built(self):
+        with pytest.raises(ShapeError, match="'fused' layer 2"):
+            data_fusion_spec(8, window_rows=5, kernel=3)  # 5 -> 3 -> 1 rows

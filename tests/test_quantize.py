@@ -4,10 +4,11 @@ import pytest
 from edgehar.model import BranchSpec, ConvSpec, ModelSpec, forward_batch
 from edgehar.quantize import (
     CalibStats,
+    QLayer,
+    QuantizedModel,
     calibrate,
     compute_rescale,
     load_qmodel,
-    merge_stats,
     quantize,
     quantize_weights,
     quantized_accuracy_ratio,
@@ -71,16 +72,15 @@ class TestCalibrate:
             for name in s1.conv_o[l]:
                 assert s2.conv_o[l][name] >= s1.conv_o[l][name]
 
-    def test_merge_is_commutative_max(self, rng):
+    def test_whole_set_is_max_of_its_halves(self, rng):
         spec, params, X = _fixture_model(rng)
         a = calibrate(spec, params, {k: v[:10] for k, v in X.items()})
         b = calibrate(spec, params, {k: v[10:] for k, v in X.items()})
-        m1, m2 = merge_stats(a, b), merge_stats(b, a)
         whole = calibrate(spec, params, X)
         for l in range(3):
             for name in whole.conv_o[l]:
-                assert m1.conv_o[l][name] == m2.conv_o[l][name]
-                assert m1.conv_o[l][name] == pytest.approx(whole.conv_o[l][name])
+                assert whole.conv_o[l][name] == max(a.conv_o[l][name], b.conv_o[l][name])
+        assert whole.dense_o[0] == max(a.dense_o[0], b.dense_o[0])
 
     def test_empty_calibration_rejected(self, rng):
         spec, params, X = _fixture_model(rng)
@@ -220,6 +220,23 @@ class TestQuantizedModel:
         save_qmodel(tmp_path / "q2.json", qm2, meta=meta)
         assert (tmp_path / "q.json").read_bytes() == (tmp_path / "q2.json").read_bytes()
 
+    def test_oversized_mult_rejected_on_build_and_load(self, tmp_path, rng):
+        import json
+
+        spec, params, X = _fixture_model(rng)
+        qm = quantize(spec, params, calibrate(spec, params, X), 10)
+        with pytest.raises(ValueError, match="headroom"):
+            QuantizedModel(qm.spec, qm.n_bits, qm.rescales, qm.dense_scales, qm.branches,
+                           [qm.dense[0], QLayer(qm.dense[1].w_int, 1 << 40, qm.dense[1].shift)],
+                           qm.input_rows)
+        p = tmp_path / "q.json"
+        save_qmodel(p, qm)
+        doc = json.loads(p.read_text())
+        doc["branches"][0][1]["mult"] = 1 << 40
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="headroom"):
+            load_qmodel(p)
+
     def test_dequantized_features_recover_fp32(self, rng):
         # branch features share R_3, so int features dequantize comparably
         from edgehar.engine import quantize_frame, _q_branch
@@ -228,15 +245,16 @@ class TestQuantizedModel:
         stats = calibrate(spec, params, X)
         n = 12
         qm = quantize(spec, params, stats, n)
-        from edgehar.train import _forward_caches
+        from edgehar.model import _walk
 
         one = {k: v[:1] for k, v in X.items()}
-        _, ctx = _forward_caches(spec, params, one)
+        feats = {}
+        _walk(spec, params, one, lambda key, x, a, win: feats.setdefault(key, a))
         qframe = quantize_frame({k: v[0] for k, v in one.items()}, n)
         for bi, branch in enumerate(spec.branches):
             got = _q_branch(spec, branch, qm.branches[bi], qframe[branch.name],
                             n, qm.acc_width)
-            fp = ctx["feats"][bi][0]
+            fp = feats[bi, 3][0]
             deq = got.astype(np.float64) * qm.rescales[2] / 2.0**n
             # error budget: one grid step per layer, amplified by layer gains
             gain = 1.0
