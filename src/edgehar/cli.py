@@ -156,11 +156,10 @@ def _load_bundle_arrays(cfg, spec, stats=None, limit=None, test=False):
     ds_dir = _out(cfg) / ("dataset_test" if test else "dataset")
     bundle = daq.load_dataset(ds_dir)
     stats = stats or bundle.norm_stats()
-    frames, labels = daq.bundle_frames(bundle, stats)
+    X, y = daq.bundle_arrays(bundle, [b.name for b in spec.branches], stats)
     if limit:
-        frames, labels = frames[:limit], labels[:limit]
-    X, y = tr.frames_to_arrays(spec, frames, labels)
-    return bundle, X, y, stats
+        X, y = {k: v[:limit] for k, v in X.items()}, y[:limit]
+    return X, y, stats
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ def cmd_gen_data(cfg) -> int:
 def cmd_train(cfg) -> int:
     sensors = _sensors(cfg)
     spec = _model_spec(cfg, sensors, cfg["classes"])
-    bundle, X, y, stats = _load_bundle_arrays(cfg, spec)
+    X, y, stats = _load_bundle_arrays(cfg, spec)
     tc = tr.TrainConfig(seed=cfg["seed"], **cfg["train"])
     params, history = tr.train(spec, (X, y), tc)
     meta = _echo(cfg) | {"norm_stats": {k: list(v) for k, v in stats.items()}}
@@ -205,7 +204,7 @@ def cmd_select(cfg) -> int:
     cfg_a = dict(cfg)
     cfg_a["model"] = dict(cfg["model"], alpha_enabled=True)
     spec_a = _model_spec(cfg_a, sensors, cfg["classes"])
-    bundle, X, y, stats = _load_bundle_arrays(cfg, spec_a)
+    X, y, stats = _load_bundle_arrays(cfg, spec_a)
     tc = tr.TrainConfig(seed=cfg["seed"], **cfg["train"])
     _, _, report = tr.train_importance(spec_a, (X, y), tc)
     kept = tr.select_modalities(report, int(cfg["keep"]))
@@ -239,7 +238,7 @@ def _load_model_for(cfg, args):
 
 def cmd_quantize(cfg, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    _, X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
+    X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
     calib = qz.calibrate(spec, params, X)
     for n in cfg["bits"]:
         qm = qz.quantize(spec, params, calib, int(n))
@@ -250,8 +249,8 @@ def cmd_quantize(cfg, args) -> int:
 
 def cmd_sweep(cfg, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    _, Xc, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
-    _, Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
+    Xc, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
+    Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
     curve = qz.sweep_bits(spec, params, (Xt, yt), cfg["bits"], calib_X=Xc)
     write_csv_atomic(_out(cfg) / "sweep.csv", ["n_bits", "accuracy_ratio"],
                      [(n, repr(r)) for n, r in curve])
@@ -263,7 +262,7 @@ def cmd_sweep(cfg, args) -> int:
 
 def cmd_infer(cfg, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    _, Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
+    Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
     if getattr(args, "qmodel", None):
         qm, _ = qz.load_qmodel(args.qmodel)
         preds = engine.qinfer_batch(qm, Xt)
@@ -319,7 +318,7 @@ def cmd_simulate(cfg, args) -> int:
 
 def cmd_report(cfg, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    _, X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
+    X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
     calib = qz.calibrate(spec, params, X)
     window = _window(cfg)
     rows = []

@@ -1,22 +1,33 @@
 """Deterministic event-driven acquisition simulation.
 
 Sensors sample on exact integer-nanosecond grids in virtual time (never
-wall-clock): sensor k's i-th sample lands at floor(i * 1e9 / rate), so sample
-counts over whole-period durations are exact and runs are bit-reproducible.
-A start-sync begins every source at the same t = 0 origin; samples flow
-through bounded data-level FIFOs into a stream controller that emits
-sliding-window frames. Overflow and underfill are explicit, counted events;
-no sample is ever silently dropped.
+wall-clock), so sample counts over whole-period durations are exact and runs
+are bit-reproducible. A start-sync begins every source at the same t = 0
+origin; samples flow through bounded data-level FIFOs into a stream
+controller that emits sliding-window frames. Overflow and underfill are
+explicit, counted events; no sample is ever silently dropped.
 
 Also hosts the synthetic labeled-activity generator that stands in for a
 real multi-sensor recording rig, and the built-in sensor catalog.
+
+Each concept of the acquisition layer is defined once, here:
+- sample_time_ns is the sample grid: sample m at rate r is stamped
+  floor(m * 1e9 / r), exactly. Sources, gen_dataset, gen_timeline and
+  resample's target grid all stamp with it; count_until, its inverse, counts
+  the stamps before a time and so bounds resample's grid and sizes a
+  timeline.
+- WindowConfig.timesteps is the rows-per-window rule (window x rate, rounded
+  half up). It sets the rows gen_dataset writes, the rows bundle_arrays
+  checks, the rows stream_frames emits and the window check at config load,
+  so the model's input size; FIFO_WINDOWS times it is the depth of each FIFO
+  a stream drains.
+- bundle_arrays is the one path from stored recordings to model inputs.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +46,7 @@ __all__ = [
     "SignalSource",
     "RecordingSource",
     "Session",
+    "FIFO_WINDOWS",
     "start_sync",
     "stream_frames",
     "resample",
@@ -45,11 +57,13 @@ __all__ = [
     "gen_timeline",
     "save_dataset",
     "load_dataset",
+    "bundle_arrays",
     "DATASET_SCHEMA",
 ]
 
 NS = 10**9
 DATASET_SCHEMA = "edgehar.dataset/v1"
+FIFO_WINDOWS = 2  # a stream's FIFO holds two windows of its sensor's samples
 
 
 def _as_frac(x) -> Fraction:
@@ -59,6 +73,30 @@ def _as_frac(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
+
+
+def sample_time_ns(m, rate):
+    """Stamp of sample m >= 0 at rate Hz: floor(m * 1e9 / rate), exact.
+
+    m is an int or an integer array. An array is computed in int64 only when
+    no product m * 1e9 * denominator can wrap, else in Python ints.
+    """
+    r = _as_frac(rate)
+    scale = NS * r.denominator
+    if isinstance(m, np.ndarray):
+        fits64 = (int(m.max(initial=0)) + 1) * scale < 2**63 and r.numerator < 2**63
+        m = m.astype(np.int64 if fits64 else object)
+        return (m * scale // r.numerator).astype(np.int64)
+    return m * scale // r.numerator
+
+
+def count_until(t_ns: int, rate) -> int:
+    """Number of samples stamped before t_ns: the inverse of sample_time_ns."""
+    if t_ns <= 0:
+        return 0
+    r = _as_frac(rate)
+    # floor(m * NS / r) < t  <=>  m < t * r / NS, as t is an integer
+    return -(-(t_ns * r.numerator) // (NS * r.denominator))
 
 
 @dataclass(frozen=True)
@@ -85,21 +123,6 @@ class SensorSpec:
     @property
     def rate(self) -> Fraction:
         return _as_frac(self.rate_hz)
-
-    def sample_time_ns(self, k: int) -> int:
-        """Exact nominal timestamp of sample k."""
-        r = self.rate
-        return (k * NS * r.denominator) // r.numerator
-
-    def count_until(self, t_ns: int) -> int:
-        """Number of nominal samples with timestamp < t_ns."""
-        r = self.rate
-        if t_ns <= 0:
-            return 0
-        # k * NS / r < t  <=>  k <= ceil(t * r / NS) - 1
-        num = t_ns * r.numerator
-        den = NS * r.denominator
-        return -(-num // den)
 
 
 # Built-in modality catalog: the seven feature branches of the reference rig.
@@ -133,10 +156,14 @@ TABLE_SENSORS: list[SensorSpec] = [
 
 class SensorFifo:
     """Bounded FIFO of (timestamp, channel vector) samples with conservation
-    counters: produced == consumed + occupancy + overflowed at all times."""
+    counters: produced == consumed + occupancy + overflowed at all times.
 
-    def __init__(self, name: str, depth: int):
-        if depth < 1:
+    A FIFO built without a depth is unbounded until stream_frames sizes it
+    for the window it drains.
+    """
+
+    def __init__(self, name: str, depth: int | None = None):
+        if depth is not None and depth < 1:
             raise ValueError("FIFO depth must be >= 1")
         self.name = name
         self.depth = depth
@@ -144,7 +171,6 @@ class SensorFifo:
         self.produced = 0
         self.consumed = 0
         self.overflowed = 0
-        self.overflow_events: list[int] = []
 
     @property
     def occupancy(self) -> int:
@@ -152,9 +178,8 @@ class SensorFifo:
 
     def push(self, t_ns: int, values: np.ndarray) -> bool:
         self.produced += 1
-        if len(self.buf) >= self.depth:
+        if self.depth is not None and len(self.buf) >= self.depth:
             self.overflowed += 1
-            self.overflow_events.append(t_ns)
             return False
         self.buf.append((t_ns, values))
         return True
@@ -202,7 +227,7 @@ class Source:
             step = float(self._period) * (1.0 + u * self.jitter_ppm * 1e-6)
             self._t += max(1, int(round(step)))
         else:
-            self._t = self.spec.sample_time_ns(self._k)
+            self._t = sample_time_ns(self._k, self.spec.rate)
 
     def peek_time(self) -> int | None:
         return self._t if self._t < self.duration_ns else None
@@ -252,41 +277,27 @@ class RecordingSource(Source):
 # ---------------------------------------------------------------------------
 
 class Session:
-    def __init__(self, sources: list[Source], fifo_slack: int = 2,
-                 fifo_depth: dict[str, int] | None = None,
-                 window_timesteps: dict[str, int] | None = None):
+    """Started sources, each feeding its own FIFO. fifo_depth overrides the
+    depth of the named FIFOs; the others are sized by stream_frames."""
+
+    def __init__(self, sources: list[Source], fifo_depth: dict[str, int] | None = None):
         self.sources = sources
-        self.now_ns = 0
         self.underfill_events: list[tuple[str, int]] = []
         self.overfill_events: list[tuple[str, int]] = []
-        self.fifos: dict[str, SensorFifo] = {}
-        for s in sources:
-            if fifo_depth and s.spec.name in fifo_depth:
-                depth = fifo_depth[s.spec.name]
-            else:
-                base = (window_timesteps or {}).get(s.spec.name)
-                if base is None:
-                    base = max(1, int(round(float(s.spec.rate))))
-                depth = base * fifo_slack
-            self.fifos[s.spec.name] = SensorFifo(s.spec.name, depth)
-        self._heap: list[tuple[int, int]] = []
-        for i, s in enumerate(sources):
-            t = s.peek_time()
-            if t is not None:
-                heapq.heappush(self._heap, (t, i))
+        self.fifos: dict[str, SensorFifo] = {
+            s.spec.name: SensorFifo(s.spec.name, (fifo_depth or {}).get(s.spec.name))
+            for s in sources
+        }
 
     def run_until(self, t_ns: int) -> None:
-        """Process every sample event with timestamp < t_ns, in (time, sensor)
-        order for determinism."""
-        while self._heap and self._heap[0][0] < t_ns:
-            t, i = heapq.heappop(self._heap)
-            src = self.sources[i]
-            et, values = src.emit()
-            self.fifos[src.spec.name].push(et, values)
-            nxt = src.peek_time()
-            if nxt is not None:
-                heapq.heappush(self._heap, (nxt, i))
-        self.now_ns = max(self.now_ns, t_ns)
+        """Push every sample stamped before t_ns. The FIFOs do not interact,
+        so each source's samples go in order, one source after another."""
+        for src in self.sources:
+            fifo = self.fifos[src.spec.name]
+            t = src.peek_time()
+            while t is not None and t < t_ns:
+                fifo.push(*src.emit())
+                t = src.peek_time()
 
     @property
     def duration_ns(self) -> int:
@@ -305,9 +316,8 @@ class Session:
         }
 
 
-def start_sync(sources: list[Source], fifo_slack: int = 2,
-               fifo_depth: dict[str, int] | None = None,
-               window_timesteps: dict[str, int] | None = None) -> Session:
+def start_sync(sources: list[Source],
+               fifo_depth: dict[str, int] | None = None) -> Session:
     """Begin every source at the shared virtual-time origin t = 0."""
     if not sources:
         raise ValueError("start_sync needs at least one source")
@@ -316,7 +326,7 @@ def start_sync(sources: list[Source], fifo_slack: int = 2,
         raise ValueError(f"duplicate sensor names: {names}")
     for s in sources:
         s.start()  # raises on double start
-    return Session(sources, fifo_slack, fifo_depth, window_timesteps)
+    return Session(sources, fifo_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +338,7 @@ class WindowConfig:
     """Sliding window: frame k covers [k*step, k*step + window) seconds.
 
     Window and step are exact rationals; alignment "native" keeps each
-    sensor's own rate (round(window * rate) rows per branch), "common"
+    sensor's own rate (timesteps(rate) rows per branch), "common"
     resamples every sensor onto target_hz inside the window.
     """
 
@@ -359,6 +369,7 @@ class WindowConfig:
         return int(self.step_s * NS)
 
     def timesteps(self, rate_hz) -> int:
+        """Rows of one window at rate_hz: window x rate, rounded half up."""
         n = self.window_s * _as_frac(rate_hz)
         rows = int(n + Fraction(1, 2))
         if rows < 1:
@@ -390,16 +401,18 @@ def stream_frames(session: Session, cfg: WindowConfig):
     """Yield one Frame per step once every sensor's window is full.
 
     Frame k covers [k*step, k*step + window) and is emitted at virtual time
-    k*step + window. Tensors hold raw (un-normalized) sensor values.
+    k*step + window. Tensors hold raw (un-normalized) sensor values. Each
+    FIFO without an explicit depth is sized to FIFO_WINDOWS windows of its
+    sensor's rows.
     """
     from .model import Frame
 
-    rates = {s.spec.name: s.spec.rate for s in session.sources}
-    want = {
-        name: (cfg.timesteps(cfg.target_hz) if cfg.mode == "common"
-               else cfg.timesteps(r))
-        for name, r in rates.items()
-    }
+    rows = {s.spec.name: cfg.timesteps(s.spec.rate) for s in session.sources}
+    for name, fifo in session.fifos.items():
+        if fifo.depth is None:
+            fifo.depth = FIFO_WINDOWS * rows[name]
+    want = (dict.fromkeys(rows, cfg.timesteps(cfg.target_hz)) if cfg.mode == "common"
+            else rows)
     k = 0
     while True:
         a = k * cfg.step_ns
@@ -409,15 +422,15 @@ def stream_frames(session: Session, cfg: WindowConfig):
         session.run_until(b)
         tensors = {}
         for name, fifo in session.fifos.items():
-            rows = fifo.window(a, b)
+            samples = fifo.window(a, b)
             if cfg.mode == "common":
-                t = np.array([s[0] for s in rows], dtype=np.int64)
-                v = np.stack([s[1] for s in rows])
+                t = np.array([s[0] for s in samples], dtype=np.int64)
+                v = np.stack([s[1] for s in samples])
                 tg, vg = resample(t, v, cfg.target_hz, cfg.method,
                                   t_min=a, t_max=b - 1, clamp=True)
-                rows = list(zip(tg.tolist(), vg))
-            rows = _fit_rows(name, rows, want[name], b, session)
-            tensors[name] = np.stack([r[1] for r in rows])
+                samples = list(zip(tg.tolist(), vg))
+            samples = _fit_rows(name, samples, want[name], b, session)
+            tensors[name] = np.stack([s[1] for s in samples])
         yield Frame(tensors, a, b)
         k += 1
         for fifo in session.fifos.values():
@@ -437,9 +450,10 @@ def resample(
     t_max: int | None = None,
     clamp: bool = False,
 ):
-    """Re-time a sampled stream onto the uniform target grid m * 1e9 / rate.
+    """Re-time a sampled stream onto the target rate's sample grid.
 
-    The grid is anchored at the acquisition origin t = 0. Without clamp,
+    The grid is sample_time_ns at target_hz, anchored at the acquisition
+    origin t = 0. Without clamp,
     asking for grid points outside [t_ns[0], t_ns[-1]] is an extrapolation
     error; with clamp, boundary values hold.
     """
@@ -454,13 +468,10 @@ def resample(
     values = np.asarray(values, dtype=np.float64)
     lo = int(t_ns[0]) if t_min is None else t_min
     hi = int(t_ns[-1]) if t_max is None else t_max
-    # grid indices m with lo <= m * NS / r <= hi
-    m0 = -(-(lo * r.numerator) // (NS * r.denominator))
-    m1 = (hi * r.numerator) // (NS * r.denominator)
-    if m1 < m0:
+    ms = np.arange(count_until(lo, r), count_until(hi + 1, r))  # stamps in [lo, hi]
+    if ms.size == 0:
         raise ValueError("target grid has no points inside the stream span")
-    ms = np.arange(m0, m1 + 1)
-    grid = (ms * NS * r.denominator) // r.numerator
+    grid = sample_time_ns(ms, r)
     if not clamp and (grid[0] < t_ns[0] or grid[-1] > t_ns[-1]):
         raise ValueError(
             f"extrapolation: grid spans [{grid[0]}, {grid[-1]}] ns but samples "
@@ -575,7 +586,7 @@ def gen_dataset(
         raise ValueError("need at least 2 classes")
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    window_s = _as_frac(window_s)
+    window = WindowConfig(window_s, window_s)
     informative = dict(informative or {s.name: True for s in specs})
     for s in specs:
         informative.setdefault(s.name, True)
@@ -586,27 +597,26 @@ def gen_dataset(
         else classes
         for s in specs
     }
-    duration_ns = int(window_s * NS)
+    times = {s.name: sample_time_ns(np.arange(window.timesteps(s.rate)), s.rate)
+             for s in specs}
     recordings = []
     for cls in range(classes):
         for inst in range(n_per_class):
             rng = substream(seed, f"rec:c{cls}:i{inst}")
             tracks = {}
             for j, s in enumerate(specs):
-                n = s.count_until(duration_ns)
-                t = np.array([s.sample_time_ns(k) for k in range(n)], dtype=np.int64)
-                t_s = t.astype(np.float64) / NS
+                t = times[s.name]
                 if informative[s.name]:
                     code = class_code.get(s.name, lambda c: c)(cls)
-                    v = _class_pattern(s, code, n_codes[s.name], t_s, j)
+                    v = _class_pattern(s, code, n_codes[s.name], t / NS, j)
                     if noise_level:
                         v = v + noise_level * rng.standard_normal(v.shape)
                 else:
-                    v = rng.standard_normal((n, s.channels))
+                    v = rng.standard_normal((t.size, s.channels))
                 tracks[s.name] = (t, v)
-            recordings.append(Recording(tracks, duration_ns, cls))
+            recordings.append(Recording(tracks, window.window_ns, cls))
     return DatasetBundle(list(specs), recordings, classes, informative,
-                         float(noise_level), int(seed), window_s)
+                         float(noise_level), int(seed), window.window_s)
 
 
 def gen_timeline(
@@ -628,10 +638,9 @@ def gen_timeline(
     rng = substream(seed, "timeline")
     tracks = {}
     for j, s in enumerate(specs):
-        n = s.count_until(total_ns)
-        t = np.array([s.sample_time_ns(k) for k in range(n)], dtype=np.int64)
-        t_s = t.astype(np.float64) / NS
-        v = np.empty((n, s.channels))
+        t = sample_time_ns(np.arange(count_until(total_ns, s.rate)), s.rate)
+        t_s = t / NS
+        v = np.empty((t.size, s.channels))
         for si, cls in enumerate(class_seq):
             m = (t >= si * seg_ns) & (t < (si + 1) * seg_ns)
             v[m] = _class_pattern(s, cls, classes, t_s[m] - si * float(segment_s), j)
@@ -650,26 +659,27 @@ def recording_sources(rec: Recording, specs: list[SensorSpec]) -> list[Source]:
     ]
 
 
-def bundle_frames(bundle: DatasetBundle, stats=None):
-    """Normalized single-window frames for every recording, plus labels."""
-    from .model import Frame, normalize_inputs
+def bundle_arrays(bundle: DatasetBundle, names, stats=None):
+    """Model inputs of a dataset: {name: (recordings, rows, channels)} for each
+    sensor in names, normalized with stats (the bundle's own by default), and
+    the labels. Every track must hold one window's rows."""
+    from .model import normalize_inputs
 
+    if not bundle.recordings:
+        raise ValueError("dataset has no recordings")
     stats = stats or bundle.norm_stats()
-    cfg = WindowConfig(bundle.window_s, bundle.window_s)
-    frames = []
-    for rec in bundle.recordings:
-        raw = {}
-        for s in bundle.specs:
-            t, v = rec.tracks[s.name]
-            want = cfg.timesteps(s.rate)
+    window = WindowConfig(bundle.window_s, bundle.window_s)
+    specs = {s.name: s for s in bundle.specs}
+    raw = {}
+    for name in names:
+        want = window.timesteps(specs[name].rate)
+        tracks = [rec.tracks[name][1] for rec in bundle.recordings]
+        for v in tracks:
             if v.shape[0] != want:
-                raise RuntimeError(
-                    f"recording rows {v.shape[0]} != window timesteps {want}"
-                )
-            raw[s.name] = v
-        f = normalize_inputs(raw, stats)
-        frames.append(Frame(f.tensors, 0, rec.duration_ns))
-    return frames, bundle.labels
+                raise RuntimeError(f"sensor {name!r}: recording rows {v.shape[0]} "
+                                   f"!= window timesteps {want}")
+        raw[name] = np.stack(tracks)
+    return normalize_inputs(raw, stats).tensors, bundle.labels
 
 
 # ---------------------------------------------------------------------------

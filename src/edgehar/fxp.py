@@ -1,9 +1,10 @@
-"""Fixed-point numeric primitives: rounding, saturation, register range, MAC
-accumulation, and multiply-shift requantization.
+"""Fixed-point numeric primitives: rounding, saturation, register range and
+multiply-shift requantization.
 
 This module is the single definition of the arithmetic semantics: the
 quantizer and the integer engine call these functions instead of restating
-any rule. Every function takes plain Python numbers, on which integer
+any rule. The one MAC is the engine's (engine._mac), whose register check
+is fits. Every function takes plain Python numbers, on which integer
 results are exact at any width, or numpy arrays, to which it applies the
 same rule elementwise (integer arrays are int64; callers keep their values
 inside that range). Requantization is the integer multiply and rounding
@@ -18,13 +19,11 @@ import numpy as np
 
 __all__ = [
     "FxFormat",
-    "Accumulator",
     "AccumulatorOverflowError",
     "round_nearest",
     "rounding_rshift",
     "saturate",
     "fits",
-    "mac",
     "requantize",
 ]
 
@@ -59,25 +58,6 @@ class FxFormat:
     @property
     def max_int(self) -> int:
         return (1 << (self.n_bits - 1)) - 1
-
-
-@dataclass(frozen=True)
-class Accumulator:
-    """Signed accumulation register. Overflow is a detected error, never a wrap."""
-
-    value: int = 0
-    width: int = 32
-
-    def __post_init__(self) -> None:
-        if self.width < 2:
-            raise ValueError(f"accumulator width must be >= 2, got {self.width}")
-        if not fits(self.value, self.width):
-            raise AccumulatorOverflowError(
-                f"value {self.value} does not fit a signed {self.width}-bit register"
-            )
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def round_nearest(x):
@@ -125,30 +105,15 @@ def fits(v, width: int) -> bool:
     return -lim <= v <= lim - 1
 
 
-def mac(acc: Accumulator, a: int, b: int) -> Accumulator:
-    """One multiply-accumulate step: acc + a*b in exact arithmetic.
-
-    Raises AccumulatorOverflowError if the result does not fit acc.width,
-    which signals an undersized accumulator rather than silently wrapping.
-    """
-    total = acc.value + a * b
-    if not fits(total, acc.width):
-        raise AccumulatorOverflowError(
-            f"accumulating {a}*{b} onto {acc.value} exceeds {acc.width}-bit range"
-        )
-    return Accumulator(total, acc.width)
-
-
 def requantize(acc, mult: int, shift: int, fmt: FxFormat, relu: bool = False):
     """Rescale an accumulator to the output format: saturate(round(acc*mult/2^shift)).
 
-    acc is an Accumulator, an int or an int64 array. With relu on, negative
-    results clamp to 0 before saturation, folding the activation into the
-    requantization stage.
+    acc is an int or an int64 array. With relu on, negative results clamp to
+    0 before saturation, folding the activation into the requantization stage.
     """
     if mult < 1:
         raise ValueError(f"mult must be >= 1, got {mult}")
-    v = rounding_rshift((acc if isinstance(acc, np.ndarray) else int(acc)) * mult, shift)
+    v = rounding_rshift(acc * mult, shift)
     if relu:
         v = np.maximum(v, 0) if isinstance(v, np.ndarray) else max(v, 0)
     return saturate(v, fmt)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .model import (
     BranchSpec,
-    Frame,
     ModelParams,
     ModelSpec,
     _conv_batch,
@@ -45,7 +44,6 @@ __all__ = [
     "train",
     "train_importance",
     "select_modalities",
-    "frames_to_arrays",
     "evaluate",
     "history_to_csv",
 ]
@@ -132,12 +130,8 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float64) -> ModelParams
 
 def loss_ce(logits: np.ndarray, label: int) -> float:
     """Sparse categorical cross-entropy: -log softmax(logits)[label]."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    return float(lse - logits[label])
+    logits = np.asarray(logits, dtype=np.float64).reshape(1, -1)
+    return _ce_loss_grad(logits, np.array([label]))[0]
 
 
 def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -391,24 +385,8 @@ def select_modalities(report: ImportanceReport, keep: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Dataset helpers
+# History export
 # ---------------------------------------------------------------------------
-
-def frames_to_arrays(
-    spec: ModelSpec, frames: list[Frame], labels
-) -> tuple[dict, np.ndarray]:
-    """Stack per-frame branch tensors into {name: (N, ...)} arrays."""
-    if len(frames) == 0:
-        raise ValueError("no frames")
-    X = {}
-    for b in spec.branches:
-        mats = [f.tensors[b.name] for f in frames]
-        shapes = {m.shape for m in mats}
-        if len(shapes) != 1:
-            raise ValueError(f"branch {b.name!r}: inconsistent frame shapes {shapes}")
-        X[b.name] = np.stack(mats).astype(np.float64)
-    return X, np.asarray(labels, dtype=np.int64)
-
 
 def history_to_csv(history: list[dict], path) -> None:
     from .persist import write_csv_atomic

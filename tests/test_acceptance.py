@@ -20,7 +20,7 @@ from edgehar.daq import (
     SensorSpec,
     SignalSource,
     WindowConfig,
-    bundle_frames,
+    bundle_arrays,
     gen_dataset,
     start_sync,
     stream_frames,
@@ -32,7 +32,6 @@ from edgehar.train import (
     TrainConfig,
     backward,
     evaluate,
-    frames_to_arrays,
     init_params,
     train,
     train_importance,
@@ -141,8 +140,9 @@ def test_criterion_3_bit_sweep_curve():
                        seed=99, window_s=1.0)
     stats = tr_b.norm_stats()
     spec = feature_fusion_spec(sensors, filters=6, kernel=5, hidden=24, classes=8)
-    X, y = frames_to_arrays(spec, *bundle_frames(tr_b))
-    Xt, yt = frames_to_arrays(spec, *bundle_frames(te_b, stats))
+    names = [s.name for s in sensors]
+    X, y = bundle_arrays(tr_b, names)
+    Xt, yt = bundle_arrays(te_b, names, stats)
     params, _ = train(spec, (X, y), TrainConfig(epochs=40, batch_size=16,
                                                 lr=3e-3, seed=3))
     curve = dict(sweep_bits(spec, params, (Xt, yt), range(4, 16), calib_X=X))
@@ -186,8 +186,9 @@ def test_criterion_4_modality_selection():
                        seed=777, window_s=1.0, class_code=BENCH_CODES)
     spec_a = feature_fusion_spec(BENCH_SENSORS, filters=4, kernel=3, hidden=16,
                                  classes=8, alpha_enabled=True)
-    X, y = frames_to_arrays(spec_a, *bundle_frames(tr_b))
-    Xt, yt = frames_to_arrays(spec_a, *bundle_frames(te_b, tr_b.norm_stats()))
+    names = [s.name for s in BENCH_SENSORS]
+    X, y = bundle_arrays(tr_b, names)
+    Xt, yt = bundle_arrays(te_b, names, tr_b.norm_stats())
 
     hits = 0
     for seed in range(10):

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgehar.cli import DEFAULT_CONFIG, _check_config, main
+from edgehar import daq
+from edgehar.cli import DEFAULT_CONFIG, _check_config, _sensors, _window, main
 
 CFG = {
     "seed": 3,
@@ -89,6 +91,16 @@ class TestPipeline:
         assert by_key[("11", "serial")] == 2 * by_key[("9", "serial")]
         assert by_key[("11", "parallel")] == 2 * by_key[("9", "parallel")]
 
+    def test_selected_model_stages(self, workdir):
+        # the selected model keeps norm stats for its kept sensors only, so
+        # its inputs must be built from those sensors alone
+        tmp, cfg, out = workdir
+        assert _run("gen-data", "--config", cfg) == 0
+        assert _run("select", "--config", cfg) == 0
+        sel = str(out / "model_selected.json")
+        assert _run("quantize", "--config", cfg, "--model", sel) == 0
+        assert _run("infer", "--config", cfg, "--model", sel) == 0
+
     def test_label_count_formula(self, workdir):
         tmp, cfg, out = workdir
         assert _run("gen-data", "--config", cfg) == 0
@@ -150,6 +162,38 @@ class TestExitCodes:
         doc["schema"] = "edgehar.model/v999"
         model.write_text(json.dumps(doc))
         assert _run("quantize", "--config", cfg) == 2
+
+
+class TestWindowRows:
+    def test_default_config_stream_fits_fifos(self):
+        # the 3.25 s window streamed as simulate streams it: every FIFO holds
+        # two windows, so no sample overflows and no frame is padded
+        cfg = DEFAULT_CONFIG
+        sensors = _sensors(cfg)
+        sim = cfg["sim"]
+        rec, _ = daq.gen_timeline(
+            sensors, [c % cfg["classes"] for c in range(sim["n_segments"])],
+            Fraction(sim["segment_ms"], 1000), cfg["noise_level"], cfg["seed"],
+            classes=cfg["classes"],
+        )
+        session = daq.start_sync(daq.recording_sources(rec, sensors))
+        assert len(list(daq.stream_frames(session, _window(cfg)))) == 9
+        assert session.underfill_events == [] and session.overfill_events == []
+        assert sum(f.overflowed for f in session.fifos.values()) == 0
+        assert all(c["ok"] for c in session.conservation().values())
+
+    def test_fractional_window_rows_gen_data_then_train(self, tmp_path):
+        # 1.1 s at 32 Hz is 35.2 samples: the dataset and the model both take 35
+        cfg = dict(CFG, out=str(tmp_path / "run"), window_ms=1100, step_ms=1100,
+                   sensors=[{"name": "t", "channels": 2, "rate_hz": 32}],
+                   classes=2, n_per_class=2, n_per_class_test=1,
+                   train=dict(CFG["train"], epochs=1))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert _run("gen-data", "--config", str(cfg_path)) == 0
+        assert _run("train", "--config", str(cfg_path)) == 0
+        rows = (tmp_path / "run" / "dataset" / "rec_0000" / "t.csv").read_text()
+        assert len(rows.strip().split("\n")) - 1 == 35
 
 
 class TestDeterminism:

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgehar.daq import (
     CATALOG,
@@ -11,7 +13,7 @@ from edgehar.daq import (
     SensorSpec,
     SignalSource,
     WindowConfig,
-    bundle_frames,
+    bundle_arrays,
     gen_dataset,
     gen_timeline,
     jitter_model,
@@ -86,7 +88,7 @@ class TestWindowing:
         spec = SensorSpec("motion", 2, 119)
         cfg = WindowConfig.for_timesteps(20, 119)
         src = _const_source(spec, 1)
-        frames = stream_frames(start_sync([src], window_timesteps={"motion": 20}), cfg)
+        frames = stream_frames(start_sync([src]), cfg)
         f = next(frames)
         assert f.t_end_ns == (20 * NS) // 119 == 168067226  # ~168.07 ms
         assert f.tensors["motion"].shape == (20, 2)
@@ -183,6 +185,13 @@ class TestResample:
         with pytest.raises(ValueError, match="extrapolation"):
             resample(t, v, 4, "linear", t_min=0, t_max=NS)
 
+    def test_grid_point_at_t_max_included(self):
+        # at 3 Hz sample 1 is stamped floor(1e9 / 3) = 333,333,333 = t_max
+        t = np.array([0, 400_000_000], dtype=np.int64)
+        grid, _ = resample(t, np.zeros((2, 1)), 3, t_min=0, t_max=333_333_333,
+                           clamp=True)
+        assert grid.tolist() == [0, 333_333_333]
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             resample(np.array([0]), np.zeros((1, 1)), 5, "cubic")
@@ -230,10 +239,9 @@ class TestGenDataset:
         sensors = self._sensors()
         tr = gen_dataset(sensors, 3, 6, noise_level=0.0, seed=1)
         te = gen_dataset(sensors, 3, 4, noise_level=0.0, seed=2)
-        ftr, ytr = bundle_frames(tr)
-        fte, yte = bundle_frames(te, tr.norm_stats())
-        Xtr = {s.name: np.stack([f.tensors[s.name] for f in ftr]) for s in sensors}
-        Xte = {s.name: np.stack([f.tensors[s.name] for f in fte]) for s in sensors}
+        names = [s.name for s in sensors]
+        Xtr, ytr = bundle_arrays(tr, names)
+        Xte, yte = bundle_arrays(te, names, tr.norm_stats())
         pred = oracles.nearest_centroid(Xtr, ytr, Xte)
         assert np.mean(pred == yte) == 1.0
 
@@ -284,3 +292,36 @@ class TestTimeline:
         srcs = recording_sources(rec, sensors)
         frames = list(stream_frames(start_sync(srcs), WindowConfig(1, 1)))
         assert len(frames) == 3
+
+
+class TestRowsRule:
+    """One rows-per-window rule for the dataset, the stream and its FIFOs,
+    over integer, fractional and non-terminating rates."""
+
+    RATES = [4, 6.5, 7.5, 20, 32, 100 / 3, 119]
+
+    @settings(max_examples=30, deadline=None)
+    @given(rates=st.lists(st.sampled_from(RATES), min_size=1, max_size=2, unique=True),
+           window_ms=st.integers(300, 2500), data=st.data())
+    def test_dataset_rows_and_stream_fifos(self, rates, window_ms, data):
+        step_ms = data.draw(st.integers(window_ms // 4, window_ms))
+        sensors = [SensorSpec(f"s{i}", 1 + i, r) for i, r in enumerate(rates)]
+        window = WindowConfig(Fraction(window_ms, 1000), Fraction(step_ms, 1000))
+
+        b = gen_dataset(sensors, 2, 1, seed=1, window_s=window.window_s)
+        for s in sensors:
+            t = b.recordings[0].tracks[s.name][0]
+            rows = window.timesteps(s.rate)
+            assert t.shape[0] == rows
+            assert t.tolist() == [math.floor(m * NS / s.rate) for m in range(rows)]
+            assert t[-1] < window.window_ns
+
+        rec, _ = gen_timeline(sensors, [0, 1, 0], window.window_s, seed=2)
+        sess = start_sync(recording_sources(rec, sensors))
+        frames = list(stream_frames(sess, window))
+        assert frames
+        for s in sensors:
+            assert frames[0].tensors[s.name].shape == (window.timesteps(s.rate), s.channels)
+            c = sess.conservation()[s.name]
+            assert c["overflowed"] == 0 and c["ok"], (s.name, c)
+            assert c["produced"] == np.sum(rec.tracks[s.name][0] < frames[-1].t_end_ns)

@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgehar.fxp import (
-    Accumulator,
-    AccumulatorOverflowError,
     FxFormat,
-    mac,
     requantize,
     round_nearest,
     rounding_rshift,
@@ -58,39 +55,6 @@ class TestSaturate:
             FxFormat(8, 8)
 
 
-class TestMac:
-    def test_single_product(self):
-        assert mac(Accumulator(), 3, 4).value == 12
-
-    def test_cancellation(self):
-        assert mac(Accumulator(12), -3, 4).value == 0
-
-    @given(st.integers(-1000, 1000))
-    def test_zero_annihilator(self, x):
-        assert mac(Accumulator(), 0, x).value == 0
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(-1023, 1023), st.integers(-1023, 1023)),
-            max_size=60,
-        )
-    )
-    def test_fold_matches_exact_sum_or_raises(self, pairs):
-        exact = sum(a * b for a, b in pairs)
-        acc = Accumulator(0, 32)
-        try:
-            for a, b in pairs:
-                acc = mac(acc, a, b)
-        except AccumulatorOverflowError:
-            return  # an error is acceptable, a wrong value is not
-        assert acc.value == exact
-
-    def test_overflow_detected_not_wrapped(self):
-        acc = Accumulator(0, 8)
-        with pytest.raises(AccumulatorOverflowError):
-            mac(acc, 100, 100)
-
-
 class TestRequantize:
     def test_passthrough(self):
         assert requantize(1000, 1, 0, F11) == 1000
@@ -102,7 +66,7 @@ class TestRequantize:
         assert requantize(3000, 1, 1, F11) == 1023
 
     def test_accepts_accumulator(self):
-        assert requantize(Accumulator(1000), 1, 0, F11) == 1000
+        assert requantize(1000, 1, 0, F11) == 1000
 
     def test_mult_must_be_positive(self):
         with pytest.raises(ValueError):

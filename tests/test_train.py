@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgehar import model
-from edgehar.daq import SensorSpec, bundle_frames, gen_dataset
+from edgehar.daq import SensorSpec, bundle_arrays, gen_dataset
 from edgehar.model import BranchSpec, ConvSpec, ModelSpec, feature_fusion_spec
 from edgehar.train import (
     ImportanceReport,
@@ -12,7 +12,6 @@ from edgehar.train import (
     TrainingDiverged,
     backward,
     evaluate,
-    frames_to_arrays,
     history_to_csv,
     init_params,
     loss_ce,
@@ -268,12 +267,10 @@ class TestImportance:
         sensors = [SensorSpec("u", 2, 20), SensorSpec("v", 2, 20)]
         bundle = gen_dataset(sensors, classes=3, n_per_class=16, noise_level=0.0,
                              seed=5, window_s=1.0)
-        frames, labels = bundle_frames(bundle)
-        for f in frames:
-            f.tensors["v"] = f.tensors["u"].copy()
+        X, y = bundle_arrays(bundle, ["u", "v"])
+        X["v"] = X["u"].copy()
         spec = feature_fusion_spec(sensors, filters=3, kernel=3, hidden=8,
                                    classes=3, alpha_enabled=True)
-        X, y = frames_to_arrays(spec, frames, labels)
         devs = []
         for seed in range(4):
             _, _, rep = train_importance(spec, (X, y),
@@ -286,10 +283,9 @@ class TestImportance:
         bundle = gen_dataset(sensors, classes=3, n_per_class=20,
                              informative={"sig": True, "junk": False},
                              noise_level=0.2, seed=8, window_s=1.0)
-        frames, labels = bundle_frames(bundle)
+        X, y = bundle_arrays(bundle, ["sig", "junk"])
         spec = feature_fusion_spec(sensors, filters=4, kernel=3, hidden=12,
                                    classes=3, alpha_enabled=True)
-        X, y = frames_to_arrays(spec, frames, labels)
         for seed in (0, 1):
             _, _, rep = train_importance(spec, (X, y),
                                          TrainConfig(epochs=25, lr=3e-3, seed=seed))
