@@ -155,6 +155,13 @@ def _check_config(cfg) -> None:
 def _load_bundle_arrays(cfg, spec, stats=None, limit=None, test=False):
     ds_dir = _out(cfg) / ("dataset_test" if test else "dataset")
     bundle = daq.load_dataset(ds_dir)
+    window = _window(cfg)
+    if bundle.window_s != window.window_s:
+        made, s = daq.WindowConfig(bundle.window_s, bundle.window_s), bundle.specs[0]
+        raise ValueError(f"{ds_dir} was made at {bundle.window_s} s windows, but window_ms "
+                         f"{cfg['window_ms']} asks for {window.window_s} s: sensor {s.name!r} "
+                         f"has {made.timesteps(s.rate_hz)} rows there, "
+                         f"{window.timesteps(s.rate_hz)} here")
     stats = stats or bundle.norm_stats()
     X, y = daq.bundle_arrays(bundle, [b.name for b in spec.branches], stats)
     if limit:
@@ -229,6 +236,17 @@ def cmd_select(cfg) -> int:
     return 0
 
 
+def _check_qmodel_rows(cfg, qm, path) -> None:
+    """Reject an integer model quantized at other window rows than the config's."""
+    window = _window(cfg)
+    for s in _sensors(cfg):
+        rows = qm.input_rows.get(s.name)
+        if rows is not None and rows != window.timesteps(s.rate_hz):
+            raise ValueError(f"{path} was quantized at {rows} rows for sensor {s.name!r}, "
+                             f"but window_ms {cfg['window_ms']} gives it "
+                             f"{window.timesteps(s.rate_hz)} rows at {s.rate_hz} Hz")
+
+
 def _load_model_for(cfg, args):
     path = getattr(args, "model", None) or _out(cfg) / "model.json"
     spec, params, meta = mdl.load_model(path)
@@ -265,6 +283,7 @@ def cmd_infer(cfg, args) -> int:
     Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
     if getattr(args, "qmodel", None):
         qm, _ = qz.load_qmodel(args.qmodel)
+        _check_qmodel_rows(cfg, qm, args.qmodel)
         preds = engine.qinfer_batch(qm, Xt)
         kind = f"integer n={qm.n_bits}"
     else:
@@ -283,6 +302,7 @@ def cmd_simulate(cfg, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
     qpath = getattr(args, "qmodel", None) or _out(cfg) / f"qmodel_n{cfg['bits'][0]}.json"
     qm, _ = qz.load_qmodel(qpath)
+    _check_qmodel_rows(cfg, qm, qpath)
     sensors = [s for s in _sensors(cfg) if s.name in {b.name for b in spec.branches}]
     sim = cfg["sim"]
     rng = substream(cfg["seed"], "sim")

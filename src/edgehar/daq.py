@@ -430,7 +430,7 @@ def stream_frames(session: Session, cfg: WindowConfig):
                                   t_min=a, t_max=b - 1, clamp=True)
                 samples = list(zip(tg.tolist(), vg))
             samples = _fit_rows(name, samples, want[name], b, session)
-            tensors[name] = np.stack([s[1] for s in samples])
+            tensors[name] = np.array([s[1] for s in samples])
         yield Frame(tensors, a, b)
         k += 1
         for fifo in session.fifos.values():

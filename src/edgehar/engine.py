@@ -16,6 +16,24 @@ AccumulatorOverflowError, and it raises exactly where the register would wrap.
 Kernel or global max-pooling is a comparator pass over the requantized
 stream, so it commutes with the monotone requantization.
 
+Work per layer is split by what it depends on. Everything about the weights
+is done once, when a QLayer is built: its read-only int64 weights, their
+min/max (the weight storage check and max|w|), its taps and its float64
+copy for the GEMM; a QuantizedModel checks every layer's weight storage and
+fixes acc_width when it is built. A call then pays only for its frames: one
+min and one max of the input give the input storage check and max|x|, then
+the MAC and the requantization. The cycle report depends only on the spec,
+the rows and the schedule, so qinfer makes it once per stream and its frames
+share it.
+
+One path runs every frame: _q_forward takes a lead frame axis, and each
+layer runs once over all the frames it is given. qinfer is a batch of one,
+as simulate streams frames in. qinfer_batch runs a whole set through it in
+chunks whose widest layer output is at most _BATCH_BYTES, so its memory
+stays flat in the batch size; the exact-GEMM bound takes max|x| over the
+chunk, which bounds every frame in it, and one frame that needs the stepped
+schedule sends its chunk there.
+
 Nothing here restates the model or the arithmetic: rounding, saturation,
 the register range and the multiply-shift requantization are fxp's; the
 branch input layout, the pooling windows and the layer-shape walk (which
@@ -28,6 +46,7 @@ differ only in the cycle composition (sum versus max).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +79,10 @@ MULTIPLIER_INPUT_WIDTH = 9  # input width of one embedded hardware multiplier
 
 _SCHEDULES = ("serial", "parallel")
 
+# Cap in bytes on the widest int64 layer output of one chunk of qinfer_batch
+# frames, so that its peak memory stays flat in the batch size.
+_BATCH_BYTES = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # Integer numerics
@@ -82,20 +105,19 @@ def _check_partial_sums(cum: np.ndarray, acc_width: int, where: str) -> None:
         )
 
 
-def _mac(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np.ndarray:
-    """Exact integer MAC of x against w: dense x (C,) with w (C, F); conv x
-    (L, C) or (T, H, W, C) with w (K, C, F) or (K, K, C, F), valid padding.
+def _mac(x: np.ndarray, q: QLayer, x_max: int, acc_width: int, where: str) -> np.ndarray:
+    """Exact integer MAC of x against q's weights: dense x (*lead, C) with w
+    (C, F); conv x (*lead, L, C) or (*lead, T, H, W, C) with w (K, C, F) or
+    (K, K, C, F), valid padding. x_max bounds |x|.
 
     One float64 GEMM when the bound in the module docstring proves it exact,
     else the stepped schedule.
     """
-    taps = w.size // w.shape[-1]
-    bound = taps * int(np.abs(x).max(initial=0)) * int(np.abs(w).max(initial=0))
-    if bound >= 1 << min(acc_width - 1, 53):
-        return _mac_stepped(x, w, acc_width, where)
-    xf, wf = x.astype(np.float64), w.astype(np.float64)
-    acc = xf @ wf if w.ndim == 2 else _conv_batch(xf[None], wf)[0]
-    return np.rint(acc).astype(np.int64)
+    if q.taps * x_max * max(-q.w_min, q.w_max) >= 1 << min(acc_width - 1, 53):
+        return _mac_stepped(x, q.w_int, acc_width, where)
+    xf = x.astype(np.float64)
+    acc = xf @ q.w_float if q.w_int.ndim == 2 else _conv_batch(xf, q.w_float)
+    return np.rint(acc, out=acc).astype(np.int64)
 
 
 def _mac_stepped(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np.ndarray:
@@ -105,7 +127,7 @@ def _mac_stepped(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np
     nd = w.ndim - 2
     c, f = w.shape[-2], w.shape[-1]
     if nd == 0:
-        cols, w3, out_shape = x[None, :, None], w[:, None, :], (f,)
+        cols, w3, out_shape = x.reshape(-1, c, 1), w[:, None, :], (*x.shape[:-1], f)
     else:
         k = w.shape[0]
         spatial = tuple(range(x.ndim - 1 - nd, x.ndim - 1))
@@ -116,6 +138,15 @@ def _mac_stepped(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np
     cum = np.cumsum(np.einsum("pct,ctf->pcf", cols, w3), axis=1)
     _check_partial_sums(cum, acc_width, where)
     return cum[:, -1, :].reshape(out_shape)
+
+
+def _check_input(x: np.ndarray, n_bits: int, where: str) -> int:
+    """Reject a layer input outside signed (n_bits + 1)-bit storage; return
+    max|x|. One min and one max of the frame data serve both."""
+    lo, hi = int(x.min(initial=0)), int(x.max(initial=0))
+    if hi > (1 << n_bits) - 1 or lo < -(1 << n_bits):
+        raise ValueError(f"{where} input: values exceed signed {n_bits + 1}-bit storage")
+    return max(-lo, hi)
 
 
 def qconv_layer(
@@ -129,18 +160,20 @@ def qconv_layer(
     """Stepped integer convolution with folded requantization/ReLU and an
     optional kernel max-pool of size pool.
 
-    1D input is (L, C); 2D input is (T, H, W, C).
+    1D input is (L, C); 2D input is (T, H, W, C); either may carry lead frame
+    axes in front.
     """
-    _check_storage(x, n_bits, where + " input")
-    _check_storage(qlayer.w_int, n_bits, where + " weights", weights=True)
+    x_max = _check_input(x, n_bits, where)
+    qlayer.check_storage(n_bits, where)
+    nd = qlayer.w_int.ndim - 2
     k = qlayer.w_int.shape[0]
-    grid = x.shape[1:3] if qlayer.w_int.ndim == 4 else x.shape[:1]
+    grid = x.shape[-nd - 1 : -1]
     if min(grid) < k:
         raise ValueError(f"{where}: input {grid} < kernel {k}")
-    acc = _mac(x, qlayer.w_int, acc_width, where)
+    acc = _mac(x, qlayer, x_max, acc_width, where)
     out = requantize(acc, qlayer.mult, qlayer.shift, FxFormat(n_bits + 1, n_bits), qlayer.relu)
     if pool:
-        out = _pool_windows(out, pool, qlayer.w_int.ndim - 2).max(axis=-2)
+        out = _pool_windows(out, pool, nd).max(axis=-2)
     return out
 
 
@@ -151,44 +184,39 @@ def qdense_layer(
     acc_width: int = 32,
     where: str = "dense",
 ) -> np.ndarray:
-    """Integer dense layer: sequential MAC over input features, then requantize."""
-    _check_storage(x, n_bits, where + " input")
-    _check_storage(qlayer.w_int, n_bits, where + " weights", weights=True)
-    if x.shape[0] != qlayer.w_int.shape[0]:
+    """Integer dense layer on x (*lead, C_in): sequential MAC over input
+    features, then requantize."""
+    x_max = _check_input(x, n_bits, where)
+    qlayer.check_storage(n_bits, where)
+    if x.shape[-1] != qlayer.w_int.shape[0]:
         raise ValueError(
-            f"{where}: {x.shape[0]} inputs vs weight rows {qlayer.w_int.shape[0]}"
+            f"{where}: {x.shape[-1]} inputs vs weight rows {qlayer.w_int.shape[0]}"
         )
-    acc = _mac(x, qlayer.w_int, acc_width, where)
+    acc = _mac(x, qlayer, x_max, acc_width, where)
     return requantize(acc, qlayer.mult, qlayer.shift, FxFormat(n_bits + 1, n_bits), qlayer.relu)
-
-
-def _check_storage(a: np.ndarray, n_bits: int, where: str, weights: bool = False) -> None:
-    # weights tolerate +2^n so a unit-gain kernel is expressible (|W_int| <= 2^n)
-    lim = 1 << n_bits
-    hi = lim if weights else lim - 1
-    if a.size and (a.max() > hi or a.min() < -lim):
-        raise ValueError(f"{where}: values exceed signed {n_bits + 1}-bit storage")
 
 
 def _q_branch(
     spec: ModelSpec, branch: BranchSpec, qlayers: list[QLayer],
     x: np.ndarray, n_bits: int, acc_width: int,
 ) -> np.ndarray:
-    h = _branch_input(spec, branch, x[None])[0]
+    """Integer features (N, n) of a branch's quantized frames x (N, rows, C)."""
+    h = _branch_input(spec, branch, x)
     for i, q in enumerate(qlayers):
-        h = qconv_layer(h, q, n_bits, acc_width, q.pool,
-                        where=f"branch {branch.name!r} layer {i}")
-    return _head(branch, h[None])[0][0]
+        h = qconv_layer(h, q, n_bits, acc_width, q.pool, f"branch {branch.name!r} layer {i}")
+    return _head(branch, h)[0]
 
 
-def _q_forward(qm: QuantizedModel, qframe: dict, acc_width: int) -> np.ndarray:
+def _q_forward(qm: QuantizedModel, qX: dict, acc_width: int) -> np.ndarray:
+    """Integer logits (N, classes) of N quantized frames {name: (N, rows, C)},
+    one qconv_layer/qdense_layer call per layer for all of them."""
     feats = []
     for branch, qlayers in zip(qm.spec.branches, qm.branches):
-        if branch.name not in qframe:
+        if branch.name not in qX:
             raise ValueError(f"missing quantized tensor for branch {branch.name!r}")
-        x = np.asarray(qframe[branch.name], dtype=np.int64)
+        x = np.asarray(qX[branch.name], dtype=np.int64)
         feats.append(_q_branch(qm.spec, branch, qlayers, x, qm.n_bits, acc_width))
-    fused = np.concatenate(feats)
+    fused = np.concatenate(feats, axis=1)
     hidden = qdense_layer(fused, qm.dense[0], qm.n_bits, acc_width, "dense hidden")
     return qdense_layer(hidden, qm.dense[1], qm.n_bits, acc_width, "dense output")
 
@@ -200,29 +228,51 @@ def qinfer(
     clock_hz: float = 100e6,
     kappa: int = 0,
 ) -> tuple[int, "CycleReport"]:
-    """Integer inference on one quantized frame.
+    """Integer inference on one quantized frame, a batch of one.
 
     Returns the comparator-argmax class (lowest index on ties) and the cycle
     report composed per schedule; the schedule never changes the numerics.
     """
     if schedule not in _SCHEDULES:
         raise ValueError(f"schedule must be one of {_SCHEDULES}, got {schedule!r}")
-    logits = _q_forward(qm, qframe, qm.acc_width)
-    rows = {
-        name: int(np.asarray(qframe[name]).shape[0]) for name in qframe
-    }
-    report = model_cycles(qm.spec, rows, schedule, clock_hz, kappa)
-    return int(np.argmax(logits)), report
+    logits = _q_forward(qm, {k: np.asarray(v)[None] for k, v in qframe.items()},
+                        qm.acc_width)[0]
+    rows = tuple(np.shape(qframe[b.name])[0] for b in qm.spec.branches)
+    return int(np.argmax(logits)), _frame_cycles(qm, rows, schedule, clock_hz, kappa)
+
+
+@functools.lru_cache(maxsize=16)
+def _frame_cycles(qm: QuantizedModel, rows: tuple[int, ...], schedule: str,
+                  clock_hz: float, kappa: int) -> "CycleReport":
+    """The cycle report of qm on a frame with rows[i] rows for branch i. It
+    depends on nothing else a frame holds, so the frames of a stream share
+    one report (read-only to its callers). qm is immutable and hashes by
+    identity."""
+    return model_cycles(qm.spec, {b.name: r for b, r in zip(qm.spec.branches, rows)},
+                        schedule, clock_hz, kappa)
+
+
+def _frame_bytes(spec: ModelSpec, X: dict) -> int:
+    """Bytes of one frame's widest int64 conv layer output."""
+    return 8 * max((math.prod(conv) * l.filters for b in spec.branches if b.name in X
+                    for (_, conv, _), l in zip(spec.layer_dims(b, np.shape(X[b.name])[1]),
+                                               b.layers)), default=1)
 
 
 def qinfer_batch(qm: QuantizedModel, X: dict, acc_width: int | None = None) -> np.ndarray:
-    """Predicted classes for a batch of normalized float inputs {name: (N, ...)}."""
+    """Predicted classes for a batch of normalized float inputs {name: (N, ...)}.
+
+    The frames run together through _q_forward, in chunks of at most
+    _BATCH_BYTES of the widest layer output. The exact-GEMM bound takes
+    max|x| over the chunk, which bounds every frame in it.
+    """
     width = acc_width if acc_width is not None else qm.acc_width
-    n = next(iter(X.values())).shape[0]
+    n = len(next(iter(X.values())))
+    step = max(1, _BATCH_BYTES // _frame_bytes(qm.spec, X))
     preds = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        qframe = quantize_frame({k: v[i] for k, v in X.items()}, qm.n_bits)
-        preds[i] = int(np.argmax(_q_forward(qm, qframe, width)))
+    for s in range(0, n, step):
+        qX = quantize_frame({k: v[s : s + step] for k, v in X.items()}, qm.n_bits)
+        preds[s : s + step] = np.argmax(_q_forward(qm, qX, width), axis=1)
     return preds
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ConvSpec",
@@ -260,30 +259,41 @@ def validate_params(spec: ModelSpec, params: ModelParams) -> None:
 # Layer primitives (batched; leading axis is the batch)
 # ---------------------------------------------------------------------------
 
+def _patch_view(x: np.ndarray, k: int, nd: int) -> np.ndarray:
+    """The im2col patches of x (*lead, *spatial, C) with nd spatial axes, as a
+    view (n, *positions, *(k,) * nd, C) over the n flattened lead rows, built
+    straight from x's strides. Each patch flattens tap-major, so it pairs with
+    a weight reshaped to (-1, F)."""
+    flat = np.ascontiguousarray(x).reshape(math.prod(x.shape[: -nd - 1]), *x.shape[-nd - 1 :])
+    out = tuple(d - k + 1 for d in flat.shape[1:-1])
+    sp = flat.strides[1:-1]
+    return np.ndarray((flat.shape[0], *out, *(k,) * nd, flat.shape[-1]), flat.dtype, flat,
+                      0, (flat.strides[0], *sp, *sp, flat.strides[-1]))
+
+
+def _block_rows(patches: np.ndarray) -> int:
+    """Lead rows per block of patch columns: at most _COL_BLOCK_BYTES, or one
+    row if that is larger, so memory stays flat in the batch size."""
+    return max(1, _COL_BLOCK_BYTES // (math.prod(patches.shape[1:]) * patches.itemsize))
+
+
 def _conv_blocks(x: np.ndarray, k: int, nd: int):
     """Yield the im2col patch matrix of x in blocks over its flattened lead axes.
 
     x is (*lead, *spatial, C) with nd spatial axes. Each item is (rows, cols):
     rows slices the flattened lead axes, cols is (rows x positions, k**nd * C)
-    ordered tap-major, so it pairs with a weight reshaped to (-1, F). A block
-    holds at most _COL_BLOCK_BYTES of columns (or one lead row if that is
-    larger), so memory stays flat in the batch size.
+    ordered tap-major, so it pairs with a weight reshaped to (-1, F).
     """
-    spatial = x.shape[-nd - 1 : -1]
-    flat = x.reshape(math.prod(x.shape[: -nd - 1]), *spatial, x.shape[-1])
+    patches = _patch_view(x, k, nd)
+    step = _block_rows(patches)
     width = k**nd * x.shape[-1]
-    per_row = math.prod(d - k + 1 for d in spatial) * width * x.itemsize
-    step = max(1, _COL_BLOCK_BYTES // per_row)
-    axes = tuple(range(1, nd + 1))
-    # sliding_window_view appends the window axes after C; move them before it
-    order = (0, *axes, *range(nd + 2, 2 * nd + 2), nd + 1)
-    win = sliding_window_view(flat, (k,) * nd, axis=axes).transpose(order)
-    for s in range(0, flat.shape[0], step):
-        yield slice(s, s + step), win[s : s + step].reshape(-1, width)
+    for s in range(0, patches.shape[0], step):
+        yield slice(s, s + step), patches[s : s + step].reshape(-1, width)
 
 
 def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Batched valid stride-1 convolution as one im2col GEMM per column block.
+    """Batched valid stride-1 convolution as one im2col GEMM per column block;
+    an input that fits in one block is one GEMM.
 
     1D: x (B, L, C), w (K, C, F) -> (B, L-K+1, F).
     2D: x (B, T, H, W, C), w (K, K, C, F) -> (B, T, H-K+1, W-K+1, F).
@@ -295,8 +305,11 @@ def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if min(out_sp) < 1:
         raise ValueError(f"input {spatial} shorter than kernel {k}")
     lead = x.shape[: -nd - 1]
-    out = np.empty((math.prod(lead), *out_sp, f), dtype=np.result_type(x, w))
     wmat = w.reshape(-1, f)
+    patches = _patch_view(x, k, nd)
+    if _block_rows(patches) >= patches.shape[0]:
+        return (patches.reshape(-1, wmat.shape[0]) @ wmat).reshape(*lead, *out_sp, f)
+    out = np.empty((patches.shape[0], *out_sp, f), dtype=np.result_type(x, w))
     for rows, cols in _conv_blocks(x, k, nd):
         out[rows] = (cols @ wmat).reshape(-1, *out_sp, f)
     return out.reshape(*lead, *out_sp, f)

@@ -17,7 +17,7 @@ pair. For conv layers S_out = R_l and R_w = R_l, leaving r = S_in = R_{l-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,20 +102,51 @@ def compute_rescale(stats: CalibStats, layer: int) -> float:
     return r
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QLayer:
-    """One integer layer: weights plus its requantization parameters."""
+    """One integer layer: weights plus its requantization parameters.
+
+    The weight-side constants the engine uses on every call are made here,
+    once: w_int is kept as a read-only int64 copy, so its range (w_min,
+    w_max), its taps per output (every axis but the last) and its float64
+    copy w_float, which the engine's exact GEMM multiplies, cannot go stale.
+    """
 
     w_int: np.ndarray
     mult: int
     shift: int
     relu: bool = True
     pool: int | None = None
+    w_min: int = field(init=False, repr=False)
+    w_max: int = field(init=False, repr=False)
+    taps: int = field(init=False, repr=False)
+    w_float: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        w = np.array(self.w_int, dtype=np.int64)
+        w_float = w.astype(np.float64)
+        w.flags.writeable = w_float.flags.writeable = False
+        lo, hi = (int(w.min()), int(w.max())) if w.size else (0, 0)
+        derived = {"w_int": w, "w_min": lo, "w_max": hi, "taps": math.prod(w.shape[:-1]),
+                   "w_float": w_float}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def check_storage(self, n_bits: int, where: str) -> None:
+        """Reject weights outside signed (n_bits + 1)-bit storage. Weights
+        tolerate +2^n, so a unit-gain kernel is expressible (|w| <= 2^n)."""
+        lim = 1 << n_bits
+        if self.w_max > lim or self.w_min < -lim:
+            raise ValueError(f"{where} weights: values exceed signed {n_bits + 1}-bit storage")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuantizedModel:
-    """Integer weights, shared conv rescales, dense scales, and requant pairs."""
+    """Integer weights, shared conv rescales, dense scales, and requant pairs.
+
+    Building one checks every layer's weight storage and the requantization
+    headroom, and fixes acc_width.
+    """
 
     spec: ModelSpec
     n_bits: int
@@ -124,8 +155,22 @@ class QuantizedModel:
     branches: list[list[QLayer]]
     dense: list[QLayer]
     input_rows: dict[str, int]
+    acc_width: int = field(init=False)
 
     def __post_init__(self) -> None:
+        for b, ls in zip(self.spec.branches, self.branches):
+            for i, l in enumerate(ls):
+                l.check_storage(self.n_bits, f"branch {b.name!r} layer {i}")
+        for l, where in zip(self.dense, ("dense hidden", "dense output")):
+            l.check_storage(self.n_bits, where)
+        # Accumulator width guaranteed to hold any in-range MAC sequence: 32
+        # bits covers the hardware target precision; wider experimental
+        # precisions get a correspondingly wider modeled register.
+        worst_taps = max([1] + [math.prod(b.weight_shape(i)[:-1])
+                                for b in self.spec.branches for i in range(3)]
+                         + [l.w_int.shape[0] for l in self.dense])
+        acc_width = max(32, 2 * self.n_bits + int(np.ceil(np.log2(worst_taps))) + 2)
+        object.__setattr__(self, "acc_width", acc_width)
         # the engine multiplies int64 accumulators by mult; keep that exact
         worst = max([l.mult for ls in self.branches for l in ls] + [l.mult for l in self.dense])
         if (self.acc_width - 1) + worst.bit_length() > 62:
@@ -143,22 +188,6 @@ class QuantizedModel:
         return sum(l.w_int.size for ls in self.branches for l in ls) + sum(
             l.w_int.size for l in self.dense
         )
-
-    @property
-    def acc_width(self) -> int:
-        """Accumulator width guaranteed to hold any in-range MAC sequence.
-
-        32 bits covers the hardware target precision; wider experimental
-        precisions get a correspondingly wider modeled register.
-        """
-        worst_taps = 1
-        for branch in self.spec.branches:
-            for i in range(3):
-                worst_taps = max(worst_taps, math.prod(branch.weight_shape(i)[:-1]))
-        for l in self.dense:
-            worst_taps = max(worst_taps, l.w_int.shape[0])
-        need = 2 * self.n_bits + int(np.ceil(np.log2(worst_taps))) + 2
-        return max(32, need)
 
 
 def _quantize_tensor(w: np.ndarray, scale: float, n_bits: int) -> np.ndarray:

@@ -196,6 +196,38 @@ class TestWindowRows:
         assert len(rows.strip().split("\n")) - 1 == 35
 
 
+class TestWindowMismatch:
+    # sensor 'a' samples at 25 Hz: 25 rows in 1 s windows, 38 in 1.5 s ones
+
+    def test_dataset_window_mismatch_exit_2(self, workdir, capsys):
+        tmp, cfg, out = workdir
+        assert _run("gen-data", "--config", cfg) == 0
+        capsys.readouterr()
+        assert _run("train", "--config", cfg, "--window-ms", "1500") == 2
+        err = capsys.readouterr().err
+        assert "made at 1 s windows" in err and "asks for 3/2 s" in err
+        assert "sensor 'a' has 25 rows there, 38 here" in err
+        assert not (out / "model.json").exists()
+
+    def test_qmodel_window_mismatch_exit_2(self, workdir, capsys):
+        tmp, cfg, out = workdir
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        capsys.readouterr()
+        assert _run("simulate", "--config", cfg, "--window-ms", "1500") == 2
+        err = capsys.readouterr().err
+        assert "quantized at 25 rows for sensor 'a'" in err and "gives it 38 rows" in err
+        assert not (out / "labels.csv").exists()
+        # a dataset made again at 1.5 s passes its own check, not the model's
+        assert _run("gen-data", "--config", cfg, "--window-ms", "1500") == 0
+        capsys.readouterr()
+        assert _run("infer", "--config", cfg, "--window-ms", "1500",
+                    "--qmodel", str(out / "qmodel_n8.json")) == 2
+        err = capsys.readouterr().err
+        assert "quantized at 25 rows for sensor 'a'" in err and "gives it 38 rows" in err
+        assert not (out / "predictions.csv").exists()
+
+
 class TestDeterminism:
     @staticmethod
     def _digest(out: Path) -> dict:

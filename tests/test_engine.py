@@ -1,12 +1,18 @@
+import dataclasses
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from edgehar import engine
 from edgehar.engine import (
     CycleReport,
     _check_partial_sums,
     _mac,
     _mac_stepped,
+    _q_forward,
     ResourceReport,
     conv_layer_cycles,
     dense_layer_cycles,
@@ -20,7 +26,7 @@ from edgehar.engine import (
     schedule_latency,
 )
 from edgehar.fxp import AccumulatorOverflowError
-from edgehar.model import BranchSpec, ConvSpec, _head, forward_batch
+from edgehar.model import BranchSpec, ConvSpec, ModelSpec, _head, forward_batch
 from edgehar.quantize import QLayer, QuantizedModel, calibrate, quantize
 from edgehar.train import init_params
 
@@ -80,6 +86,40 @@ class TestQConvLayer:
         with pytest.raises(ValueError, match="storage"):
             qconv_layer(x, q, n)
 
+    def test_bare_layer_weight_storage_validation(self):
+        n = 8
+        x = np.ones((5, 1), dtype=np.int64)
+        q = QLayer(np.full((1, 1, 1), (1 << n) + 1, dtype=np.int64), mult=1, shift=0)
+        with pytest.raises(ValueError, match="weights: values exceed signed 9-bit"):
+            qconv_layer(x, q, n)
+        with pytest.raises(ValueError, match="weights: values exceed signed 9-bit"):
+            qdense_layer(x[0], QLayer(q.w_int[0], mult=1, shift=0), n)
+
+
+class TestQLayerConstants:
+    def test_weights_read_only_and_constants_match(self, rng):
+        w = rng.integers(-300, 301, size=(3, 2, 4))
+        q = QLayer(w, mult=5, shift=10)
+        assert q.w_int.dtype == np.int64
+        assert not q.w_int.flags.writeable and not q.w_float.flags.writeable
+        with pytest.raises(ValueError):
+            q.w_int[0, 0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.w_int = w
+        w[0, 0, 0] = 10**6  # the caller's array is not the layer's
+        assert q.w_int.max() <= 300
+        assert (q.w_min, q.w_max) == (int(q.w_int.min()), int(q.w_int.max()))
+        assert q.taps == q.w_int.size // q.w_int.shape[-1] == 6
+        assert q.w_float.dtype == np.float64
+        np.testing.assert_array_equal(q.w_float, q.w_int)
+
+    def test_model_rejects_out_of_storage_weights_on_build(self, rng):
+        qm, _ = random_qmodel(rng, 8)
+        bad = QLayer(np.full(qm.dense[1].w_int.shape, -(1 << 8) - 1), 1, 8, relu=False)
+        with pytest.raises(ValueError, match="dense output weights"):
+            QuantizedModel(qm.spec, qm.n_bits, qm.rescales, qm.dense_scales,
+                           qm.branches, [qm.dense[0], bad], qm.input_rows)
+
 
 def _mac_case(data, n):
     """Draw a dense, 1D or 2D integer MAC case at n fractional bits, either
@@ -112,7 +152,7 @@ class TestMacPaths:
         n = data.draw(st.integers(2, 15))
         _, x, w = _mac_case(data, n)
         assert w.size // w.shape[-1] << (2 * n) < 1 << 53  # _mac takes the GEMM path
-        got = _mac(x, w, 64, "t")
+        got = _mac(x, QLayer(w, mult=1, shift=0), int(np.abs(x).max()), 64, "t")
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, _mac_stepped(x, w, 64, "t"))
 
@@ -193,6 +233,11 @@ class TestQDenseLayer:
             qdense_layer(np.zeros(4, dtype=np.int64), q, 8)
 
 
+def _one(qframe):
+    """A quantized frame as a batch of one, the layout _q_forward takes."""
+    return {k: v[None] for k, v in qframe.items()}
+
+
 class TestQInfer:
     def _quantized_fixture(self, rng, n=11):
         spec = tiny_spec(rng)
@@ -227,24 +272,20 @@ class TestQInfer:
         for _ in range(30):
             n = int(rng.integers(4, 15))
             qm, qframe = random_qmodel(rng, n)
-            from edgehar.engine import _q_forward
-
-            got = _q_forward(qm, qframe, qm.acc_width)
+            got = _q_forward(qm, _one(qframe), qm.acc_width)[0]
             ref, ref_cls = oracles.qinfer(qm, qframe)
             assert got.tolist() == ref
             cls, _ = qinfer(qm, qframe)
             assert cls == ref_cls
 
     def test_overflow_equivalence_narrow_width(self, rng):
-        from edgehar.engine import _q_forward
-
         hits = 0
         for _ in range(10):
             qm, qframe = random_qmodel(rng, 12)
             width = 14
             eng = ora = False
             try:
-                got = _q_forward(qm, qframe, width)
+                got = _q_forward(qm, _one(qframe), width)[0]
             except AccumulatorOverflowError:
                 eng = True
             try:
@@ -257,10 +298,137 @@ class TestQInfer:
                 assert got.tolist() == ref
         assert hits > 0  # the narrow register actually bit
 
+    def test_stream_shares_one_cycle_report(self, rng):
+        qm, qframe = random_qmodel(rng, 10)
+        rows = {k: len(v) for k, v in qframe.items()}
+        with mock.patch.object(engine, "model_cycles", wraps=model_cycles) as spy:
+            reports = [qinfer(qm, qframe, "parallel", 50e6, 2)[1] for _ in range(3)]
+            assert spy.call_count == 1
+            assert qinfer(qm, qframe, "serial", 50e6, 2)[1].mode == "serial"
+            assert spy.call_count == 2
+        assert reports[0] is reports[1] is reports[2]
+        assert reports[0].to_dict() == model_cycles(qm.spec, rows, "parallel", 50e6, 2).to_dict()
+
     def test_unknown_schedule_rejected(self, rng):
         _, _, _, qm, qframe = self._quantized_fixture(rng)
         with pytest.raises(ValueError):
             qinfer(qm, qframe, schedule="warp")
+
+
+_WALK_ORDER = re.compile(r"(branch '[^']+' layer \d|dense hidden|dense output):")
+
+
+def _per_frame(qm, qX, width, stepped=None):
+    """Per-frame logits of a batch through the one-frame path, or the
+    AccumulatorOverflowError message of a frame that overflows. stepped, if
+    given, collects the indices of the frames that took the stepped path."""
+    out = []
+    for i in range(len(next(iter(qX.values())))):
+        with mock.patch.object(engine, "_mac_stepped", wraps=_mac_stepped) as spy:
+            try:
+                out.append(_q_forward(qm, {k: v[i : i + 1] for k, v in qX.items()}, width)[0])
+            except AccumulatorOverflowError as ex:
+                out.append(str(ex))
+        if spy.called and stepped is not None:
+            stepped.append(i)
+    return out
+
+
+def _walk_index(qm, msg):
+    wheres = [f"branch {b.name!r} layer {i}" for b in qm.spec.branches for i in range(3)]
+    return (wheres + ["dense hidden", "dense output"]).index(_WALK_ORDER.match(msg)[1])
+
+
+class TestBatchedPath:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_per_frame_and_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(3, 15))
+        qm, _ = random_qmodel(rng, n)
+        frames = data.draw(st.integers(1, 4))
+        spike = data.draw(st.integers(-1, frames - 1))
+        if data.draw(st.booleans()):
+            # a spike batch: tiny frames and one with a lone element at the
+            # storage limit, through conv layers that scale by 2^-n, at widths
+            # near the spike's bound taps * 2^2n. The spike's bound alone can
+            # force the stepped path while its partial sums still fit.
+            qm = dataclasses.replace(qm, branches=[
+                [dataclasses.replace(l, mult=1 << 15, shift=n + 15) for l in ls]
+                for ls in qm.branches])
+            m, lone = 1, True
+            width = data.draw(st.integers(2 * n, 2 * n + 4))
+        else:
+            m = data.draw(st.sampled_from([1, 1 << (n // 2), 1 << n]))
+            lone = False
+            width = data.draw(st.one_of(st.none(), st.integers(n + 2, qm.acc_width)))
+        chunk = data.draw(st.sampled_from([1, 1 << 18]))  # one frame or all per chunk
+        qX = {}
+        for b in qm.spec.branches:
+            x = rng.integers(-m, m, size=(frames, qm.input_rows[b.name], b.channels))
+            if spike >= 0 and lone:
+                x[spike] = 0
+                x[spike].flat[rng.integers(x[spike].size)] = -(1 << n)
+            elif spike >= 0:
+                x[spike] = rng.integers(-(1 << n), 1 << n, size=x.shape[1:])
+            qX[b.name] = x
+        X = {k: v / 2.0**n for k, v in qX.items()}  # quantize_frame gives qX back exactly
+        stepped = []
+        per_frame = _per_frame(qm, qX, width or qm.acc_width, stepped)
+        if frames > 1 and stepped == [spike]:
+            event("one frame forces the stepped path")
+        failed = [i for i, r in enumerate(per_frame) if isinstance(r, str)]
+        oracle = []
+        for i in range(frames):
+            try:
+                oracle.append(oracles.qinfer(qm, {k: v[i] for k, v in qX.items()}, width)[0])
+            except oracles.OracleOverflow:
+                oracle.append(None)
+        assert [o is None for o in oracle] == [isinstance(r, str) for r in per_frame]
+        with mock.patch.object(engine, "_BATCH_BYTES", chunk):
+            if failed:
+                event("narrow register raises")
+                # chunks run in frame order, and within a chunk every frame runs
+                # a layer before any runs the next: the batch raises in the
+                # first failing chunk, at the first layer in walk order that
+                # any of its frames fails
+                c = max(1, chunk // engine._frame_bytes(qm.spec, X))
+                in_chunk = [per_frame[i] for i in failed if i // c == failed[0] // c]
+                first = min(in_chunk, key=lambda msg: _walk_index(qm, msg))
+                with pytest.raises(AccumulatorOverflowError) as ex:
+                    qinfer_batch(qm, X, width)
+                assert str(ex.value) == first
+                return
+            preds = qinfer_batch(qm, X, width)
+        logits = _q_forward(qm, qX, width or qm.acc_width)
+        assert logits.tolist() == [r.tolist() for r in per_frame] == oracle
+        assert preds.tolist() == [int(np.argmax(r)) for r in per_frame]
+        if width is None:
+            assert preds.tolist() == [qinfer(qm, {k: v[i] for k, v in qX.items()})[0]
+                                      for i in range(frames)]
+
+    def test_one_stepped_frame_sends_the_batch_stepped(self):
+        # unit 2-tap kernels: the spike frame's bound 2(2^n - 1) reaches the
+        # (n+1)-bit register while its lone spike sums to 2^n - 1 and fits;
+        # the small frames stay far below it
+        n = 10
+        spec = ModelSpec((BranchSpec("s", 1, (ConvSpec(1, 2),) * 3),), hidden=2, classes=2)
+        conv = [QLayer(np.ones((2, 1, 1), dtype=np.int64), 1 << 13, 15) for _ in range(3)]
+        dense = [QLayer(np.ones((1, 2), dtype=np.int64), 1 << 15, 15),
+                 QLayer(np.array([[1, -1], [1, 1]]), 1 << 15, 15, relu=False)]
+        qm = QuantizedModel(spec, n, [1.0] * 3, [(1.0, 1.0)] * 2, [conv], dense, {"s": 12})
+        qx = np.random.default_rng(0).integers(-3, 4, size=(4, 12, 1))
+        qx[2] = 0
+        qx[2, 5, 0] = (1 << n) - 1
+        stepped = []
+        per_frame = _per_frame(qm, {"s": qx}, n + 1, stepped)
+        assert stepped == [2]  # the spike frame alone
+        with mock.patch.object(engine, "_mac_stepped", wraps=_mac_stepped) as spy:
+            batch = _q_forward(qm, {"s": qx}, n + 1)
+        assert [(len(c.args[0]), c.args[3]) for c in spy.call_args_list] == [
+            (4, "branch 's' layer 0")]  # the whole batch, at the spike's layer only
+        assert batch.tolist() == [r.tolist() for r in per_frame] == [
+            oracles.qinfer(qm, {"s": x}, n + 1)[0] for x in qx]
 
 
 class TestCycleModel:
