@@ -135,7 +135,12 @@ def _model_spec(cfg, sensors, classes) -> mdl.ModelSpec:
 
 def _check_config(cfg) -> None:
     """Reject a config that cannot run before any stage does work: an unwired
-    fusion mode, or a window too short for some branch's layers."""
+    fusion mode, no calibration frames, a clock that does not tick, or a
+    window too short for some branch's layers."""
+    if not (isinstance(cfg["calib_frames"], int) and cfg["calib_frames"] >= 1):
+        raise ValueError(f"calib_frames must be an integer >= 1, got {cfg['calib_frames']!r}")
+    if not (isinstance(cfg["clock_hz"], (int, float)) and cfg["clock_hz"] > 0):
+        raise ValueError(f"clock_hz must be a number > 0, got {cfg['clock_hz']!r}")
     fusion = cfg["model"].get("fusion", "feature")
     if fusion != "feature":
         raise ValueError(f"model.fusion {fusion!r} is not available in the CLI; "
@@ -154,7 +159,10 @@ def _check_config(cfg) -> None:
 
 def _load_bundle_arrays(cfg, spec, stats=None, limit=None, test=False):
     ds_dir = _out(cfg) / ("dataset_test" if test else "dataset")
-    bundle = daq.load_dataset(ds_dir)
+    try:
+        bundle = daq.load_dataset(ds_dir)
+    except SchemaError as ex:
+        raise SchemaError(f"{ex}; rerun gen-data to write this split again") from None
     window = _window(cfg)
     if bundle.window_s != window.window_s:
         made, s = daq.WindowConfig(bundle.window_s, bundle.window_s), bundle.specs[0]
@@ -164,7 +172,7 @@ def _load_bundle_arrays(cfg, spec, stats=None, limit=None, test=False):
                          f"{window.timesteps(s.rate_hz)} here")
     stats = stats or bundle.norm_stats()
     X, y = daq.bundle_arrays(bundle, [b.name for b in spec.branches], stats)
-    if limit:
+    if limit is not None:
         X, y = {k: v[:limit] for k, v in X.items()}, y[:limit]
     return X, y, stats
 

@@ -21,13 +21,15 @@ Each concept of the acquisition layer is defined once, here:
   checks, the rows stream_frames emits and the window check at config load,
   so the model's input size; FIFO_WINDOWS times it is the depth of each FIFO
   a stream drains.
-- bundle_arrays is the one path from stored recordings to model inputs.
+- A dataset split is stored as the model's input tensors: one
+  (recordings, rows, channels) array per sensor. bundle_arrays only checks
+  their rows against the window and normalizes them into model inputs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,7 +64,7 @@ __all__ = [
 ]
 
 NS = 10**9
-DATASET_SCHEMA = "edgehar.dataset/v1"
+DATASET_SCHEMA = "edgehar.dataset/v2"
 FIFO_WINDOWS = 2  # a stream's FIFO holds two windows of its sensor's samples
 
 
@@ -515,32 +517,30 @@ def jitter_model(source: Source, jitter_ppm: float, seed: int = 0) -> Source:
 
 @dataclass
 class Recording:
-    """One labeled multi-sensor capture: per-sensor timestamp/value tracks."""
+    """One continuous multi-sensor capture: per-sensor timestamp/value tracks."""
 
     tracks: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (t_ns, values)
     duration_ns: int
-    label: int
 
 
 @dataclass
 class DatasetBundle:
+    """One split: per sensor a (recordings, rows, channels) array holding one
+    window per recording on the sample grid, and one label per recording."""
+
     specs: list[SensorSpec]
-    recordings: list[Recording]
+    arrays: dict[str, np.ndarray]
+    labels: np.ndarray
     classes: int
     informative: dict[str, bool]
     noise_level: float
     seed: int
     window_s: Fraction
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.recordings], dtype=np.int64)
-
     def norm_stats(self) -> dict[str, tuple[float, float]]:
         stats = {}
         for s in self.specs:
-            lo = min(float(r.tracks[s.name][1].min()) for r in self.recordings)
-            hi = max(float(r.tracks[s.name][1].max()) for r in self.recordings)
+            lo, hi = float(self.arrays[s.name].min()), float(self.arrays[s.name].max())
             if hi <= lo:
                 hi = lo + 1.0
             stats[s.name] = (lo, hi)
@@ -597,25 +597,28 @@ def gen_dataset(
         else classes
         for s in specs
     }
-    times = {s.name: sample_time_ns(np.arange(window.timesteps(s.rate)), s.rate)
-             for s in specs}
-    recordings = []
+    t_s = {s.name: sample_time_ns(np.arange(window.timesteps(s.rate)), s.rate) / NS
+           for s in specs}
+    arrays = {s.name: np.empty((classes * n_per_class, t_s[s.name].size, s.channels))
+              for s in specs}
     for cls in range(classes):
+        patterns = {
+            s.name: _class_pattern(s, class_code.get(s.name, lambda c: c)(cls),
+                                   n_codes[s.name], t_s[s.name], j)
+            for j, s in enumerate(specs) if informative[s.name]
+        }
         for inst in range(n_per_class):
             rng = substream(seed, f"rec:c{cls}:i{inst}")
-            tracks = {}
-            for j, s in enumerate(specs):
-                t = times[s.name]
-                if informative[s.name]:
-                    code = class_code.get(s.name, lambda c: c)(cls)
-                    v = _class_pattern(s, code, n_codes[s.name], t / NS, j)
-                    if noise_level:
-                        v = v + noise_level * rng.standard_normal(v.shape)
+            for s in specs:
+                out = arrays[s.name][cls * n_per_class + inst]
+                if s.name not in patterns:
+                    out[:] = rng.standard_normal(out.shape)
+                elif noise_level:
+                    out[:] = patterns[s.name] + noise_level * rng.standard_normal(out.shape)
                 else:
-                    v = rng.standard_normal((t.size, s.channels))
-                tracks[s.name] = (t, v)
-            recordings.append(Recording(tracks, window.window_ns, cls))
-    return DatasetBundle(list(specs), recordings, classes, informative,
+                    out[:] = patterns[s.name]
+    labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
+    return DatasetBundle(list(specs), arrays, labels, classes, informative,
                          float(noise_level), int(seed), window.window_s)
 
 
@@ -648,7 +651,7 @@ def gen_timeline(
             v = v + noise_level * rng.standard_normal(v.shape)
         tracks[s.name] = (t, v)
     spans = [(i * seg_ns, (i + 1) * seg_ns, c) for i, c in enumerate(class_seq)]
-    return Recording(tracks, total_ns, -1), spans
+    return Recording(tracks, total_ns), spans
 
 
 def recording_sources(rec: Recording, specs: list[SensorSpec]) -> list[Source]:
@@ -660,37 +663,35 @@ def recording_sources(rec: Recording, specs: list[SensorSpec]) -> list[Source]:
 
 
 def bundle_arrays(bundle: DatasetBundle, names, stats=None):
-    """Model inputs of a dataset: {name: (recordings, rows, channels)} for each
-    sensor in names, normalized with stats (the bundle's own by default), and
-    the labels. Every track must hold one window's rows."""
+    """Model inputs of a split: the arrays of the sensors in names, normalized
+    with stats (the bundle's own by default), and the labels. Every array
+    must hold one window's rows."""
     from .model import normalize_inputs
 
-    if not bundle.recordings:
+    if not bundle.labels.size:
         raise ValueError("dataset has no recordings")
-    stats = stats or bundle.norm_stats()
     window = WindowConfig(bundle.window_s, bundle.window_s)
     specs = {s.name: s for s in bundle.specs}
-    raw = {}
     for name in names:
-        want = window.timesteps(specs[name].rate)
-        tracks = [rec.tracks[name][1] for rec in bundle.recordings]
-        for v in tracks:
-            if v.shape[0] != want:
-                raise RuntimeError(f"sensor {name!r}: recording rows {v.shape[0]} "
-                                   f"!= window timesteps {want}")
-        raw[name] = np.stack(tracks)
-    return normalize_inputs(raw, stats).tensors, bundle.labels
+        rows, want = bundle.arrays[name].shape[1], window.timesteps(specs[name].rate)
+        if rows != want:
+            raise RuntimeError(f"sensor {name!r}: recording rows {rows} "
+                               f"!= window timesteps {want}")
+    raw = {name: bundle.arrays[name] for name in names}
+    return normalize_inputs(raw, stats or bundle.norm_stats()).tensors, bundle.labels
 
 
 # ---------------------------------------------------------------------------
-# Dataset persistence: manifest + one CSV per sensor per recording
+# Dataset persistence: manifest + one (recordings, rows, channels) .npy per sensor
 # ---------------------------------------------------------------------------
 
 def save_dataset(out_dir, bundle: DatasetBundle, meta: dict | None = None) -> None:
-    from .persist import write_json_atomic, write_text_atomic
+    """Write a split as manifest.json plus <sensor>.npy for each sensor. Plain
+    .npy, not .npz, whose zip entries carry write times: reruns stay
+    byte-identical. Timestamps are not stored; the sample grid gives them."""
+    from .persist import write_json_atomic, write_npy_atomic
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "schema": DATASET_SCHEMA,
         "classes": bundle.classes,
@@ -699,54 +700,32 @@ def save_dataset(out_dir, bundle: DatasetBundle, meta: dict | None = None) -> No
         "seed": bundle.seed,
         "window_s": str(bundle.window_s),
         "labels": bundle.labels.tolist(),
-        "sensors": [
-            {
-                "name": s.name, "channels": s.channels, "rate_hz": s.rate_hz,
-                "conv_dim": s.conv_dim, "grid": list(s.grid) if s.grid else None,
-                "model": s.model,
-            }
-            for s in bundle.specs
-        ],
+        "sensors": [asdict(s) for s in bundle.specs],
         "meta": meta or {},
     }
-    for i, rec in enumerate(bundle.recordings):
-        rec_dir = out / f"rec_{i:04d}"
-        rec_dir.mkdir(exist_ok=True)
-        for s in bundle.specs:
-            t, v = rec.tracks[s.name]
-            header = "timestamp_ns," + ",".join(f"ch{c}" for c in range(s.channels))
-            lines = [header]
-            for row_t, row_v in zip(t.tolist(), v.tolist()):
-                lines.append(str(row_t) + "," + ",".join(repr(x) for x in row_v))
-            write_text_atomic(rec_dir / f"{s.name}.csv", "\n".join(lines) + "\n")
+    for s in bundle.specs:
+        write_npy_atomic(out / f"{s.name}.npy", bundle.arrays[s.name])
     write_json_atomic(out / "manifest.json", manifest)
 
 
 def load_dataset(in_dir) -> DatasetBundle:
-    from .persist import read_json_checked
+    from .persist import SchemaError, read_json_checked
 
     root = Path(in_dir)
     man = read_json_checked(root / "manifest.json", DATASET_SCHEMA)
     specs = [
         SensorSpec(d["name"], d["channels"], d["rate_hz"], d["conv_dim"],
-                   tuple(d["grid"]) if d["grid"] else None, d.get("model", ""))
+                   tuple(d["grid"]) if d["grid"] else None, d["model"])
         for d in man["sensors"]
     ]
-    window_s = Fraction(man["window_s"])
-    duration_ns = int(window_s * NS)
-    recordings = []
-    for i, label in enumerate(man["labels"]):
-        rec_dir = root / f"rec_{i:04d}"
-        tracks = {}
-        for s in specs:
-            rows = (rec_dir / f"{s.name}.csv").read_text().strip().split("\n")[1:]
-            t = np.empty(len(rows), dtype=np.int64)
-            v = np.empty((len(rows), s.channels))
-            for r, line in enumerate(rows):
-                parts = line.split(",")
-                t[r] = int(parts[0])
-                v[r] = [float(x) for x in parts[1:]]
-            tracks[s.name] = (t, v)
-        recordings.append(Recording(tracks, duration_ns, int(label)))
-    return DatasetBundle(specs, recordings, man["classes"], man["informative"],
-                         man["noise_level"], man["seed"], window_s)
+    labels = np.array(man["labels"], dtype=np.int64)
+    arrays = {}
+    for s in specs:
+        path = root / f"{s.name}.npy"
+        v = np.load(path, allow_pickle=False)
+        if v.dtype != np.float64 or v.ndim != 3 or v.shape[::2] != (labels.size, s.channels):
+            raise SchemaError(f"{path}: {v.dtype} array of shape {v.shape}, expected "
+                              f"float64 ({labels.size}, rows, {s.channels})")
+        arrays[s.name] = v
+    return DatasetBundle(specs, arrays, labels, man["classes"], man["informative"],
+                         man["noise_level"], man["seed"], Fraction(man["window_s"]))

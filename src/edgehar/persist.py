@@ -10,9 +10,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "SchemaError",
     "write_text_atomic",
+    "write_npy_atomic",
     "write_json_atomic",
     "write_csv_atomic",
     "read_json_checked",
@@ -23,12 +26,21 @@ class SchemaError(ValueError):
     """An artifact's schema tag does not match what the reader expects."""
 
 
-def write_text_atomic(path, text: str) -> None:
+def _write_atomic(path, write) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "wb") as fh:
+        write(fh)
     os.replace(tmp, path)
+
+
+def write_text_atomic(path, text: str) -> None:
+    _write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
+def write_npy_atomic(path, array: np.ndarray) -> None:
+    _write_atomic(path, lambda fh: np.save(fh, array, allow_pickle=False))
 
 
 def write_json_atomic(path, doc: dict) -> None:

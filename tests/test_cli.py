@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,7 +49,7 @@ class TestPipeline:
         tmp, cfg, out = workdir
         assert _run("gen-data", "--config", cfg) == 0
         assert (out / "dataset" / "manifest.json").exists()
-        assert (out / "dataset" / "rec_0000" / "a.csv").exists()
+        assert (out / "dataset" / "a.npy").exists()
 
         assert _run("train", "--config", cfg) == 0
         assert (out / "model.json").exists()
@@ -153,6 +154,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "fusion" in err and "'data'" in err
 
+    @pytest.mark.parametrize("override, flags, expected", [
+        ({"calib_frames": 0}, [], "calib_frames must be an integer >= 1, got 0"),
+        ({"calib_frames": -3}, [], "calib_frames must be an integer >= 1, got -3"),
+        ({"clock_hz": 0}, [], "clock_hz must be a number > 0, got 0"),
+        ({"clock_hz": -1e6}, [], "clock_hz must be a number > 0, got -1000000.0"),
+        ({}, ["--clock-hz", "0"], "clock_hz must be a number > 0, got 0.0"),
+    ])
+    def test_calib_frames_and_clock_hz_exit_2(self, tmp_path, capsys, override, flags,
+                                              expected):
+        # rejected at load, so no stage runs or writes anything
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CFG, out=str(tmp_path / "r"), **override)))
+        for stage in ("gen-data", "quantize", "simulate"):
+            assert _run(stage, "--config", str(path), *flags) == 2
+            assert expected in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_v1_dataset_exit_2_names_schemas(self, workdir, capsys):
+        tmp, cfg, out = workdir
+        assert _run("gen-data", "--config", cfg) == 0
+        man = out / "dataset" / "manifest.json"
+        doc = json.loads(man.read_text())
+        doc["schema"] = "edgehar.dataset/v1"
+        man.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert _run("train", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "'edgehar.dataset/v2'" in err and "'edgehar.dataset/v1'" in err
+        assert "rerun gen-data" in err
+        assert not (out / "model.json").exists()
+
     def test_schema_mismatch_exit_2(self, workdir):
         tmp, cfg, out = workdir
         assert _run("gen-data", "--config", cfg) == 0
@@ -192,8 +224,8 @@ class TestWindowRows:
         cfg_path.write_text(json.dumps(cfg))
         assert _run("gen-data", "--config", str(cfg_path)) == 0
         assert _run("train", "--config", str(cfg_path)) == 0
-        rows = (tmp_path / "run" / "dataset" / "rec_0000" / "t.csv").read_text()
-        assert len(rows.strip().split("\n")) - 1 == 35
+        rows = np.load(tmp_path / "run" / "dataset" / "t.npy").shape[1]
+        assert rows == 35
 
 
 class TestWindowMismatch:
@@ -248,6 +280,17 @@ class TestDeterminism:
         for s in steps:
             assert _run(*s, "--config", cfg) == 0
         assert self._digest(out) == first
+
+    def test_gen_data_reruns_byte_identical_datasets(self, workdir):
+        tmp, cfg, out = workdir
+        trees = []
+        for _ in range(2):
+            shutil.rmtree(out, ignore_errors=True)
+            assert _run("gen-data", "--config", cfg) == 0
+            trees.append({split: self._digest(out / split)
+                          for split in ("dataset", "dataset_test")})
+        assert trees[0] == trees[1]
+        assert sorted(trees[0]["dataset"]) == ["a.npy", "b.npy", "c.npy", "manifest.json"]
 
     def test_flag_overrides_win(self, workdir):
         tmp, cfg, out = workdir

@@ -20,6 +20,7 @@ from edgehar.daq import (
     load_dataset,
     recording_sources,
     resample,
+    sample_time_ns,
     save_dataset,
     start_sync,
     stream_frames,
@@ -231,9 +232,8 @@ class TestGenDataset:
     def test_seed_determinism(self):
         a = gen_dataset(self._sensors(), 3, 4, seed=7)
         b = gen_dataset(self._sensors(), 3, 4, seed=7)
-        for ra, rb in zip(a.recordings, b.recordings):
-            for name in ra.tracks:
-                np.testing.assert_array_equal(ra.tracks[name][1], rb.tracks[name][1])
+        for name in a.arrays:
+            np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
 
     def test_noise_free_centroid_oracle_is_perfect(self):
         sensors = self._sensors()
@@ -251,7 +251,7 @@ class TestGenDataset:
         sensors = self._sensors()
         b = gen_dataset(sensors, 2, 250, informative={"u": True, "v": False},
                         noise_level=0.2, seed=3)
-        v_means = np.array([r.tracks["v"][1].mean() for r in b.recordings])
+        v_means = np.array([rec.mean() for rec in b.arrays["v"]])
         labels = b.labels
         _, p = sp_stats.ttest_ind(v_means[labels == 0], v_means[labels == 1])
         assert p > 0.01
@@ -260,7 +260,7 @@ class TestGenDataset:
         sensors = self._sensors()
         code = {"u": lambda c: c % 2, "v": lambda c: c // 2}
         b = gen_dataset(sensors, 4, 1, noise_level=0.0, seed=0, class_code=code)
-        u = {r.label: r.tracks["u"][1] for r in b.recordings}
+        u = dict(zip(b.labels.tolist(), b.arrays["u"]))
         np.testing.assert_array_equal(u[0], u[2])  # same u-code 0
         np.testing.assert_array_equal(u[1], u[3])
         assert not np.array_equal(u[0], u[1])
@@ -277,10 +277,23 @@ class TestGenDataset:
         b2 = load_dataset(tmp_path / "ds")
         assert b2.classes == 2 and b2.seed == 5
         np.testing.assert_array_equal(b.labels, b2.labels)
-        for ra, rb in zip(b.recordings, b2.recordings):
-            for name in ra.tracks:
-                np.testing.assert_array_equal(ra.tracks[name][0], rb.tracks[name][0])
-                np.testing.assert_array_equal(ra.tracks[name][1], rb.tracks[name][1])
+        assert b2.window_s == b.window_s and b2.specs == b.specs
+        for name in b.arrays:
+            np.testing.assert_array_equal(b.arrays[name], b2.arrays[name])
+
+    def test_round_trip_keeps_bit_patterns(self, tmp_path):
+        b = gen_dataset(self._sensors(), 2, 2, seed=5)
+        u = b.arrays["u"]
+        u[0, :6, 0] = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                       -1e-300, 0.1 + 0.2]
+        u[1, :2, 1] = [np.inf, -np.inf]
+        save_dataset(tmp_path / "ds", b)
+        b2 = load_dataset(tmp_path / "ds")
+        for name in b.arrays:
+            assert b2.arrays[name].dtype == np.float64
+            np.testing.assert_array_equal(b.arrays[name].view(np.uint64),
+                                          b2.arrays[name].view(np.uint64))
+        assert np.signbit(b2.arrays["u"][0, 0, 0])
 
 
 class TestTimeline:
@@ -310,9 +323,9 @@ class TestRowsRule:
 
         b = gen_dataset(sensors, 2, 1, seed=1, window_s=window.window_s)
         for s in sensors:
-            t = b.recordings[0].tracks[s.name][0]
             rows = window.timesteps(s.rate)
-            assert t.shape[0] == rows
+            assert b.arrays[s.name].shape == (2, rows, s.channels)
+            t = sample_time_ns(np.arange(rows), s.rate)
             assert t.tolist() == [math.floor(m * NS / s.rate) for m in range(rows)]
             assert t[-1] < window.window_ns
 
