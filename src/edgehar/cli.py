@@ -6,6 +6,12 @@ sweep, infer, simulate, report. Every command is a pure function of
 flags override it (flags win), and every artifact embeds the resolved config
 for provenance. CSV artifacts carry a sibling .meta.json with the same echo.
 
+The whole config is checked at load, before any stage runs: an unknown key,
+a bad type or range, or a config that cannot run exits 2 naming the key and
+its value. model.fusion is fixed to "feature" and model.alpha_enabled to
+false (select trains its own importance model). A stage writes all of its
+outputs or none.
+
 Exit codes: 0 success, 1 usage, 2 validation (bad config/schema/arguments),
 3 runtime failure.
 """
@@ -14,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +32,7 @@ from . import daq, engine, model as mdl, quantize as qz, train as tr
 from .persist import SchemaError, write_csv_atomic, write_json_atomic
 from .seeding import substream
 
-__all__ = ["main", "DEFAULT_CONFIG"]
+__all__ = ["main", "DEFAULT_CONFIG", "Config", "parse_config"]
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -50,6 +58,28 @@ DEFAULT_CONFIG: dict = {
     "sim": {"n_segments": 6, "segment_ms": 2000},
 }
 
+# Every key of the config by section ("sensors" is a custom sensor entry),
+# with the type and least value of each scalar; None marks a key that is not
+# a scalar. int is an integer and float a finite number, bools neither.
+_SCHEMA = {
+    "seed": (int, 0), "out": (str,), "sensors": None, "informative": None,
+    "classes": (int, 2), "n_per_class": (int, 1), "n_per_class_test": (int, 1),
+    "noise_level": (float, 0), "window_ms": (int, 1), "step_ms": (int, 1), "model": None,
+    "train": None, "bits": None, "keep": (int, 1), "schedule": (str,),
+    "clock_hz": (float, 0, ">"), "kappa": (int, 0), "calib_frames": (int, 1), "sim": None,
+    "model.filters": (int, 1), "model.kernel": (int, 1), "model.hidden": (int, 1),
+    "model.fusion": (str,), "model.alpha_enabled": (bool,),
+    "train.epochs": (int, 0), "train.batch_size": (int, 1), "train.lr": (float, 0, ">"),
+    "train.beta1": (float, 0), "train.beta2": (float, 0), "train.eps": (float, 0, ">"),
+    "train.val_fraction": (float, 0),
+    "sim.n_segments": (int, 1), "sim.segment_ms": (int, 1),
+    "sensors.name": (str,), "sensors.channels": (int, 1), "sensors.rate_hz": (float, 0, ">"),
+    "sensors.conv_dim": (int, 1), "sensors.grid": None, "sensors.model": (str,),
+}
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+# Keys that stay in the schema but have one value the pipeline runs
+_FIXED = {"fusion": "feature", "alpha_enabled": False}
+
 
 class UsageError(Exception):
     pass
@@ -58,6 +88,20 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise UsageError(message)
+
+
+@dataclass(frozen=True)
+class Config:
+    """A checked config: the resolved dict, echoed into every artifact, and
+    the objects the stages run on."""
+
+    raw: dict
+    echo: dict  # the provenance every artifact carries
+    out: Path
+    sensors: tuple[daq.SensorSpec, ...]
+    window: daq.WindowConfig
+    spec: mdl.ModelSpec  # feature fusion over every sensor
+    train: tr.TrainConfig
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -71,104 +115,121 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def _load_config(args) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
+    doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = _merge(cfg, json.load(fh))
-    for key in ("seed", "out", "schedule", "keep"):
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
-    if getattr(args, "clock_hz", None) is not None:
-        cfg["clock_hz"] = args.clock_hz
-    if getattr(args, "window_ms", None) is not None:
-        cfg["window_ms"] = args.window_ms
-    if getattr(args, "step_ms", None) is not None:
-        cfg["step_ms"] = args.step_ms
-    if getattr(args, "bits", None):
-        cfg["bits"] = [int(b) for b in args.bits.split(",")]
-    return cfg
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object")
+    flags = {k: getattr(args, k) for k in
+             ("seed", "out", "schedule", "keep", "clock_hz", "window_ms", "step_ms", "bits")
+             if getattr(args, k) is not None}
+    if "bits" in flags:
+        flags["bits"] = [int(b) for b in flags["bits"].split(",")]
+    return _merge(doc, flags)
 
 
-def _sensors(cfg) -> list[daq.SensorSpec]:
+def _check_scalar(key: str, v, kind, least=None, op=">=") -> None:
+    ok = type(v) in ((int, float) if kind is float else (kind,))
+    if ok and kind is float:
+        ok = math.isfinite(v)
+    if ok and least is not None:
+        ok = v > least if op == ">" else v >= least
+    if not ok:
+        bound = "" if least is None else f" {op} {least}"
+        raise ValueError(f"{key} must be {_KINDS[kind]}{bound}, got {v!r}")
+
+
+def _rules(section: str) -> dict:
+    return {k.rpartition(".")[2]: r for k, r in _SCHEMA.items()
+            if k.rpartition(".")[0] == section}
+
+
+def _check_object(d, where: str, rules: dict) -> None:
+    """Reject a key of d that rules lacks; check each scalar against its rule."""
+    if type(d) is not dict:
+        raise ValueError(f"{where or 'config'} must be an object, got {d!r}")
+    for k, v in d.items():
+        key = f"{where}.{k}" if where else k
+        if k not in rules:
+            raise ValueError(f"unknown config key {key!r}; known: {sorted(rules)}")
+        if rules[k]:
+            _check_scalar(key, v, *rules[k])
+
+
+def _sensors(entries) -> list[daq.SensorSpec]:
+    if not (type(entries) is list and entries):
+        raise ValueError(f"sensors must be a non-empty list, got {entries!r}")
     out = []
-    for entry in cfg["sensors"]:
-        if isinstance(entry, str):
-            if entry not in daq.CATALOG:
-                raise ValueError(
-                    f"unknown catalog sensor {entry!r}; known: {sorted(daq.CATALOG)}"
-                )
-            out.append(daq.CATALOG[entry])
-        else:
-            out.append(
-                daq.SensorSpec(
-                    entry["name"], entry["channels"], entry["rate_hz"],
-                    entry.get("conv_dim", 1),
-                    tuple(entry["grid"]) if entry.get("grid") else None,
-                    entry.get("model", ""),
-                )
-            )
+    for i, e in enumerate(entries):
+        if type(e) is str and e not in daq.CATALOG:
+            raise ValueError(f"unknown catalog sensor {e!r}; known: {sorted(daq.CATALOG)}")
+        if type(e) is not str:
+            _check_object(e, f"sensors[{i}]", _rules("sensors"))
+        try:
+            out.append(daq.CATALOG[e] if type(e) is str else daq.SensorSpec(**e))
+        except TypeError as ex:  # a required field is missing, or a grid is not two ints
+            raise ValueError(f"sensors[{i}]: {ex}") from None
+    names = [s.name for s in out]
+    dup = next((n for n in names if names.count(n) > 1), None)
+    if dup:
+        raise ValueError(f"sensors: name {dup!r} appears {names.count(dup)} times")
     return out
 
 
-def _window(cfg) -> daq.WindowConfig:
-    return daq.WindowConfig(
-        Fraction(int(cfg["window_ms"]), 1000), Fraction(int(cfg["step_ms"]), 1000)
-    )
-
-
-def _echo(cfg) -> dict:
-    return {"config": cfg, "seed": cfg["seed"]}
-
-
-def _out(cfg) -> Path:
-    return Path(cfg["out"])
-
-
-def _model_spec(cfg, sensors, classes) -> mdl.ModelSpec:
-    m = cfg["model"]
-    return mdl.feature_fusion_spec(
-        sensors, m["filters"], m["kernel"], m["hidden"], classes,
-        alpha_enabled=m.get("alpha_enabled", False),
-    )
-
-
-def _check_config(cfg) -> None:
-    """Reject a config that cannot run before any stage does work: an unwired
-    fusion mode, no calibration frames, a clock that does not tick, or a
-    window too short for some branch's layers."""
-    if not (isinstance(cfg["calib_frames"], int) and cfg["calib_frames"] >= 1):
-        raise ValueError(f"calib_frames must be an integer >= 1, got {cfg['calib_frames']!r}")
-    if not (isinstance(cfg["clock_hz"], (int, float)) and cfg["clock_hz"] > 0):
-        raise ValueError(f"clock_hz must be a number > 0, got {cfg['clock_hz']!r}")
-    fusion = cfg["model"].get("fusion", "feature")
-    if fusion != "feature":
-        raise ValueError(f"model.fusion {fusion!r} is not available in the CLI; "
-                         f"only 'feature' fusion is wired through the pipeline")
-    sensors = _sensors(cfg)
-    spec = _model_spec(cfg, sensors, cfg["classes"])
-    window = _window(cfg)
+def parse_config(doc: dict) -> Config:
+    """Resolve a config over DEFAULT_CONFIG, check it against _SCHEMA and build
+    the objects every stage uses. Raises ValueError naming the key and value."""
+    _check_object(doc, "", _rules(""))
+    for section in ("model", "train", "sim"):
+        _check_object(doc.get(section, {}), section, _rules(section))
+    raw = _merge(DEFAULT_CONFIG, doc)
+    m, sim, bits = raw["model"], raw["sim"], raw["bits"]
+    for k, v in _FIXED.items():
+        if m.get(k, v) != v:
+            raise ValueError(f"model.{k} is fixed to {v!r} in the pipeline, got {m[k]!r}")
+    if not (type(bits) is list and bits and all(type(b) is int and 1 <= b <= 15 for b in bits)):
+        raise ValueError(f"bits must be a non-empty list of integers in [1, 15], got {bits!r}")
+    if raw["schedule"] not in engine._SCHEDULES:
+        raise ValueError(f"schedule must be one of {engine._SCHEDULES}, got {raw['schedule']!r}")
+    sensors = _sensors(raw["sensors"])
+    _check_object(raw["informative"], "informative", {s.name: (bool,) for s in sensors})
+    if raw["keep"] > len(sensors):
+        raise ValueError(f"keep must be in [1, {len(sensors)}], got {raw['keep']}")
+    window = daq.WindowConfig(Fraction(raw["window_ms"], 1000), Fraction(raw["step_ms"], 1000))
+    spec = mdl.feature_fusion_spec(sensors, m["filters"], m["kernel"], m["hidden"],
+                                   raw["classes"])
     for s, branch in zip(sensors, spec.branches):
         rows = window.timesteps(s.rate_hz)
         try:
             spec.layer_dims(branch, rows)
         except mdl.ShapeError as ex:
-            raise mdl.ShapeError(f"window_ms {cfg['window_ms']} gives sensor {s.name!r} "
+            raise mdl.ShapeError(f"window_ms {raw['window_ms']} gives sensor {s.name!r} "
                                  f"{rows} rows at {s.rate_hz} Hz: {ex}") from None
+    if sim["n_segments"] * sim["segment_ms"] < raw["window_ms"]:
+        raise ValueError(f"sim: {sim['n_segments']} x {sim['segment_ms']} ms is shorter "
+                         f"than window_ms {raw['window_ms']}: no frame to simulate")
+    train = tr.TrainConfig(seed=raw["seed"], **raw["train"])
+    n = raw["classes"] * raw["n_per_class"]
+    if train.n_val(n) >= n:
+        raise ValueError(f"train.val_fraction {train.val_fraction!r} leaves none of {n} "
+                         f"recordings to train on")
+    return Config(raw, {"config": raw, "seed": raw["seed"]}, Path(raw["out"]),
+                  tuple(sensors), window, spec, train)
 
 
-def _load_bundle_arrays(cfg, spec, stats=None, limit=None, test=False):
-    ds_dir = _out(cfg) / ("dataset_test" if test else "dataset")
+def _load_bundle_arrays(cfg: Config, spec, stats=None, limit=None, test=False):
+    ds_dir = cfg.out / ("dataset_test" if test else "dataset")
     try:
         bundle = daq.load_dataset(ds_dir)
     except SchemaError as ex:
         raise SchemaError(f"{ex}; rerun gen-data to write this split again") from None
-    window = _window(cfg)
+    window = cfg.window
     if bundle.window_s != window.window_s:
         made, s = daq.WindowConfig(bundle.window_s, bundle.window_s), bundle.specs[0]
         raise ValueError(f"{ds_dir} was made at {bundle.window_s} s windows, but window_ms "
-                         f"{cfg['window_ms']} asks for {window.window_s} s: sensor {s.name!r} "
-                         f"has {made.timesteps(s.rate_hz)} rows there, "
+                         f"{cfg.raw['window_ms']} asks for {window.window_s} s: sensor "
+                         f"{s.name!r} has {made.timesteps(s.rate_hz)} rows there, "
                          f"{window.timesteps(s.rate_hz)} here")
     stats = stats or bundle.norm_stats()
     X, y = daq.bundle_arrays(bundle, [b.name for b in spec.branches], stats)
@@ -181,180 +242,159 @@ def _load_bundle_arrays(cfg, spec, stats=None, limit=None, test=False):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_data(cfg) -> int:
-    sensors = _sensors(cfg)
-    window_s = Fraction(int(cfg["window_ms"]), 1000)
-    informative = {k: bool(v) for k, v in cfg.get("informative", {}).items()}
-    for split, n, salt in (
-        ("dataset", cfg["n_per_class"], "datagen"),
-        ("dataset_test", cfg["n_per_class_test"], "datagen-test"),
-    ):
-        seed = int(substream(cfg["seed"], salt).integers(2**31))
-        bundle = daq.gen_dataset(
-            sensors, cfg["classes"], n, informative or None,
-            cfg["noise_level"], seed, window_s,
-        )
-        daq.save_dataset(_out(cfg) / split, bundle, meta=_echo(cfg))
-    print(f"wrote {_out(cfg)/'dataset'} and {_out(cfg)/'dataset_test'}")
+def cmd_gen_data(cfg: Config, args) -> int:
+    splits = {"dataset": (cfg.raw["n_per_class"], "datagen"),
+              "dataset_test": (cfg.raw["n_per_class_test"], "datagen-test")}
+    bundles = {split: daq.gen_dataset(list(cfg.sensors), cfg.raw["classes"], n,
+                                      cfg.raw["informative"] or None, cfg.raw["noise_level"],
+                                      substream(cfg.raw["seed"], salt).integers(2**31),
+                                      cfg.window.window_s)
+               for split, (n, salt) in splits.items()}
+    for split, bundle in bundles.items():
+        daq.save_dataset(cfg.out / split, bundle, meta=cfg.echo)
+    print(f"wrote {cfg.out/'dataset'} and {cfg.out/'dataset_test'}")
     return 0
 
 
-def cmd_train(cfg) -> int:
-    sensors = _sensors(cfg)
-    spec = _model_spec(cfg, sensors, cfg["classes"])
-    X, y, stats = _load_bundle_arrays(cfg, spec)
-    tc = tr.TrainConfig(seed=cfg["seed"], **cfg["train"])
-    params, history = tr.train(spec, (X, y), tc)
-    meta = _echo(cfg) | {"norm_stats": {k: list(v) for k, v in stats.items()}}
-    mdl.save_model(_out(cfg) / "model.json", spec, params, meta=meta)
-    tr.history_to_csv(history, _out(cfg) / "history.csv")
-    write_json_atomic(_out(cfg) / "history.meta.json", _echo(cfg))
+def cmd_train(cfg: Config, args) -> int:
+    X, y, stats = _load_bundle_arrays(cfg, cfg.spec)
+    params, history = tr.train(cfg.spec, (X, y), cfg.train)
+    meta = cfg.echo | {"norm_stats": {k: list(v) for k, v in stats.items()}}
+    mdl.save_model(cfg.out / "model.json", cfg.spec, params, meta=meta)
+    tr.history_to_csv(history, cfg.out / "history.csv")
+    write_json_atomic(cfg.out / "history.meta.json", cfg.echo)
     print(f"trained {len(history)} epochs; final "
           f"train_acc={history[-1]['train_acc']:.4f}" if history else "0 epochs")
     return 0
 
 
-def cmd_select(cfg) -> int:
-    sensors = _sensors(cfg)
-    cfg_a = dict(cfg)
-    cfg_a["model"] = dict(cfg["model"], alpha_enabled=True)
-    spec_a = _model_spec(cfg_a, sensors, cfg["classes"])
+def cmd_select(cfg: Config, args) -> int:
+    spec_a = replace(cfg.spec, alpha_enabled=True)
     X, y, stats = _load_bundle_arrays(cfg, spec_a)
-    tc = tr.TrainConfig(seed=cfg["seed"], **cfg["train"])
-    _, _, report = tr.train_importance(spec_a, (X, y), tc)
-    kept = tr.select_modalities(report, int(cfg["keep"]))
-    write_json_atomic(
-        _out(cfg) / "importance.json",
-        {"schema": "edgehar.importance/v1", **report.to_dict(), "kept": kept}
-        | _echo(cfg),
-    )
-
-    kept_sensors = [s for s in sensors if s.name in kept]
-    spec_sel = _model_spec(cfg, kept_sensors, cfg["classes"])
+    _, _, report = tr.train_importance(spec_a, (X, y), cfg.train)
+    kept = tr.select_modalities(report, cfg.raw["keep"])
+    spec_sel = replace(cfg.spec, branches=tuple(b for b in cfg.spec.branches if b.name in kept))
     Xs = {k: v for k, v in X.items() if k in kept}
-    params, history = tr.train(spec_sel, (Xs, y), tc)
-    meta = _echo(cfg) | {
+    params, history = tr.train(spec_sel, (Xs, y), cfg.train)
+    importance = {"schema": "edgehar.importance/v1", **report.to_dict(), "kept": kept}
+    write_json_atomic(cfg.out / "importance.json", importance | cfg.echo)
+    meta = cfg.echo | {
         "norm_stats": {k: list(v) for k, v in stats.items() if k in kept},
         "kept_sensors": kept,
     }
-    mdl.save_model(_out(cfg) / "model_selected.json", spec_sel, params, meta=meta)
-    tr.history_to_csv(history, _out(cfg) / "history_selected.csv")
-    write_json_atomic(_out(cfg) / "history_selected.meta.json", _echo(cfg))
-    print(f"kept {kept}; retrained model at {_out(cfg)/'model_selected.json'}")
+    mdl.save_model(cfg.out / "model_selected.json", spec_sel, params, meta=meta)
+    tr.history_to_csv(history, cfg.out / "history_selected.csv")
+    write_json_atomic(cfg.out / "history_selected.meta.json", cfg.echo)
+    print(f"kept {kept}; retrained model at {cfg.out/'model_selected.json'}")
     return 0
 
 
-def _check_qmodel_rows(cfg, qm, path) -> None:
-    """Reject an integer model quantized at other window rows than the config's."""
-    window = _window(cfg)
-    for s in _sensors(cfg):
+def _load_qmodel(cfg: Config, path):
+    """An integer model, rejected if quantized at other window rows than the config's."""
+    qm, _ = qz.load_qmodel(path)
+    for s in cfg.sensors:
         rows = qm.input_rows.get(s.name)
-        if rows is not None and rows != window.timesteps(s.rate_hz):
+        if rows is not None and rows != cfg.window.timesteps(s.rate_hz):
             raise ValueError(f"{path} was quantized at {rows} rows for sensor {s.name!r}, "
-                             f"but window_ms {cfg['window_ms']} gives it "
-                             f"{window.timesteps(s.rate_hz)} rows at {s.rate_hz} Hz")
+                             f"but window_ms {cfg.raw['window_ms']} gives it "
+                             f"{cfg.window.timesteps(s.rate_hz)} rows at {s.rate_hz} Hz")
+    return qm
 
 
-def _load_model_for(cfg, args):
-    path = getattr(args, "model", None) or _out(cfg) / "model.json"
+def _load_model_for(cfg: Config, args):
+    path = getattr(args, "model", None) or cfg.out / "model.json"
     spec, params, meta = mdl.load_model(path)
     stats = {k: tuple(v) for k, v in meta.get("norm_stats", {}).items()}
     return spec, params, stats
 
 
-def cmd_quantize(cfg, args) -> int:
+def cmd_quantize(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
+    X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg.raw["calib_frames"])
     calib = qz.calibrate(spec, params, X)
-    for n in cfg["bits"]:
-        qm = qz.quantize(spec, params, calib, int(n))
-        qz.save_qmodel(_out(cfg) / f"qmodel_n{n}.json", qm, meta=_echo(cfg))
-    print(f"quantized at bits {cfg['bits']}")
+    qms = [qz.quantize(spec, params, calib, n) for n in cfg.raw["bits"]]
+    for qm in qms:
+        qz.save_qmodel(cfg.out / f"qmodel_n{qm.n_bits}.json", qm, meta=cfg.echo)
+    print(f"quantized at bits {cfg.raw['bits']}")
     return 0
 
 
-def cmd_sweep(cfg, args) -> int:
+def cmd_sweep(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    Xc, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
+    Xc, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg.raw["calib_frames"])
     Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
-    curve = qz.sweep_bits(spec, params, (Xt, yt), cfg["bits"], calib_X=Xc)
-    write_csv_atomic(_out(cfg) / "sweep.csv", ["n_bits", "accuracy_ratio"],
+    curve = qz.sweep_bits(spec, params, (Xt, yt), cfg.raw["bits"], calib_X=Xc)
+    write_csv_atomic(cfg.out / "sweep.csv", ["n_bits", "accuracy_ratio"],
                      [(n, repr(r)) for n, r in curve])
-    write_json_atomic(_out(cfg) / "sweep.meta.json", _echo(cfg))
+    write_json_atomic(cfg.out / "sweep.meta.json", cfg.echo)
     for n, r in curve:
         print(f"n={n:3d}  ratio={r:.4f}")
     return 0
 
 
-def cmd_infer(cfg, args) -> int:
+def cmd_infer(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
     Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
     if getattr(args, "qmodel", None):
-        qm, _ = qz.load_qmodel(args.qmodel)
-        _check_qmodel_rows(cfg, qm, args.qmodel)
+        qm = _load_qmodel(cfg, args.qmodel)
         preds = engine.qinfer_batch(qm, Xt)
         kind = f"integer n={qm.n_bits}"
     else:
         preds = np.argmax(mdl.forward_batch(spec, params, Xt), axis=1)
         kind = "fp32"
     acc = float(np.mean(preds == yt))
-    write_csv_atomic(_out(cfg) / "predictions.csv", ["index", "label", "predicted"],
+    write_csv_atomic(cfg.out / "predictions.csv", ["index", "label", "predicted"],
                      ((i, int(l), int(p)) for i, (l, p) in enumerate(zip(yt, preds))))
-    write_json_atomic(_out(cfg) / "predictions.meta.json",
-                      _echo(cfg) | {"accuracy": acc, "engine": kind})
+    write_json_atomic(cfg.out / "predictions.meta.json",
+                      cfg.echo | {"accuracy": acc, "engine": kind})
     print(f"{kind} accuracy {acc:.4f} over {len(yt)} frames")
     return 0
 
 
-def cmd_simulate(cfg, args) -> int:
+def cmd_simulate(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    qpath = getattr(args, "qmodel", None) or _out(cfg) / f"qmodel_n{cfg['bits'][0]}.json"
-    qm, _ = qz.load_qmodel(qpath)
-    _check_qmodel_rows(cfg, qm, qpath)
-    sensors = [s for s in _sensors(cfg) if s.name in {b.name for b in spec.branches}]
-    sim = cfg["sim"]
-    rng = substream(cfg["seed"], "sim")
-    class_seq = [int(c) for c in rng.integers(0, cfg["classes"], sim["n_segments"])]
+    qpath = getattr(args, "qmodel", None) or cfg.out / f"qmodel_n{cfg.raw['bits'][0]}.json"
+    qm = _load_qmodel(cfg, qpath)
+    sensors = [s for s in cfg.sensors if s.name in {b.name for b in spec.branches}]
+    sim = cfg.raw["sim"]
+    rng = substream(cfg.raw["seed"], "sim")
+    class_seq = [int(c) for c in rng.integers(0, cfg.raw["classes"], sim["n_segments"])]
     rec, spans = daq.gen_timeline(
-        sensors, class_seq, Fraction(int(sim["segment_ms"]), 1000),
-        cfg["noise_level"], cfg["seed"], classes=cfg["classes"],
+        sensors, class_seq, Fraction(sim["segment_ms"], 1000),
+        cfg.raw["noise_level"], cfg.raw["seed"], classes=cfg.raw["classes"],
     )
     session = daq.start_sync(daq.recording_sources(rec, sensors))
-    window = _window(cfg)
     rows_out = []
-    report = None
-    for frame in daq.stream_frames(session, window):
+    # load checked that the timeline holds at least one window, so a report is made
+    for frame in daq.stream_frames(session, cfg.window):
         norm = mdl.normalize_inputs(frame.tensors, stats)
         qframe = engine.quantize_frame(norm, qm.n_bits)
-        cls, report = engine.qinfer(qm, qframe, cfg["schedule"], cfg["clock_hz"],
-                                    cfg["kappa"])
+        cls, report = engine.qinfer(qm, qframe, cfg.raw["schedule"], cfg.raw["clock_hz"],
+                                    cfg.raw["kappa"])
         rows_out.append((frame.t_end_ns, cls))
-    if report is None:
-        raise ValueError("simulation produced no frames; widen the timeline")
-    write_csv_atomic(_out(cfg) / "labels.csv", ["t_ns", "class"], rows_out)
-    write_json_atomic(_out(cfg) / "labels.meta.json",
-                      _echo(cfg) | {"truth_spans": spans})
-    write_json_atomic(_out(cfg) / "cycles.json",
-                      {"schema": "edgehar.cycles/v1", **report.to_dict()} | _echo(cfg))
+    write_csv_atomic(cfg.out / "labels.csv", ["t_ns", "class"], rows_out)
+    write_json_atomic(cfg.out / "labels.meta.json",
+                      cfg.echo | {"truth_spans": spans})
+    write_json_atomic(cfg.out / "cycles.json",
+                      {"schema": "edgehar.cycles/v1", **report.to_dict()} | cfg.echo)
     conserved = session.conservation()
     if not all(c["ok"] for c in conserved.values()):
         raise RuntimeError(f"sample conservation violated: {conserved}")
     print(f"emitted {len(rows_out)} labels; "
-          f"latency {report.latency_s*1e3:.3f} ms per frame ({cfg['schedule']})")
+          f"latency {report.latency_s*1e3:.3f} ms per frame ({cfg.raw['schedule']})")
     return 0
 
 
-def cmd_report(cfg, args) -> int:
+def cmd_report(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg["calib_frames"])
+    X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg.raw["calib_frames"])
     calib = qz.calibrate(spec, params, X)
-    window = _window(cfg)
     rows = []
-    for n in cfg["bits"]:
-        qm = qz.quantize(spec, params, calib, int(n))
+    for n in cfg.raw["bits"]:
+        qm = qz.quantize(spec, params, calib, n)
         for mode in ("serial", "parallel"):
-            cyc = engine.model_cycles(spec, qm.input_rows, mode, cfg["clock_hz"],
-                                      cfg["kappa"])
+            cyc = engine.model_cycles(spec, qm.input_rows, mode, cfg.raw["clock_hz"],
+                                      cfg.raw["kappa"])
             res = engine.estimate_resources(qm, mode)
             rows.append([
                 n, qm.storage_bits, mode, cyc.total_cycles,
@@ -365,9 +405,9 @@ def cmd_report(cfg, args) -> int:
     header = ["n_bits", "storage_bits", "schedule", "total_cycles", "latency_ms",
               "throughput_labels_per_s", "memory_bits", "weight_bits",
               "mac_lanes", "multiplier_units"]
-    write_csv_atomic(_out(cfg) / "report.csv", header, rows)
-    write_json_atomic(_out(cfg) / "report.meta.json", _echo(cfg))
-    print(f"wrote {_out(cfg)/'report.csv'} ({len(rows)} rows)")
+    write_csv_atomic(cfg.out / "report.csv", header, rows)
+    write_json_atomic(cfg.out / "report.meta.json", cfg.echo)
+    print(f"wrote {cfg.out/'report.csv'} ({len(rows)} rows)")
     return 0
 
 
@@ -380,35 +420,30 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model_flag=False, qmodel_flag=False):
+    def common(name, run, help, *artifact_flags):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--bits", type=str, default=None,
                         help="comma-separated magnitude-bit list, e.g. 8,10,12")
-        sp.add_argument("--schedule", choices=["serial", "parallel"], default=None)
+        sp.add_argument("--schedule", choices=engine._SCHEDULES, default=None)
         sp.add_argument("--clock-hz", dest="clock_hz", type=float, default=None)
         sp.add_argument("--window-ms", dest="window_ms", type=int, default=None)
         sp.add_argument("--step-ms", dest="step_ms", type=int, default=None)
         sp.add_argument("--keep", type=int, default=None)
-        if model_flag:
-            sp.add_argument("--model", type=str, default=None)
-        if qmodel_flag:
-            sp.add_argument("--qmodel", type=str, default=None)
+        for flag in artifact_flags:
+            sp.add_argument(f"--{flag}", type=str, default=None)
 
-    common(sub.add_parser("gen-data", help="generate the synthetic dataset"))
-    common(sub.add_parser("train", help="train the fp32 model"))
-    common(sub.add_parser("select", help="rank modalities and retrain on the top ones"))
-    common(sub.add_parser("quantize", help="post-training quantize at each bit width"),
-           model_flag=True)
-    common(sub.add_parser("sweep", help="accuracy-ratio curve over bit widths"),
-           model_flag=True)
-    common(sub.add_parser("infer", help="run inference over the test dataset"),
-           model_flag=True, qmodel_flag=True)
-    common(sub.add_parser("simulate", help="stream a timeline through the engine"),
-           model_flag=True, qmodel_flag=True)
-    common(sub.add_parser("report", help="latency/resource table over bits x schedule"),
-           model_flag=True)
+    common("gen-data", cmd_gen_data, "generate the synthetic dataset")
+    common("train", cmd_train, "train the fp32 model")
+    common("select", cmd_select, "rank modalities and retrain on the top ones")
+    common("quantize", cmd_quantize, "post-training quantize at each bit width", "model")
+    common("sweep", cmd_sweep, "accuracy-ratio curve over bit widths", "model")
+    common("infer", cmd_infer, "run inference over the test dataset", "model", "qmodel")
+    common("simulate", cmd_simulate, "stream a timeline through the engine", "model", "qmodel")
+    common("report", cmd_report, "latency/resource table over bits x schedule", "model")
     return p
 
 
@@ -420,19 +455,7 @@ def main(argv=None) -> int:
         print(f"usage error: {ex}", file=sys.stderr)
         return 1
     try:
-        cfg = _load_config(args)
-        _check_config(cfg)
-        handlers = {
-            "gen-data": lambda: cmd_gen_data(cfg),
-            "train": lambda: cmd_train(cfg),
-            "select": lambda: cmd_select(cfg),
-            "quantize": lambda: cmd_quantize(cfg, args),
-            "sweep": lambda: cmd_sweep(cfg, args),
-            "infer": lambda: cmd_infer(cfg, args),
-            "simulate": lambda: cmd_simulate(cfg, args),
-            "report": lambda: cmd_report(cfg, args),
-        }
-        return handlers[args.command]()
+        return args.run(parse_config(_load_config(args)), args)
     except (SchemaError, ValueError, KeyError, json.JSONDecodeError) as ex:
         print(f"validation error: {ex}", file=sys.stderr)
         return 2

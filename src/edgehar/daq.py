@@ -28,6 +28,7 @@ Each concept of the acquisition layer is defined once, here:
 
 from __future__ import annotations
 
+import shutil
 from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -113,6 +114,8 @@ class SensorSpec:
     model: str = ""
 
     def __post_init__(self) -> None:
+        if self.grid is not None:  # a JSON list from a config or a manifest
+            object.__setattr__(self, "grid", tuple(self.grid))
         if self.channels < 1:
             raise ValueError(f"sensor {self.name!r} needs channels >= 1")
         if not self.rate_hz > 0:
@@ -356,7 +359,7 @@ class WindowConfig:
         if self.window_s <= 0 or self.step_s <= 0:
             raise ValueError("window and step must be positive")
         if self.step_s > self.window_s:
-            raise ValueError("step must be <= window")
+            raise ValueError(f"step {self.step_s} s must be <= window {self.window_s} s")
         if self.mode not in ("native", "common"):
             raise ValueError(f"unknown alignment mode {self.mode!r}")
         if self.mode == "common" and not self.target_hz:
@@ -706,6 +709,11 @@ def save_dataset(out_dir, bundle: DatasetBundle, meta: dict | None = None) -> No
     for s in bundle.specs:
         write_npy_atomic(out / f"{s.name}.npy", bundle.arrays[s.name])
     write_json_atomic(out / "manifest.json", manifest)
+    # a v1 split kept each recording as rec_NNNN/<sensor>.csv; nothing reads them now
+    for d in out.glob("rec_[0-9]*"):
+        files = list(d.iterdir()) if d.is_dir() else []
+        if files and all(f.is_file() and f.suffix == ".csv" for f in files):
+            shutil.rmtree(d)
 
 
 def load_dataset(in_dir) -> DatasetBundle:
@@ -713,11 +721,7 @@ def load_dataset(in_dir) -> DatasetBundle:
 
     root = Path(in_dir)
     man = read_json_checked(root / "manifest.json", DATASET_SCHEMA)
-    specs = [
-        SensorSpec(d["name"], d["channels"], d["rate_hz"], d["conv_dim"],
-                   tuple(d["grid"]) if d["grid"] else None, d["model"])
-        for d in man["sensors"]
-    ]
+    specs = [SensorSpec(**d) for d in man["sensors"]]
     labels = np.array(man["labels"], dtype=np.int64)
     arrays = {}
     for s in specs:

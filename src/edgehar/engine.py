@@ -36,8 +36,8 @@ schedule sends its chunk there.
 
 Nothing here restates the model or the arithmetic: rounding, saturation,
 the register range and the multiply-shift requantization are fxp's; the
-branch input layout, the pooling windows and the layer-shape walk (which
-the cycle and resource models count) are the FP model's.
+branch input layout, the im2col patches, the pooling windows and the shape
+walk (which the cycle and resource models count) are the FP model's.
 
 Timing: serial schedules run feature branches one after another, parallel
 schedules run them concurrently; both produce bit-identical values and
@@ -51,11 +51,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import AccumulatorOverflowError, FxFormat, fits, requantize, round_nearest, saturate
 from .model import (
-    BranchSpec, Frame, ModelSpec, _branch_input, _conv_batch, _head, _pool_windows,
+    BranchSpec, Frame, ModelSpec, _branch_input, _conv_batch, _head, _patch_view,
+    _pool_windows,
 )
 from .quantize import QLayer, QuantizedModel
 
@@ -130,11 +130,10 @@ def _mac_stepped(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np
         cols, w3, out_shape = x.reshape(-1, c, 1), w[:, None, :], (*x.shape[:-1], f)
     else:
         k = w.shape[0]
-        spatial = tuple(range(x.ndim - 1 - nd, x.ndim - 1))
-        win = sliding_window_view(x, (k,) * nd, axis=spatial)
-        cols = win.reshape(-1, c, k**nd)
-        w3 = np.moveaxis(w, -2, 0).reshape(c, k**nd, f)
-        out_shape = (*win.shape[: -nd - 1], f)
+        patches = _patch_view(x, k, nd)
+        cols = patches.reshape(-1, k**nd, c).swapaxes(1, 2)
+        w3 = w.reshape(-1, c, f).swapaxes(0, 1)
+        out_shape = (*x.shape[: -nd - 1], *patches.shape[1 : nd + 1], f)
     cum = np.cumsum(np.einsum("pct,ctf->pcf", cols, w3), axis=1)
     _check_partial_sums(cum, acc_width, where)
     return cum[:, -1, :].reshape(out_shape)

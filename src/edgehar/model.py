@@ -11,9 +11,9 @@ Each concept of the network is defined once, here:
 - _walk is the network. forward_batch runs it; training's backward pass and
   the quantizer's calibration run it with an observer that keeps what they
   need of each layer (activations and pool indices, or running maxima).
-- _conv_batch is every convolution in the package: an im2col GEMM over
-  patch columns built in fixed-size blocks. Training's backward pass and the
-  integer engine's exact fast path call it too.
+- _conv_batch is every convolution in the package: a GEMM over _patch_view's
+  im2col patches in fixed-size blocks. Training's backward pass and the
+  engine's exact path call it; the engine's stepped MAC reads the patches.
 - _pool_windows is every kernel max-pool, FP and integer alike; _head is the
   branch head (global max-pool or flatten) and _mix the importance mixing.
 - ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle
@@ -25,7 +25,7 @@ Each concept of the network is defined once, here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -508,50 +508,20 @@ def data_fusion_spec(
 # Persistence (versioned JSON, canonical field order)
 # ---------------------------------------------------------------------------
 
-def _spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "branches": [
-            {
-                "name": b.name,
-                "channels": b.channels,
-                "conv_dim": b.conv_dim,
-                "grid": list(b.grid) if b.grid else None,
-                "head": b.head,
-                "layers": [
-                    {"filters": l.filters, "kernel": l.kernel, "pool": l.pool}
-                    for l in b.layers
-                ],
-            }
-            for b in spec.branches
-        ],
-        "hidden": spec.hidden,
-        "classes": spec.classes,
-        "fusion": spec.fusion,
-        "alpha_enabled": spec.alpha_enabled,
-        "window_rows": spec.window_rows,
-    }
-
-
 def _spec_from_dict(d: dict) -> ModelSpec:
     branches = tuple(
-        BranchSpec(
-            b["name"], b["channels"],
-            tuple(ConvSpec(l["filters"], l["kernel"], l["pool"]) for l in b["layers"]),
-            conv_dim=b["conv_dim"],
-            grid=tuple(b["grid"]) if b["grid"] else None,
-            head=b["head"],
-        )
+        BranchSpec(**(b | {"layers": tuple(ConvSpec(**l) for l in b["layers"]),
+                           "grid": b["grid"] and tuple(b["grid"])}))
         for b in d["branches"]
     )
-    return ModelSpec(branches, d["hidden"], d["classes"], d["fusion"],
-                     d["alpha_enabled"], d.get("window_rows"))
+    return ModelSpec(**(d | {"branches": branches}))
 
 
 def save_model(path, spec: ModelSpec, params: ModelParams, meta: dict | None = None) -> None:
     validate_params(spec, params)
     doc = {
         "schema": MODEL_SCHEMA,
-        "spec": _spec_to_dict(spec),
+        "spec": asdict(spec),
         "weights": {
             "branches": [[w.tolist() for w in ws] for ws in params.branch_weights],
             "dense1": params.dense1.tolist(),

@@ -17,7 +17,7 @@ pair. For conv layers S_out = R_l and R_w = R_l, leaving r = S_in = R_{l-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -320,7 +320,6 @@ def sweep_bits(
 # ---------------------------------------------------------------------------
 
 def save_qmodel(path, qm: QuantizedModel, meta: dict | None = None) -> None:
-    from .model import _spec_to_dict
     from .persist import write_json_atomic
 
     doc = {
@@ -328,7 +327,7 @@ def save_qmodel(path, qm: QuantizedModel, meta: dict | None = None) -> None:
         "n_bits": qm.n_bits,
         "rescales": [repr(r) for r in qm.rescales],
         "dense_scales": [[repr(a), repr(b)] for a, b in qm.dense_scales],
-        "spec": _spec_to_dict(qm.spec),
+        "spec": asdict(qm.spec),
         "branches": [
             [
                 {"w": l.w_int.tolist(), "mult": l.mult, "shift": l.shift,

@@ -67,8 +67,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
+        for name in ("val_fraction", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+
+    def n_val(self, n: int) -> int:
+        """Validation samples held out of a set of n."""
+        return int(round(n * self.val_fraction))
 
 
 @dataclass
@@ -330,7 +335,7 @@ def train(
     else:
         params = params.copy()
 
-    n_val = int(round(n * config.val_fraction))
+    n_val = config.n_val(n)
     perm = substream(config.seed, "split").permutation(n)
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
     if tr_idx.size == 0:

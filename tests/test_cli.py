@@ -1,14 +1,21 @@
 import hashlib
 import json
 import shutil
+import tempfile
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from edgehar import daq
-from edgehar.cli import DEFAULT_CONFIG, _check_config, _sensors, _window, main
+from edgehar import daq, quantize
+from edgehar.cli import DEFAULT_CONFIG, main, parse_config
+from edgehar.train import TrainConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+STAGES = ("gen-data", "train", "select", "quantize", "sweep", "infer", "simulate", "report")
 
 CFG = {
     "seed": 3,
@@ -135,7 +142,7 @@ class TestExitCodes:
         assert _run("gen-data", "--config", str(bad)) == 2
 
     def test_default_config_validates(self):
-        _check_config(DEFAULT_CONFIG)
+        parse_config(DEFAULT_CONFIG)
 
     def test_short_window_exit_2_names_sensor_and_layer(self, tmp_path, capsys):
         # gas samples at 4 Hz: 1 s gives 4 rows, and the first k=5 conv needs 5
@@ -201,7 +208,8 @@ class TestWindowRows:
         # the 3.25 s window streamed as simulate streams it: every FIFO holds
         # two windows, so no sample overflows and no frame is padded
         cfg = DEFAULT_CONFIG
-        sensors = _sensors(cfg)
+        parsed = parse_config(cfg)
+        sensors = list(parsed.sensors)
         sim = cfg["sim"]
         rec, _ = daq.gen_timeline(
             sensors, [c % cfg["classes"] for c in range(sim["n_segments"])],
@@ -209,7 +217,7 @@ class TestWindowRows:
             classes=cfg["classes"],
         )
         session = daq.start_sync(daq.recording_sources(rec, sensors))
-        assert len(list(daq.stream_frames(session, _window(cfg)))) == 9
+        assert len(list(daq.stream_frames(session, parsed.window))) == 9
         assert session.underfill_events == [] and session.overfill_events == []
         assert sum(f.overflowed for f in session.fifos.values()) == 0
         assert all(c["ok"] for c in session.conservation().values())
@@ -218,7 +226,7 @@ class TestWindowRows:
         # 1.1 s at 32 Hz is 35.2 samples: the dataset and the model both take 35
         cfg = dict(CFG, out=str(tmp_path / "run"), window_ms=1100, step_ms=1100,
                    sensors=[{"name": "t", "channels": 2, "rate_hz": 32}],
-                   classes=2, n_per_class=2, n_per_class_test=1,
+                   classes=2, n_per_class=2, n_per_class_test=1, keep=1,
                    train=dict(CFG["train"], epochs=1))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -297,3 +305,154 @@ class TestDeterminism:
         assert _run("gen-data", "--config", cfg, "--seed", "99") == 0
         man = json.loads((out / "dataset" / "manifest.json").read_text())
         assert man["meta"]["seed"] == 99
+
+
+class TestSchema:
+    # each config failed late or was accepted silently before the schema
+    @pytest.mark.parametrize("override, expected", [
+        ({"model": dict(CFG["model"], alpha_enabled=True)},
+         ["model.alpha_enabled", "True"]),
+        ({"bits": [2, 16, 31]}, ["bits", "[2, 16, 31]"]),
+        ({"keep": 0}, ["keep", "got 0"]),
+        ({"keep": 9}, ["keep", "got 9"]),
+        ({"sim": {"n_segments": 1, "segment_ms": 500}}, ["sim", "500 ms", "window_ms 1000"]),
+        ({"schedule": "pipelined"}, ["schedule", "'pipelined'"]),
+        ({"sensors": ["optical", "tof", "optical"]}, ["sensors", "'optical'"]),
+        ({"train": dict(CFG["train"], batch_size=0)}, ["train.batch_size", "got 0"]),
+        ({"train": dict(CFG["train"], val_fraction=1.0)}, ["val_fraction", "1.0"]),
+        ({"train": dict(CFG["train"], epocs=2)}, ["'train.epocs'"]),
+        ({"n_per_clas": 3}, ["'n_per_clas'"]),
+        ({"window_ms": 1000.7}, ["window_ms", "1000.7"]),
+        ({"kappa": -5}, ["kappa", "-5"]),
+        ({"noise_level": -1}, ["noise_level", "-1"]),
+    ])
+    def test_rejected_at_load_by_every_stage(self, tmp_path, capsys, override, expected):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CFG, out=str(tmp_path / "r"), **override)))
+        for stage in STAGES:
+            assert _run(stage, "--config", str(path)) == 2, stage
+            err = capsys.readouterr().err
+            assert all(e in err for e in expected), (stage, err)
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("path", ["configs/smoke.json", "perfbench/workloads/smoke.json",
+                                      "perfbench/workloads/rig.json",
+                                      "perfbench/workloads/stream.json"])
+    def test_shipped_configs_accepted(self, path):
+        # the benchmark runs every stage on these files
+        cfg = parse_config(json.loads((ROOT / path).read_text()))
+        assert [s.name for s in cfg.sensors] == [b.name for b in cfg.spec.branches]
+        assert not cfg.spec.alpha_enabled
+
+    def test_key_sets_follow_the_objects(self):
+        # train takes TrainConfig's fields but seed; a custom sensor takes
+        # SensorSpec's, and its JSON grid list gives the catalog's own spec
+        train = {f.name: getattr(TrainConfig(), f.name) for f in fields(TrainConfig)
+                 if f.name != "seed"}
+        thermal = json.loads(json.dumps(asdict(daq.CATALOG["thermal"])))
+        cfg = parse_config({"train": train, "sensors": [thermal, "tof"], "keep": 2})
+        assert cfg.sensors == (daq.CATALOG["thermal"], daq.CATALOG["tof"])
+        assert cfg.train == TrainConfig(**train)
+        with pytest.raises(ValueError, match="'train.seed'"):
+            parse_config({"train": {"seed": 1}})
+
+    # one key at a time is set out of range (None: none is)
+    BROKEN = {"names": None, "keep": 4, "bits": [8, 16], "schedule": "pipelined",
+              "kappa": -1, "noise_level": -0.5, "batch_size": 0, "calib_frames": 0,
+              "alpha_enabled": True, "window_ms": 1000.5}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_accepted_configs_run_every_stage(self, data):
+        """Configs drawn around the schema's edges at tiny sizes: an accepted
+        one runs all 8 stages with exit 0, a rejected one exits 2 at load and
+        writes nothing. Acceptance is predicted here from the rules alone."""
+        d = data.draw
+        broken = d(st.sampled_from([None] * 2 * len(self.BROKEN) + sorted(self.BROKEN)))
+        n_sensors = d(st.integers(1, 3))
+        names = ["u", "v", "w"][:n_sensors]
+        if broken == "names":
+            names.append(names[0])
+        rates = [d(st.sampled_from([10, 25, 40])) for _ in names]
+        window_ms = d(st.sampled_from([500, 1000]))
+        step_ms = d(st.sampled_from([window_ms // 2, window_ms, window_ms, window_ms + 250]))
+        kernel = d(st.integers(2, 3))
+        classes, n_per_class = d(st.integers(2, 3)), d(st.integers(1, 2))
+        val_fraction = d(st.sampled_from([0.0, 0.3, 0.8]))
+        n_segments, segment_ms = d(st.integers(1, 3)), d(st.sampled_from([500, 1000]))
+        cfg = {
+            "seed": 1,
+            "sensors": [{"name": n, "channels": 1 + i, "rate_hz": r}
+                        for i, (n, r) in enumerate(zip(names, rates))],
+            "classes": classes, "n_per_class": n_per_class, "n_per_class_test": 1,
+            "noise_level": 0, "window_ms": window_ms, "step_ms": step_ms,
+            "model": {"filters": 4, "kernel": kernel, "hidden": 8},
+            "train": {"epochs": 10, "batch_size": 2, "lr": 0.02,
+                      "val_fraction": val_fraction},
+            "bits": d(st.lists(st.sampled_from([1, 8, 15]), min_size=1, max_size=2)),
+            "keep": d(st.integers(1, len(names))), "schedule": "parallel", "kappa": 3,
+            "calib_frames": 64, "sim": {"n_segments": n_segments, "segment_ms": segment_ms},
+        }
+        if broken not in (None, "names"):
+            section = {"batch_size": "train", "alpha_enabled": "model"}.get(broken)
+            (cfg[section] if section else cfg)[broken] = self.BROKEN[broken]
+        n = classes * n_per_class
+        rows = [int(Fraction(window_ms * r, 1000) + Fraction(1, 2)) for r in rates]
+        accepted = (
+            broken is None and step_ms <= window_ms
+            and n_segments * segment_ms >= window_ms
+            and round(n * val_fraction) < n
+            and min(rows) >= 3 * (kernel - 1) + 1
+        )
+        event("accepted" if accepted else "rejected")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(dict(cfg, out=str(out))))
+            want = 0 if accepted else 2
+            for stage in STAGES:
+                assert _run(stage, "--config", str(path)) == want, (stage, cfg)
+            assert accepted or not out.exists()
+
+
+class TestAllOrNothing:
+    def test_quantize_writes_no_width_when_one_fails(self, workdir, monkeypatch):
+        tmp, cfg, out = workdir
+        for stage in ("gen-data", "train"):
+            assert _run(stage, "--config", cfg) == 0
+        real, calls = quantize.quantize, []
+
+        def fail_second(spec, params, stats, n_bits):
+            calls.append(n_bits)
+            if len(calls) == 2:
+                raise ValueError(f"no model at {n_bits} bits")
+            return real(spec, params, stats, n_bits)
+
+        monkeypatch.setattr(quantize, "quantize", fail_second)
+        assert _run("quantize", "--config", cfg) == 2
+        assert calls == [8, 10]
+        assert not list(out.glob("qmodel_n*.json"))
+
+    def test_gen_data_replaces_v1_split(self, workdir):
+        # a v1 split kept each recording as rec_NNNN/<sensor>.csv
+        tmp, cfg, out = workdir
+        for split in ("dataset", "dataset_test"):
+            (out / split).mkdir(parents=True)
+            (out / split / "manifest.json").write_text('{"schema": "edgehar.dataset/v1"}')
+            for i in range(3):
+                rec = out / split / f"rec_{i:04d}"
+                rec.mkdir()
+                for name in ("a", "b", "c"):
+                    (rec / f"{name}.csv").write_text("t_ns,v0\n0,0.5\n")
+        other = out / "dataset_test" / "rec_0007"
+        other.mkdir()
+        (other / "a.csv").write_text("t_ns,v0\n")
+        (other / "notes.txt").write_text("not a v1 recording")
+        assert _run("gen-data", "--config", cfg) == 0
+        assert sorted(p.name for p in (out / "dataset").iterdir()) == [
+            "a.npy", "b.npy", "c.npy", "manifest.json"]
+        # a folder that holds anything but .csv files is left alone
+        assert sorted(p.name for p in (out / "dataset_test").iterdir()) == [
+            "a.npy", "b.npy", "c.npy", "manifest.json", "rec_0007"]
+        assert sorted(p.name for p in other.iterdir()) == ["a.csv", "notes.txt"]
+        assert _run("train", "--config", cfg) == 0
