@@ -233,8 +233,10 @@ def _load_bundle_arrays(cfg: Config, spec, stats=None, limit=None, test=False):
                          f"{window.timesteps(s.rate_hz)} here")
     stats = stats or bundle.norm_stats()
     X, y = daq.bundle_arrays(bundle, [b.name for b in spec.branches], stats)
-    if limit is not None:
-        X, y = {k: v[:limit] for k, v in X.items()}, y[:limit]
+    if limit is not None and limit < len(y):
+        # The split is stored in class order, so an even stride covers every class.
+        idx = np.arange(limit) * len(y) // limit
+        X, y = {k: v[idx] for k, v in X.items()}, y[idx]
     return X, y, stats
 
 
@@ -328,7 +330,7 @@ def cmd_sweep(cfg: Config, args) -> int:
                      [(n, repr(r)) for n, r in curve])
     write_json_atomic(cfg.out / "sweep.meta.json", cfg.echo)
     for n, r in curve:
-        print(f"n={n:3d}  ratio={r:.4f}")
+        print(f"n={n:3d}  ratio={'undefined (FP32 accuracy 0)' if math.isnan(r) else f'{r:.4f}'}")
     return 0
 
 

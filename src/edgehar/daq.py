@@ -418,11 +418,12 @@ def stream_frames(session: Session, cfg: WindowConfig):
             fifo.depth = FIFO_WINDOWS * rows[name]
     want = (dict.fromkeys(rows, cfg.timesteps(cfg.target_hz)) if cfg.mode == "common"
             else rows)
+    step_ns, window_ns, end_ns = cfg.step_ns, cfg.window_ns, session.duration_ns
     k = 0
     while True:
-        a = k * cfg.step_ns
-        b = a + cfg.window_ns
-        if b > session.duration_ns:
+        a = k * step_ns
+        b = a + window_ns
+        if b > end_ns:
             return
         session.run_until(b)
         tensors = {}
@@ -439,7 +440,7 @@ def stream_frames(session: Session, cfg: WindowConfig):
         yield Frame(tensors, a, b)
         k += 1
         for fifo in session.fifos.values():
-            fifo.drop_older_than(k * cfg.step_ns)
+            fifo.drop_older_than(k * step_ns)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ plus analytic cycle-latency and hardware-resource models.
 
 Numerics: every layer computes the exact integer MAC of the stepped hardware
 schedule (input channels advance sequentially; the kernel taps of one channel
-are summed as a parallel adder tree within the step), then requantizes with
-one multiply, one rounding right-shift, a folded ReLU, and saturation. The MAC
+are summed as a parallel adder tree within the step), then requantizes in the
+accumulator's own buffer: one multiply, one rounding right-shift and two
+clips, the lower of which is the folded ReLU when it sits at 0. The MAC
 takes one of two paths with bit-identical results. When taps x max|x| x max|w|
 is below both 2^(acc_width-1) and 2^53, that product bounds every partial sum
 in every order, so no partial sum can leave the register and every float64
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fxp import AccumulatorOverflowError, FxFormat, fits, requantize, round_nearest, saturate
+from .fxp import AccumulatorOverflowError, FxFormat, fits, requantize, round_nearest
 from .model import (
     BranchSpec, Frame, ModelSpec, _branch_input, _conv_batch, _head, _patch_view,
     _pool_windows,
@@ -89,13 +90,17 @@ _BATCH_BYTES = 1 << 18
 # ---------------------------------------------------------------------------
 
 def quantize_frame(frame: Frame | dict, n_bits: int) -> dict[str, np.ndarray]:
-    """Map normalized [-1, 1] tensors onto the integer grid round(x * 2^n)."""
+    """Map normalized [-1, 1] tensors onto the integer grid round(x * 2^n) in
+    signed (n + 1)-bit storage, rounding one scaled float64 copy in place."""
     tensors = frame.tensors if isinstance(frame, Frame) else frame
     fmt = FxFormat(n_bits + 1, n_bits)
-    return {
-        name: saturate(round_nearest(np.asarray(x, dtype=np.float64) * float(2**n_bits)), fmt)
-        for name, x in tensors.items()
-    }
+    out = {}
+    for name, x in tensors.items():
+        try:
+            out[name] = round_nearest(np.multiply(x, float(2**n_bits), dtype=np.float64), fmt)
+        except ValueError as ex:
+            raise ValueError(f"sensor {name!r}: {ex}") from None
+    return out
 
 
 def _check_partial_sums(cum: np.ndarray, acc_width: int, where: str) -> None:

@@ -4,11 +4,11 @@ multiply-shift requantization.
 This module is the single definition of the arithmetic semantics: the
 quantizer and the integer engine call these functions instead of restating
 any rule. The one MAC is the engine's (engine._mac), whose register check
-is fits. Every function takes plain Python numbers, on which integer
-results are exact at any width, or numpy arrays, to which it applies the
-same rule elementwise (integer arrays are int64; callers keep their values
-inside that range). Requantization is the integer multiply and rounding
-right-shift of Jacob et al. 2018 (arXiv:1712.05877).
+is fits. rounding_rshift and saturate take Python ints, exact at any width;
+round_nearest, fits and requantize also take numpy arrays, and the array
+forms of round_nearest and requantize work in their argument's own buffer.
+Requantization is the integer multiply and rounding right-shift of Jacob et
+al. 2018 (arXiv:1712.05877).
 """
 
 from __future__ import annotations
@@ -60,39 +60,43 @@ class FxFormat:
         return (1 << (self.n_bits - 1)) - 1
 
 
-def round_nearest(x):
-    """Round to the nearest integer, ties away from zero.
+def round_nearest(x, fmt: FxFormat | None = None):
+    """Round to the nearest integer, ties away from zero, and saturate into
+    fmt if given. A float gives an int. A float array is consumed: rounded
+    and clipped in its own buffer before the int64 cast, so an out-of-range
+    value saturates instead of wrapping. Non-finite input is rejected."""
+    if not isinstance(x, np.ndarray):
+        if not np.isfinite(x):
+            raise ValueError(f"cannot round non-finite value {x!r}")
+        r = int(np.sign(x) * np.floor(np.abs(x) + 0.5))
+        return r if fmt is None else saturate(r, fmt)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"cannot round {x.size - np.count_nonzero(finite)} non-finite value(s)")
+    x += np.copysign(0.5, x)  # exactly sign(x) * (|x| + 0.5): trunc gives the scalar rule
+    np.trunc(x, out=x)
+    if fmt is not None:
+        np.maximum(x, fmt.min_int, out=x)
+        np.minimum(x, fmt.max_int, out=x)
+    return x.astype(np.int64)
 
-    A float gives an int; an array gives an int64 array. Non-finite input
-    is rejected.
-    """
-    a = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError(f"cannot round non-finite value {x!r}")
-    r = np.sign(a) * np.floor(np.abs(a) + 0.5)
-    return r.astype(np.int64) if isinstance(x, np.ndarray) else int(r)
 
-
-def rounding_rshift(v, shift: int):
+def rounding_rshift(v: int, shift: int) -> int:
     """Divide v by 2**shift, rounding to nearest with ties away from zero.
 
     Exact integer arithmetic; equal to round_nearest(v / 2**shift) at any
-    magnitude of a Python int.
+    magnitude.
     """
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     if shift == 0:
         return v
     mag = (abs(v) + (1 << (shift - 1))) >> shift
-    if isinstance(v, np.ndarray):
-        return np.where(v >= 0, mag, -mag)
     return mag if v >= 0 else -mag
 
 
-def saturate(v, fmt: FxFormat):
+def saturate(v: int, fmt: FxFormat) -> int:
     """Clamp v into the signed n_bits range of fmt."""
-    if isinstance(v, np.ndarray):
-        return np.minimum(np.maximum(v, fmt.min_int), fmt.max_int)  # np.clip costs more per call
     return min(max(int(v), fmt.min_int), fmt.max_int)
 
 
@@ -106,14 +110,25 @@ def fits(v, width: int) -> bool:
 
 
 def requantize(acc, mult: int, shift: int, fmt: FxFormat, relu: bool = False):
-    """Rescale an accumulator to the output format: saturate(round(acc*mult/2^shift)).
+    """Rescale an accumulator to the output format: saturate(round(acc*mult/2^shift)),
+    ties away from zero; with relu on, negative results clamp to 0.
 
-    acc is an int or an int64 array. With relu on, negative results clamp to
-    0 before saturation, folding the activation into the requantization stage.
+    An int64 array acc is consumed: the result is its own buffer. For v =
+    acc*mult and h = 2^(shift-1) the shift is (v + h - (v < 0)) >> shift, the
+    floor form of -((-v + h) >> shift) for v < 0. With relu on, a negative v
+    rounds to at most 0, so the lower clip at 0 is the whole ReLU. The caller
+    keeps |acc*mult| < 2^62 (QuantizedModel's headroom rule), so no step wraps.
     """
     if mult < 1:
         raise ValueError(f"mult must be >= 1, got {mult}")
-    v = rounding_rshift(acc * mult, shift)
-    if relu:
-        v = np.maximum(v, 0) if isinstance(v, np.ndarray) else max(v, 0)
-    return saturate(v, fmt)
+    if not isinstance(acc, np.ndarray):
+        v = rounding_rshift(acc * mult, shift)
+        return saturate(max(v, 0) if relu else v, fmt)
+    acc *= mult
+    if shift and not relu:
+        acc -= acc < 0
+    acc += (1 << shift) >> 1
+    acc >>= shift
+    np.maximum(acc, 0 if relu else fmt.min_int, out=acc)  # np.clip costs more per call
+    np.minimum(acc, fmt.max_int, out=acc)
+    return acc

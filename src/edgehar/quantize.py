@@ -303,15 +303,22 @@ def sweep_bits(
     n_range,
     calib_X: dict | None = None,
 ) -> list[tuple[int, float]]:
-    """One (n, accuracy ratio) point per precision, sharing one calibration pass."""
+    """One (n, quantized_accuracy_ratio) point per precision from one calibration
+    and one FP32 pass; every ratio is nan when FP32 accuracy is zero (undefined)."""
+    from .engine import qinfer_batch
+
     n_range = list(n_range)
     if not n_range:
         raise ValueError("n_range is empty")
-    stats = calibrate(spec, params, calib_X if calib_X is not None else test_set[0])
+    X, y = test_set[0], np.asarray(test_set[1])
+    if y.size == 0:
+        raise ValueError("test set is empty")
+    fp_acc = float(np.mean(np.argmax(forward_batch(spec, params, X), axis=1) == y))
+    stats = calibrate(spec, params, calib_X if calib_X is not None else X)
     curve = []
     for n in n_range:
-        qm = quantize(spec, params, stats, n)
-        curve.append((n, quantized_accuracy_ratio(spec, params, qm, test_set)))
+        q_acc = float(np.mean(qinfer_batch(quantize(spec, params, stats, n), X) == y))
+        curve.append((n, q_acc / fp_acc if fp_acc else math.nan))
     return curve
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from edgehar import daq, quantize
-from edgehar.cli import DEFAULT_CONFIG, main, parse_config
+from edgehar.cli import DEFAULT_CONFIG, _load_bundle_arrays, main, parse_config
 from edgehar.train import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -387,7 +387,7 @@ class TestSchema:
             "classes": classes, "n_per_class": n_per_class, "n_per_class_test": 1,
             "noise_level": 0, "window_ms": window_ms, "step_ms": step_ms,
             "model": {"filters": 4, "kernel": kernel, "hidden": 8},
-            "train": {"epochs": 10, "batch_size": 2, "lr": 0.02,
+            "train": {"epochs": d(st.integers(2, 10)), "batch_size": 2, "lr": 0.02,
                       "val_fraction": val_fraction},
             "bits": d(st.lists(st.sampled_from([1, 8, 15]), min_size=1, max_size=2)),
             "keep": d(st.integers(1, len(names))), "schedule": "parallel", "kappa": 3,
@@ -413,6 +413,47 @@ class TestSchema:
             for stage in STAGES:
                 assert _run(stage, "--config", str(path)) == want, (stage, cfg)
             assert accepted or not out.exists()
+
+
+class TestUntrainedEdges:
+    def test_calibration_set_covers_every_class(self, tmp_path):
+        """The split is stored in class order; calib_frames 48 of the smoke
+        workload's 60 recordings must still reach all 5 classes."""
+        cfg = json.loads((ROOT / "perfbench" / "workloads" / "smoke.json").read_text())
+        cfg["out"] = str(tmp_path / "run")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert _run("gen-data", "--config", str(path)) == 0
+        parsed = parse_config(cfg)
+        _, y, _ = _load_bundle_arrays(parsed, parsed.spec, limit=cfg["calib_frames"])
+        assert len(y) == cfg["calib_frames"]
+        assert sorted(set(y.tolist())) == list(range(cfg["classes"]))
+        _, y_all, _ = _load_bundle_arrays(parsed, parsed.spec, limit=10**6)
+        assert len(y_all) == cfg["classes"] * cfg["n_per_class"]
+
+    def test_sweep_finishes_at_zero_fp32_accuracy(self, tmp_path, capsys):
+        # 2 classes x 1 recording, one of them held out for validation, at 2 epochs:
+        # at this seed the FP32 model gets neither test frame right.
+        cfg = {"seed": 20, "out": str(tmp_path / "run"),
+               "sensors": [{"name": "u", "channels": 1, "rate_hz": 25},
+                           {"name": "v", "channels": 2, "rate_hz": 10}],
+               "classes": 2, "n_per_class": 1, "n_per_class_test": 1, "noise_level": 0.5,
+               "window_ms": 1000, "step_ms": 1000,
+               "model": {"filters": 4, "kernel": 3, "hidden": 8},
+               "train": {"epochs": 2, "batch_size": 2, "lr": 0.02, "val_fraction": 0.3},
+               "bits": [8, 10], "keep": 1, "calib_frames": 64,
+               "sim": {"n_segments": 1, "segment_ms": 1000}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for stage in ("gen-data", "train", "infer"):
+            assert _run(stage, "--config", str(path)) == 0
+        out = Path(cfg["out"])
+        assert json.loads((out / "predictions.meta.json").read_text())["accuracy"] == 0.0
+        capsys.readouterr()
+        assert _run("sweep", "--config", str(path)) == 0
+        assert (out / "sweep.csv").read_text().split() == [
+            "n_bits,accuracy_ratio", "8,nan", "10,nan"]
+        assert capsys.readouterr().out.count("undefined (FP32 accuracy 0)") == 2
 
 
 class TestAllOrNothing:

@@ -255,6 +255,17 @@ class TestQInfer:
         assert c1 == c2
         assert r1.total_cycles >= r2.total_cycles
 
+    def test_quantize_frame_names_non_finite_sensor(self):
+        frame = {"acc": np.zeros((4, 2)), "gyro": np.array([[0.1, np.nan], [np.inf, -np.inf]])}
+        with pytest.raises(ValueError, match=r"sensor 'gyro': cannot round 3 non-finite"):
+            quantize_frame(frame, 8)
+
+    def test_quantize_frame_leaves_its_input(self):
+        x = np.array([[0.5, -0.25], [1.5, -2.0]])
+        q = quantize_frame({"a": x}, 3)["a"]
+        assert q.tolist() == [[4, -2], [7, -8]]
+        assert x.tolist() == [[0.5, -0.25], [1.5, -2.0]]
+
     def test_zero_frame_class_zero(self, rng):
         _, _, X, qm, _ = self._quantized_fixture(rng)
         qframe = {k: np.zeros_like(quantize_frame({k: v[0]}, qm.n_bits)[k])
