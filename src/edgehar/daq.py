@@ -1,10 +1,12 @@
 """Deterministic event-driven acquisition simulation.
 
-Sensors sample on exact integer-nanosecond grids in virtual time (never
-wall-clock), so sample counts over whole-period durations are exact and runs
-are bit-reproducible. A start-sync begins every source at the same t = 0
-origin; samples flow through bounded data-level FIFOs into a stream
-controller that emits sliding-window frames. Overflow and underfill are
+There is one acquisition path, sampled synchronously at each sensor's own
+rate. Each Source replays one (timestamps, values) track stamped on an exact
+integer-nanosecond grid in virtual time (never wall-clock), so sample counts
+over whole-period durations are exact and runs are bit-reproducible. A
+start-sync begins every source at the same t = 0 origin; samples flow through
+bounded data-level FIFOs into a stream controller that emits sliding-window
+frames with each sensor's native-rate rows. Overflow and underfill are
 explicit, counted events; no sample is ever silently dropped.
 
 Also hosts the synthetic labeled-activity generator that stands in for a
@@ -12,10 +14,9 @@ real multi-sensor recording rig, and the built-in sensor catalog.
 
 Each concept of the acquisition layer is defined once, here:
 - sample_time_ns is the sample grid: sample m at rate r is stamped
-  floor(m * 1e9 / r), exactly. Sources, gen_dataset, gen_timeline and
-  resample's target grid all stamp with it; count_until, its inverse, counts
-  the stamps before a time and so bounds resample's grid and sizes a
-  timeline.
+  floor(m * 1e9 / r), exactly. gen_dataset and gen_timeline stamp with it,
+  and so the tracks that sources replay; count_until, its inverse, counts
+  the stamps before a time and so sizes a timeline.
 - WindowConfig.timesteps is the rows-per-window rule (window x rate, rounded
   half up). It sets the rows gen_dataset writes, the rows bundle_arrays
   checks, the rows stream_frames emits and the window check at config load,
@@ -46,14 +47,10 @@ __all__ = [
     "SensorFifo",
     "WindowConfig",
     "Source",
-    "SignalSource",
-    "RecordingSource",
     "Session",
     "FIFO_WINDOWS",
     "start_sync",
     "stream_frames",
-    "resample",
-    "jitter_model",
     "Recording",
     "DatasetBundle",
     "gen_dataset",
@@ -202,68 +199,22 @@ class SensorFifo:
 
 
 class Source:
-    """Base sampler: exact nominal grid, optional deterministic interval jitter."""
+    """Replays one (timestamps, values) track: sample k is stamped t_ns[k],
+    and the track ends at its last stamp before duration_s."""
 
-    def __init__(self, spec: SensorSpec, duration_s, jitter_ppm: float = 0.0,
-                 jitter_seed: int = 0):
+    def __init__(self, spec: SensorSpec, t_ns: np.ndarray, values: np.ndarray, duration_s):
         self.spec = spec
+        self.t_track = np.asarray(t_ns)
+        self.v_track = np.asarray(values)
         self.duration_ns = int(_as_frac(duration_s) * NS)
-        self.jitter_ppm = float(jitter_ppm)
-        self.jitter_seed = jitter_seed
         self.started = False
         self._k = 0
-        self._t = 0
-        self._rng = None
-        self._period = Fraction(NS) / spec.rate
 
     def start(self) -> None:
         if self.started:
             raise RuntimeError(f"source {self.spec.name!r} already started")
         self.started = True
         self._k = 0
-        self._t = 0
-        if self.jitter_ppm:
-            self._rng = substream(self.jitter_seed, f"jitter:{self.spec.name}")
-
-    def _advance(self) -> None:
-        self._k += 1
-        if self.jitter_ppm:
-            u = self._rng.uniform(-1.0, 1.0)
-            step = float(self._period) * (1.0 + u * self.jitter_ppm * 1e-6)
-            self._t += max(1, int(round(step)))
-        else:
-            self._t = sample_time_ns(self._k, self.spec.rate)
-
-    def peek_time(self) -> int | None:
-        return self._t if self._t < self.duration_ns else None
-
-    def emit(self) -> tuple[int, np.ndarray]:
-        t, k = self._t, self._k
-        self._advance()
-        return t, self.values(k, t)
-
-    def values(self, k: int, t_ns: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SignalSource(Source):
-    """Samples a deterministic function of (sample index, timestamp)."""
-
-    def __init__(self, spec, duration_s, fn, **kw):
-        super().__init__(spec, duration_s, **kw)
-        self.fn = fn
-
-    def values(self, k, t_ns):
-        return np.asarray(self.fn(k, t_ns), dtype=np.float64).reshape(self.spec.channels)
-
-
-class RecordingSource(Source):
-    """Replays a stored (timestamps, values) track through the live pipeline."""
-
-    def __init__(self, spec, t_ns: np.ndarray, values: np.ndarray, duration_s):
-        super().__init__(spec, duration_s)
-        self.t_track = np.asarray(t_ns)
-        self.v_track = np.asarray(values)
 
     def peek_time(self) -> int | None:
         if self._k >= self.t_track.shape[0]:
@@ -271,7 +222,7 @@ class RecordingSource(Source):
         t = int(self.t_track[self._k])
         return t if t < self.duration_ns else None
 
-    def emit(self):
+    def emit(self) -> tuple[int, np.ndarray]:
         k = self._k
         self._k += 1
         return int(self.t_track[k]), self.v_track[k]
@@ -342,16 +293,12 @@ def start_sync(sources: list[Source],
 class WindowConfig:
     """Sliding window: frame k covers [k*step, k*step + window) seconds.
 
-    Window and step are exact rationals; alignment "native" keeps each
-    sensor's own rate (timesteps(rate) rows per branch), "common"
-    resamples every sensor onto target_hz inside the window.
+    Window and step are exact rationals; each sensor keeps its own rate, so
+    a frame holds timesteps(rate) rows per branch.
     """
 
     window_s: Fraction
     step_s: Fraction
-    mode: str = "native"
-    target_hz: float | None = None
-    method: str = "linear"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "window_s", _as_frac(self.window_s))
@@ -360,10 +307,6 @@ class WindowConfig:
             raise ValueError("window and step must be positive")
         if self.step_s > self.window_s:
             raise ValueError(f"step {self.step_s} s must be <= window {self.window_s} s")
-        if self.mode not in ("native", "common"):
-            raise ValueError(f"unknown alignment mode {self.mode!r}")
-        if self.mode == "common" and not self.target_hz:
-            raise ValueError("common-rate mode needs target_hz")
 
     @property
     def window_ns(self) -> int:
@@ -380,12 +323,6 @@ class WindowConfig:
         if rows < 1:
             raise ValueError(f"window {self.window_s}s too short at {rate_hz} Hz")
         return rows
-
-    @classmethod
-    def for_timesteps(cls, n: int, rate_hz, step_s=None, **kw) -> "WindowConfig":
-        """Window sized to hold exactly n samples of a rate_hz sensor."""
-        w = Fraction(n) / _as_frac(rate_hz)
-        return cls(w, _as_frac(step_s) if step_s is not None else w, **kw)
 
 
 def _fit_rows(name, samples, want, t_emit, session):
@@ -416,8 +353,6 @@ def stream_frames(session: Session, cfg: WindowConfig):
     for name, fifo in session.fifos.items():
         if fifo.depth is None:
             fifo.depth = FIFO_WINDOWS * rows[name]
-    want = (dict.fromkeys(rows, cfg.timesteps(cfg.target_hz)) if cfg.mode == "common"
-            else rows)
     step_ns, window_ns, end_ns = cfg.step_ns, cfg.window_ns, session.duration_ns
     k = 0
     while True:
@@ -428,91 +363,12 @@ def stream_frames(session: Session, cfg: WindowConfig):
         session.run_until(b)
         tensors = {}
         for name, fifo in session.fifos.items():
-            samples = fifo.window(a, b)
-            if cfg.mode == "common":
-                t = np.array([s[0] for s in samples], dtype=np.int64)
-                v = np.stack([s[1] for s in samples])
-                tg, vg = resample(t, v, cfg.target_hz, cfg.method,
-                                  t_min=a, t_max=b - 1, clamp=True)
-                samples = list(zip(tg.tolist(), vg))
-            samples = _fit_rows(name, samples, want[name], b, session)
+            samples = _fit_rows(name, fifo.window(a, b), rows[name], b, session)
             tensors[name] = np.array([s[1] for s in samples])
         yield Frame(tensors, a, b)
         k += 1
         for fifo in session.fifos.values():
             fifo.drop_older_than(k * step_ns)
-
-
-# ---------------------------------------------------------------------------
-# Resampling
-# ---------------------------------------------------------------------------
-
-def resample(
-    t_ns: np.ndarray,
-    values: np.ndarray,
-    target_hz,
-    method: str = "linear",
-    t_min: int | None = None,
-    t_max: int | None = None,
-    clamp: bool = False,
-):
-    """Re-time a sampled stream onto the target rate's sample grid.
-
-    The grid is sample_time_ns at target_hz, anchored at the acquisition
-    origin t = 0. Without clamp,
-    asking for grid points outside [t_ns[0], t_ns[-1]] is an extrapolation
-    error; with clamp, boundary values hold.
-    """
-    if method not in ("nearest", "linear"):
-        raise ValueError(f"unknown resampling method {method!r}")
-    r = _as_frac(target_hz)
-    if r <= 0:
-        raise ValueError("target rate must be positive")
-    t_ns = np.asarray(t_ns, dtype=np.int64)
-    if t_ns.size == 0:
-        raise ValueError("cannot resample an empty stream")
-    values = np.asarray(values, dtype=np.float64)
-    lo = int(t_ns[0]) if t_min is None else t_min
-    hi = int(t_ns[-1]) if t_max is None else t_max
-    ms = np.arange(count_until(lo, r), count_until(hi + 1, r))  # stamps in [lo, hi]
-    if ms.size == 0:
-        raise ValueError("target grid has no points inside the stream span")
-    grid = sample_time_ns(ms, r)
-    if not clamp and (grid[0] < t_ns[0] or grid[-1] > t_ns[-1]):
-        raise ValueError(
-            f"extrapolation: grid spans [{grid[0]}, {grid[-1]}] ns but samples "
-            f"cover [{t_ns[0]}, {t_ns[-1]}] ns"
-        )
-    if method == "nearest":
-        pos = np.searchsorted(t_ns, grid)
-        pos = np.clip(pos, 0, t_ns.size - 1)
-        left = np.clip(pos - 1, 0, t_ns.size - 1)
-        d_right = np.abs(t_ns[pos] - grid)
-        d_left = np.abs(grid - t_ns[left])
-        pick = np.where(d_left <= d_right, left, pos)  # ties take the earlier sample
-        out = values[pick]
-    else:
-        ts = t_ns.astype(np.float64)
-        gs = grid.astype(np.float64)
-        out = np.stack(
-            [np.interp(gs, ts, values[:, c]) for c in range(values.shape[1])], axis=1
-        )
-    return grid.astype(np.int64), out
-
-
-def jitter_model(source: Source, jitter_ppm: float, seed: int = 0) -> Source:
-    """Return a copy of a signal source with bounded deterministic rate jitter."""
-    if jitter_ppm < 0:
-        raise ValueError("jitter_ppm must be >= 0")
-    if not isinstance(source, SignalSource):
-        raise TypeError("jitter applies to signal sources")
-    return SignalSource(
-        source.spec,
-        Fraction(source.duration_ns, NS),
-        source.fn,
-        jitter_ppm=jitter_ppm,
-        jitter_seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +516,7 @@ def gen_timeline(
 
 def recording_sources(rec: Recording, specs: list[SensorSpec]) -> list[Source]:
     return [
-        RecordingSource(s, rec.tracks[s.name][0], rec.tracks[s.name][1],
-                        Fraction(rec.duration_ns, NS))
+        Source(s, rec.tracks[s.name][0], rec.tracks[s.name][1], Fraction(rec.duration_ns, NS))
         for s in specs
     ]
 

@@ -147,8 +147,9 @@ def _mac_stepped(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np
 def _check_input(x: np.ndarray, n_bits: int, where: str) -> int:
     """Reject a layer input outside signed (n_bits + 1)-bit storage; return
     max|x|. One min and one max of the frame data serve both."""
+    fmt = FxFormat(n_bits + 1, n_bits)
     lo, hi = int(x.min(initial=0)), int(x.max(initial=0))
-    if hi > (1 << n_bits) - 1 or lo < -(1 << n_bits):
+    if hi > fmt.max_int or lo < fmt.min_int:
         raise ValueError(f"{where} input: values exceed signed {n_bits + 1}-bit storage")
     return max(-lo, hi)
 

@@ -32,7 +32,6 @@ __all__ = [
     "compute_rescale",
     "quantize_weights",
     "quantize",
-    "quantized_accuracy_ratio",
     "sweep_bits",
     "save_qmodel",
     "load_qmodel",
@@ -275,27 +274,6 @@ def quantize(
 # Accuracy-vs-precision metric
 # ---------------------------------------------------------------------------
 
-def quantized_accuracy_ratio(
-    spec: ModelSpec,
-    params: ModelParams,
-    qmodel: QuantizedModel,
-    test_set: tuple[dict, np.ndarray],
-) -> float:
-    """(integer argmax accuracy) / (FP32 argmax accuracy) on a labeled set."""
-    from .engine import qinfer_batch
-
-    X, y = test_set
-    y = np.asarray(y)
-    if y.size == 0:
-        raise ValueError("test set is empty")
-    fp_pred = np.argmax(forward_batch(spec, params, X), axis=1)
-    fp_acc = float(np.mean(fp_pred == y))
-    if fp_acc == 0.0:
-        raise ValueError("FP32 accuracy is zero; the ratio is undefined")
-    q_pred = qinfer_batch(qmodel, X)
-    return float(np.mean(q_pred == y)) / fp_acc
-
-
 def sweep_bits(
     spec: ModelSpec,
     params: ModelParams,
@@ -303,8 +281,10 @@ def sweep_bits(
     n_range,
     calib_X: dict | None = None,
 ) -> list[tuple[int, float]]:
-    """One (n, quantized_accuracy_ratio) point per precision from one calibration
-    and one FP32 pass; every ratio is nan when FP32 accuracy is zero (undefined)."""
+    """One (n, ratio) point per precision from one calibration and one FP32
+    pass, where ratio = (integer argmax accuracy) / (FP32 argmax accuracy) on
+    the labeled test set; every ratio is nan when FP32 accuracy is zero
+    (undefined)."""
     from .engine import qinfer_batch
 
     n_range = list(n_range)

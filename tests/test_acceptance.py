@@ -18,10 +18,12 @@ from edgehar.daq import (
     NS,
     TABLE_SENSORS,
     SensorSpec,
-    SignalSource,
+    Source,
     WindowConfig,
     bundle_arrays,
+    count_until,
     gen_dataset,
+    sample_time_ns,
     start_sync,
     stream_frames,
 )
@@ -280,24 +282,19 @@ def test_criterion_6_resource_anchors():
 def test_criterion_7_daq_timing_and_conservation():
     # first-frame latency, exact in integer-nanosecond virtual time
     fast = SensorSpec("motion", 2, 119)
-    src = SignalSource(fast, 1, lambda k, t: np.zeros(2))
-    cfg = WindowConfig.for_timesteps(20, 119)
-    f = next(stream_frames(start_sync([src]), cfg))
+    cfg = WindowConfig(Fraction(20, 119), Fraction(20, 119))
+    f = next(stream_frames(start_sync([_zero_source(fast, 1)]), cfg))
     assert f.t_end_ns == (20 * NS) // 119 == 168067226  # 168.07 ms
 
     slow = SensorSpec("slow", 1, 6)
-    src = SignalSource(slow, 4, lambda k, t: np.zeros(1))
-    f = next(stream_frames(start_sync([src]), WindowConfig.for_timesteps(20, 6)))
+    cfg = WindowConfig(Fraction(20, 6), Fraction(20, 6))
+    f = next(stream_frames(start_sync([_zero_source(slow, 4)]), cfg))
     assert f.t_end_ns == (20 * NS) // 6 == 3333333333  # 3333 ms
 
     # ten simulated minutes across the six-sensor catalog, zero tolerance
     t0 = time.time()
     duration = 600
-    sources = [
-        SignalSource(s, duration, (lambda ch: lambda k, t: _cheap(ch, k))(s.channels))
-        for s in TABLE_SENSORS
-    ]
-    sess = start_sync(sources)
+    sess = start_sync([_zero_source(s, duration) for s in TABLE_SENSORS])
     n_frames = 0
     for _ in stream_frames(sess, WindowConfig(1, 1)):
         n_frames += 1
@@ -313,14 +310,11 @@ def test_criterion_7_daq_timing_and_conservation():
             f"conservation exact over 10 min x 6 sensors ({time.time()-t0:.1f}s)")
 
 
-_CHEAP_CACHE: dict = {}
-
-
-def _cheap(channels: int, k: int) -> np.ndarray:
-    buf = _CHEAP_CACHE.get(channels)
-    if buf is None:
-        buf = _CHEAP_CACHE.setdefault(channels, np.zeros(channels))
-    return buf
+def _zero_source(spec: SensorSpec, duration_s: int) -> Source:
+    """A track of zeros on spec's sample grid; its zero-stride values
+    allocate no rows, however long the run."""
+    t = sample_time_ns(np.arange(count_until(duration_s * NS, spec.rate)), spec.rate)
+    return Source(spec, t, np.broadcast_to(0.0, (t.size, spec.channels)), duration_s)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,14 @@ from edgehar.daq import (
     TABLE_SENSORS,
     Recording,
     SensorSpec,
-    SignalSource,
+    Source,
     WindowConfig,
     bundle_arrays,
     gen_dataset,
     gen_timeline,
-    jitter_model,
     load_dataset,
+    count_until,
     recording_sources,
-    resample,
     sample_time_ns,
     save_dataset,
     start_sync,
@@ -29,12 +28,22 @@ from edgehar.daq import (
 import oracles
 
 
+def _stamps(spec, duration_s):
+    """The sample grid of spec over [0, duration_s)."""
+    return sample_time_ns(np.arange(count_until(int(Fraction(duration_s) * NS), spec.rate)),
+                          spec.rate)
+
+
 def _const_source(spec, duration_s, value=0.25):
-    return SignalSource(spec, duration_s, lambda k, t: np.full(spec.channels, value))
+    t = _stamps(spec, duration_s)
+    return Source(spec, t, np.broadcast_to(value, (t.size, spec.channels)), duration_s)
 
 
 def _ramp_source(spec, duration_s):
-    return SignalSource(spec, duration_s, lambda k, t: np.full(spec.channels, float(k)))
+    """Sample k carries the value k on every channel."""
+    t = _stamps(spec, duration_s)
+    ramp = np.arange(t.size, dtype=np.float64)[:, None]
+    return Source(spec, t, np.broadcast_to(ramp, (t.size, spec.channels)), duration_s)
 
 
 class TestCatalog:
@@ -87,7 +96,7 @@ class TestWindowing:
     def test_first_frame_latency_fast_sensor(self):
         # 20 timesteps at 119 Hz: the first frame closes at 20/119 s
         spec = SensorSpec("motion", 2, 119)
-        cfg = WindowConfig.for_timesteps(20, 119)
+        cfg = WindowConfig(Fraction(20, 119), Fraction(20, 119))
         src = _const_source(spec, 1)
         frames = stream_frames(start_sync([src]), cfg)
         f = next(frames)
@@ -96,7 +105,7 @@ class TestWindowing:
 
     def test_first_frame_latency_slow_sensor(self):
         spec = SensorSpec("slow", 1, 6)
-        cfg = WindowConfig.for_timesteps(20, 6)
+        cfg = WindowConfig(Fraction(20, 6), Fraction(20, 6))
         src = _const_source(spec, 4)
         f = next(stream_frames(start_sync([src]), cfg))
         assert f.t_end_ns == (20 * NS) // 6 == 3333333333  # ~3.33 s
@@ -151,78 +160,22 @@ class TestWindowing:
         assert f.occupancy == 5
         assert f.conservation_ok()
 
-    def test_common_rate_mode_resamples_rows(self):
-        fast = _const_source(SensorSpec("f", 1, 100), 3)
-        slow = _const_source(SensorSpec("s", 1, 12), 3)
-        cfg = WindowConfig(1, 1, mode="common", target_hz=6)
-        f = next(stream_frames(start_sync([fast, slow]), cfg))
-        assert f.tensors["f"].shape == (6, 1)
-        assert f.tensors["s"].shape == (6, 1)
-
-
-class TestResample:
-    def test_constant_any_method(self):
-        t = np.arange(0, 10) * (NS // 10)
-        v = np.full((10, 2), 3.3)
-        for method in ("nearest", "linear"):
-            _, out = resample(t, v, 7, method)
-            assert np.allclose(out, 3.3)
-
-    def test_linear_exact_on_ramp(self):
-        t = np.arange(0, 11) * (NS // 10)  # 10 Hz for 1 s
-        v = (t / NS)[:, None]  # x(t) = t
-        grid, out = resample(t, v, 5, "linear")
-        np.testing.assert_allclose(out[:, 0], grid / NS, atol=1e-12)
-
-    def test_nearest_decimation_identity(self):
-        t = np.array([(k * NS) // 12 for k in range(12)], dtype=np.int64)
-        v = np.arange(12, dtype=np.float64)[:, None]
-        grid, out = resample(t, v, 6, "nearest")
-        np.testing.assert_array_equal(out[:, 0], [0, 2, 4, 6, 8, 10])
-
-    def test_extrapolation_rejected(self):
-        t = np.array([NS // 2, NS], dtype=np.int64)  # starts at 0.5 s
-        v = np.zeros((2, 1))
-        with pytest.raises(ValueError, match="extrapolation"):
-            resample(t, v, 4, "linear", t_min=0, t_max=NS)
-
-    def test_grid_point_at_t_max_included(self):
-        # at 3 Hz sample 1 is stamped floor(1e9 / 3) = 333,333,333 = t_max
-        t = np.array([0, 400_000_000], dtype=np.int64)
-        grid, _ = resample(t, np.zeros((2, 1)), 3, t_min=0, t_max=333_333_333,
-                           clamp=True)
-        assert grid.tolist() == [0, 333_333_333]
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            resample(np.array([0]), np.zeros((1, 1)), 5, "cubic")
-
-
-class TestJitter:
-    def test_zero_jitter_exact_intervals(self):
-        spec = SensorSpec("a", 1, 119)
-        src = _const_source(spec, 1)
-        src.start()
-        times = [src.emit()[0] for _ in range(50)]
-        assert times == [(k * NS) // 119 for k in range(50)]
-
-    def test_bounded_drift_sample_count(self):
-        spec = SensorSpec("a", 1, 119)
-        src = jitter_model(_const_source(spec, 60), 100, seed=5)
-        sess = start_sync([src], fifo_depth={"a": 10**6})
-        sess.run_until(60 * NS)
-        assert abs(sess.fifos["a"].produced - 7140) <= 1
-
-    def test_frames_keep_shape_under_jitter(self):
-        spec = SensorSpec("a", 2, 50)
-        src = jitter_model(_const_source(spec, 5), 200, seed=9)
-        cfg = WindowConfig(1, 1)
-        for f in stream_frames(start_sync([src]), cfg):
-            assert f.tensors["a"].shape == (50, 2)
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            jitter_model(_const_source(SensorSpec("a", 1, 10), 1), -1)
+    def test_native_rates_fit_rows_under_and_overfill(self):
+        # 1 s windows hold 6 rows at 6.4 Hz (6.4 rounds down) and 7 at 6.6 Hz
+        # (6.6 rounds up), but a window sees 6 or 7 samples of either rate
+        o, u = SensorSpec("o", 1, 6.4), SensorSpec("u", 1, 6.6)
+        sess = start_sync([_ramp_source(o, 4), _ramp_source(u, 4)])
+        frames = list(stream_frames(sess, WindowConfig(1, Fraction(1, 2))))
+        assert len(frames) == 7
+        for f in frames:
+            assert f.tensors["o"].shape == (6, 1) and f.tensors["u"].shape == (7, 1)
+        # overfill keeps the latest 6 of 7 samples
+        assert frames[0].tensors["o"][:, 0].tolist() == [1, 2, 3, 4, 5, 6]
+        # underfill holds the last of 6 samples
+        assert frames[1].tensors["u"][:, 0].tolist() == [4, 5, 6, 7, 8, 9, 9]
+        assert sess.overfill_events == [("o", NS), ("o", 3 * NS), ("o", 7 * NS // 2)]
+        assert sess.underfill_events == [("u", 3 * NS // 2), ("u", 3 * NS)]
+        assert all(type(t) is int for _, t in sess.overfill_events + sess.underfill_events)
 
 
 class TestGenDataset:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from edgehar.quantize import (
     load_qmodel,
     quantize,
     quantize_weights,
-    quantized_accuracy_ratio,
     save_qmodel,
     sweep_bits,
 )
@@ -271,9 +272,8 @@ class TestAccuracyRatio:
     def test_identical_model_ratio_one(self, rng):
         spec, params, X = _fixture_model(rng)
         y = np.argmax(forward_batch(spec, params, X), axis=1)  # labels = fp32 preds
-        stats = calibrate(spec, params, X)
-        qm = quantize(spec, params, stats, 15)
-        assert quantized_accuracy_ratio(spec, params, qm, (X, y)) == pytest.approx(1.0)
+        [(n, ratio)] = sweep_bits(spec, params, (X, y), [15], calib_X=X)
+        assert n == 15 and ratio == pytest.approx(1.0)
 
     def test_high_precision_preserves_argmax(self, rng):
         spec, params, X = _fixture_model(rng)
@@ -284,21 +284,23 @@ class TestAccuracyRatio:
 
         assert np.mean(qinfer_batch(qm, X) == y) >= 0.995
 
-    def test_zero_fp32_accuracy_rejected(self, rng):
+    def test_zero_fp32_accuracy_gives_nan(self, rng):
         spec, params, X = _fixture_model(rng)
         pred = np.argmax(forward_batch(spec, params, X), axis=1)
         wrong = (pred + 1) % spec.classes
-        stats = calibrate(spec, params, X)
-        qm = quantize(spec, params, stats, 10)
-        with pytest.raises(ValueError, match="zero"):
-            quantized_accuracy_ratio(spec, params, qm, (X, wrong))
+        curve = sweep_bits(spec, params, (X, wrong), [4, 10, 15], calib_X=X)
+        assert [n for n, _ in curve] == [4, 10, 15]
+        assert all(math.isnan(r) for _, r in curve)
 
     def test_sweep_singleton_matches_direct(self, rng):
         spec, params, X = _fixture_model(rng)
         y = np.argmax(forward_batch(spec, params, X), axis=1)
+        from edgehar.engine import qinfer_batch
+
         stats = calibrate(spec, params, X)
         qm = quantize(spec, params, stats, 10)
-        direct = quantized_accuracy_ratio(spec, params, qm, (X, y))
+        fp_acc = np.mean(np.argmax(forward_batch(spec, params, X), axis=1) == y)
+        direct = float(np.mean(qinfer_batch(qm, X) == y)) / float(fp_acc)
         curve = sweep_bits(spec, params, (X, y), [10], calib_X=X)
         assert curve == [(10, direct)]
 
