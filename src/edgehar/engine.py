@@ -5,40 +5,40 @@ Numerics: every layer computes the exact integer MAC of the stepped hardware
 schedule (input channels advance sequentially; the kernel taps of one channel
 are summed as a parallel adder tree within the step), then requantizes in the
 accumulator's own buffer: one multiply, one rounding right-shift and two
-clips, the lower of which is the folded ReLU when it sits at 0. The MAC
-takes one of two paths with bit-identical results. When taps x max|x| x max|w|
-is below both 2^(acc_width-1) and 2^53, that product bounds every partial sum
-in every order, so no partial sum can leave the register and every float64
-product and sum is an exact integer: one float64 GEMM (the FP model's im2col
-conv kernel for conv layers) followed by rint is the exact accumulator.
-Otherwise the stepped schedule runs in int64 and checks every partial sum
-against the register; it is the only path that can raise
-AccumulatorOverflowError, and it raises exactly where the register would wrap.
-Kernel or global max-pooling is a comparator pass over the requantized
-stream, so it commutes with the monotone requantization.
+clips, the lower of which is the folded ReLU when it sits at 0. Kernel or
+global max-pooling is a comparator pass over the requantized stream, so it
+commutes with the monotone requantization.
+
+One MAC path runs every layer, and its range is proven when the model is
+built, not per frame. Every layer input lies in signed (n + 1)-bit storage:
+_q_forward checks the model input, and requantize saturates every later one.
+So taps x 2^n x max|w| bounds every partial sum of a layer in every order.
+QuantizedModel records that bound per layer and rejects a model where one
+reaches 2^(acc_width - 1) or 2^53, so no partial sum can leave the register
+and every float64 product and sum is an exact integer: one float64 GEMM
+over cast-copied im2col columns, converted straight to int64, is the exact
+accumulator.
 
 Work per layer is split by what it depends on. Everything about the weights
-is done once, when a QLayer is built: its read-only int64 weights, their
-min/max (the weight storage check and max|w|), its taps and its float64
-copy for the GEMM; a QuantizedModel checks every layer's weight storage and
-fixes acc_width when it is built. A call then pays only for its frames: one
-min and one max of the input give the input storage check and max|x|, then
-the MAC and the requantization. The cycle report depends only on the spec,
-the rows and the schedule, so qinfer makes it once per stream and its frames
-share it.
+and the model is done once, at build: a QLayer's read-only int64 weights,
+their range, taps and float64 copy; a QuantizedModel's weight storage check,
+acc_width, storage format and per-layer bounds. A call then pays only for
+its frames: one min and one max of each branch input, then per layer the
+column copy, the GEMM and the requantization, with no scan and no format
+built. The cycle report depends only on the spec, the rows and the
+schedule, so qinfer makes it once per model and its frames share it.
 
 One path runs every frame: _q_forward takes a lead frame axis, and each
 layer runs once over all the frames it is given. qinfer is a batch of one,
 as simulate streams frames in. qinfer_batch runs a whole set through it in
 chunks whose widest layer output is at most _BATCH_BYTES, so its memory
-stays flat in the batch size; the exact-GEMM bound takes max|x| over the
-chunk, which bounds every frame in it, and one frame that needs the stepped
-schedule sends its chunk there.
+stays flat in the batch size.
 
 Nothing here restates the model or the arithmetic: rounding, saturation,
-the register range and the multiply-shift requantization are fxp's; the
-branch input layout, the im2col patches, the pooling windows and the shape
-walk (which the cycle and resource models count) are the FP model's.
+the storage format and the multiply-shift requantization are fxp's; the
+branch input layout, the im2col patches and their block size, the pooling
+windows and the shape walk (which the cycle and resource models count) are
+the FP model's.
 
 Timing: serial schedules run feature branches one after another, parallel
 schedules run them concurrently; both produce bit-identical values and
@@ -47,15 +47,14 @@ differ only in the cycle composition (sum versus max).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fxp import AccumulatorOverflowError, FxFormat, fits, requantize, round_nearest
+from .fxp import requantize, round_nearest, storage_format
 from .model import (
-    BranchSpec, Frame, ModelSpec, _branch_input, _conv_batch, _head, _patch_view,
+    BranchSpec, Frame, ModelSpec, _block_rows, _branch_input, _head, _patch_view,
     _pool_windows,
 )
 from .quantize import QLayer, QuantizedModel
@@ -93,7 +92,7 @@ def quantize_frame(frame: Frame | dict, n_bits: int) -> dict[str, np.ndarray]:
     """Map normalized [-1, 1] tensors onto the integer grid round(x * 2^n) in
     signed (n + 1)-bit storage, rounding one scaled float64 copy in place."""
     tensors = frame.tensors if isinstance(frame, Frame) else frame
-    fmt = FxFormat(n_bits + 1, n_bits)
+    fmt = storage_format(n_bits)
     out = {}
     for name, x in tensors.items():
         try:
@@ -103,127 +102,100 @@ def quantize_frame(frame: Frame | dict, n_bits: int) -> dict[str, np.ndarray]:
     return out
 
 
-def _check_partial_sums(cum: np.ndarray, acc_width: int, where: str) -> None:
-    if not fits(cum, acc_width):
-        raise AccumulatorOverflowError(
-            f"{where}: MAC partial sum exceeds the {acc_width}-bit accumulator"
-        )
-
-
-def _mac(x: np.ndarray, q: QLayer, x_max: int, acc_width: int, where: str) -> np.ndarray:
+def _mac(x: np.ndarray, q: QLayer) -> np.ndarray:
     """Exact integer MAC of x against q's weights: dense x (*lead, C) with w
     (C, F); conv x (*lead, L, C) or (*lead, T, H, W, C) with w (K, C, F) or
-    (K, K, C, F), valid padding. x_max bounds |x|.
+    (K, K, C, F), valid padding.
 
-    One float64 GEMM when the bound in the module docstring proves it exact,
-    else the stepped schedule.
+    x must lie in the model's storage format, so the layer's proven bound
+    keeps every float64 product and sum an exact integer: the float64 GEMM
+    converts straight to int64. Conv columns are cast-copied from the im2col
+    view of x one _block_rows block at a time, so no float64 copy of the
+    whole input or its patches exists; an input that fits in one block is
+    one GEMM.
     """
-    if q.taps * x_max * max(-q.w_min, q.w_max) >= 1 << min(acc_width - 1, 53):
-        return _mac_stepped(x, q.w_int, acc_width, where)
-    xf = x.astype(np.float64)
-    acc = xf @ q.w_float if q.w_int.ndim == 2 else _conv_batch(xf, q.w_float)
-    return np.rint(acc, out=acc).astype(np.int64)
-
-
-def _mac_stepped(x: np.ndarray, w: np.ndarray, acc_width: int, where: str) -> np.ndarray:
-    """The hardware MAC order: one input channel (dense: one input feature)
-    per step, its kernel taps summed as one adder-tree step, and every partial
-    sum checked against the register."""
-    nd = w.ndim - 2
-    c, f = w.shape[-2], w.shape[-1]
-    if nd == 0:
-        cols, w3, out_shape = x.reshape(-1, c, 1), w[:, None, :], (*x.shape[:-1], f)
-    else:
-        k = w.shape[0]
-        patches = _patch_view(x, k, nd)
-        cols = patches.reshape(-1, k**nd, c).swapaxes(1, 2)
-        w3 = w.reshape(-1, c, f).swapaxes(0, 1)
-        out_shape = (*x.shape[: -nd - 1], *patches.shape[1 : nd + 1], f)
-    cum = np.cumsum(np.einsum("pct,ctf->pcf", cols, w3), axis=1)
-    _check_partial_sums(cum, acc_width, where)
-    return cum[:, -1, :].reshape(out_shape)
-
-
-def _check_input(x: np.ndarray, n_bits: int, where: str) -> int:
-    """Reject a layer input outside signed (n_bits + 1)-bit storage; return
-    max|x|. One min and one max of the frame data serve both."""
-    fmt = FxFormat(n_bits + 1, n_bits)
-    lo, hi = int(x.min(initial=0)), int(x.max(initial=0))
-    if hi > fmt.max_int or lo < fmt.min_int:
-        raise ValueError(f"{where} input: values exceed signed {n_bits + 1}-bit storage")
-    return max(-lo, hi)
+    if q.w_int.ndim == 2:
+        return (x @ q.w_float).astype(np.int64)
+    nd = q.w_int.ndim - 2
+    patches = _patch_view(x, q.w_int.shape[0], nd)
+    n, out_sp, f = patches.shape[0], patches.shape[1 : nd + 1], q.w_int.shape[-1]
+    wmat = q.w_float.reshape(q.taps, f)
+    step = _block_rows(patches)
+    cols = np.empty((min(step, n), *patches.shape[1:]), dtype=np.float64)
+    acc = np.empty((n, *out_sp, f), dtype=np.int64)
+    for s in range(0, n, step):
+        block = cols[: min(step, n - s)]
+        np.copyto(block, patches[s : s + step])
+        acc[s : s + step] = (block.reshape(-1, q.taps) @ wmat).reshape(-1, *out_sp, f)
+    return acc.reshape(*x.shape[: -nd - 1], *out_sp, f)
 
 
 def qconv_layer(
     x: np.ndarray,
     qlayer: QLayer,
     n_bits: int,
-    acc_width: int = 32,
     pool: int | None = None,
     where: str = "conv",
 ) -> np.ndarray:
-    """Stepped integer convolution with folded requantization/ReLU and an
-    optional kernel max-pool of size pool.
+    """Integer convolution with folded requantization/ReLU and an optional
+    kernel max-pool of size pool.
 
     1D input is (L, C); 2D input is (T, H, W, C); either may carry lead frame
-    axes in front.
+    axes in front. The input must lie in signed (n_bits + 1)-bit storage, as
+    every input inside a QuantizedModel does; it is not scanned.
     """
-    x_max = _check_input(x, n_bits, where)
     qlayer.check_storage(n_bits, where)
     nd = qlayer.w_int.ndim - 2
     k = qlayer.w_int.shape[0]
     grid = x.shape[-nd - 1 : -1]
     if min(grid) < k:
         raise ValueError(f"{where}: input {grid} < kernel {k}")
-    acc = _mac(x, qlayer, x_max, acc_width, where)
-    out = requantize(acc, qlayer.mult, qlayer.shift, FxFormat(n_bits + 1, n_bits), qlayer.relu)
+    out = requantize(_mac(x, qlayer), qlayer.mult, qlayer.shift, storage_format(n_bits),
+                     qlayer.relu)
     if pool:
         out = _pool_windows(out, pool, nd).max(axis=-2)
     return out
 
 
-def qdense_layer(
-    x: np.ndarray,
-    qlayer: QLayer,
-    n_bits: int,
-    acc_width: int = 32,
-    where: str = "dense",
-) -> np.ndarray:
-    """Integer dense layer on x (*lead, C_in): sequential MAC over input
-    features, then requantize."""
-    x_max = _check_input(x, n_bits, where)
+def qdense_layer(x: np.ndarray, qlayer: QLayer, n_bits: int, where: str = "dense") -> np.ndarray:
+    """Integer dense layer on x (*lead, C_in), then requantize. The input must
+    lie in signed (n_bits + 1)-bit storage; it is not scanned."""
     qlayer.check_storage(n_bits, where)
     if x.shape[-1] != qlayer.w_int.shape[0]:
         raise ValueError(
             f"{where}: {x.shape[-1]} inputs vs weight rows {qlayer.w_int.shape[0]}"
         )
-    acc = _mac(x, qlayer, x_max, acc_width, where)
-    return requantize(acc, qlayer.mult, qlayer.shift, FxFormat(n_bits + 1, n_bits), qlayer.relu)
+    return requantize(_mac(x, qlayer), qlayer.mult, qlayer.shift, storage_format(n_bits),
+                      qlayer.relu)
 
 
-def _q_branch(
-    spec: ModelSpec, branch: BranchSpec, qlayers: list[QLayer],
-    x: np.ndarray, n_bits: int, acc_width: int,
-) -> np.ndarray:
+def _q_branch(spec: ModelSpec, branch: BranchSpec, qlayers: list[QLayer],
+              x: np.ndarray, n_bits: int) -> np.ndarray:
     """Integer features (N, n) of a branch's quantized frames x (N, rows, C)."""
     h = _branch_input(spec, branch, x)
     for i, q in enumerate(qlayers):
-        h = qconv_layer(h, q, n_bits, acc_width, q.pool, f"branch {branch.name!r} layer {i}")
+        h = qconv_layer(h, q, n_bits, q.pool, where=f"branch {branch.name!r} layer {i}")
     return _head(branch, h)[0]
 
 
-def _q_forward(qm: QuantizedModel, qX: dict, acc_width: int) -> np.ndarray:
+def _q_forward(qm: QuantizedModel, qX: dict) -> np.ndarray:
     """Integer logits (N, classes) of N quantized frames {name: (N, rows, C)},
-    one qconv_layer/qdense_layer call per layer for all of them."""
+    one qconv_layer/qdense_layer call per layer for all of them.
+
+    Each branch's input is checked against the storage format here, once;
+    every later layer input is a saturated requantize output."""
     feats = []
     for branch, qlayers in zip(qm.spec.branches, qm.branches):
         if branch.name not in qX:
             raise ValueError(f"missing quantized tensor for branch {branch.name!r}")
         x = np.asarray(qX[branch.name], dtype=np.int64)
-        feats.append(_q_branch(qm.spec, branch, qlayers, x, qm.n_bits, acc_width))
+        if x.size and (x.min() < qm.fmt.min_int or x.max() > qm.fmt.max_int):
+            raise ValueError(f"branch {branch.name!r} input: values exceed signed "
+                             f"{qm.fmt.n_bits}-bit storage")
+        feats.append(_q_branch(qm.spec, branch, qlayers, x, qm.n_bits))
     fused = np.concatenate(feats, axis=1)
-    hidden = qdense_layer(fused, qm.dense[0], qm.n_bits, acc_width, "dense hidden")
-    return qdense_layer(hidden, qm.dense[1], qm.n_bits, acc_width, "dense output")
+    hidden = qdense_layer(fused, qm.dense[0], qm.n_bits, "dense hidden")
+    return qdense_layer(hidden, qm.dense[1], qm.n_bits, "dense output")
 
 
 def qinfer(
@@ -237,24 +209,20 @@ def qinfer(
 
     Returns the comparator-argmax class (lowest index on ties) and the cycle
     report composed per schedule; the schedule never changes the numerics.
+    The report depends only on the rows of each branch, the schedule, the
+    clock and kappa, so the frames of a stream share one (read-only to its
+    callers), kept in the model's cycle_memo.
     """
     if schedule not in _SCHEDULES:
         raise ValueError(f"schedule must be one of {_SCHEDULES}, got {schedule!r}")
-    logits = _q_forward(qm, {k: np.asarray(v)[None] for k, v in qframe.items()},
-                        qm.acc_width)[0]
-    rows = tuple(np.shape(qframe[b.name])[0] for b in qm.spec.branches)
-    return int(np.argmax(logits)), _frame_cycles(qm, rows, schedule, clock_hz, kappa)
-
-
-@functools.lru_cache(maxsize=16)
-def _frame_cycles(qm: QuantizedModel, rows: tuple[int, ...], schedule: str,
-                  clock_hz: float, kappa: int) -> "CycleReport":
-    """The cycle report of qm on a frame with rows[i] rows for branch i. It
-    depends on nothing else a frame holds, so the frames of a stream share
-    one report (read-only to its callers). qm is immutable and hashes by
-    identity."""
-    return model_cycles(qm.spec, {b.name: r for b, r in zip(qm.spec.branches, rows)},
-                        schedule, clock_hz, kappa)
+    logits = _q_forward(qm, {k: np.asarray(v)[None] for k, v in qframe.items()})[0]
+    key = (tuple(np.shape(qframe[b.name])[0] for b in qm.spec.branches),
+           schedule, clock_hz, kappa)
+    report = qm.cycle_memo.get(key)
+    if report is None:
+        rows = {b.name: r for b, r in zip(qm.spec.branches, key[0])}
+        report = qm.cycle_memo[key] = model_cycles(qm.spec, rows, schedule, clock_hz, kappa)
+    return int(np.argmax(logits)), report
 
 
 def _frame_bytes(spec: ModelSpec, X: dict) -> int:
@@ -264,20 +232,18 @@ def _frame_bytes(spec: ModelSpec, X: dict) -> int:
                                                b.layers)), default=1)
 
 
-def qinfer_batch(qm: QuantizedModel, X: dict, acc_width: int | None = None) -> np.ndarray:
+def qinfer_batch(qm: QuantizedModel, X: dict) -> np.ndarray:
     """Predicted classes for a batch of normalized float inputs {name: (N, ...)}.
 
     The frames run together through _q_forward, in chunks of at most
-    _BATCH_BYTES of the widest layer output. The exact-GEMM bound takes
-    max|x| over the chunk, which bounds every frame in it.
+    _BATCH_BYTES of the widest layer output.
     """
-    width = acc_width if acc_width is not None else qm.acc_width
     n = len(next(iter(X.values())))
     step = max(1, _BATCH_BYTES // _frame_bytes(qm.spec, X))
     preds = np.empty(n, dtype=np.int64)
     for s in range(0, n, step):
         qX = quantize_frame({k: v[s : s + step] for k, v in X.items()}, qm.n_bits)
-        preds[s : s + step] = np.argmax(_q_forward(qm, qX, width), axis=1)
+        preds[s : s + step] = np.argmax(_q_forward(qm, qX), axis=1)
     return preds
 
 

@@ -1,35 +1,30 @@
-"""Fixed-point numeric primitives: rounding, saturation, register range and
-multiply-shift requantization.
+"""Fixed-point numeric primitives: rounding, saturation and multiply-shift
+requantization.
 
 This module is the single definition of the arithmetic semantics: the
 quantizer and the integer engine call these functions instead of restating
-any rule. The one MAC is the engine's (engine._mac), whose register check
-is fits. rounding_rshift and saturate take Python ints, exact at any width;
-round_nearest, fits and requantize also take numpy arrays, and the array
-forms of round_nearest and requantize work in their argument's own buffer.
-Requantization is the integer multiply and rounding right-shift of Jacob et
-al. 2018 (arXiv:1712.05877).
+any rule, and storage_format is the one signed (n + 1)-bit storage format
+of an n-bit model. rounding_rshift and saturate take Python ints, exact at
+any width; round_nearest and requantize also take numpy arrays and work in
+their argument's own buffer. Requantization is the integer multiply and
+rounding right-shift of Jacob et al. 2018 (arXiv:1712.05877).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FxFormat",
-    "AccumulatorOverflowError",
+    "storage_format",
     "round_nearest",
     "rounding_rshift",
     "saturate",
-    "fits",
     "requantize",
 ]
-
-
-class AccumulatorOverflowError(ArithmeticError):
-    """A MAC accumulation exceeded the accumulator register width."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,13 @@ class FxFormat:
     @property
     def max_int(self) -> int:
         return (1 << (self.n_bits - 1)) - 1
+
+
+@functools.cache
+def storage_format(n_bits: int) -> FxFormat:
+    """Signed (n_bits + 1)-bit storage with n_bits fractional bits: the format
+    of every activation of an n_bits model. Made once per width."""
+    return FxFormat(n_bits + 1, n_bits)
 
 
 def round_nearest(x, fmt: FxFormat | None = None):
@@ -98,15 +100,6 @@ def rounding_rshift(v: int, shift: int) -> int:
 def saturate(v: int, fmt: FxFormat) -> int:
     """Clamp v into the signed n_bits range of fmt."""
     return min(max(int(v), fmt.min_int), fmt.max_int)
-
-
-def fits(v, width: int) -> bool:
-    """Whether v (an int, or every element of an integer array) fits a signed
-    width-bit register. Bounds compare as Python ints, exact at any width."""
-    lim = 1 << (width - 1)
-    if isinstance(v, np.ndarray):
-        return v.size == 0 or (-lim <= int(v.min()) and int(v.max()) <= lim - 1)
-    return -lim <= v <= lim - 1
 
 
 def requantize(acc, mult: int, shift: int, fmt: FxFormat, relu: bool = False):

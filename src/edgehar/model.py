@@ -11,9 +11,9 @@ Each concept of the network is defined once, here:
 - _walk is the network. forward_batch runs it; training's backward pass and
   the quantizer's calibration run it with an observer that keeps what they
   need of each layer (activations and pool indices, or running maxima).
-- _conv_batch is every convolution in the package: a GEMM over _patch_view's
-  im2col patches in fixed-size blocks. Training's backward pass and the
-  engine's exact path call it; the engine's stepped MAC reads the patches.
+- _conv_batch is every FP convolution: a GEMM over _patch_view's im2col
+  patches in _block_rows blocks, which training's backward pass also calls.
+  The engine's integer MAC runs the same patches in the same blocks.
 - _pool_windows is every kernel max-pool, FP and integer alike; _head is the
   branch head (global max-pool or flatten) and _mix the importance mixing.
 - ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .fxp import round_nearest
+from .fxp import FxFormat, round_nearest, storage_format
 from .model import ModelParams, ModelSpec, _walk, forward_batch
 
 __all__ = [
@@ -144,7 +144,14 @@ class QuantizedModel:
     """Integer weights, shared conv rescales, dense scales, and requant pairs.
 
     Building one checks every layer's weight storage and the requantization
-    headroom, and fixes acc_width.
+    headroom, fixes acc_width and the storage format fmt, and proves each
+    layer's accumulator range: every layer input lies in fmt (the engine
+    checks the model input, and requantize saturates every later one), so
+    acc_bounds[where] = taps * 2^n * max|w| bounds every partial sum of the
+    layer in any order. A bound that reaches 2^(acc_width - 1), or 2^53 where
+    float64 stops being exact, is rejected here, naming the layer; the engine
+    then runs every frame without a range check. cycle_memo holds the
+    engine's cycle reports for this model, so they go when it does.
     """
 
     spec: ModelSpec
@@ -155,21 +162,34 @@ class QuantizedModel:
     dense: list[QLayer]
     input_rows: dict[str, int]
     acc_width: int = field(init=False)
+    fmt: FxFormat = field(init=False, repr=False)
+    acc_bounds: dict[str, int] = field(init=False, repr=False)
+    cycle_memo: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for b, ls in zip(self.spec.branches, self.branches):
-            for i, l in enumerate(ls):
-                l.check_storage(self.n_bits, f"branch {b.name!r} layer {i}")
-        for l, where in zip(self.dense, ("dense hidden", "dense output")):
+        layers = [(f"branch {b.name!r} layer {i}", l)
+                  for b, ls in zip(self.spec.branches, self.branches) for i, l in enumerate(ls)]
+        layers += list(zip(("dense hidden", "dense output"), self.dense))
+        for where, l in layers:
             l.check_storage(self.n_bits, where)
         # Accumulator width guaranteed to hold any in-range MAC sequence: 32
         # bits covers the hardware target precision; wider experimental
         # precisions get a correspondingly wider modeled register.
-        worst_taps = max([1] + [math.prod(b.weight_shape(i)[:-1])
-                                for b in self.spec.branches for i in range(3)]
-                         + [l.w_int.shape[0] for l in self.dense])
+        worst_taps = max([1] + [l.taps for _, l in layers])
         acc_width = max(32, 2 * self.n_bits + int(np.ceil(np.log2(worst_taps))) + 2)
-        object.__setattr__(self, "acc_width", acc_width)
+        limit = 1 << min(acc_width - 1, 53)
+        bounds = {}
+        for where, l in layers:
+            bounds[where] = (l.taps << self.n_bits) * max(-l.w_min, l.w_max)
+            if bounds[where] >= limit:
+                raise ValueError(
+                    f"{where}: MAC bound {bounds[where]} reaches 2^{limit.bit_length() - 1}, "
+                    f"beyond the {acc_width}-bit accumulator or exact float64"
+                )
+        derived = {"acc_width": acc_width, "fmt": storage_format(self.n_bits),
+                   "acc_bounds": bounds, "cycle_memo": {}}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         # the engine multiplies int64 accumulators by mult; keep that exact
         worst = max([l.mult for ls in self.branches for l in ls] + [l.mult for l in self.dense])
         if (self.acc_width - 1) + worst.bit_length() > 62:

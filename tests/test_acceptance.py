@@ -116,7 +116,7 @@ def test_criterion_2_integer_oracle_equivalence():
             qframe = quantize_frame({k: v[0] for k, v in X.items()}, n)
         else:
             qm, qframe = random_qmodel(rng, n)
-        got = _q_forward(qm, {k: v[None] for k, v in qframe.items()}, qm.acc_width)[0]
+        got = _q_forward(qm, {k: v[None] for k, v in qframe.items()})[0]
         ref_logits, ref_cls = oracles.qinfer(qm, qframe)
         assert got.tolist() == ref_logits, f"trial {trial}: logits diverge"
         assert int(np.argmax(got)) == ref_cls

@@ -1,17 +1,17 @@
 import dataclasses
-import re
+import gc
+import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from edgehar import engine
+from edgehar import engine, model
 from edgehar.engine import (
     CycleReport,
-    _check_partial_sums,
     _mac,
-    _mac_stepped,
     _q_forward,
     ResourceReport,
     conv_layer_cycles,
@@ -25,8 +25,10 @@ from edgehar.engine import (
     quantize_frame,
     schedule_latency,
 )
-from edgehar.fxp import AccumulatorOverflowError
-from edgehar.model import BranchSpec, ConvSpec, ModelSpec, _head, forward_batch
+from edgehar.daq import CATALOG
+from edgehar.model import (
+    BranchSpec, ConvSpec, ModelSpec, _head, _patch_view, feature_fusion_spec, forward_batch,
+)
 from edgehar.quantize import QLayer, QuantizedModel, calibrate, quantize
 from edgehar.train import init_params
 
@@ -65,26 +67,12 @@ class TestQConvLayer:
         w_int = rng.integers(-(1 << n) // 16, (1 << n) // 16, size=(4, 3, 2),
                              dtype=np.int64)
         q = QLayer(w_int, mult=1 << 15, shift=n + 15)  # exact 1/2^n ratio
-        got = qconv_layer(x_int, q, n, acc_width=48)
+        got = qconv_layer(x_int, q, n)
         x_fp = x_int.astype(np.float64) / 2.0**n
         w_fp = w_int.astype(np.float64) / 2.0**n
         want = np.maximum(_conv_batch(x_fp[None], w_fp)[0], 0)
         err = np.abs(got.astype(np.float64) / 2.0**n - want)
         assert float(err.max()) <= 1.0 / 2.0**n + 1e-12
-
-    def test_overflow_raises(self):
-        n = 10
-        x = np.full((6, 4), (1 << n) - 1, dtype=np.int64)
-        q = QLayer(np.full((3, 4, 1), 1 << n, dtype=np.int64), mult=1, shift=n)
-        with pytest.raises(AccumulatorOverflowError):
-            qconv_layer(x, q, n, acc_width=24)
-
-    def test_storage_validation(self):
-        n = 8
-        x = np.full((5, 1), 5000, dtype=np.int64)  # exceeds 9-bit storage
-        q = QLayer(np.ones((1, 1, 1), dtype=np.int64), mult=1, shift=0)
-        with pytest.raises(ValueError, match="storage"):
-            qconv_layer(x, q, n)
 
     def test_bare_layer_weight_storage_validation(self):
         n = 8
@@ -121,6 +109,54 @@ class TestQLayerConstants:
                            qm.branches, [qm.dense[0], bad], qm.input_rows)
 
 
+def _layers(qm):
+    """(name, layer) for every layer of qm, in walk order."""
+    named = [(f"branch {b.name!r} layer {i}", l)
+             for b, ls in zip(qm.spec.branches, qm.branches) for i, l in enumerate(ls)]
+    return named + [("dense hidden", qm.dense[0]), ("dense output", qm.dense[1])]
+
+
+def _unit_model(n, dense_out):
+    """A one-branch model of unit 2-tap kernels whose output layer is dense_out."""
+    spec = ModelSpec((BranchSpec("s", 1, (ConvSpec(1, 2),) * 3),), hidden=2, classes=2)
+    conv = [QLayer(np.ones((2, 1, 1), dtype=np.int64), 1, n) for _ in range(3)]
+    dense = [QLayer(np.ones((1, 2), dtype=np.int64), 1, n), dense_out]
+    return QuantizedModel(spec, n, [1.0] * 3, [(1.0, 1.0)] * 2, [conv], dense, {"s": 12})
+
+
+class TestAccBound:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_recorded_bounds_are_static_and_below_the_register(self, seed, n):
+        qm, _ = random_qmodel(np.random.default_rng(seed), n)
+        layers = _layers(qm)
+        assert list(qm.acc_bounds) == [where for where, _ in layers]
+        for where, l in layers:
+            taps = l.w_int.size // l.w_int.shape[-1]
+            bound = taps * 2**n * int(np.abs(l.w_int).max())
+            assert qm.acc_bounds[where] == bound
+            assert bound < 2 ** (qm.acc_width - 2)
+
+    @pytest.mark.parametrize("taps,raises", [(1 << 23, True), ((1 << 23) - 1, False)])
+    def test_build_rejects_a_bound_at_the_float64_limit(self, taps, raises):
+        # at n = 15 and |w| = 2^15, 2^23 taps put the bound at exactly 2^53,
+        # where float64 stops being exact (acc_width is 55 there). The layer
+        # reports the taps without holding them.
+        n = 15
+        out = QLayer(np.full((2, 2), 1 << n, dtype=np.int64), 1, n, relu=False)
+        object.__setattr__(out, "taps", taps)
+        if raises:
+            with pytest.raises(ValueError,
+                               match=r"^dense output: MAC bound 9007199254740992 reaches 2\^53"):
+                _unit_model(n, out)
+        else:
+            qm = _unit_model(n, out)
+            assert qm.acc_width == 55
+            assert qm.acc_bounds["dense output"] == 2**53 - 2**30
+
+
+
+
 def _mac_case(data, n):
     """Draw a dense, 1D or 2D integer MAC case at n fractional bits, either
     random or at the extreme corner of signed (n+1)-bit storage."""
@@ -145,63 +181,56 @@ def _mac_case(data, n):
     return kind, x, rng.integers(-lim, lim + 1, size=w_shape, dtype=np.int64)
 
 
+def _stepped(x, w):
+    """The hardware MAC order in exact int64: one input channel (dense: one
+    input feature) per step, its kernel taps summed as one adder-tree step;
+    returns the last partial sum."""
+    nd = w.ndim - 2
+    c, f = w.shape[-2], w.shape[-1]
+    if nd == 0:
+        cols, w3, out_shape = x.reshape(-1, c, 1), w[:, None, :], (*x.shape[:-1], f)
+    else:
+        patches = _patch_view(x, w.shape[0], nd)
+        cols = patches.reshape(-1, w.shape[0] ** nd, c).swapaxes(1, 2)
+        w3 = w.reshape(-1, c, f).swapaxes(0, 1)
+        out_shape = (*x.shape[: -nd - 1], *patches.shape[1 : nd + 1], f)
+    cum = np.cumsum(np.einsum("pct,ctf->pcf", cols, w3), axis=1)
+    return cum[:, -1, :].reshape(out_shape)
+
+
 class TestMacPaths:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_gemm_path_equals_stepped_path(self, data):
         n = data.draw(st.integers(2, 15))
         _, x, w = _mac_case(data, n)
-        assert w.size // w.shape[-1] << (2 * n) < 1 << 53  # _mac takes the GEMM path
-        got = _mac(x, QLayer(w, mult=1, shift=0), int(np.abs(x).max()), 64, "t")
+        assert w.size // w.shape[-1] << (2 * n) < 1 << 53  # the bound a model proves
+        got = _mac(x, QLayer(w, mult=1, shift=0))
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, _mac_stepped(x, w, 64, "t"))
+        np.testing.assert_array_equal(got, _stepped(x, w))
 
+    @pytest.mark.filterwarnings("error")
     @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_narrow_register_raises_where_oracle_raises(self, data):
+    @settings(max_examples=100, deadline=None)
+    def test_layers_match_oracle_at_the_model_width(self, data):
+        # storage corners and random draws up to n = 15, through the full
+        # multiply-shift with mults up to the model's headroom rule
         n = data.draw(st.integers(2, 15))
         kind, x, w = _mac_case(data, n)
-        need = (w.size // w.shape[-1] << (2 * n)).bit_length() + 1
-        width = data.draw(st.integers(max(n + 2, 2 * n - 2), need + 1))
-        q = QLayer(w, mult=3, shift=n, relu=False)
+        taps = w.size // w.shape[-1]
+        width = max(32, 2 * n + (taps - 1).bit_length() + 2)  # QuantizedModel's rule
+        mult = data.draw(st.integers(1, (1 << (63 - width)) - 1))
+        shift = data.draw(st.integers(0, n + 16))
+        relu = data.draw(st.booleans())
+        q = QLayer(w, mult, shift, relu)
         if kind == "dense":
-            run = lambda: qdense_layer(x, q, n, acc_width=width)
-            ref = lambda: oracles.dense(x.tolist(), w.tolist(), 3, n, n, width, False)
+            got = qdense_layer(x, q, n)
+            want = oracles.dense(x.tolist(), w.tolist(), mult, shift, n, width, relu)
         else:
-            run = lambda: qconv_layer(x, q, n, acc_width=width)
+            got = qconv_layer(x, q, n)
             conv = oracles.conv1d if kind == "1d" else oracles.conv2d
-            ref = lambda: conv(x.tolist(), w.tolist(), 3, n, n, width, relu=False)
-        try:
-            want = ref()
-        except oracles.OracleOverflow:
-            with pytest.raises(AccumulatorOverflowError):
-                run()
-        else:
-            assert run().tolist() == want
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("width", [64, 65])
-    def test_wide_registers_match_oracle(self, rng, width):
-        n = 8
-        x = rng.integers(-(1 << n), 1 << n, size=(3, 2), dtype=np.int64)
-        w = rng.integers(-(1 << n), (1 << n) + 1, size=(2, 2, 3), dtype=np.int64)
-        q = QLayer(w, mult=5, shift=n, relu=False)
-        assert qconv_layer(x, q, n, acc_width=width).tolist() == oracles.conv1d(
-            x.tolist(), w.tolist(), 5, n, n, width, relu=False)
-        qd = QLayer(w[0], mult=5, shift=n, relu=False)
-        assert qdense_layer(x[0], qd, n, acc_width=width).tolist() == oracles.dense(
-            x[0].tolist(), w[0].tolist(), 5, n, n, width, False)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("width,raises", [(63, True), (64, False), (65, False)])
-    def test_partial_sum_check_at_int64_limits(self, width, raises):
-        info = np.iinfo(np.int64)
-        cum = np.array([info.min, info.max], dtype=np.int64)
-        if raises:
-            with pytest.raises(AccumulatorOverflowError):
-                _check_partial_sums(cum, width, "t")
-        else:
-            _check_partial_sums(cum, width, "t")
+            want = conv(x.tolist(), w.tolist(), mult, shift, n, width, relu=relu)
+        assert got.tolist() == want
 
 
 class TestQDenseLayer:
@@ -223,8 +252,8 @@ class TestQDenseLayer:
         x = rng.integers(-(1 << n), 1 << n, size=8, dtype=np.int64)
         w = rng.integers(-(1 << n) + 1, 1 << n, size=(8, 5), dtype=np.int64)
         q = QLayer(w, mult=77, shift=n + 4, relu=True)
-        got = qdense_layer(x, q, n, acc_width=40)
-        ref = oracles.dense(x.tolist(), w.tolist(), 77, n + 4, n, 40, True)
+        got = qdense_layer(x, q, n)
+        ref = oracles.dense(x.tolist(), w.tolist(), 77, n + 4, n, 32, True)
         assert got.tolist() == ref
 
     def test_shape_mismatch(self):
@@ -283,31 +312,25 @@ class TestQInfer:
         for _ in range(30):
             n = int(rng.integers(4, 15))
             qm, qframe = random_qmodel(rng, n)
-            got = _q_forward(qm, _one(qframe), qm.acc_width)[0]
+            got = _q_forward(qm, _one(qframe))[0]
             ref, ref_cls = oracles.qinfer(qm, qframe)
             assert got.tolist() == ref
             cls, _ = qinfer(qm, qframe)
             assert cls == ref_cls
 
-    def test_overflow_equivalence_narrow_width(self, rng):
-        hits = 0
-        for _ in range(10):
-            qm, qframe = random_qmodel(rng, 12)
-            width = 14
-            eng = ora = False
-            try:
-                got = _q_forward(qm, _one(qframe), width)[0]
-            except AccumulatorOverflowError:
-                eng = True
-            try:
-                ref, _ = oracles.qinfer(qm, qframe, acc_width=width)
-            except oracles.OracleOverflow:
-                ora = True
-            assert eng == ora
-            hits += eng
-            if not eng:
-                assert got.tolist() == ref
-        assert hits > 0  # the narrow register actually bit
+    def test_storage_validation(self, rng):
+        # the model input is checked once per call, naming its branch; every
+        # later layer input is a saturated requantize output
+        qm, qframe = random_qmodel(rng, 8)
+        name = qm.spec.branches[-1].name
+        for bad in (1 << 8, -(1 << 8) - 1):
+            frame = {k: v.copy() for k, v in qframe.items()}
+            frame[name][-1, 0] = bad
+            with pytest.raises(ValueError, match=f"^branch '{name}' input: values exceed "
+                                                 "signed 9-bit storage"):
+                qinfer(qm, frame)
+        limits = {k: np.where(v < 0, -(1 << 8), (1 << 8) - 1) for k, v in qframe.items()}
+        assert qinfer(qm, limits)[0] == oracles.qinfer(qm, limits)[1]
 
     def test_stream_shares_one_cycle_report(self, rng):
         qm, qframe = random_qmodel(rng, 10)
@@ -320,34 +343,24 @@ class TestQInfer:
         assert reports[0] is reports[1] is reports[2]
         assert reports[0].to_dict() == model_cycles(qm.spec, rows, "parallel", 50e6, 2).to_dict()
 
+    def test_model_and_its_cycle_reports_freed_after_del(self, rng):
+        qm, qframe = random_qmodel(rng, 10)
+        report = weakref.ref(qinfer(qm, qframe)[1])
+        model = weakref.ref(qm)
+        del qm
+        gc.collect()
+        assert model() is None and report() is None
+
     def test_unknown_schedule_rejected(self, rng):
         _, _, _, qm, qframe = self._quantized_fixture(rng)
         with pytest.raises(ValueError):
             qinfer(qm, qframe, schedule="warp")
 
 
-_WALK_ORDER = re.compile(r"(branch '[^']+' layer \d|dense hidden|dense output):")
-
-
-def _per_frame(qm, qX, width, stepped=None):
-    """Per-frame logits of a batch through the one-frame path, or the
-    AccumulatorOverflowError message of a frame that overflows. stepped, if
-    given, collects the indices of the frames that took the stepped path."""
-    out = []
-    for i in range(len(next(iter(qX.values())))):
-        with mock.patch.object(engine, "_mac_stepped", wraps=_mac_stepped) as spy:
-            try:
-                out.append(_q_forward(qm, {k: v[i : i + 1] for k, v in qX.items()}, width)[0])
-            except AccumulatorOverflowError as ex:
-                out.append(str(ex))
-        if spy.called and stepped is not None:
-            stepped.append(i)
-    return out
-
-
-def _walk_index(qm, msg):
-    wheres = [f"branch {b.name!r} layer {i}" for b in qm.spec.branches for i in range(3)]
-    return (wheres + ["dense hidden", "dense output"]).index(_WALK_ORDER.match(msg)[1])
+def _per_frame(qm, qX):
+    """Per-frame logits of a batch through the one-frame path."""
+    return [_q_forward(qm, {k: v[i : i + 1] for k, v in qX.items()})[0]
+            for i in range(len(next(iter(qX.values()))))]
 
 
 class TestBatchedPath:
@@ -358,88 +371,48 @@ class TestBatchedPath:
         n = data.draw(st.integers(3, 15))
         qm, _ = random_qmodel(rng, n)
         frames = data.draw(st.integers(1, 4))
-        spike = data.draw(st.integers(-1, frames - 1))
-        if data.draw(st.booleans()):
-            # a spike batch: tiny frames and one with a lone element at the
-            # storage limit, through conv layers that scale by 2^-n, at widths
-            # near the spike's bound taps * 2^2n. The spike's bound alone can
-            # force the stepped path while its partial sums still fit.
-            qm = dataclasses.replace(qm, branches=[
-                [dataclasses.replace(l, mult=1 << 15, shift=n + 15) for l in ls]
-                for ls in qm.branches])
-            m, lone = 1, True
-            width = data.draw(st.integers(2 * n, 2 * n + 4))
-        else:
-            m = data.draw(st.sampled_from([1, 1 << (n // 2), 1 << n]))
-            lone = False
-            width = data.draw(st.one_of(st.none(), st.integers(n + 2, qm.acc_width)))
+        spike = data.draw(st.integers(-1, frames - 1))  # one frame at full storage scale
+        m = data.draw(st.sampled_from([1, 1 << (n // 2), 1 << n]))
         chunk = data.draw(st.sampled_from([1, 1 << 18]))  # one frame or all per chunk
+        block = data.draw(st.sampled_from([1, 1 << 20]))  # one im2col lead row or all per block
         qX = {}
         for b in qm.spec.branches:
             x = rng.integers(-m, m, size=(frames, qm.input_rows[b.name], b.channels))
-            if spike >= 0 and lone:
-                x[spike] = 0
-                x[spike].flat[rng.integers(x[spike].size)] = -(1 << n)
-            elif spike >= 0:
+            if spike >= 0:
                 x[spike] = rng.integers(-(1 << n), 1 << n, size=x.shape[1:])
             qX[b.name] = x
         X = {k: v / 2.0**n for k, v in qX.items()}  # quantize_frame gives qX back exactly
-        stepped = []
-        per_frame = _per_frame(qm, qX, width or qm.acc_width, stepped)
-        if frames > 1 and stepped == [spike]:
-            event("one frame forces the stepped path")
-        failed = [i for i, r in enumerate(per_frame) if isinstance(r, str)]
-        oracle = []
-        for i in range(frames):
-            try:
-                oracle.append(oracles.qinfer(qm, {k: v[i] for k, v in qX.items()}, width)[0])
-            except oracles.OracleOverflow:
-                oracle.append(None)
-        assert [o is None for o in oracle] == [isinstance(r, str) for r in per_frame]
-        with mock.patch.object(engine, "_BATCH_BYTES", chunk):
-            if failed:
-                event("narrow register raises")
-                # chunks run in frame order, and within a chunk every frame runs
-                # a layer before any runs the next: the batch raises in the
-                # first failing chunk, at the first layer in walk order that
-                # any of its frames fails
-                c = max(1, chunk // engine._frame_bytes(qm.spec, X))
-                in_chunk = [per_frame[i] for i in failed if i // c == failed[0] // c]
-                first = min(in_chunk, key=lambda msg: _walk_index(qm, msg))
-                with pytest.raises(AccumulatorOverflowError) as ex:
-                    qinfer_batch(qm, X, width)
-                assert str(ex.value) == first
-                return
-            preds = qinfer_batch(qm, X, width)
-        logits = _q_forward(qm, qX, width or qm.acc_width)
+        oracle = [oracles.qinfer(qm, {k: v[i] for k, v in qX.items()})[0]
+                  for i in range(frames)]
+        with mock.patch.object(model, "_COL_BLOCK_BYTES", block):
+            per_frame = _per_frame(qm, qX)
+            logits = _q_forward(qm, qX)
+            with mock.patch.object(engine, "_BATCH_BYTES", chunk):
+                preds = qinfer_batch(qm, X)
         assert logits.tolist() == [r.tolist() for r in per_frame] == oracle
         assert preds.tolist() == [int(np.argmax(r)) for r in per_frame]
-        if width is None:
-            assert preds.tolist() == [qinfer(qm, {k: v[i] for k, v in qX.items()})[0]
-                                      for i in range(frames)]
+        assert preds.tolist() == [qinfer(qm, {k: v[i] for k, v in qX.items()})[0]
+                                  for i in range(frames)]
 
-    def test_one_stepped_frame_sends_the_batch_stepped(self):
-        # unit 2-tap kernels: the spike frame's bound 2(2^n - 1) reaches the
-        # (n+1)-bit register while its lone spike sums to 2^n - 1 and fits;
-        # the small frames stay far below it
-        n = 10
-        spec = ModelSpec((BranchSpec("s", 1, (ConvSpec(1, 2),) * 3),), hidden=2, classes=2)
-        conv = [QLayer(np.ones((2, 1, 1), dtype=np.int64), 1 << 13, 15) for _ in range(3)]
-        dense = [QLayer(np.ones((1, 2), dtype=np.int64), 1 << 15, 15),
-                 QLayer(np.array([[1, -1], [1, 1]]), 1 << 15, 15, relu=False)]
-        qm = QuantizedModel(spec, n, [1.0] * 3, [(1.0, 1.0)] * 2, [conv], dense, {"s": 12})
-        qx = np.random.default_rng(0).integers(-3, 4, size=(4, 12, 1))
-        qx[2] = 0
-        qx[2, 5, 0] = (1 << n) - 1
-        stepped = []
-        per_frame = _per_frame(qm, {"s": qx}, n + 1, stepped)
-        assert stepped == [2]  # the spike frame alone
-        with mock.patch.object(engine, "_mac_stepped", wraps=_mac_stepped) as spy:
-            batch = _q_forward(qm, {"s": qx}, n + 1)
-        assert [(len(c.args[0]), c.args[3]) for c in spy.call_args_list] == [
-            (4, "branch 's' layer 0")]  # the whole batch, at the spike's layer only
-        assert batch.tolist() == [r.tolist() for r in per_frame] == [
-            oracles.qinfer(qm, {"s": x}, n + 1)[0] for x in qx]
+    def test_one_rig_frame_peaks_near_forward_batch(self):
+        # a random model of the rig's shape, no dataset: the 768-channel
+        # thermal grid plus five 1D sensors, one 1 s window each
+        sensors = [CATALOG[s] for s in ("optical", "thermal", "baro", "motion", "magnetic", "tof")]
+        spec = feature_fusion_spec(sensors, filters=8, kernel=5, hidden=32, classes=4)
+        params = init_params(spec, seed=0)
+        rng = np.random.default_rng(0)
+        X = {s.name: rng.uniform(-1, 1, size=(1, int(s.rate_hz), s.channels)) for s in sensors}
+        qm = quantize(spec, params, calibrate(spec, params, X), 8)
+        peaks = []
+        for run in (lambda: forward_batch(spec, params, X), lambda: qinfer_batch(qm, X)):
+            run()  # first-call allocations are not the path's
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], [p / 2**20 for p in peaks]
 
 
 class TestCycleModel:

@@ -253,8 +253,7 @@ class TestQuantizedModel:
         _walk(spec, params, one, lambda key, x, a, win: feats.setdefault(key, a))
         qframe = quantize_frame({k: v[0] for k, v in one.items()}, n)
         for bi, branch in enumerate(spec.branches):
-            got = _q_branch(spec, branch, qm.branches[bi], qframe[branch.name][None],
-                            n, qm.acc_width)[0]
+            got = _q_branch(spec, branch, qm.branches[bi], qframe[branch.name][None], n)[0]
             fp = feats[bi, 3][0]
             deq = got.astype(np.float64) * qm.rescales[2] / 2.0**n
             # error budget: one grid step per layer, amplified by layer gains
