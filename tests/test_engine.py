@@ -232,6 +232,21 @@ class TestMacPaths:
             want = conv(x.tolist(), w.tolist(), mult, shift, n, width, relu=relu)
         assert got.tolist() == want
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("width", [64, 65])
+    def test_wide_registers_match_oracle(self, rng, width):
+        # the layers carry no register width: they agree with a register as
+        # wide as int64 and wider, where the oracle never wraps
+        n = 8
+        x = rng.integers(-(1 << n), 1 << n, size=(3, 2), dtype=np.int64)
+        w = rng.integers(-(1 << n), (1 << n) + 1, size=(2, 2, 3), dtype=np.int64)
+        q = QLayer(w, mult=5, shift=n, relu=False)
+        assert qconv_layer(x, q, n).tolist() == oracles.conv1d(
+            x.tolist(), w.tolist(), 5, n, n, width, relu=False)
+        qd = QLayer(w[0], mult=5, shift=n, relu=False)
+        assert qdense_layer(x[0], qd, n).tolist() == oracles.dense(
+            x[0].tolist(), w[0].tolist(), 5, n, n, width, False)
+
 
 class TestQDenseLayer:
     def test_zero_input_zero_output(self, rng):
