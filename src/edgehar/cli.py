@@ -5,6 +5,8 @@ sweep, infer, simulate, report. Every command is a pure function of
 (config, seed, input artifacts): one JSON config file provides settings,
 flags override it (flags win), and every artifact embeds the resolved config
 for provenance. CSV artifacts carry a sibling .meta.json with the same echo.
+report reads the config and the model's spec only: its cycle and resource
+tables need no dataset, no calibration and no quantized model.
 
 The whole config is checked at load, before any stage runs: an unknown key,
 a bad type or range, or a config that cannot run exits 2 naming the key and
@@ -29,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import daq, engine, model as mdl, quantize as qz, train as tr
+from .fxp import storage_format
 from .persist import SchemaError, write_csv_atomic, write_json_atomic
 from .seeding import substream
 
@@ -100,6 +103,7 @@ class Config:
     out: Path
     sensors: tuple[daq.SensorSpec, ...]
     window: daq.WindowConfig
+    rows: dict[str, int]  # each sensor's window rows at its own rate
     spec: mdl.ModelSpec  # feature fusion over every sensor
     train: tr.TrainConfig
 
@@ -199,13 +203,13 @@ def parse_config(doc: dict) -> Config:
     window = daq.WindowConfig(Fraction(raw["window_ms"], 1000), Fraction(raw["step_ms"], 1000))
     spec = mdl.feature_fusion_spec(sensors, m["filters"], m["kernel"], m["hidden"],
                                    raw["classes"])
+    rows = {s.name: window.timesteps(s.rate_hz) for s in sensors}
     for s, branch in zip(sensors, spec.branches):
-        rows = window.timesteps(s.rate_hz)
         try:
-            spec.layer_dims(branch, rows)
+            spec.layer_dims(branch, rows[s.name])
         except mdl.ShapeError as ex:
             raise mdl.ShapeError(f"window_ms {raw['window_ms']} gives sensor {s.name!r} "
-                                 f"{rows} rows at {s.rate_hz} Hz: {ex}") from None
+                                 f"{rows[s.name]} rows at {s.rate_hz} Hz: {ex}") from None
     if sim["n_segments"] * sim["segment_ms"] < raw["window_ms"]:
         raise ValueError(f"sim: {sim['n_segments']} x {sim['segment_ms']} ms is shorter "
                          f"than window_ms {raw['window_ms']}: no frame to simulate")
@@ -215,7 +219,7 @@ def parse_config(doc: dict) -> Config:
         raise ValueError(f"train.val_fraction {train.val_fraction!r} leaves none of {n} "
                          f"recordings to train on")
     return Config(raw, {"config": raw, "seed": raw["seed"]}, Path(raw["out"]),
-                  tuple(sensors), window, spec, train)
+                  tuple(sensors), window, rows, spec, train)
 
 
 def _load_bundle_arrays(cfg: Config, spec, stats=None, limit=None, test=False):
@@ -296,16 +300,23 @@ def _load_qmodel(cfg: Config, path):
     qm, _ = qz.load_qmodel(path)
     for s in cfg.sensors:
         rows = qm.input_rows.get(s.name)
-        if rows is not None and rows != cfg.window.timesteps(s.rate_hz):
+        if rows is not None and rows != cfg.rows[s.name]:
             raise ValueError(f"{path} was quantized at {rows} rows for sensor {s.name!r}, "
                              f"but window_ms {cfg.raw['window_ms']} gives it "
-                             f"{cfg.window.timesteps(s.rate_hz)} rows at {s.rate_hz} Hz")
+                             f"{cfg.rows[s.name]} rows at {s.rate_hz} Hz")
     return qm
 
 
 def _load_model_for(cfg: Config, args):
+    """The --model file (model.json by default), checked against the config's sensors."""
     path = getattr(args, "model", None) or cfg.out / "model.json"
     spec, params, meta = mdl.load_model(path)
+    inputs = {b.name: (b.channels, b.conv_dim, b.grid) for b in cfg.spec.branches}
+    for b in spec.branches:
+        if inputs.get(b.name) != (b.channels, b.conv_dim, b.grid):
+            have = {s.name: s.channels for s in cfg.sensors}
+            raise ValueError(f"{path} has a branch for sensor {b.name!r} of {b.channels} "
+                             f"channels, which the config lacks; config sensors: {have}")
     stats = {k: tuple(v) for k, v in meta.get("norm_stats", {}).items()}
     return spec, params, stats
 
@@ -388,18 +399,16 @@ def cmd_simulate(cfg: Config, args) -> int:
 
 
 def cmd_report(cfg: Config, args) -> int:
-    spec, params, stats = _load_model_for(cfg, args)
-    X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg.raw["calib_frames"])
-    calib = qz.calibrate(spec, params, X)
+    spec, _, _ = _load_model_for(cfg, args)
     rows = []
     for n in cfg.raw["bits"]:
-        qm = qz.quantize(spec, params, calib, n)
+        width = storage_format(n).n_bits
         for mode in ("serial", "parallel"):
-            cyc = engine.model_cycles(spec, qm.input_rows, mode, cfg.raw["clock_hz"],
+            cyc = engine.model_cycles(spec, cfg.rows, mode, cfg.raw["clock_hz"],
                                       cfg.raw["kappa"])
-            res = engine.estimate_resources(qm, mode)
+            res = engine.estimate_resources(spec, cfg.rows, mode, width)
             rows.append([
-                n, qm.storage_bits, mode, cyc.total_cycles,
+                n, width, mode, cyc.total_cycles,
                 repr(cyc.latency_s * 1e3), repr(cyc.throughput_lps),
                 res.memory_bits, res.weight_bits, res.mac_lanes,
                 res.multiplier_units,

@@ -40,9 +40,11 @@ branch input layout, the im2col patches and their block size, the pooling
 windows and the shape walk (which the cycle and resource models count) are
 the FP model's.
 
-Timing: serial schedules run feature branches one after another, parallel
-schedules run them concurrently; both produce bit-identical values and
-differ only in the cycle composition (sum versus max).
+Cost models: model_cycles and estimate_resources are functions of (spec,
+rows, schedule[, width]) and read no weights. Serial schedules run feature
+branches one after another, parallel ones concurrently: the values are
+bit-identical, and only the cycle composition (sum versus max) and the MAC
+lane count (max versus sum) differ.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 from .fxp import requantize, round_nearest, storage_format
 from .model import (
     BranchSpec, Frame, ModelSpec, _block_rows, _branch_input, _head, _patch_view,
-    _pool_windows,
+    _pool_windows, count_params,
 )
 from .quantize import QLayer, QuantizedModel
 
@@ -386,9 +388,11 @@ class ResourceReport:
 
 
 def estimate_resources(
-    qm: QuantizedModel, schedule: str = "serial", stored_width: int | None = None
+    spec: ModelSpec, input_rows: dict[str, int], schedule: str, stored_width: int
 ) -> ResourceReport:
-    """Linear memory model (words x width) plus the MAC lane count.
+    """Linear memory model (words x width) plus the MAC lane count, for a
+    model at given per-branch window rows. Like model_cycles it reads the
+    spec alone, no weights: the weight words are count_params(spec).
 
     Feature words cover the input frame and every layer's stored (post-pool)
     output. Output-channel lanes are shared across branches in serial mode
@@ -397,21 +401,17 @@ def estimate_resources(
     """
     if schedule not in _SCHEDULES:
         raise ValueError(f"schedule must be one of {_SCHEDULES}, got {schedule!r}")
-    if stored_width is None:
-        stored_width = qm.storage_bits
     if stored_width < 2:
         raise ValueError(f"stored width must be >= 2, got {stored_width}")
+    if spec.alpha_enabled:
+        raise ValueError("the integer engine runs models without importance mixing")
 
-    feature_words = 0
-    branch_lanes = []
-    for b in qm.spec.branches:
-        rows = qm.input_rows.get(b.name, 0)
-        if rows:
-            dims = qm.spec.layer_dims(b, rows)
-            feature_words += math.prod(dims[0][0]) * b.layer_in_channels(0)
-            feature_words += sum(math.prod(out) * l.filters
-                                 for (_, _, out), l in zip(dims, b.layers))
-        branch_lanes.append(max(l.filters for l in b.layers))
-    feature_words += qm.spec.hidden + qm.spec.classes
-    lanes = (sum(branch_lanes) if schedule == "parallel" else max(branch_lanes)) if branch_lanes else 0
-    return ResourceReport(schedule, stored_width, qm.weight_words, feature_words, lanes)
+    feature_words = spec.hidden + spec.classes
+    for b in spec.branches:
+        dims = spec.layer_dims(b, input_rows[b.name])
+        feature_words += math.prod(dims[0][0]) * b.layer_in_channels(0)
+        feature_words += sum(math.prod(out) * l.filters
+                             for (_, _, out), l in zip(dims, b.layers))
+    branch_lanes = [max(l.filters for l in b.layers) for b in spec.branches]
+    lanes = sum(branch_lanes) if schedule == "parallel" else max(branch_lanes)
+    return ResourceReport(schedule, stored_width, count_params(spec), feature_words, lanes)

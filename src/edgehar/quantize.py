@@ -198,16 +198,6 @@ class QuantizedModel:
                 f"{self.acc_width}; rescale coefficients are implausibly large"
             )
 
-    @property
-    def storage_bits(self) -> int:
-        return self.n_bits + 1
-
-    @property
-    def weight_words(self) -> int:
-        return sum(l.w_int.size for ls in self.branches for l in ls) + sum(
-            l.w_int.size for l in self.dense
-        )
-
 
 def _quantize_tensor(w: np.ndarray, scale: float, n_bits: int) -> np.ndarray:
     """Symmetric conversion round(w / scale * 2^n), clipped to +/-(2^n - 1).

@@ -41,7 +41,7 @@ from edgehar.train import (
 )
 
 import oracles
-from conftest import random_inputs, random_qmodel, tiny_spec
+from conftest import random_inputs, random_qmodel, rows_for, tiny_spec
 
 
 def _report(name: str, detail: str) -> None:
@@ -254,17 +254,15 @@ def test_criterion_5_schedule_structure():
 def test_criterion_6_resource_anchors():
     rng = np.random.default_rng(606)
     spec = tiny_spec(rng)
-    params = init_params(spec, seed=0)
-    X = random_inputs(spec, rng, batch=6)
-    qm = quantize(spec, params, calibrate(spec, params, X), 10)
+    rows = rows_for(spec, rng)
 
     for mode in ("serial", "parallel"):
-        u9 = estimate_resources(qm, mode, stored_width=9).multiplier_units
-        u11 = estimate_resources(qm, mode, stored_width=11).multiplier_units
+        u9 = estimate_resources(spec, rows, mode, 9).multiplier_units
+        u11 = estimate_resources(spec, rows, mode, 11).multiplier_units
         assert u11 == 2 * u9, f"{mode}: {u9} -> {u11} is not an exact doubling"
 
-    m9 = estimate_resources(qm, "serial", stored_width=9).memory_bits
-    m11 = estimate_resources(qm, "serial", stored_width=11).memory_bits
+    m9 = estimate_resources(spec, rows, "serial", 9).memory_bits
+    m11 = estimate_resources(spec, rows, "serial", 11).memory_bits
     assert m11 * 9 == m9 * 11, "memory ratio is not exactly 11/9"
     model_ratio = 11.0 / 9.0
     measured = 11440.0 / 9306.0

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import shutil
@@ -12,7 +13,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from edgehar import daq, quantize
 from edgehar.cli import DEFAULT_CONFIG, _load_bundle_arrays, main, parse_config
-from edgehar.train import TrainConfig
+from edgehar.model import save_model
+from edgehar.train import TrainConfig, init_params
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("gen-data", "train", "select", "quantize", "sweep", "infer", "simulate", "report")
@@ -108,6 +110,36 @@ class TestPipeline:
         sel = str(out / "model_selected.json")
         assert _run("quantize", "--config", cfg, "--model", sel) == 0
         assert _run("infer", "--config", cfg, "--model", sel) == 0
+        # the selected model stores fewer weights than the full one at every
+        # width and schedule
+        assert _run("train", "--config", cfg) == 0
+        tables = []
+        for model in ([], ["--model", sel]):
+            assert _run("report", "--config", cfg, *model) == 0
+            with open(out / "report.csv", newline="") as fh:
+                tables.append({(r["n_bits"], r["schedule"]): int(r["weight_bits"])
+                               for r in csv.DictReader(fh)})
+        full, selected = tables
+        assert sorted(full) == sorted(selected) and len(full) == 4
+        assert all(selected[k] < full[k] for k in full)
+
+    def test_report_reads_no_dataset(self, workdir, monkeypatch):
+        # report is a function of the config and the model spec alone
+        tmp, cfg, out = workdir
+        for stage in ("gen-data", "train", "report"):
+            assert _run(stage, "--config", cfg) == 0
+        table = (out / "report.csv").read_bytes()
+        shutil.rmtree(out / "dataset")
+        shutil.rmtree(out / "dataset_test")
+        (out / "report.csv").unlink()
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("report calibrated or quantized")
+
+        monkeypatch.setattr(quantize, "calibrate", no_call)
+        monkeypatch.setattr(quantize, "quantize", no_call)
+        assert _run("report", "--config", cfg) == 0
+        assert (out / "report.csv").read_bytes() == table
 
     def test_label_count_formula(self, workdir):
         tmp, cfg, out = workdir
@@ -191,6 +223,28 @@ class TestExitCodes:
         assert "'edgehar.dataset/v2'" in err and "'edgehar.dataset/v1'" in err
         assert "rerun gen-data" in err
         assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("stage", ["quantize", "sweep", "infer", "simulate", "report"])
+    def test_model_branch_missing_from_config_exit_2(self, tmp_path, capsys, stage):
+        # a model trained on sensors a (2 channels), b and c, run with a config
+        # that lacks c, then with one whose sensor a has 3 channels
+        model = tmp_path / "model.json"
+        spec = parse_config(dict(CFG, out=str(tmp_path / "r"))).spec
+        save_model(model, spec, init_params(spec, seed=0))
+        a3 = dict(CFG["sensors"][0], channels=3)
+        for sensors, name, channels, config in [
+            (CFG["sensors"][:2], "c", 3, "{'a': 2, 'b': 1}"),
+            ([a3] + CFG["sensors"][1:], "a", 2, "{'a': 3, 'b': 1, 'c': 3}"),
+        ]:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(dict(CFG, out=str(tmp_path / "r"), sensors=sensors)))
+            assert _run("gen-data", "--config", str(path)) == 0
+            capsys.readouterr()
+            assert _run(stage, "--config", str(path), "--model", str(model)) == 2
+            err = capsys.readouterr().err
+            assert (f"{model} has a branch for sensor {name!r} of {channels} channels, "
+                    f"which the config lacks") in err
+            assert f"config sensors: {config}" in err
 
     def test_schema_mismatch_exit_2(self, workdir):
         tmp, cfg, out = workdir

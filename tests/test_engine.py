@@ -33,7 +33,7 @@ from edgehar.quantize import QLayer, QuantizedModel, calibrate, quantize
 from edgehar.train import init_params
 
 import oracles
-from conftest import random_inputs, random_qmodel, tiny_spec
+from conftest import random_inputs, random_qmodel, rows_for, tiny_spec
 
 
 class TestQConvLayer:
@@ -508,66 +508,64 @@ class TestScheduleLatency:
 
 
 class TestResources:
-    def _qm(self, rng, n=10):
+    def _spec_rows(self, rng):
         spec = tiny_spec(rng)
-        params = init_params(spec, seed=1)
-        X = random_inputs(spec, rng, batch=8)
-        stats = calibrate(spec, params, X)
-        return quantize(spec, params, stats, n)
+        return spec, rows_for(spec, rng)
 
     def test_multiplier_units_double_across_nine_bits(self, rng):
-        qm = self._qm(rng)
+        spec, rows = self._spec_rows(rng)
         for mode in ("serial", "parallel"):
-            r9 = estimate_resources(qm, mode, stored_width=9)
-            r11 = estimate_resources(qm, mode, stored_width=11)
+            r9 = estimate_resources(spec, rows, mode, 9)
+            r11 = estimate_resources(spec, rows, mode, 11)
             assert r11.multiplier_units == 2 * r9.multiplier_units
 
     def test_multiplier_step_function(self, rng):
-        qm = self._qm(rng)
-        units = [estimate_resources(qm, "serial", stored_width=w).multiplier_units
+        spec, rows = self._spec_rows(rng)
+        units = [estimate_resources(spec, rows, "serial", w).multiplier_units
                  for w in range(2, 28)]
         base = units[0]
         for w, u in zip(range(2, 28), units):
             assert u == base * -(-w // 9)
 
     def test_memory_ratio_exact(self, rng):
-        qm = self._qm(rng)
-        m9 = estimate_resources(qm, "serial", stored_width=9).memory_bits
-        m11 = estimate_resources(qm, "serial", stored_width=11).memory_bits
+        spec, rows = self._spec_rows(rng)
+        m9 = estimate_resources(spec, rows, "serial", 9).memory_bits
+        m11 = estimate_resources(spec, rows, "serial", 11).memory_bits
         assert m11 * 9 == m9 * 11  # exactly 11/9
 
     def test_memory_linear_in_width(self, rng):
-        qm = self._qm(rng)
-        words = qm.weight_words + estimate_resources(qm, "serial", 9).feature_words
+        spec, rows = self._spec_rows(rng)
+        # the spec's weight count is every weight a quantized model stores
+        params = init_params(spec, seed=1)
+        X = random_inputs(spec, rng, batch=8, rows=rows)
+        qm = quantize(spec, params, calibrate(spec, params, X), 10)
+        weights = model.count_params(spec)
+        stored = sum(l.w_int.size for ls in qm.branches for l in ls)
+        assert weights == stored + sum(l.w_int.size for l in qm.dense)
+        words = weights + estimate_resources(spec, rows, "serial", 9).feature_words
         for w in (2, 9, 11, 16):
-            r = estimate_resources(qm, "serial", stored_width=w)
+            r = estimate_resources(spec, rows, "serial", w)
             assert r.memory_bits == words * w
 
     def test_parallel_lanes_sum_serial_lanes_max(self, rng):
-        qm = self._qm(rng)
-        rs = estimate_resources(qm, "serial")
-        rp = estimate_resources(qm, "parallel")
-        per_branch = [max(l.filters for l in b.layers) for b in qm.spec.branches]
+        spec, rows = self._spec_rows(rng)
+        rs = estimate_resources(spec, rows, "serial", 11)
+        rp = estimate_resources(spec, rows, "parallel", 11)
+        per_branch = [max(l.filters for l in b.layers) for b in spec.branches]
         assert rs.mac_lanes == max(per_branch)
         assert rp.mac_lanes == sum(per_branch)
 
-    def test_zero_parameter_model_zero_weight_bits(self, rng):
-        qm = self._qm(rng)
-        empty = QuantizedModel(
-            qm.spec, qm.n_bits, qm.rescales, qm.dense_scales,
-            [[QLayer(np.zeros((0,), dtype=np.int64), 1, 1)] * 3
-             for _ in qm.branches],
-            [QLayer(np.zeros((0, 1), dtype=np.int64), 1, 1)] * 2,
-            {name: 0 for name in qm.input_rows},
-        )
-        r = estimate_resources(empty, "serial", stored_width=11)
-        assert r.weight_bits == 0
-
     def test_report_serialization(self, rng):
-        qm = self._qm(rng)
-        d = estimate_resources(qm, "parallel").to_dict()
+        spec, rows = self._spec_rows(rng)
+        d = estimate_resources(spec, rows, "parallel", 11).to_dict()
         assert d["multiplier_units"] == d["mac_lanes"] * -(-d["stored_width"] // 9)
-        rep = model_cycles(qm.spec, qm.input_rows, "serial", 100e6)
+        rep = model_cycles(spec, rows, "serial", 100e6)
         rd = rep.to_dict()
         assert rd["total_cycles"] == rep.total_cycles
         assert rd["latency_s"] == pytest.approx(rep.total_cycles / 100e6)
+
+    def test_importance_model_rejected(self, rng):
+        # the integer engine has no importance weights to count
+        spec = tiny_spec(rng, alpha=True)
+        with pytest.raises(ValueError, match="importance mixing"):
+            estimate_resources(spec, rows_for(spec, rng), "serial", 11)

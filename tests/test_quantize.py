@@ -189,7 +189,7 @@ class TestQuantizedModel:
         spec, params, X = _fixture_model(rng)
         stats = calibrate(spec, params, X)
         qm = quantize(spec, params, stats, 10)
-        assert qm.storage_bits == 11
+        assert qm.fmt.n_bits == 11
         assert qm.acc_width >= 32
 
     def test_bit_cap_enforced(self, rng):
