@@ -6,7 +6,10 @@ sweep, infer, simulate, report. Every command is a pure function of
 flags override it (flags win), and every artifact embeds the resolved config
 for provenance. CSV artifacts carry a sibling .meta.json with the same echo.
 report reads the config and the model's spec only: its cycle and resource
-tables need no dataset, no calibration and no quantized model.
+tables need no dataset, no calibration and no quantized model. simulate's
+cycles.json is the same static count, made from the spec before the stream
+starts. infer --qmodel and simulate take a qmodel only when it quantizes the
+--model file's network.
 
 The whole config is checked at load, before any stage runs: an unknown key,
 a bad type or range, or a config that cannot run exits 2 naming the key and
@@ -295,9 +298,15 @@ def cmd_select(cfg: Config, args) -> int:
     return 0
 
 
-def _load_qmodel(cfg: Config, path):
-    """An integer model, rejected if quantized at other window rows than the config's."""
+def _load_qmodel(cfg: Config, args, spec: mdl.ModelSpec):
+    """The --qmodel file (the first width's by default), rejected unless it
+    quantizes spec, the --model file's network, at the config's window rows."""
+    path = args.qmodel or cfg.out / f"qmodel_n{cfg.raw['bits'][0]}.json"
     qm, _ = qz.load_qmodel(path)
+    if qm.spec != spec:
+        have, want = ([b.name for b in s.branches] for s in (qm.spec, spec))
+        raise ValueError(f"{path} (branches {have}) does not quantize the network of "
+                         f"{args.model or cfg.out / 'model.json'} (branches {want})")
     for s in cfg.sensors:
         rows = qm.input_rows.get(s.name)
         if rows is not None and rows != cfg.rows[s.name]:
@@ -347,9 +356,9 @@ def cmd_sweep(cfg: Config, args) -> int:
 
 def cmd_infer(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
+    qm = _load_qmodel(cfg, args, spec) if args.qmodel else None
     Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
-    if getattr(args, "qmodel", None):
-        qm = _load_qmodel(cfg, args.qmodel)
+    if qm is not None:
         preds = engine.qinfer_batch(qm, Xt)
         kind = f"integer n={qm.n_bits}"
     else:
@@ -366,8 +375,9 @@ def cmd_infer(cfg: Config, args) -> int:
 
 def cmd_simulate(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
-    qpath = getattr(args, "qmodel", None) or cfg.out / f"qmodel_n{cfg.raw['bits'][0]}.json"
-    qm = _load_qmodel(cfg, qpath)
+    qm = _load_qmodel(cfg, args, spec)
+    report = engine.model_cycles(spec, cfg.rows, cfg.raw["schedule"], cfg.raw["clock_hz"],
+                                 cfg.raw["kappa"])
     sensors = [s for s in cfg.sensors if s.name in {b.name for b in spec.branches}]
     sim = cfg.raw["sim"]
     rng = substream(cfg.raw["seed"], "sim")
@@ -378,13 +388,10 @@ def cmd_simulate(cfg: Config, args) -> int:
     )
     session = daq.start_sync(daq.recording_sources(rec, sensors))
     rows_out = []
-    # load checked that the timeline holds at least one window, so a report is made
     for frame in daq.stream_frames(session, cfg.window):
         norm = mdl.normalize_inputs(frame.tensors, stats)
-        qframe = engine.quantize_frame(norm, qm.n_bits)
-        cls, report = engine.qinfer(qm, qframe, cfg.raw["schedule"], cfg.raw["clock_hz"],
-                                    cfg.raw["kappa"])
-        rows_out.append((frame.t_end_ns, cls))
+        rows_out.append((frame.t_end_ns,
+                         engine.qinfer(qm, engine.quantize_frame(norm, qm.n_bits))))
     write_csv_atomic(cfg.out / "labels.csv", ["t_ns", "class"], rows_out)
     write_json_atomic(cfg.out / "labels.meta.json",
                       cfg.echo | {"truth_spans": spans})

@@ -25,8 +25,8 @@ their range, taps and float64 copy; a QuantizedModel's weight storage check,
 acc_width, storage format and per-layer bounds. A call then pays only for
 its frames: one min and one max of each branch input, then per layer the
 column copy, the GEMM and the requantization, with no scan and no format
-built. The cycle report depends only on the spec, the rows and the
-schedule, so qinfer makes it once per model and its frames share it.
+built. Every structural choice, each layer's pool included, is read from
+the spec, which a QLayer does not copy.
 
 One path runs every frame: _q_forward takes a lead frame axis, and each
 layer runs once over all the frames it is given. qinfer is a batch of one,
@@ -41,8 +41,10 @@ windows and the shape walk (which the cycle and resource models count) are
 the FP model's.
 
 Cost models: model_cycles and estimate_resources are functions of (spec,
-rows, schedule[, width]) and read no weights. Serial schedules run feature
-branches one after another, parallel ones concurrently: the values are
+rows, schedule[, width]) and read no weights, so a run's cycle report is
+made once, before any frame, and inference returns only the class.
+schedule_latency is the one composition rule: serial schedules run feature
+branches one after another, parallel ones concurrently. The values are
 bit-identical, and only the cycle composition (sum versus max) and the MAC
 lane count (max versus sum) differ.
 """
@@ -176,7 +178,8 @@ def _q_branch(spec: ModelSpec, branch: BranchSpec, qlayers: list[QLayer],
     """Integer features (N, n) of a branch's quantized frames x (N, rows, C)."""
     h = _branch_input(spec, branch, x)
     for i, q in enumerate(qlayers):
-        h = qconv_layer(h, q, n_bits, q.pool, where=f"branch {branch.name!r} layer {i}")
+        h = qconv_layer(h, q, n_bits, branch.layers[i].pool,
+                        where=f"branch {branch.name!r} layer {i}")
     return _head(branch, h)[0]
 
 
@@ -200,31 +203,13 @@ def _q_forward(qm: QuantizedModel, qX: dict) -> np.ndarray:
     return qdense_layer(hidden, qm.dense[1], qm.n_bits, "dense output")
 
 
-def qinfer(
-    qm: QuantizedModel,
-    qframe: dict,
-    schedule: str = "serial",
-    clock_hz: float = 100e6,
-    kappa: int = 0,
-) -> tuple[int, "CycleReport"]:
-    """Integer inference on one quantized frame, a batch of one.
-
-    Returns the comparator-argmax class (lowest index on ties) and the cycle
-    report composed per schedule; the schedule never changes the numerics.
-    The report depends only on the rows of each branch, the schedule, the
-    clock and kappa, so the frames of a stream share one (read-only to its
-    callers), kept in the model's cycle_memo.
-    """
-    if schedule not in _SCHEDULES:
-        raise ValueError(f"schedule must be one of {_SCHEDULES}, got {schedule!r}")
+def qinfer(qm: QuantizedModel, qframe: dict) -> int:
+    """Integer inference on one quantized frame, a batch of one: the
+    comparator-argmax class (lowest index on ties). Its cost is
+    model_cycles(qm.spec, ...), made once per run; no schedule changes the
+    numerics."""
     logits = _q_forward(qm, {k: np.asarray(v)[None] for k, v in qframe.items()})[0]
-    key = (tuple(np.shape(qframe[b.name])[0] for b in qm.spec.branches),
-           schedule, clock_hz, kappa)
-    report = qm.cycle_memo.get(key)
-    if report is None:
-        rows = {b.name: r for b, r in zip(qm.spec.branches, key[0])}
-        report = qm.cycle_memo[key] = model_cycles(qm.spec, rows, schedule, clock_hz, kappa)
-    return int(np.argmax(logits)), report
+    return int(np.argmax(logits))
 
 
 def _frame_bytes(spec: ModelSpec, X: dict) -> int:
@@ -259,8 +244,9 @@ def conv_layer_cycles(in_channels: int, positions: int, taps: int, kappa: int = 
     return in_channels * positions * taps + kappa
 
 
-def dense_layer_cycles(n_in: int, n_out: int, lanes: int = 1, kappa: int = 0) -> int:
-    return -(-n_in * n_out // lanes) + kappa
+def dense_layer_cycles(n_in: int, n_out: int, kappa: int = 0) -> int:
+    """Dense cost: one MAC per weight, in sequence."""
+    return n_in * n_out + kappa
 
 
 @dataclass
@@ -318,30 +304,24 @@ def model_cycles(
         dense_layer_cycles(spec.dense_in, spec.hidden, kappa=kappa),
         dense_layer_cycles(spec.hidden, spec.classes, kappa=kappa),
     ]
-    return _compose(per_branch, dense, mode, clock_hz)
+    return schedule_latency(per_branch, dense, mode, clock_hz)
 
 
-def _compose(per_branch, dense, mode, clock_hz) -> CycleReport:
+def schedule_latency(
+    per_branch: dict[str, list[int]], dense_cycles: list[int], mode: str,
+    clock_hz: float = 100e6,
+) -> CycleReport:
+    """Compose per-layer branch and dense cycle counts per schedule: serial
+    totals sum the branches, parallel totals take their max; the dense
+    layers follow either way."""
     if mode not in _SCHEDULES:
         raise ValueError(f"schedule must be one of {_SCHEDULES}, got {mode!r}")
     totals = [sum(v) for v in per_branch.values()]
     if not totals:
         raise ValueError("at least one branch is required")
     branch_part = sum(totals) if mode == "serial" else max(totals)
-    total = branch_part + sum(dense)
-    return CycleReport(mode, clock_hz, per_branch, list(dense), total)
-
-
-def schedule_latency(
-    branch_cycles, dense_cycles: int, mode: str, clock_hz: float = 100e6
-) -> CycleReport:
-    """Compose branch and dense cycle counts per schedule:
-    serial totals sum the branches, parallel totals take their max."""
-    if isinstance(branch_cycles, dict):
-        per_branch = {k: list(np.atleast_1d(v)) for k, v in branch_cycles.items()}
-    else:
-        per_branch = {f"branch{i}": [int(c)] for i, c in enumerate(branch_cycles)}
-    return _compose(per_branch, [int(dense_cycles)], mode, clock_hz)
+    return CycleReport(mode, clock_hz, per_branch, dense_cycles,
+                       branch_part + sum(dense_cycles))
 
 
 # ---------------------------------------------------------------------------

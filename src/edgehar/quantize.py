@@ -103,7 +103,8 @@ def compute_rescale(stats: CalibStats, layer: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class QLayer:
-    """One integer layer: weights plus its requantization parameters.
+    """One integer layer: weights plus its requantization parameters. A conv
+    layer's pool is its ModelSpec layer's, which the engine reads.
 
     The weight-side constants the engine uses on every call are made here,
     once: w_int is kept as a read-only int64 copy, so its range (w_min,
@@ -115,7 +116,6 @@ class QLayer:
     mult: int
     shift: int
     relu: bool = True
-    pool: int | None = None
     w_min: int = field(init=False, repr=False)
     w_max: int = field(init=False, repr=False)
     taps: int = field(init=False, repr=False)
@@ -150,8 +150,9 @@ class QuantizedModel:
     acc_bounds[where] = taps * 2^n * max|w| bounds every partial sum of the
     layer in any order. A bound that reaches 2^(acc_width - 1), or 2^53 where
     float64 stops being exact, is rejected here, naming the layer; the engine
-    then runs every frame without a range check. cycle_memo holds the
-    engine's cycle reports for this model, so they go when it does.
+    then runs every frame without a range check. spec is the one
+    description of the network's structure and, through the engine's
+    model_cycles, of its cost.
     """
 
     spec: ModelSpec
@@ -164,7 +165,6 @@ class QuantizedModel:
     acc_width: int = field(init=False)
     fmt: FxFormat = field(init=False, repr=False)
     acc_bounds: dict[str, int] = field(init=False, repr=False)
-    cycle_memo: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         layers = [(f"branch {b.name!r} layer {i}", l)
@@ -187,7 +187,7 @@ class QuantizedModel:
                     f"beyond the {acc_width}-bit accumulator or exact float64"
                 )
         derived = {"acc_width": acc_width, "fmt": storage_format(self.n_bits),
-                   "acc_bounds": bounds, "cycle_memo": {}}
+                   "acc_bounds": bounds}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         # the engine multiplies int64 accumulators by mult; keep that exact
@@ -250,14 +250,12 @@ def quantize(
     w_ints = quantize_weights(params, rescales, n_bits)
 
     branches = []
-    for branch, ws in zip(spec.branches, w_ints):
+    for ws in w_ints:
         layers = []
         scale_in = 1.0
         for l in range(3):
             mult, shift = _ratio_mult(scale_in, n_bits)
-            layers.append(
-                QLayer(ws[l], mult, shift, relu=True, pool=branch.layers[l].pool)
-            )
+            layers.append(QLayer(ws[l], mult, shift, relu=True))
             scale_in = rescales[l]
         branches.append(layers)
 
@@ -328,10 +326,10 @@ def save_qmodel(path, qm: QuantizedModel, meta: dict | None = None) -> None:
         "branches": [
             [
                 {"w": l.w_int.tolist(), "mult": l.mult, "shift": l.shift,
-                 "pool": l.pool}
-                for l in ls
+                 "pool": c.pool}
+                for c, l in zip(b.layers, ls)
             ]
-            for ls in qm.branches
+            for b, ls in zip(qm.spec.branches, qm.branches)
         ],
         "dense": [
             {"w": l.w_int.tolist(), "mult": l.mult, "shift": l.shift,
@@ -345,17 +343,21 @@ def save_qmodel(path, qm: QuantizedModel, meta: dict | None = None) -> None:
 
 
 def load_qmodel(path) -> tuple[QuantizedModel, dict]:
+    """A saved QuantizedModel and its meta. A layer whose stored pool is not
+    its spec's is rejected, naming the file, the branch and the layer."""
     from .model import _spec_from_dict
     from .persist import read_json_checked
 
     doc = read_json_checked(path, QMODEL_SCHEMA)
     spec = _spec_from_dict(doc["spec"])
+    for b, ls in zip(spec.branches, doc["branches"]):
+        for i, (c, l) in enumerate(zip(b.layers, ls)):
+            if l["pool"] != c.pool:
+                raise ValueError(f"{path}: branch {b.name!r} layer {i} stores pool "
+                                 f"{l['pool']!r}, but its spec has pool {c.pool!r}")
     branches = [
-        [
-            QLayer(np.asarray(l["w"], dtype=np.int64), l["mult"], l["shift"],
-                   relu=True, pool=l["pool"])
-            for l in ls
-        ]
+        [QLayer(np.asarray(l["w"], dtype=np.int64), l["mult"], l["shift"], relu=True)
+         for l in ls]
         for ls in doc["branches"]
     ]
     dense = [

@@ -72,11 +72,11 @@ def random_qmodel(rng: np.random.Generator, n_bits: int) -> tuple[QuantizedModel
     branches = []
     for b in spec.branches:
         qls = []
-        for i, l in enumerate(b.layers):
+        for i in range(len(b.layers)):
             w = rng.integers(-lim, lim + 1, size=b.weight_shape(i), dtype=np.int64)
             mult = int(rng.integers(1, 1 << 16))
             shift = n_bits + int(rng.integers(8, 16))
-            qls.append(QLayer(w, mult, shift, relu=True, pool=l.pool))
+            qls.append(QLayer(w, mult, shift, relu=True))
         branches.append(qls)
     dense = []
     d_in = spec.dense_in

@@ -159,14 +159,15 @@ def qinfer(qm, qframe, acc_width=None):
             h = x.tolist()
         for li, q in enumerate(qlayers):
             w = q.w_int.tolist()
+            pool = branch.layers[li].pool
             if branch.conv_dim == 1:
                 h = conv1d(h, w, q.mult, q.shift, qm.n_bits, width)
-                if q.pool:
-                    h = pool1d(h, q.pool)
+                if pool:
+                    h = pool1d(h, pool)
             else:
                 h = conv2d(h, w, q.mult, q.shift, qm.n_bits, width)
-                if q.pool:
-                    h = pool2d(h, q.pool)
+                if pool:
+                    h = pool2d(h, pool)
             if li == 2 and branch.head == "gmax":
                 h = gmax(h)
         if branch.head == "gmax":

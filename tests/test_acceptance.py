@@ -228,8 +228,9 @@ def test_criterion_5_schedule_structure():
         k = int(rng.integers(1, 9))
         branches = [int(c) for c in rng.integers(1, 10**6, size=k)]
         dense = int(rng.integers(0, 10**5))
-        s = schedule_latency(branches, dense, "serial")
-        p = schedule_latency(branches, dense, "parallel")
+        per_branch = {f"b{i}": [c] for i, c in enumerate(branches)}
+        s = schedule_latency(per_branch, [dense], "serial")
+        p = schedule_latency(per_branch, [dense], "parallel")
         assert s.total_cycles == sum(branches) + dense  # oracle: direct sum
         assert p.total_cycles == max(branches) + dense  # oracle: direct max
 

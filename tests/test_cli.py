@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from edgehar import daq, quantize
+from edgehar import daq, engine, quantize
 from edgehar.cli import DEFAULT_CONFIG, _load_bundle_arrays, main, parse_config
-from edgehar.model import save_model
+from edgehar.model import load_model, save_model
 from edgehar.train import TrainConfig, init_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -320,6 +320,72 @@ class TestWindowMismatch:
         err = capsys.readouterr().err
         assert "quantized at 25 rows for sensor 'a'" in err and "gives it 38 rows" in err
         assert not (out / "predictions.csv").exists()
+
+
+class TestOneNetwork:
+    """The --model file's spec alone describes the network that infer --qmodel
+    and simulate run and cost: a qmodel of another network, or one whose
+    layer pools differ from its own spec, exits 2 and writes nothing."""
+
+    @staticmethod
+    def _no_outputs(out: Path) -> bool:
+        return not any((out / f).exists() for f in ("predictions.csv", "labels.csv",
+                                                     "cycles.json"))
+
+    def test_qmodel_pool_differs_from_spec_exit_2(self, workdir, capsys):
+        tmp, cfg, out = workdir
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        qpath = out / "qmodel_n8.json"
+        doc = json.loads(qpath.read_text())
+        assert doc["spec"]["branches"][1]["layers"][0]["pool"] is None
+        doc["branches"][1][0]["pool"] = 2
+        qpath.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for stage in ("infer", "simulate"):
+            assert _run(stage, "--config", cfg, "--qmodel", str(qpath)) == 2, stage
+            err = capsys.readouterr().err
+            assert f"{qpath}: branch 'b' layer 0 stores pool 2, but its spec has pool None" in err
+        assert self._no_outputs(out)
+
+    def test_model_and_qmodel_of_other_networks_exit_2(self, workdir, capsys):
+        tmp, cfg, out = workdir
+        for stage in ("gen-data", "train", "select", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        full, sel = out / "model.json", out / "model_selected.json"
+        full_q, sel_q = tmp / "full_q.json", tmp / "sel_q.json"
+        shutil.copy(out / "qmodel_n8.json", full_q)
+        assert _run("quantize", "--config", cfg, "--model", str(sel)) == 0
+        shutil.copy(out / "qmodel_n8.json", sel_q)
+        kept = json.loads((out / "importance.json").read_text())["kept"]
+        every = [s["name"] for s in CFG["sensors"]]
+        kept = [s for s in every if s in kept]
+        capsys.readouterr()
+        for model, qmodel, have, want in [(full, sel_q, kept, every),
+                                          (sel, full_q, every, kept)]:
+            for stage in ("infer", "simulate"):
+                assert _run(stage, "--config", cfg, "--model", str(model),
+                            "--qmodel", str(qmodel)) == 2, (stage, model)
+                err = capsys.readouterr().err
+                assert (f"{qmodel} (branches {have}) does not quantize the network of "
+                        f"{model} (branches {want})") in err
+        assert self._no_outputs(out)
+        # each model with its own qmodel runs
+        assert _run("simulate", "--config", cfg, "--model", str(sel), "--qmodel", str(sel_q)) == 0
+
+    def test_simulate_cycles_are_the_static_count(self, workdir):
+        tmp, cfg, out = workdir
+        doc = dict(CFG, out=str(out), clock_hz=5e7, kappa=2)
+        Path(cfg).write_text(json.dumps(doc))
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        spec = load_model(out / "model.json")[0]
+        for mode in ("serial", "parallel"):
+            assert _run("simulate", "--config", cfg, "--schedule", mode) == 0
+            parsed = parse_config(dict(doc, schedule=mode))
+            want = engine.model_cycles(spec, parsed.rows, mode, 5e7, 2).to_dict()
+            assert json.loads((out / "cycles.json").read_text()) == \
+                {"schema": "edgehar.cycles/v1", **want} | parsed.echo
 
 
 class TestDeterminism:

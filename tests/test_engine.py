@@ -293,10 +293,12 @@ class TestQInfer:
         return spec, params, X, qm, qframe
 
     def test_schedule_neutral_numerics(self, rng):
+        # the schedule is a cost choice only: qinfer takes none, and the
+        # spec's serial count is at least its parallel one
         _, _, _, qm, qframe = self._quantized_fixture(rng)
-        c1, r1 = qinfer(qm, qframe, schedule="serial")
-        c2, r2 = qinfer(qm, qframe, schedule="parallel")
-        assert c1 == c2
+        rows = {k: len(v) for k, v in qframe.items()}
+        r1 = model_cycles(qm.spec, rows, "serial")
+        r2 = model_cycles(qm.spec, rows, "parallel")
         assert r1.total_cycles >= r2.total_cycles
 
     def test_quantize_frame_names_non_finite_sensor(self):
@@ -314,7 +316,7 @@ class TestQInfer:
         _, _, X, qm, _ = self._quantized_fixture(rng)
         qframe = {k: np.zeros_like(quantize_frame({k: v[0]}, qm.n_bits)[k])
                   for k, v in X.items()}
-        cls, _ = qinfer(qm, qframe)
+        cls = qinfer(qm, qframe)
         assert cls == 0
 
     def test_argmax_agreement_high_precision(self, rng):
@@ -330,7 +332,7 @@ class TestQInfer:
             got = _q_forward(qm, _one(qframe))[0]
             ref, ref_cls = oracles.qinfer(qm, qframe)
             assert got.tolist() == ref
-            cls, _ = qinfer(qm, qframe)
+            cls = qinfer(qm, qframe)
             assert cls == ref_cls
 
     def test_storage_validation(self, rng):
@@ -345,31 +347,15 @@ class TestQInfer:
                                                  "signed 9-bit storage"):
                 qinfer(qm, frame)
         limits = {k: np.where(v < 0, -(1 << 8), (1 << 8) - 1) for k, v in qframe.items()}
-        assert qinfer(qm, limits)[0] == oracles.qinfer(qm, limits)[1]
+        assert qinfer(qm, limits) == oracles.qinfer(qm, limits)[1]
 
-    def test_stream_shares_one_cycle_report(self, rng):
+    def test_model_freed_after_del(self, rng):
         qm, qframe = random_qmodel(rng, 10)
-        rows = {k: len(v) for k, v in qframe.items()}
-        with mock.patch.object(engine, "model_cycles", wraps=model_cycles) as spy:
-            reports = [qinfer(qm, qframe, "parallel", 50e6, 2)[1] for _ in range(3)]
-            assert spy.call_count == 1
-            assert qinfer(qm, qframe, "serial", 50e6, 2)[1].mode == "serial"
-            assert spy.call_count == 2
-        assert reports[0] is reports[1] is reports[2]
-        assert reports[0].to_dict() == model_cycles(qm.spec, rows, "parallel", 50e6, 2).to_dict()
-
-    def test_model_and_its_cycle_reports_freed_after_del(self, rng):
-        qm, qframe = random_qmodel(rng, 10)
-        report = weakref.ref(qinfer(qm, qframe)[1])
+        qinfer(qm, qframe)
         model = weakref.ref(qm)
         del qm
         gc.collect()
-        assert model() is None and report() is None
-
-    def test_unknown_schedule_rejected(self, rng):
-        _, _, _, qm, qframe = self._quantized_fixture(rng)
-        with pytest.raises(ValueError):
-            qinfer(qm, qframe, schedule="warp")
+        assert model() is None
 
 
 def _per_frame(qm, qX):
@@ -406,7 +392,7 @@ class TestBatchedPath:
                 preds = qinfer_batch(qm, X)
         assert logits.tolist() == [r.tolist() for r in per_frame] == oracle
         assert preds.tolist() == [int(np.argmax(r)) for r in per_frame]
-        assert preds.tolist() == [qinfer(qm, {k: v[i] for k, v in qX.items()})[0]
+        assert preds.tolist() == [qinfer(qm, {k: v[i] for k, v in qX.items()})
                                   for i in range(frames)]
 
     def test_one_rig_frame_peaks_near_forward_batch(self):
@@ -445,8 +431,6 @@ class TestCycleModel:
 
     def test_dense_lane_division(self):
         assert dense_layer_cycles(32, 10) == 320
-        assert dense_layer_cycles(32, 10, lanes=4) == 80
-        assert dense_layer_cycles(33, 10, lanes=4) == 83  # ceil
 
     def test_model_cycles_walks_shapes(self, rng):
         spec = tiny_spec(rng)
@@ -458,22 +442,27 @@ class TestCycleModel:
         assert rep.per_branch[spec.branches[0].name][0] == c * (20 - k + 1) * k
 
 
+def _one_layer(totals):
+    """Per-branch cycle lists, one layer per branch, from branch totals."""
+    return {f"b{i}": [c] for i, c in enumerate(totals)}
+
+
 class TestScheduleLatency:
     def test_worked_example(self):
-        rep_s = schedule_latency([1200, 800, 1500, 1000], 300, "serial", 100e6)
-        rep_p = schedule_latency([1200, 800, 1500, 1000], 300, "parallel", 100e6)
+        rep_s = schedule_latency(_one_layer([1200, 800, 1500, 1000]), [300], "serial", 100e6)
+        rep_p = schedule_latency(_one_layer([1200, 800, 1500, 1000]), [300], "parallel", 100e6)
         assert rep_s.total_cycles == 4800
         assert rep_s.latency_s == pytest.approx(48e-6)
         assert rep_p.total_cycles == 1800
         assert rep_p.latency_s == pytest.approx(18e-6)
 
     def test_single_branch_modes_equal(self):
-        s = schedule_latency([123], 45, "serial")
-        p = schedule_latency([123], 45, "parallel")
+        s = schedule_latency(_one_layer([123]), [45], "serial")
+        p = schedule_latency(_one_layer([123]), [45], "parallel")
         assert s.total_cycles == p.total_cycles
 
     def test_throughput_is_clock_over_cycles(self):
-        rep = schedule_latency([100], 0, "serial", clock_hz=1e6)
+        rep = schedule_latency(_one_layer([100]), [0], "serial", clock_hz=1e6)
         assert rep.throughput_lps == pytest.approx(1e6 / 100)
 
     @given(
@@ -482,8 +471,8 @@ class TestScheduleLatency:
     )
     @settings(max_examples=100, deadline=None)
     def test_composition_against_sum_max_oracle(self, branches, dense):
-        s = schedule_latency(branches, dense, "serial")
-        p = schedule_latency(branches, dense, "parallel")
+        s = schedule_latency(_one_layer(branches), [dense], "serial")
+        p = schedule_latency(_one_layer(branches), [dense], "parallel")
         assert s.total_cycles == sum(branches) + dense
         assert p.total_cycles == max(branches) + dense
         assert s.total_cycles >= p.total_cycles
@@ -495,16 +484,23 @@ class TestScheduleLatency:
     )
     @settings(max_examples=50, deadline=None)
     def test_adding_branch_is_monotone(self, branches, extra, dense):
-        s0 = schedule_latency(branches, dense, "serial").total_cycles
-        p0 = schedule_latency(branches, dense, "parallel").total_cycles
-        s1 = schedule_latency(branches + [extra], dense, "serial").total_cycles
-        p1 = schedule_latency(branches + [extra], dense, "parallel").total_cycles
+        s0 = schedule_latency(_one_layer(branches), [dense], "serial").total_cycles
+        p0 = schedule_latency(_one_layer(branches), [dense], "parallel").total_cycles
+        s1 = schedule_latency(_one_layer(branches + [extra]), [dense], "serial").total_cycles
+        p1 = schedule_latency(_one_layer(branches + [extra]), [dense], "parallel").total_cycles
         assert s1 >= s0
         assert p1 >= p0 or p1 == max(branches + [extra]) + dense
 
     def test_empty_branches_rejected(self):
         with pytest.raises(ValueError):
-            schedule_latency([], 10, "serial")
+            schedule_latency({}, [10], "serial")
+
+    def test_unknown_schedule_rejected(self, rng):
+        spec = tiny_spec(rng)
+        with pytest.raises(ValueError, match="schedule must be one of"):
+            model_cycles(spec, rows_for(spec, rng), "warp")
+        with pytest.raises(ValueError, match="schedule must be one of"):
+            schedule_latency(_one_layer([100]), [10], "warp")
 
 
 class TestResources:

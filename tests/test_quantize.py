@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,27 @@ class TestQuantizedModel:
         doc["branches"][0][1]["mult"] = 1 << 40
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="headroom"):
+            load_qmodel(p)
+
+    def test_pool_differs_from_spec_rejected_on_load(self, tmp_path, rng):
+        import json
+
+        spec = tiny_spec(rng, pools=True)
+        params = init_params(spec, seed=0)
+        X = random_inputs(spec, rng, batch=4)
+        p = tmp_path / "q.json"
+        save_qmodel(p, quantize(spec, params, calibrate(spec, params, X), 8))
+        doc = json.loads(p.read_text())
+        # the file's pools are its spec's; one layer's pool then differs from it
+        assert [[l["pool"] for l in ls] for ls in doc["branches"]] == \
+            [[l.pool for l in b.layers] for b in spec.branches]
+        b = spec.branches[-1]
+        stored = None if b.layers[1].pool else 2
+        doc["branches"][-1][1]["pool"] = stored
+        p.write_text(json.dumps(doc))
+        msg = (f"{p}: branch '{b.name}' layer 1 stores pool {stored!r}, but its spec has "
+               f"pool {b.layers[1].pool!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             load_qmodel(p)
 
     def test_dequantized_features_recover_fp32(self, rng):
