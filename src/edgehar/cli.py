@@ -273,7 +273,7 @@ def cmd_train(cfg: Config, args) -> int:
     tr.history_to_csv(history, cfg.out / "history.csv")
     write_json_atomic(cfg.out / "history.meta.json", cfg.echo)
     print(f"trained {len(history)} epochs; final "
-          f"train_acc={history[-1]['train_acc']:.4f}" if history else "0 epochs")
+          f"batch_acc={history[-1]['batch_acc']:.4f}" if history else "0 epochs")
     return 0
 
 

@@ -231,8 +231,11 @@ class Frame:
 
 
 def validate_params(spec: ModelSpec, params: ModelParams) -> None:
-    if len(params.branch_weights) != len(spec.branches):
-        raise ValueError("branch count mismatch between spec and params")
+    have, names = len(params.branch_weights), [b.name for b in spec.branches]
+    if have != len(names):
+        gap = (f"none for branch {', '.join(map(repr, names[have:]))}" if have < len(names)
+               else f"{have - len(names)} beyond its last branch {names[-1]!r}")
+        raise ValueError(f"weights for {have} branches, but the spec has {len(names)}: {gap}")
     for branch, ws in zip(spec.branches, params.branch_weights):
         if len(ws) != 3:
             raise ValueError(f"branch {branch.name!r} must carry 3 weight tensors")

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .fxp import FxFormat, round_nearest, storage_format
-from .model import ModelParams, ModelSpec, _walk, forward_batch
+from .model import ModelParams, ModelSpec, _walk, forward_batch, validate_params
 
 __all__ = [
     "CalibStats",
@@ -143,14 +143,15 @@ class QLayer:
 class QuantizedModel:
     """Integer weights, shared conv rescales, dense scales, and requant pairs.
 
-    Building one checks every layer's weight storage and the requantization
-    headroom, fixes acc_width and the storage format fmt, and proves each
-    layer's accumulator range: every layer input lies in fmt (the engine
-    checks the model input, and requantize saturates every later one), so
-    acc_bounds[where] = taps * 2^n * max|w| bounds every partial sum of the
-    layer in any order. A bound that reaches 2^(acc_width - 1), or 2^53 where
-    float64 stops being exact, is rejected here, naming the layer; the engine
-    then runs every frame without a range check. spec is the one
+    Building one checks every layer's weight shape against spec (one stored
+    branch per spec branch, two dense layers), its weight storage and the
+    requantization headroom, fixes acc_width and the storage format fmt, and
+    proves each layer's accumulator range: every layer input lies in fmt
+    (the engine checks the model input, and requantize saturates every later
+    one), so acc_bounds[where] = taps * 2^n * max|w| bounds every partial sum
+    of the layer in any order. A bound that reaches 2^(acc_width - 1), or 2^53
+    where float64 stops being exact, is rejected here, naming the layer; the
+    engine then runs every frame without a range check. spec is the one
     description of the network's structure and, through the engine's
     model_cycles, of its cost.
     """
@@ -167,6 +168,10 @@ class QuantizedModel:
     acc_bounds: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if len(self.dense) != 2:
+            raise ValueError(f"{len(self.dense)} dense layers, expected 2")
+        validate_params(self.spec, ModelParams([[l.w_int for l in ls] for ls in self.branches],
+                                               *(l.w_int for l in self.dense)))
         layers = [(f"branch {b.name!r} layer {i}", l)
                   for b, ls in zip(self.spec.branches, self.branches) for i, l in enumerate(ls)]
         layers += list(zip(("dense hidden", "dense output"), self.dense))
@@ -344,7 +349,9 @@ def save_qmodel(path, qm: QuantizedModel, meta: dict | None = None) -> None:
 
 def load_qmodel(path) -> tuple[QuantizedModel, dict]:
     """A saved QuantizedModel and its meta. A layer whose stored pool is not
-    its spec's is rejected, naming the file, the branch and the layer."""
+    its spec's, a missing or extra branch and a weight whose shape is not
+    its spec layer's are rejected, naming the file, the branch and the
+    layer."""
     from .model import _spec_from_dict
     from .persist import read_json_checked
 
@@ -365,13 +372,16 @@ def load_qmodel(path) -> tuple[QuantizedModel, dict]:
                relu=l["relu"])
         for l in doc["dense"]
     ]
-    qm = QuantizedModel(
-        spec,
-        doc["n_bits"],
-        [float(r) for r in doc["rescales"]],
-        [(float(a), float(b)) for a, b in doc["dense_scales"]],
-        branches,
-        dense,
-        {k: int(v) for k, v in doc["input_rows"].items()},
-    )
+    try:
+        qm = QuantizedModel(
+            spec,
+            doc["n_bits"],
+            [float(r) for r in doc["rescales"]],
+            [(float(a), float(b)) for a, b in doc["dense_scales"]],
+            branches,
+            dense,
+            {k: int(v) for k, v in doc["input_rows"].items()},
+        )
+    except ValueError as ex:
+        raise ValueError(f"{path}: {ex}") from None
     return qm, doc.get("meta", {})

@@ -11,9 +11,14 @@ The forward half of backprop is the model's own network walk (model._walk),
 run with an observer that keeps each layer's input, post-ReLU output and
 pool indices; there is no second copy of the network here. Conv gradients
 reuse the model's im2col kernel: dW is the patch columns transposed times
-dZ, and dX is the same kernel run on dZ padded by K-1 against the spatially
-flipped kernel with C and F swapped. The first layer's input gradient is
-never computed.
+dZ, and dX is the same kernel run on dZ zero-bordered by K-1 against the
+spatially flipped kernel with C and F swapped. The first layer's input
+gradient is never computed.
+
+Training never runs a forward pass only to keep its history: an epoch's
+batch_loss and batch_acc are the batch-size-weighted means of what its
+backward calls computed, each at the weights before that batch's step.
+Validation, when a split is held out, runs at the end of every epoch.
 """
 
 from __future__ import annotations
@@ -172,9 +177,12 @@ def _conv_bwd(dz, x, w, need_dx: bool):
         dw += cols.T @ dz_rows[rows].reshape(-1, f)
     dx = None
     if need_dx:
-        pad = [(0, 0)] * (dz.ndim - nd - 1) + [(k - 1, k - 1)] * nd + [(0, 0)]
+        space = dz.shape[-nd - 1 : -1]
+        padded = np.zeros((*dz.shape[: -nd - 1], *(s + 2 * (k - 1) for s in space),
+                           f), dtype=dz.dtype)
+        padded[(..., *(slice(k - 1, k - 1 + s) for s in space), slice(None))] = dz
         w_flip = np.flip(w, axis=tuple(range(nd))).swapaxes(-1, -2)
-        dx = _conv_batch(np.pad(dz, pad), w_flip)
+        dx = _conv_batch(padded, w_flip)
     return dx, dw.reshape(w.shape)
 
 
@@ -224,9 +232,14 @@ def _branch_bwd(branch: BranchSpec, ws, tape: dict, bi: int, dfeat):
 
 
 def backward(
-    spec: ModelSpec, params: ModelParams, X: dict, y: np.ndarray
+    spec: ModelSpec, params: ModelParams, X: dict, y: np.ndarray,
+    *, correct: list[int] | None = None,
 ) -> tuple[float, ModelParams]:
-    """Mean loss over the batch and exact gradients, packed like ModelParams."""
+    """Mean loss over the batch and exact gradients, packed like ModelParams.
+
+    When correct is given, the number of frames whose largest logit is at
+    their label is appended to it, from the same forward pass.
+    """
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("batch must be nonempty")
@@ -237,6 +250,8 @@ def backward(
 
     logits = _walk(spec, params, X, keep)
     loss, dlogits = _ce_loss_grad(logits, y)
+    if correct is not None:
+        correct.append(int(np.count_nonzero(np.argmax(logits, axis=1) == y)))
 
     fused, hidden, _ = tape["dense"]
     ddense2 = hidden.T @ dlogits
@@ -319,9 +334,18 @@ def train(
 ) -> tuple[ModelParams, list[dict]]:
     """Adam training, deterministic for a fixed seed.
 
-    Returns the trained parameters and a per-epoch history with train/val
-    loss and accuracy. Raises TrainingDiverged (with the epoch index) if the
-    loss goes non-finite.
+    Returns the trained parameters and one history row per epoch:
+    batch_loss and batch_acc, the batch-size-weighted means over the epoch
+    of each batch's loss and accuracy at the weights before its step, and
+    val_loss and val_acc over the held-out split at the end of the epoch
+    (nan when none is held out).
+
+    Raises TrainingDiverged if a batch loss goes non-finite, naming the
+    epoch whose updates made the weights that batch saw: the first batch of
+    epoch e > 0 sees epoch e - 1's last step, and the first batch of epoch 0
+    names epoch 0. After the last epoch, one pass over the training split
+    checks the final weights the same way, naming the last epoch, so the
+    returned weights never give a non-finite training loss.
     """
     X, y = dataset
     y = np.asarray(y)
@@ -344,18 +368,20 @@ def train(
     opt = _Adam(params, config)
     batch_rng = substream(config.seed, "batch")
     history = []
+    made_by = 0  # the epoch whose steps made the current weights
     for epoch in range(config.epochs):
         order = batch_rng.permutation(tr_idx.size)
+        loss_sum, correct = 0.0, []
         for start in range(0, tr_idx.size, config.batch_size):
             idx = tr_idx[order[start : start + config.batch_size]]
-            loss, grads = backward(spec, params, _take(X, idx), y[idx])
+            loss, grads = backward(spec, params, _take(X, idx), y[idx], correct=correct)
             if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                raise TrainingDiverged(f"non-finite loss at epoch {made_by}")
+            loss_sum += loss * idx.size
             opt.step(params, grads)
-        tr_loss, tr_acc = evaluate(spec, params, _take(X, tr_idx), y[tr_idx])
-        if not np.isfinite(tr_loss):
-            raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-        row = {"epoch": epoch, "train_loss": tr_loss, "train_acc": tr_acc}
+            made_by = epoch
+        row = {"epoch": epoch, "batch_loss": loss_sum / tr_idx.size,
+               "batch_acc": sum(correct) / tr_idx.size}
         if n_val:
             row["val_loss"], row["val_acc"] = evaluate(
                 spec, params, _take(X, val_idx), y[val_idx]
@@ -363,6 +389,10 @@ def train(
         else:
             row["val_loss"], row["val_acc"] = float("nan"), float("nan")
         history.append(row)
+    if history:
+        final_loss, _ = evaluate(spec, params, _take(X, tr_idx), y[tr_idx])
+        if not np.isfinite(final_loss):
+            raise TrainingDiverged(f"non-finite loss at epoch {made_by}")
     return params, history
 
 
@@ -396,5 +426,5 @@ def select_modalities(report: ImportanceReport, keep: int) -> list[str]:
 def history_to_csv(history: list[dict], path) -> None:
     from .persist import write_csv_atomic
 
-    cols = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
+    cols = ["epoch", "batch_loss", "batch_acc", "val_loss", "val_acc"]
     write_csv_atomic(path, cols, ([row[c] for c in cols] for row in history))

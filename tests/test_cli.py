@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 import tempfile
 from dataclasses import asdict, fields
@@ -346,6 +347,27 @@ class TestOneNetwork:
             assert _run(stage, "--config", cfg, "--qmodel", str(qpath)) == 2, stage
             err = capsys.readouterr().err
             assert f"{qpath}: branch 'b' layer 0 stores pool 2, but its spec has pool None" in err
+        assert self._no_outputs(out)
+
+    def test_qmodel_missing_branch_exit_2(self, tmp_path, capsys):
+        cfg = json.loads((ROOT / "configs" / "smoke.json").read_text())
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, out=str(out))))
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", str(path)) == 0
+        qpath = out / f"qmodel_n{cfg['bits'][-1]}.json"
+        doc = json.loads(qpath.read_text())
+        assert doc["spec"]["branches"][-1]["name"] == "tof"
+        doc["branches"].pop()
+        qpath.write_text(json.dumps(doc))
+        msg = f"{qpath}: weights for 3 branches, but the spec has 4: none for branch 'tof'"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            quantize.load_qmodel(qpath)
+        capsys.readouterr()
+        for stage in ("infer", "simulate"):
+            assert _run(stage, "--config", str(path), "--qmodel", str(qpath)) == 2, stage
+            assert msg in capsys.readouterr().err
         assert self._no_outputs(out)
 
     def test_model_and_qmodel_of_other_networks_exit_2(self, workdir, capsys):

@@ -260,6 +260,29 @@ class TestQuantizedModel:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             load_qmodel(p)
 
+    def test_layout_differs_from_spec_rejected_on_build(self, rng):
+        spec, params, X = _fixture_model(rng)
+        qm = quantize(spec, params, calibrate(spec, params, X), 8)
+        names = [b.name for b in spec.branches]
+        last = qm.branches[-1]
+        short = QLayer(last[2].w_int[..., :-1], last[2].mult, last[2].shift)
+        d0, d1 = qm.dense
+        cases = [
+            (qm.branches[:-1], qm.dense,
+             f"weights for {len(names) - 1} branches, but the spec has {len(names)}: "
+             f"none for branch {names[-1]!r}"),
+            (qm.branches + qm.branches[-1:], qm.dense,
+             f"1 beyond its last branch {names[-1]!r}"),
+            ([*qm.branches[:-1], [*last[:2], short]], qm.dense,
+             f"branch {names[-1]!r} layer 2: weight shape {short.w_int.shape}"),
+            (qm.branches, [QLayer(d0.w_int[:-1], d0.mult, d0.shift), d1], "dense1 shape"),
+            (qm.branches, [d0], "1 dense layers, expected 2"),
+        ]
+        for branches, dense, msg in cases:
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                QuantizedModel(spec, qm.n_bits, qm.rescales, qm.dense_scales, branches,
+                               dense, qm.input_rows)
+
     def test_dequantized_features_recover_fp32(self, rng):
         # branch features share R_3, so int features dequantize comparably
         from edgehar.engine import quantize_frame, _q_branch

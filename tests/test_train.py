@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from edgehar import model
+from edgehar import model, train as train_mod
 from edgehar.daq import SensorSpec, bundle_arrays, gen_dataset
 from edgehar.model import BranchSpec, ConvSpec, ModelSpec, feature_fusion_spec
 from edgehar.train import (
@@ -119,6 +119,19 @@ class TestConvBackward:
         assert dx0 is None
         np.testing.assert_array_equal(dw0, dw)
 
+    @pytest.mark.parametrize("nd", [1, 2])
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_dx_equals_padded_formulation(self, rng, nd, lead, k):
+        c, f = 3, 4
+        x = rng.normal(size=(*lead, *(9, 7)[:nd], c))
+        w = rng.normal(size=(*(k,) * nd, c, f))
+        dz = rng.normal(size=model._conv_batch(x, w).shape)
+        dx, _ = _conv_bwd(dz, x, w, need_dx=True)
+        pad = [(0, 0)] * len(lead) + [(k - 1, k - 1)] * nd + [(0, 0)]
+        w_flip = np.flip(w, axis=tuple(range(nd))).swapaxes(-1, -2)
+        np.testing.assert_array_equal(dx, model._conv_batch(np.pad(dz, pad), w_flip))
+
     def test_short_1d_window_names_the_kernel(self, rng):
         layers = (ConvSpec(2, 4), ConvSpec(2, 4), ConvSpec(2, 4))
         spec = ModelSpec((BranchSpec("s", 2, layers),), hidden=3, classes=2)
@@ -168,9 +181,10 @@ class TestTrain:
         X, y = _two_class_separable(rng)
         assert _perceptron_separable(X, y), "oracle says the set is not separable"
         spec = self._spec()
-        params, hist = train(spec, (X, y), TrainConfig(epochs=50, batch_size=8,
-                                                       lr=3e-3, seed=0))
-        assert hist[-1]["train_acc"] >= 0.95
+        params, _ = train(spec, (X, y), TrainConfig(epochs=50, batch_size=8,
+                                                    lr=3e-3, seed=0))
+        _, acc = evaluate(spec, params, X, y)
+        assert acc >= 0.95
 
     def test_zero_epochs_leaves_params_unchanged(self, rng):
         X, y = _two_class_separable(rng)
@@ -211,6 +225,65 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="epoch 0"):
             train(spec, (X, y), TrainConfig(epochs=5, lr=1e100, seed=0))
 
+    def test_history_is_the_epochs_batch_means(self, rng, monkeypatch):
+        X, y = _two_class_separable(rng)
+        spec = self._spec()
+        cfg = TrainConfig(epochs=2, batch_size=8, lr=3e-3, seed=4, val_fraction=0.25)
+        calls = []
+
+        def recording(spec_, params, Xb, yb, **kw):
+            calls.append((params.copy(), Xb, yb))
+            return backward(spec_, params, Xb, yb, **kw)
+
+        monkeypatch.setattr(train_mod, "backward", recording)
+        _, hist = train(spec, (X, y), cfg)
+        n_tr = y.size - cfg.n_val(y.size)
+        per_epoch = -(-n_tr // cfg.batch_size)
+        assert len(hist) == 2 and len(calls) == 2 * per_epoch
+        for epoch, row in enumerate(hist):
+            loss_sum, correct = 0.0, []
+            for params, Xb, yb in calls[epoch * per_epoch : (epoch + 1) * per_epoch]:
+                loss, _ = backward(spec, params, Xb, yb, correct=correct)
+                loss_sum += loss * yb.size
+                hits = np.argmax(model.forward_batch(spec, params, Xb), axis=1) == yb
+                assert correct[-1] == int(np.count_nonzero(hits))
+            assert row["batch_loss"] == loss_sum / n_tr
+            assert row["batch_acc"] == sum(correct) / n_tr
+
+    def test_one_training_split_pass_per_run(self, rng, monkeypatch):
+        X, y = _two_class_separable(rng)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=2, val_fraction=0.25)
+        frames = []
+
+        def counting(spec_, params, Xe, ye):
+            frames.append(len(ye))
+            return evaluate(spec_, params, Xe, ye)
+
+        monkeypatch.setattr(train_mod, "evaluate", counting)
+        train(self._spec(), (X, y), cfg)
+        n_val = cfg.n_val(y.size)
+        assert frames == [n_val] * cfg.epochs + [y.size - n_val]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_final_weights_checked(self, rng, monkeypatch):
+        # one batch, one epoch: the only batch loss is finite, and the step
+        # it takes makes weights whose training loss is not
+        X = {"s": rng.normal(size=(12, 16, 1)) * 1e120}
+        y = (np.arange(12) % 2).astype(np.int64)
+        losses = []
+
+        def recording(*args, **kw):
+            loss, grads = backward(*args, **kw)
+            losses.append(loss)
+            return loss, grads
+
+        monkeypatch.setattr(train_mod, "backward", recording)
+        with pytest.raises(TrainingDiverged, match="epoch 0"):
+            train(self._spec(), (X, y), TrainConfig(epochs=1, batch_size=16, lr=1e100,
+                                                    seed=0, val_fraction=0.0))
+        assert len(losses) == 1 and np.isfinite(losses[0])
+
     def test_label_range_checked(self, rng):
         X, y = _two_class_separable(rng)
         with pytest.raises(ValueError):
@@ -222,7 +295,7 @@ class TestTrain:
         out = tmp_path / "h.csv"
         history_to_csv(hist, out)
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
+        assert lines[0] == "epoch,batch_loss,batch_acc,val_loss,val_acc"
         assert len(lines) == 3
 
 
