@@ -206,8 +206,13 @@ def parse_config(doc: dict) -> Config:
     window = daq.WindowConfig(Fraction(raw["window_ms"], 1000), Fraction(raw["step_ms"], 1000))
     spec = mdl.feature_fusion_spec(sensors, m["filters"], m["kernel"], m["hidden"],
                                    raw["classes"])
-    rows = {s.name: window.timesteps(s.rate_hz) for s in sensors}
+    rows = {}
     for s, branch in zip(sensors, spec.branches):
+        try:
+            rows[s.name] = window.timesteps(s.rate_hz)
+        except ValueError as ex:
+            raise ValueError(f"window_ms {raw['window_ms']} for sensor {s.name!r} at "
+                             f"{s.rate_hz} Hz: {ex}") from None
         try:
             spec.layer_dims(branch, rows[s.name])
         except mdl.ShapeError as ex:
@@ -392,14 +397,14 @@ def cmd_simulate(cfg: Config, args) -> int:
         norm = mdl.normalize_inputs(frame.tensors, stats)
         rows_out.append((frame.t_end_ns,
                          engine.qinfer(qm, engine.quantize_frame(norm, qm.n_bits))))
+    conserved = session.conservation()
+    if not all(c["ok"] for c in conserved.values()):
+        raise RuntimeError(f"sample conservation violated: {conserved}")
     write_csv_atomic(cfg.out / "labels.csv", ["t_ns", "class"], rows_out)
     write_json_atomic(cfg.out / "labels.meta.json",
                       cfg.echo | {"truth_spans": spans})
     write_json_atomic(cfg.out / "cycles.json",
                       {"schema": "edgehar.cycles/v1", **report.to_dict()} | cfg.echo)
-    conserved = session.conservation()
-    if not all(c["ok"] for c in conserved.values()):
-        raise RuntimeError(f"sample conservation violated: {conserved}")
     print(f"emitted {len(rows_out)} labels; "
           f"latency {report.latency_s*1e3:.3f} ms per frame ({cfg.raw['schedule']})")
     return 0

@@ -18,10 +18,11 @@ Each concept of the acquisition layer is defined once, here:
   and so the tracks that sources replay; count_until, its inverse, counts
   the stamps before a time and so sizes a timeline.
 - WindowConfig.timesteps is the rows-per-window rule (window x rate, rounded
-  half up). It sets the rows gen_dataset writes, the rows bundle_arrays
-  checks, the rows stream_frames emits and the window check at config load,
-  so the model's input size; FIFO_WINDOWS times it is the depth of each FIFO
-  a stream drains.
+  half up); it rejects a window shorter than the grid's widest gap, which
+  may hold no sample. It sets the rows gen_dataset writes, the rows
+  bundle_arrays checks, the rows stream_frames emits and the window check
+  at config load, so the model's input size; FIFO_WINDOWS times it is the
+  depth of each FIFO a stream drains.
 - A dataset split is stored as the model's input tensors: one
   (recordings, rows, channels) array per sensor. bundle_arrays only checks
   their rows against the window and normalizes them into model inputs.
@@ -317,12 +318,18 @@ class WindowConfig:
         return int(self.step_s * NS)
 
     def timesteps(self, rate_hz) -> int:
-        """Rows of one window at rate_hz: window x rate, rounded half up."""
-        n = self.window_s * _as_frac(rate_hz)
-        rows = int(n + Fraction(1, 2))
-        if rows < 1:
-            raise ValueError(f"window {self.window_s}s too short at {rate_hz} Hz")
-        return rows
+        """Rows of one window at rate_hz: window x rate, rounded half up.
+
+        Raises ValueError when a window can hold no sample: when window_ns is
+        below ceil(1e9 / rate), the widest gap between two stamps of the
+        sample grid.
+        """
+        r = _as_frac(rate_hz)
+        gap = -(-NS * r.denominator // r.numerator)
+        if self.window_ns < gap:
+            raise ValueError(f"a {self.window_ns} ns window may hold no sample: stamps "
+                             f"at {rate_hz} Hz are up to {gap} ns apart")
+        return int(self.window_s * r + Fraction(1, 2))
 
 
 def _fit_rows(name, samples, want, t_emit, session):
@@ -537,7 +544,7 @@ def bundle_arrays(bundle: DatasetBundle, names, stats=None):
             raise RuntimeError(f"sensor {name!r}: recording rows {rows} "
                                f"!= window timesteps {want}")
     raw = {name: bundle.arrays[name] for name in names}
-    return normalize_inputs(raw, stats or bundle.norm_stats()).tensors, bundle.labels
+    return normalize_inputs(raw, stats or bundle.norm_stats()), bundle.labels
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ _q_forward checks the model input, and requantize saturates every later one.
 So taps x 2^n x max|w| bounds every partial sum of a layer in every order.
 QuantizedModel records that bound per layer and rejects a model where one
 reaches 2^(acc_width - 1) or 2^53, so no partial sum can leave the register
-and every float64 product and sum is an exact integer: one float64 GEMM
-over cast-copied im2col columns, converted straight to int64, is the exact
-accumulator.
+and every float64 product and sum is an exact integer. A conv layer's MAC is
+therefore the FP model's own convolution, model._conv_batch, run on the
+int64 input against the float64 weight copy: its float64 GEMM over
+cast-copied im2col blocks lands in an int64 accumulator. A dense layer is
+one such GEMM.
 
 Work per layer is split by what it depends on. Everything about the weights
 and the model is done once, at build: a QLayer's read-only int64 weights,
@@ -30,13 +32,12 @@ the spec, which a QLayer does not copy.
 
 One path runs every frame: _q_forward takes a lead frame axis, and each
 layer runs once over all the frames it is given. qinfer is a batch of one,
-as simulate streams frames in. qinfer_batch runs a whole set through it in
-chunks whose widest layer output is at most _BATCH_BYTES, so its memory
-stays flat in the batch size.
+as simulate streams frames in; qinfer_batch quantizes a whole set once and
+runs it through _q_forward once, as forward_batch runs the FP model.
 
 Nothing here restates the model or the arithmetic: rounding, saturation,
 the storage format and the multiply-shift requantization are fxp's; the
-branch input layout, the im2col patches and their block size, the pooling
+branch input layout, the convolution with its im2col blocks, the pooling
 windows and the shape walk (which the cycle and resource models count) are
 the FP model's.
 
@@ -58,8 +59,7 @@ import numpy as np
 
 from .fxp import requantize, round_nearest, storage_format
 from .model import (
-    BranchSpec, Frame, ModelSpec, _block_rows, _branch_input, _head, _patch_view,
-    _pool_windows, count_params,
+    BranchSpec, ModelSpec, _branch_input, _conv_batch, _head, _pool_windows, count_params,
 )
 from .quantize import QLayer, QuantizedModel
 
@@ -83,19 +83,14 @@ MULTIPLIER_INPUT_WIDTH = 9  # input width of one embedded hardware multiplier
 
 _SCHEDULES = ("serial", "parallel")
 
-# Cap in bytes on the widest int64 layer output of one chunk of qinfer_batch
-# frames, so that its peak memory stays flat in the batch size.
-_BATCH_BYTES = 1 << 18
-
 
 # ---------------------------------------------------------------------------
 # Integer numerics
 # ---------------------------------------------------------------------------
 
-def quantize_frame(frame: Frame | dict, n_bits: int) -> dict[str, np.ndarray]:
+def quantize_frame(tensors: dict, n_bits: int) -> dict[str, np.ndarray]:
     """Map normalized [-1, 1] tensors onto the integer grid round(x * 2^n) in
     signed (n + 1)-bit storage, rounding one scaled float64 copy in place."""
-    tensors = frame.tensors if isinstance(frame, Frame) else frame
     fmt = storage_format(n_bits)
     out = {}
     for name, x in tensors.items():
@@ -104,34 +99,6 @@ def quantize_frame(frame: Frame | dict, n_bits: int) -> dict[str, np.ndarray]:
         except ValueError as ex:
             raise ValueError(f"sensor {name!r}: {ex}") from None
     return out
-
-
-def _mac(x: np.ndarray, q: QLayer) -> np.ndarray:
-    """Exact integer MAC of x against q's weights: dense x (*lead, C) with w
-    (C, F); conv x (*lead, L, C) or (*lead, T, H, W, C) with w (K, C, F) or
-    (K, K, C, F), valid padding.
-
-    x must lie in the model's storage format, so the layer's proven bound
-    keeps every float64 product and sum an exact integer: the float64 GEMM
-    converts straight to int64. Conv columns are cast-copied from the im2col
-    view of x one _block_rows block at a time, so no float64 copy of the
-    whole input or its patches exists; an input that fits in one block is
-    one GEMM.
-    """
-    if q.w_int.ndim == 2:
-        return (x @ q.w_float).astype(np.int64)
-    nd = q.w_int.ndim - 2
-    patches = _patch_view(x, q.w_int.shape[0], nd)
-    n, out_sp, f = patches.shape[0], patches.shape[1 : nd + 1], q.w_int.shape[-1]
-    wmat = q.w_float.reshape(q.taps, f)
-    step = _block_rows(patches)
-    cols = np.empty((min(step, n), *patches.shape[1:]), dtype=np.float64)
-    acc = np.empty((n, *out_sp, f), dtype=np.int64)
-    for s in range(0, n, step):
-        block = cols[: min(step, n - s)]
-        np.copyto(block, patches[s : s + step])
-        acc[s : s + step] = (block.reshape(-1, q.taps) @ wmat).reshape(-1, *out_sp, f)
-    return acc.reshape(*x.shape[: -nd - 1], *out_sp, f)
 
 
 def qconv_layer(
@@ -149,15 +116,13 @@ def qconv_layer(
     every input inside a QuantizedModel does; it is not scanned.
     """
     qlayer.check_storage(n_bits, where)
-    nd = qlayer.w_int.ndim - 2
-    k = qlayer.w_int.shape[0]
-    grid = x.shape[-nd - 1 : -1]
-    if min(grid) < k:
-        raise ValueError(f"{where}: input {grid} < kernel {k}")
-    out = requantize(_mac(x, qlayer), qlayer.mult, qlayer.shift, storage_format(n_bits),
-                     qlayer.relu)
+    try:
+        acc = _conv_batch(x, qlayer.w_float)
+    except ValueError as ex:
+        raise ValueError(f"{where}: {ex}") from None
+    out = requantize(acc, qlayer.mult, qlayer.shift, storage_format(n_bits), qlayer.relu)
     if pool:
-        out = _pool_windows(out, pool, nd).max(axis=-2)
+        out = _pool_windows(out, pool, qlayer.w_int.ndim - 2).max(axis=-2)
     return out
 
 
@@ -169,8 +134,8 @@ def qdense_layer(x: np.ndarray, qlayer: QLayer, n_bits: int, where: str = "dense
         raise ValueError(
             f"{where}: {x.shape[-1]} inputs vs weight rows {qlayer.w_int.shape[0]}"
         )
-    return requantize(_mac(x, qlayer), qlayer.mult, qlayer.shift, storage_format(n_bits),
-                      qlayer.relu)
+    return requantize((x @ qlayer.w_float).astype(np.int64), qlayer.mult, qlayer.shift,
+                      storage_format(n_bits), qlayer.relu)
 
 
 def _q_branch(spec: ModelSpec, branch: BranchSpec, qlayers: list[QLayer],
@@ -212,26 +177,10 @@ def qinfer(qm: QuantizedModel, qframe: dict) -> int:
     return int(np.argmax(logits))
 
 
-def _frame_bytes(spec: ModelSpec, X: dict) -> int:
-    """Bytes of one frame's widest int64 conv layer output."""
-    return 8 * max((math.prod(conv) * l.filters for b in spec.branches if b.name in X
-                    for (_, conv, _), l in zip(spec.layer_dims(b, np.shape(X[b.name])[1]),
-                                               b.layers)), default=1)
-
-
 def qinfer_batch(qm: QuantizedModel, X: dict) -> np.ndarray:
-    """Predicted classes for a batch of normalized float inputs {name: (N, ...)}.
-
-    The frames run together through _q_forward, in chunks of at most
-    _BATCH_BYTES of the widest layer output.
-    """
-    n = len(next(iter(X.values())))
-    step = max(1, _BATCH_BYTES // _frame_bytes(qm.spec, X))
-    preds = np.empty(n, dtype=np.int64)
-    for s in range(0, n, step):
-        qX = quantize_frame({k: v[s : s + step] for k, v in X.items()}, qm.n_bits)
-        preds[s : s + step] = np.argmax(_q_forward(qm, qX), axis=1)
-    return preds
+    """Predicted classes for a batch of normalized float inputs {name: (N, ...)}:
+    the batch is quantized once and runs through _q_forward once."""
+    return np.argmax(_q_forward(qm, quantize_frame(X, qm.n_bits)), axis=1)
 
 
 # ---------------------------------------------------------------------------

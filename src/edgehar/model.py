@@ -11,9 +11,12 @@ Each concept of the network is defined once, here:
 - _walk is the network. forward_batch runs it; training's backward pass and
   the quantizer's calibration run it with an observer that keeps what they
   need of each layer (activations and pool indices, or running maxima).
-- _conv_batch is every FP convolution: a GEMM over _patch_view's im2col
-  patches in _block_rows blocks, which training's backward pass also calls.
-  The engine's integer MAC runs the same patches in the same blocks.
+- _conv_batch is every convolution, FP and integer: one GEMM per block of
+  _conv_blocks, the one im2col block loop, which cast-copies _patch_view's
+  patches into one reused buffer of at most _COL_BLOCK_BYTES. It runs the
+  FP forward pass, training's backward dX and the engine's integer MAC (an
+  integer input gives the exact int64 accumulator); the backward dW reads
+  the same blocks.
 - _pool_windows is every kernel max-pool, FP and integer alike; _head is the
   branch head (global max-pool or flatten) and _mix the importance mixing.
 - ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle
@@ -36,7 +39,6 @@ __all__ = [
     "ModelParams",
     "Frame",
     "ShapeError",
-    "forward",
     "forward_batch",
     "count_params",
     "normalize_inputs",
@@ -268,53 +270,57 @@ def _patch_view(x: np.ndarray, k: int, nd: int) -> np.ndarray:
     straight from x's strides. Each patch flattens tap-major, so it pairs with
     a weight reshaped to (-1, F)."""
     flat = np.ascontiguousarray(x).reshape(math.prod(x.shape[: -nd - 1]), *x.shape[-nd - 1 :])
-    out = tuple(d - k + 1 for d in flat.shape[1:-1])
-    sp = flat.strides[1:-1]
-    return np.ndarray((flat.shape[0], *out, *(k,) * nd, flat.shape[-1]), flat.dtype, flat,
-                      0, (flat.strides[0], *sp, *sp, flat.strides[-1]))
+    sh, st = flat.shape, flat.strides
+    return np.ndarray((sh[0], *[d - k + 1 for d in sh[1:-1]], *(k,) * nd, sh[-1]), flat.dtype,
+                      flat, 0, (st[0], *st[1:-1], *st[1:-1], st[-1]))
 
 
-def _block_rows(patches: np.ndarray) -> int:
-    """Lead rows per block of patch columns: at most _COL_BLOCK_BYTES, or one
-    row if that is larger, so memory stays flat in the batch size."""
-    return max(1, _COL_BLOCK_BYTES // (math.prod(patches.shape[1:]) * patches.itemsize))
+def _conv_blocks(x: np.ndarray, k: int, nd: int, dtype):
+    """Yield the im2col patch matrix of x in blocks of rows.
 
-
-def _conv_blocks(x: np.ndarray, k: int, nd: int):
-    """Yield the im2col patch matrix of x in blocks over its flattened lead axes.
-
-    x is (*lead, *spatial, C) with nd spatial axes. Each item is (rows, cols):
-    rows slices the flattened lead axes, cols is (rows x positions, k**nd * C)
-    ordered tap-major, so it pairs with a weight reshaped to (-1, F).
+    x is (*lead, *spatial, C) with nd spatial axes. The patch matrix has one
+    row per lead index and output position, k**nd * C columns ordered
+    tap-major, so it pairs with a weight reshaped to (-1, F). Each item is
+    (rows, cols): cols holds the matrix rows that rows slices, cast-copied
+    to dtype in one reused buffer of at most _COL_BLOCK_BYTES (or one lead
+    index's rows, if that is larger), so memory stays flat in the batch
+    size. cols is valid until the next item is drawn.
     """
     patches = _patch_view(x, k, nd)
-    step = _block_rows(patches)
-    width = k**nd * x.shape[-1]
-    for s in range(0, patches.shape[0], step):
-        yield slice(s, s + step), patches[s : s + step].reshape(-1, width)
+    n, shape = patches.shape[0], patches.shape[1:]
+    step = max(1, _COL_BLOCK_BYTES // (math.prod(shape) * np.dtype(dtype).itemsize))
+    buf = np.empty((min(step, n), *shape), dtype)
+    per = math.prod(shape[:nd])
+    for s in range(0, n, step):
+        block = buf[: n - s]
+        np.copyto(block, patches[s : s + step])
+        yield slice(s * per, (s + len(block)) * per), block.reshape(len(block) * per, -1)
 
 
 def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Batched valid stride-1 convolution as one im2col GEMM per column block;
-    an input that fits in one block is one GEMM.
+    """Batched valid stride-1 convolution, one GEMM per _conv_blocks block.
 
     1D: x (B, L, C), w (K, C, F) -> (B, L-K+1, F).
     2D: x (B, T, H, W, C), w (K, K, C, F) -> (B, T, H-K+1, W-K+1, F).
+    The GEMM runs in result_type(x, w) and writes straight into the output.
+    An integer x gives the int64 accumulator, into which each block's GEMM
+    (exact, for a float w whose model proves the range) is cast-assigned.
     """
     nd = w.ndim - 2
     k, f = w.shape[0], w.shape[-1]
-    spatial = x.shape[-nd - 1 : -1]
-    out_sp = tuple(d - k + 1 for d in spatial)
+    lead, spatial = x.shape[: -nd - 1], x.shape[-nd - 1 : -1]
+    out_sp = tuple([d - k + 1 for d in spatial])
     if min(out_sp) < 1:
         raise ValueError(f"input {spatial} shorter than kernel {k}")
-    lead = x.shape[: -nd - 1]
+    gemm = np.result_type(x, w)
+    out = np.empty((math.prod(lead) * math.prod(out_sp), f),
+                   np.int64 if x.dtype.kind in "iu" else gemm)
     wmat = w.reshape(-1, f)
-    patches = _patch_view(x, k, nd)
-    if _block_rows(patches) >= patches.shape[0]:
-        return (patches.reshape(-1, wmat.shape[0]) @ wmat).reshape(*lead, *out_sp, f)
-    out = np.empty((patches.shape[0], *out_sp, f), dtype=np.result_type(x, w))
-    for rows, cols in _conv_blocks(x, k, nd):
-        out[rows] = (cols @ wmat).reshape(-1, *out_sp, f)
+    for rows, cols in _conv_blocks(x, k, nd, gemm):
+        if out.dtype == gemm:
+            np.matmul(cols, wmat, out=out[rows])
+        else:
+            out[rows] = cols @ wmat
     return out.reshape(*lead, *out_sp, f)
 
 
@@ -336,8 +342,8 @@ def _head(branch: BranchSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     """A branch's features (B, n) from its last layer's output h (B, ..., F),
     with the windows a gmax head maxes over axis 1 (None for flatten)."""
     if branch.head == "flatten":
-        return h.reshape(h.shape[0], -1), None
-    win = h.reshape(h.shape[0], -1, h.shape[-1])
+        return h.reshape(len(h), math.prod(h.shape[1:])), None
+    win = h.reshape(len(h), math.prod(h.shape[1:-1]), h.shape[-1])
     return win.max(axis=1), win
 
 
@@ -424,18 +430,6 @@ def forward_batch(
     return _walk(spec, params, inputs)
 
 
-def forward(
-    spec: ModelSpec, params: ModelParams, frame: Frame
-) -> tuple[np.ndarray, int]:
-    """Evaluate one frame: returns (logits, predicted class).
-
-    Argmax ties resolve to the lowest index, matching a priority comparator.
-    """
-    inputs = {name: t[None] for name, t in frame.tensors.items()}
-    logits = forward_batch(spec, params, inputs)[0]
-    return logits, int(np.argmax(logits))
-
-
 def count_params(spec: ModelSpec) -> int:
     """Total trainable weight count (the model has no bias terms)."""
     total = sum(math.prod(b.weight_shape(i)) for b in spec.branches for i in range(3))
@@ -447,7 +441,7 @@ def count_params(spec: ModelSpec) -> int:
 
 def normalize_inputs(
     raw: dict[str, np.ndarray], stats: dict[str, tuple[float, float]]
-) -> Frame:
+) -> dict[str, np.ndarray]:
     """Affinely map each sensor's training range [lo, hi] onto [-1, 1], clipping
     values outside the range."""
     tensors = {}
@@ -459,7 +453,7 @@ def normalize_inputs(
             raise ValueError(f"degenerate stats for sensor {name!r}: min == max == {lo}")
         y = (np.asarray(x, dtype=np.float64) - lo) * (2.0 / (hi - lo)) - 1.0
         tensors[name] = np.clip(y, -1.0, 1.0)
-    return Frame(tensors)
+    return tensors
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,10 @@ def _conv_bwd(dz, x, w, need_dx: bool):
     """
     nd = w.ndim - 2
     k, f = w.shape[0], w.shape[-1]
-    dz_rows = dz.reshape(math.prod(dz.shape[: -nd - 1]), -1)
+    dz_rows = dz.reshape(-1, f)
     dw = np.zeros((w.size // f, f), dtype=w.dtype)
-    for rows, cols in _conv_blocks(x, k, nd):
-        dw += cols.T @ dz_rows[rows].reshape(-1, f)
+    for rows, cols in _conv_blocks(x, k, nd, x.dtype):
+        dw += cols.T @ dz_rows[rows]
     dx = None
     if need_dx:
         space = dz.shape[-nd - 1 : -1]

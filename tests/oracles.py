@@ -187,11 +187,12 @@ def qinfer(qm, qframe, acc_width=None):
 
 def conv_per_tap(x, w):
     """Valid stride-1 conv as a sum of one shifted channel matmul per kernel
-    tap. x (*lead, *spatial, C), w (K, [K,] C, F) with w.ndim - 2 spatial axes."""
+    tap. x (*lead, *spatial, C), w (K, [K,] C, F) with w.ndim - 2 spatial axes.
+    Integer arrays give the exact int64 sum."""
     nd = w.ndim - 2
     k = w.shape[0]
     out_sp = [d - k + 1 for d in x.shape[-nd - 1 : -1]]
-    out = 0.0
+    out = 0
     for tap in np.ndindex(*(k,) * nd):
         win = (Ellipsis, *(slice(t, t + o) for t, o in zip(tap, out_sp)), slice(None))
         out = out + x[win] @ w[tap]

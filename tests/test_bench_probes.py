@@ -4,7 +4,9 @@ BENCHMARK.json's per-layer metrics are named after the functions the
 outside-in tracer wraps (``<module>.<function>.…``), and its harness reads
 a streamed session's FIFO counters and fill events. These tests read the
 file without changing it, so removing or renaming any of that API fails
-here instead of only in a traced benchmark run.
+here instead of only in a traced benchmark run. The per-layer conv probes
+take their branch and depth from the where= keyword of each
+engine.qconv_layer call, so that keyword is checked here too.
 """
 
 import importlib
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from edgehar import engine
 from edgehar.daq import (
     SensorSpec,
     WindowConfig,
@@ -23,6 +26,8 @@ from edgehar.daq import (
     start_sync,
     stream_frames,
 )
+
+from conftest import random_qmodel
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 TRACED_MODULES = ("daq", "model", "train", "quantize", "engine", "persist")
@@ -70,3 +75,25 @@ def test_streamed_session_exposes_counters():
     assert set(cons) == {"a", "b"} and all(c["ok"] for c in cons.values())
     assert sum(c["produced"] for c in cons.values()) == sum(
         int(np.sum(rec.tracks[s.name][0] < frames[-1].t_end_ns)) for s in sensors)
+
+
+def test_qconv_calls_name_branch_and_layer(monkeypatch):
+    # the tracer reads where= only as a keyword; a call that passes it by
+    # position, or in another form, leaves its per-layer probes at 0
+    real, wheres = engine.qconv_layer, []
+
+    def spy(*args, **kwargs):
+        assert len(args) <= 4 and "where" in kwargs, (len(args), kwargs)
+        wheres.append(kwargs["where"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "qconv_layer", spy)
+    for seed in range(4):
+        qm, qframe = random_qmodel(np.random.default_rng(seed), 8)
+        want = [f"branch {b.name!r} layer {d}" for b in qm.spec.branches for d in range(3)]
+        wheres.clear()
+        engine.qinfer(qm, qframe)
+        assert wheres == want
+        wheres.clear()
+        engine.qinfer_batch(qm, {k: np.stack([v, v // 2]) / 2.0**8 for k, v in qframe.items()})
+        assert wheres == want

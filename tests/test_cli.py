@@ -13,6 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from edgehar import daq, engine, quantize
+from edgehar.daq import NS
 from edgehar.cli import DEFAULT_CONFIG, _load_bundle_arrays, main, parse_config
 from edgehar.model import load_model, save_model
 from edgehar.train import TrainConfig, init_params
@@ -289,6 +290,48 @@ class TestWindowRows:
         assert _run("train", "--config", str(cfg_path)) == 0
         rows = np.load(tmp_path / "run" / "dataset" / "t.npy").shape[1]
         assert rows == 35
+
+
+class TestSampleGap:
+    """A window shorter than the widest gap between two stamps of a sensor's
+    sample grid, ceil(1e9 / rate) ns, may hold no sample of it: such a config
+    exits 2 at load from every stage and writes nothing."""
+
+    @staticmethod
+    def _cfg(tmp_path, rate_hz, window_ms):
+        return {"out": str(tmp_path / "r"), "window_ms": window_ms, "step_ms": 500,
+                "sensors": [{"name": "x", "channels": 1, "rate_hz": rate_hz}, "optical"],
+                "classes": 2, "n_per_class": 2, "n_per_class_test": 1, "keep": 1,
+                "model": {"filters": 4, "kernel": 1, "hidden": 8},
+                "train": {"epochs": 1, "batch_size": 2}, "bits": [8],
+                "sim": {"n_segments": 3, "segment_ms": 2000}}
+
+    def test_window_without_a_sample_exit_2(self, tmp_path, capsys):
+        # stamps at 0.6 Hz are 1,666,666,667 ns apart, so a 1 s window misses
+        # them all at some starts: [2 s, 3 s) holds none
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self._cfg(tmp_path, 0.6, 1000)))
+        for stage in ("gen-data", "simulate"):
+            assert _run(stage, "--config", str(path)) == 2, stage
+            err = capsys.readouterr().err
+            assert ("window_ms 1000 for sensor 'x' at 0.6 Hz: a 1000000000 ns window may "
+                    "hold no sample: stamps at 0.6 Hz are up to 1666666667 ns apart") in err
+        assert not (tmp_path / "r").exists()
+
+    def test_window_at_the_widest_gap_streams_every_frame(self, tmp_path):
+        # stamps at 0.5 Hz are 2 s apart: a 2000 ms window holds one wherever
+        # it starts, and a 1999 ms one is rejected
+        with pytest.raises(ValueError, match="window_ms 1999 for sensor 'x' at 0.5 Hz"):
+            parse_config(self._cfg(tmp_path, 0.5, 1999))
+        cfg = self._cfg(tmp_path, 0.5, 2000)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for stage in ("gen-data", "train", "quantize", "simulate"):
+            assert _run(stage, "--config", str(path)) == 0, stage
+        labels = (tmp_path / "r" / "labels.csv").read_text().split()[1:]
+        # floor((T - window) / step) + 1 with T = 6 s, window 2 s, step 0.5 s
+        assert [int(l.split(",")[0]) for l in labels] == [
+            2 * NS + k * NS // 2 for k in range(9)]
 
 
 class TestWindowMismatch:
@@ -615,6 +658,25 @@ class TestAllOrNothing:
         assert _run("quantize", "--config", cfg) == 2
         assert calls == [8, 10]
         assert not list(out.glob("qmodel_n*.json"))
+
+    def test_simulate_writes_nothing_when_conservation_fails(self, workdir, monkeypatch,
+                                                              capsys):
+        tmp, cfg, out = workdir
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        real = daq.Session.conservation
+
+        def one_not_ok(session):
+            cons = real(session)
+            cons["b"]["ok"] = False
+            return cons
+
+        monkeypatch.setattr(daq.Session, "conservation", one_not_ok)
+        capsys.readouterr()
+        assert _run("simulate", "--config", cfg) == 3
+        assert "sample conservation violated" in capsys.readouterr().err
+        assert not any((out / f).exists() for f in ("labels.csv", "labels.meta.json",
+                                                    "cycles.json"))
 
     def test_gen_data_replaces_v1_split(self, workdir):
         # a v1 split kept each recording as rec_NNNN/<sensor>.csv

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgehar import engine, model
+from edgehar import model
 from edgehar.engine import (
     CycleReport,
-    _mac,
     _q_forward,
     ResourceReport,
     conv_layer_cycles,
@@ -198,6 +197,13 @@ def _stepped(x, w):
     return cum[:, -1, :].reshape(out_shape)
 
 
+def _gemm_mac(x, w):
+    """The engine's MAC of int64 x against w: the float64 GEMM on the layer's
+    weight copy, through the model's convolution for a conv layer."""
+    w_float = QLayer(w, mult=1, shift=0).w_float
+    return (x @ w_float).astype(np.int64) if w.ndim == 2 else model._conv_batch(x, w_float)
+
+
 class TestMacPaths:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -205,7 +211,7 @@ class TestMacPaths:
         n = data.draw(st.integers(2, 15))
         _, x, w = _mac_case(data, n)
         assert w.size // w.shape[-1] << (2 * n) < 1 << 53  # the bound a model proves
-        got = _mac(x, QLayer(w, mult=1, shift=0))
+        got = _gemm_mac(x, w)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, _stepped(x, w))
 
@@ -371,10 +377,9 @@ class TestBatchedPath:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         n = data.draw(st.integers(3, 15))
         qm, _ = random_qmodel(rng, n)
-        frames = data.draw(st.integers(1, 4))
+        frames = data.draw(st.integers(0, 4))
         spike = data.draw(st.integers(-1, frames - 1))  # one frame at full storage scale
         m = data.draw(st.sampled_from([1, 1 << (n // 2), 1 << n]))
-        chunk = data.draw(st.sampled_from([1, 1 << 18]))  # one frame or all per chunk
         block = data.draw(st.sampled_from([1, 1 << 20]))  # one im2col lead row or all per block
         qX = {}
         for b in qm.spec.branches:
@@ -388,21 +393,23 @@ class TestBatchedPath:
         with mock.patch.object(model, "_COL_BLOCK_BYTES", block):
             per_frame = _per_frame(qm, qX)
             logits = _q_forward(qm, qX)
-            with mock.patch.object(engine, "_BATCH_BYTES", chunk):
-                preds = qinfer_batch(qm, X)
+            preds = qinfer_batch(qm, X)
         assert logits.tolist() == [r.tolist() for r in per_frame] == oracle
         assert preds.tolist() == [int(np.argmax(r)) for r in per_frame]
         assert preds.tolist() == [qinfer(qm, {k: v[i] for k, v in qX.items()})
                                   for i in range(frames)]
 
-    def test_one_rig_frame_peaks_near_forward_batch(self):
+    @pytest.mark.parametrize("frames", [1, 4])
+    def test_rig_frames_peak_near_forward_batch(self, frames):
         # a random model of the rig's shape, no dataset: the 768-channel
-        # thermal grid plus five 1D sensors, one 1 s window each
+        # thermal grid plus five 1D sensors, one 1 s window each; qinfer_batch
+        # runs the frames whole, as forward_batch does
         sensors = [CATALOG[s] for s in ("optical", "thermal", "baro", "motion", "magnetic", "tof")]
         spec = feature_fusion_spec(sensors, filters=8, kernel=5, hidden=32, classes=4)
         params = init_params(spec, seed=0)
         rng = np.random.default_rng(0)
-        X = {s.name: rng.uniform(-1, 1, size=(1, int(s.rate_hz), s.channels)) for s in sensors}
+        X = {s.name: rng.uniform(-1, 1, size=(frames, int(s.rate_hz), s.channels))
+             for s in sensors}
         qm = quantize(spec, params, calibrate(spec, params, X), 8)
         peaks = []
         for run in (lambda: forward_batch(spec, params, X), lambda: qinfer_batch(qm, X)):

@@ -6,13 +6,11 @@ from edgehar import model
 from edgehar.model import (
     BranchSpec,
     ConvSpec,
-    Frame,
     ModelSpec,
     ShapeError,
     count_params,
     data_fusion_spec,
     feature_fusion_spec,
-    forward,
     forward_batch,
     load_model,
     normalize_inputs,
@@ -83,10 +81,28 @@ class TestConvKernel:
         lead_sp = (7, 12) if nd == 1 else (3, 4, 7, 6)
         x = rng.normal(size=(*lead_sp, c))
         w = rng.normal(size=(*(k,) * nd, c, 5))
-        assert len(list(model._conv_blocks(x, k, nd))) > 1
+        assert len(list(model._conv_blocks(x, k, nd, x.dtype))) > 1
         # float64 sums of at most 72 unit-scale products, reordered
         np.testing.assert_allclose(model._conv_batch(x, w), oracles.conv_per_tap(x, w),
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 4)])
+    @pytest.mark.parametrize("c", [1, 8])
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_integer_input_exact_over_several_blocks(self, rng, monkeypatch, nd, c, lead):
+        # the engine's MAC: int64 x in signed 16-bit storage (n = 15) against
+        # the float64 copy of weights |w| <= 2^15 is the exact int64 sum
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 512)
+        n, k = 15, 3
+        x = rng.integers(-(1 << n), 1 << n, size=(*lead, *((12,) if nd == 1 else (7, 6)), c))
+        w = rng.integers(-(1 << n), (1 << n) + 1, size=(*(k,) * nd, c, 5))
+        x.reshape(-1, c)[: x.size // c // 2] = -(1 << n)  # storage corner: every
+        w[..., 0] = 1 << n  # product of filter 0 over half the input is -2^30
+        assert len(list(model._conv_blocks(x, k, nd, np.float64))) > 1
+        got = model._conv_batch(x, w.astype(np.float64))
+        want = oracles.conv_per_tap(x, w)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 _GMAX = BranchSpec("g", 1, (ConvSpec(1, 1),) * 3)
@@ -151,12 +167,18 @@ def _simple_spec(**kw):
     )
 
 
+def _forward(spec, params, tensors):
+    """Logits and argmax class of one frame's tensors, run as a batch of one."""
+    logits = forward_batch(spec, params, {k: v[None] for k, v in tensors.items()})[0]
+    return logits, int(np.argmax(logits))
+
+
 class TestForward:
     def test_zero_frame_zero_logits_class0(self, rng):
         spec = _simple_spec()
         params = init_params(spec, seed=int(rng.integers(1e6)))
-        frame = Frame({"a": np.zeros((8, 1)), "b": np.zeros((8, 2))})
-        logits, cls = forward(spec, params, frame)
+        frame = {"a": np.zeros((8, 1)), "b": np.zeros((8, 2))}
+        logits, cls = _forward(spec, params, frame)
         assert np.all(logits == 0.0)
         assert cls == 0  # lowest-index tie rule
 
@@ -171,17 +193,17 @@ class TestForward:
                 w[:] = 1.0
         params.dense1[:] = np.eye(2)
         params.dense2[:] = np.eye(2)
-        frame = Frame({"a": np.array([[0.9]]), "b": np.array([[0.4]])})
-        logits, cls = forward(spec, params, frame)
+        frame = {"a": np.array([[0.9]]), "b": np.array([[0.4]])}
+        logits, cls = _forward(spec, params, frame)
         assert cls == 0 and logits[0] > logits[1]
 
     def test_positive_scaling_preserves_class(self, rng):
         spec = _simple_spec()
         params = init_params(spec, seed=7)
-        frame = Frame({"a": rng.normal(size=(9, 1)), "b": rng.normal(size=(9, 2))})
-        _, cls = forward(spec, params, frame)
+        frame = {"a": rng.normal(size=(9, 1)), "b": rng.normal(size=(9, 2))}
+        _, cls = _forward(spec, params, frame)
         params.dense2 *= 13.7
-        _, cls2 = forward(spec, params, frame)
+        _, cls2 = _forward(spec, params, frame)
         assert cls == cls2
 
     def test_branch_permutation_invariance(self, rng):
@@ -214,7 +236,7 @@ class TestForward:
         spec = _simple_spec()
         params = init_params(spec, seed=1)
         with pytest.raises(ValueError):
-            forward(spec, params, Frame({"a": np.zeros((8, 1))}))
+            _forward(spec, params, {"a": np.zeros((8, 1))})
 
 
 class TestCountParams:
@@ -271,11 +293,11 @@ class TestNormalizeInputs:
     def test_endpoints_and_midpoint(self):
         raw = {"s": np.array([[0.0], [5.0], [10.0]])}
         f = normalize_inputs(raw, {"s": (0.0, 10.0)})
-        np.testing.assert_allclose(f.tensors["s"].ravel(), [-1.0, 0.0, 1.0])
+        np.testing.assert_allclose(f["s"].ravel(), [-1.0, 0.0, 1.0])
 
     def test_clipping_beyond_max(self):
         f = normalize_inputs({"s": np.array([[99.0]])}, {"s": (0.0, 10.0)})
-        assert f.tensors["s"][0, 0] == 1.0
+        assert f["s"][0, 0] == 1.0
 
     def test_degenerate_stats_named(self):
         with pytest.raises(ValueError, match="gas"):
