@@ -31,9 +31,10 @@ built. Every structural choice, each layer's pool included, is read from
 the spec, which a QLayer does not copy.
 
 One path runs every frame: _q_forward takes a lead frame axis, and each
-layer runs once over all the frames it is given. qinfer is a batch of one,
-as simulate streams frames in; qinfer_batch quantizes a whole set once and
-runs it through _q_forward once, as forward_batch runs the FP model.
+layer runs once over all the frames it is given. qinfer_batch quantizes a
+whole set once and runs it through _q_forward once, as forward_batch runs
+the FP model; infer runs the test split through it, and simulate runs its
+stream through it in fixed chunks of frames. qinfer is the batch-of-one API.
 
 Nothing here restates the model or the arithmetic: rounding, saturation,
 the storage format and the multiply-shift requantization are fxp's; the
@@ -169,10 +170,10 @@ def _q_forward(qm: QuantizedModel, qX: dict) -> np.ndarray:
 
 
 def qinfer(qm: QuantizedModel, qframe: dict) -> int:
-    """Integer inference on one quantized frame, a batch of one: the
-    comparator-argmax class (lowest index on ties). Its cost is
-    model_cycles(qm.spec, ...), made once per run; no schedule changes the
-    numerics."""
+    """Integer inference on one quantized frame, the batch-of-one API: the
+    comparator-argmax class (lowest index on ties), equal to qinfer_batch's
+    for the same frame in any batch. Its cost is model_cycles(qm.spec, ...),
+    made once per run; no schedule changes the numerics."""
     logits = _q_forward(qm, {k: np.asarray(v)[None] for k, v in qframe.items()})[0]
     return int(np.argmax(logits))
 

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from edgehar import daq, engine, quantize
+import oracles
+from edgehar import cli, daq, engine, quantize
 from edgehar.daq import NS
 from edgehar.cli import DEFAULT_CONFIG, _load_bundle_arrays, main, parse_config
-from edgehar.model import load_model, save_model
+from edgehar.model import load_model, normalize_inputs, save_model
 from edgehar.train import TrainConfig, init_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -453,6 +454,55 @@ class TestOneNetwork:
                 {"schema": "edgehar.cycles/v1", **want} | parsed.echo
 
 
+class TestSimulateChunks:
+    """simulate classifies its stream in chunks of SIM_CHUNK_FRAMES through
+    qinfer_batch, and its labels equal a per-frame loop over the same stream."""
+
+    @pytest.mark.parametrize("chunk, sizes", [(3, [3, 3, 2]), (16, [8])],
+                             ids=["two_full_and_a_partial", "shorter_than_a_chunk"])
+    def test_labels_equal_per_frame_loop(self, workdir, monkeypatch, chunk, sizes):
+        tmp, cfg, out = workdir
+        # trained enough to label the stream's segments apart, so labels out
+        # of frame order would show
+        train = dict(CFG["train"], epochs=20, lr=0.01)
+        Path(cfg).write_text(json.dumps(dict(CFG, out=str(out), train=train)))
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        frames, batches = [], []
+        stream, batch = daq.stream_frames, engine.qinfer_batch
+
+        def recorded_stream(*args, **kwargs):
+            for frame in stream(*args, **kwargs):
+                frames.append(frame)
+                yield frame
+
+        def counted_batch(qm, X):
+            batches.append({len(x) for x in X.values()})
+            return batch(qm, X)
+
+        monkeypatch.setattr(cli, "SIM_CHUNK_FRAMES", chunk)
+        monkeypatch.setattr(daq, "stream_frames", recorded_stream)
+        monkeypatch.setattr(engine, "qinfer_batch", counted_batch)
+        assert _run("simulate", "--config", cfg) == 0
+        # ceil(8 / chunk) calls, each of at most chunk frames, in stream order
+        assert batches == [{n} for n in sizes]
+        assert len(frames) == 8
+
+        _, _, meta = load_model(out / "model.json")
+        stats = {k: tuple(v) for k, v in meta["norm_stats"].items()}
+        qm, _ = quantize.load_qmodel(out / f"qmodel_n{CFG['bits'][0]}.json")
+        want = [["t_ns", "class"]]
+        for i, frame in enumerate(frames):
+            qframe = engine.quantize_frame(normalize_inputs(frame.tensors, stats), qm.n_bits)
+            label = engine.qinfer(qm, qframe)
+            if i in (0, len(frames) - 1):
+                assert oracles.qinfer(qm, qframe)[1] == label
+            want.append([str(frame.t_end_ns), str(label)])
+        assert len({label for _, label in want[1:]}) > 1
+        with open(out / "labels.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == want
+
+
 class TestDeterminism:
     @staticmethod
     def _digest(out: Path) -> dict:
@@ -675,6 +725,27 @@ class TestAllOrNothing:
         capsys.readouterr()
         assert _run("simulate", "--config", cfg) == 3
         assert "sample conservation violated" in capsys.readouterr().err
+        assert not any((out / f).exists() for f in ("labels.csv", "labels.meta.json",
+                                                    "cycles.json"))
+
+    def test_simulate_writes_nothing_when_a_chunk_fails(self, workdir, monkeypatch, capsys):
+        tmp, cfg, out = workdir
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        real, calls = engine.qinfer_batch, []
+
+        def fail_second(qm, X):
+            calls.append(X)
+            if len(calls) == 2:
+                raise RuntimeError("second chunk failed")
+            return real(qm, X)
+
+        monkeypatch.setattr(cli, "SIM_CHUNK_FRAMES", 3)
+        monkeypatch.setattr(engine, "qinfer_batch", fail_second)
+        capsys.readouterr()
+        assert _run("simulate", "--config", cfg) == 3
+        assert "second chunk failed" in capsys.readouterr().err
+        assert len(calls) == 2
         assert not any((out / f).exists() for f in ("labels.csv", "labels.meta.json",
                                                     "cycles.json"))
 
