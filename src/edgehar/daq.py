@@ -6,8 +6,10 @@ integer-nanosecond grid in virtual time (never wall-clock), so sample counts
 over whole-period durations are exact and runs are bit-reproducible. A
 start-sync begins every source at the same t = 0 origin; samples flow through
 bounded data-level FIFOs into a stream controller that emits sliding-window
-frames with each sensor's native-rate rows. Overflow and underfill are
-explicit, counted events; no sample is ever silently dropped.
+frames with each sensor's native-rate rows. A FIFO copies no sample: it holds
+index ranges into its source's track, and a window's rows are slices of it.
+Overflow and underfill are explicit, counted events; no sample is ever
+silently dropped.
 
 Also hosts the synthetic labeled-activity generator that stands in for a
 real multi-sensor recording rig, and the built-in sensor catalog.
@@ -31,7 +33,6 @@ Each concept of the acquisition layer is defined once, here:
 from __future__ import annotations
 
 import shutil
-from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -158,42 +159,54 @@ TABLE_SENSORS: list[SensorSpec] = [
 # ---------------------------------------------------------------------------
 
 class SensorFifo:
-    """Bounded FIFO of (timestamp, channel vector) samples with conservation
-    counters: produced == consumed + occupancy + overflowed at all times.
+    """Bounded FIFO of one source's samples, held as ascending (lo, hi) index
+    ranges into its t_track/v_track: usually one, with a gap where samples
+    overflowed. Conservation: produced == consumed + occupancy + overflowed.
 
     A FIFO built without a depth is unbounded until stream_frames sizes it
     for the window it drains.
     """
 
-    def __init__(self, name: str, depth: int | None = None):
+    def __init__(self, name: str, t_track: np.ndarray, v_track: np.ndarray,
+                 depth: int | None = None):
         if depth is not None and depth < 1:
             raise ValueError("FIFO depth must be >= 1")
         self.name = name
         self.depth = depth
-        self.buf: deque = deque()
+        self.t_track = t_track
+        self.v_track = v_track
+        self.ranges: list[tuple[int, int]] = []
         self.produced = 0
         self.consumed = 0
         self.overflowed = 0
 
     @property
     def occupancy(self) -> int:
-        return len(self.buf)
+        return sum(hi - lo for lo, hi in self.ranges)
 
-    def push(self, t_ns: int, values: np.ndarray) -> bool:
-        self.produced += 1
-        if self.depth is not None and len(self.buf) >= self.depth:
-            self.overflowed += 1
-            return False
-        self.buf.append((t_ns, values))
-        return True
+    def push_range(self, lo: int, hi: int) -> None:
+        """Push track samples lo..hi-1 in order: the FIFO takes as many as it
+        has room for, and the rest overflow."""
+        n = hi - lo
+        take = n if self.depth is None else max(0, min(n, self.depth - self.occupancy))
+        self.produced += n
+        self.overflowed += n - take
+        if take and self.ranges and self.ranges[-1][1] == lo:
+            self.ranges[-1] = (self.ranges[-1][0], lo + take)
+        elif take:
+            self.ranges.append((lo, lo + take))
 
     def drop_older_than(self, t_ns: int) -> None:
-        while self.buf and self.buf[0][0] < t_ns:
-            self.buf.popleft()
-            self.consumed += 1
+        cut, held = int(self.t_track.searchsorted(t_ns)), self.occupancy
+        self.ranges = [(max(lo, cut), hi) for lo, hi in self.ranges if hi > cut]
+        self.consumed += held - self.occupancy
 
-    def window(self, a_ns: int, b_ns: int) -> list[tuple[int, np.ndarray]]:
-        return [s for s in self.buf if a_ns <= s[0] < b_ns]
+    def window(self, a_ns: int, b_ns: int) -> np.ndarray:
+        """Values of the buffered samples stamped in [a_ns, b_ns), in order."""
+        a, b = int(self.t_track.searchsorted(a_ns)), int(self.t_track.searchsorted(b_ns))
+        parts = [self.v_track[max(lo, a):min(hi, b)] for lo, hi in self.ranges
+                 if max(lo, a) < min(hi, b)]
+        return parts[0] if len(parts) == 1 else np.concatenate([self.v_track[:0], *parts])
 
     def conservation_ok(self) -> bool:
         return self.produced == self.consumed + self.occupancy + self.overflowed
@@ -201,32 +214,27 @@ class SensorFifo:
 
 class Source:
     """Replays one (timestamps, values) track: sample k is stamped t_ns[k],
-    and the track ends at its last stamp before duration_s."""
+    and the track ends at its last stamp before duration_s. The stamps must
+    never decrease, and there must be one value row per stamp."""
 
     def __init__(self, spec: SensorSpec, t_ns: np.ndarray, values: np.ndarray, duration_s):
         self.spec = spec
         self.t_track = np.asarray(t_ns)
         self.v_track = np.asarray(values)
+        if len(self.t_track) != len(self.v_track):
+            raise ValueError(f"sensor {spec.name!r}: {len(self.t_track)} stamps but "
+                             f"{len(self.v_track)} value rows")
+        down = np.flatnonzero(self.t_track[1:] < self.t_track[:-1])
+        if down.size:
+            raise ValueError(f"sensor {spec.name!r}: stamp {down[0] + 1} of its track "
+                             f"is below stamp {down[0]}")
         self.duration_ns = int(_as_frac(duration_s) * NS)
         self.started = False
-        self._k = 0
 
     def start(self) -> None:
         if self.started:
             raise RuntimeError(f"source {self.spec.name!r} already started")
         self.started = True
-        self._k = 0
-
-    def peek_time(self) -> int | None:
-        if self._k >= self.t_track.shape[0]:
-            return None
-        t = int(self.t_track[self._k])
-        return t if t < self.duration_ns else None
-
-    def emit(self) -> tuple[int, np.ndarray]:
-        k = self._k
-        self._k += 1
-        return int(self.t_track[k]), self.v_track[k]
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +250,19 @@ class Session:
         self.underfill_events: list[tuple[str, int]] = []
         self.overfill_events: list[tuple[str, int]] = []
         self.fifos: dict[str, SensorFifo] = {
-            s.spec.name: SensorFifo(s.spec.name, (fifo_depth or {}).get(s.spec.name))
+            s.spec.name: SensorFifo(s.spec.name, s.t_track, s.v_track,
+                                    (fifo_depth or {}).get(s.spec.name))
             for s in sources
         }
 
     def run_until(self, t_ns: int) -> None:
-        """Push every sample stamped before t_ns. The FIFOs do not interact,
-        so each source's samples go in order, one source after another."""
+        """Push every sample stamped before t_ns and its source's end, as one
+        range per source: a FIFO's produced count indexes its next sample."""
         for src in self.sources:
             fifo = self.fifos[src.spec.name]
-            t = src.peek_time()
-            while t is not None and t < t_ns:
-                fifo.push(*src.emit())
-                t = src.peek_time()
+            hi = int(src.t_track.searchsorted(min(t_ns, src.duration_ns)))
+            if hi > fifo.produced:
+                fifo.push_range(fifo.produced, hi)
 
     @property
     def duration_ns(self) -> int:
@@ -332,18 +340,19 @@ class WindowConfig:
         return int(self.window_s * r + Fraction(1, 2))
 
 
-def _fit_rows(name, samples, want, t_emit, session):
-    """Force a window's sample list to exactly `want` rows: keep the latest on
-    overfill, hold the last sample on underfill. Both are logged events."""
-    if len(samples) == want:
-        return samples
-    if len(samples) > want:
+def _fit_rows(name, rows, want, t_emit, session):
+    """A copy of a window's value rows, forced to exactly `want` rows: keep the
+    latest on overfill, hold the last on underfill. Both are logged events."""
+    n = len(rows)
+    if n == want:
+        return rows.copy()
+    if n > want:
         session.overfill_events.append((name, t_emit))
-        return samples[-want:]
-    if not samples:
+        return rows[-want:].copy()
+    if not n:
         raise RuntimeError(f"sensor {name!r}: no samples in window at t={t_emit}")
     session.underfill_events.append((name, t_emit))
-    return samples + [samples[-1]] * (want - len(samples))
+    return rows[np.minimum(np.arange(want), n - 1)]
 
 
 def stream_frames(session: Session, cfg: WindowConfig):
@@ -368,10 +377,8 @@ def stream_frames(session: Session, cfg: WindowConfig):
         if b > end_ns:
             return
         session.run_until(b)
-        tensors = {}
-        for name, fifo in session.fifos.items():
-            samples = _fit_rows(name, fifo.window(a, b), rows[name], b, session)
-            tensors[name] = np.array([s[1] for s in samples])
+        tensors = {name: _fit_rows(name, fifo.window(a, b), rows[name], b, session)
+                   for name, fifo in session.fifos.items()}
         yield Frame(tensors, a, b)
         k += 1
         for fifo in session.fifos.values():

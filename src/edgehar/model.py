@@ -225,7 +225,8 @@ class ModelParams:
 @dataclass
 class Frame:
     """One sliding-window snapshot: per-branch (timesteps x channels) tensors
-    covering the same wall-clock span, values normalized into [-1, 1]."""
+    of raw sensor values covering the same virtual-time span. normalize_inputs
+    maps them into model inputs."""
 
     tensors: dict[str, np.ndarray]
     t_start_ns: int = 0

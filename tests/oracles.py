@@ -9,6 +9,8 @@ it checks (only the documented rounding rules are the same).
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 
@@ -243,6 +245,82 @@ def max_rel_error(analytic, numeric, floor=1e-6):
         denom = np.maximum(np.abs(a) + np.abs(n), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Acquisition oracle
+# ---------------------------------------------------------------------------
+
+class DequeStream:
+    """Sliding-window framing the per-sample way. Each FIFO is a deque of
+    (stamp, row) pairs: before each frame, samples are pushed one at a time
+    (a full FIFO counts the sample as overflowed), the window is a filter
+    over the whole deque, old samples are popped from the front, and each
+    window's list of rows is forced to its row count with list operations.
+
+    tracks maps a sensor name to (stamps, values, duration_ns); rows and
+    depth map it to its rows per window and its FIFO depth.
+    """
+
+    def __init__(self, tracks, rows, depth):
+        self.tracks, self.rows, self.depth = tracks, rows, depth
+        self.buf = {name: deque() for name in tracks}
+        self.next = dict.fromkeys(tracks, 0)
+        self.counts = {name: {"produced": 0, "consumed": 0, "overflowed": 0}
+                       for name in tracks}
+        self.underfill_events: list[tuple[str, int]] = []
+        self.overfill_events: list[tuple[str, int]] = []
+
+    def _run_until(self, t_ns):
+        for name, (t, v, duration_ns) in self.tracks.items():
+            buf, c, k = self.buf[name], self.counts[name], self.next[name]
+            while k < len(t) and int(t[k]) < duration_ns and int(t[k]) < t_ns:
+                c["produced"] += 1
+                if len(buf) >= self.depth[name]:
+                    c["overflowed"] += 1
+                else:
+                    buf.append((int(t[k]), v[k]))
+                k += 1
+            self.next[name] = k
+
+    def _fit(self, name, samples, t_emit):
+        want = self.rows[name]
+        if len(samples) == want:
+            return samples
+        if len(samples) > want:
+            self.overfill_events.append((name, t_emit))
+            return samples[-want:]
+        if not samples:
+            raise RuntimeError(f"sensor {name!r}: no samples in window at t={t_emit}")
+        self.underfill_events.append((name, t_emit))
+        return samples + [samples[-1]] * (want - len(samples))
+
+    def frames(self, window_ns, step_ns):
+        """Yield (tensors, t_start_ns, t_end_ns) for each frame."""
+        end_ns = min(duration_ns for _, _, duration_ns in self.tracks.values())
+        k = 0
+        while k * step_ns + window_ns <= end_ns:
+            a = k * step_ns
+            b = a + window_ns
+            self._run_until(b)
+            tensors = {}
+            for name, buf in self.buf.items():
+                samples = self._fit(name, [s for s in buf if a <= s[0] < b], b)
+                tensors[name] = np.array([row for _, row in samples])
+            yield tensors, a, b
+            k += 1
+            for name, buf in self.buf.items():
+                while buf and buf[0][0] < k * step_ns:
+                    buf.popleft()
+                    self.counts[name]["consumed"] += 1
+
+    def conservation(self):
+        out = {}
+        for name, c in self.counts.items():
+            occupancy = len(self.buf[name])
+            out[name] = {**c, "occupancy": occupancy,
+                         "ok": c["produced"] == c["consumed"] + occupancy + c["overflowed"]}
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from edgehar.daq import (
     CATALOG,
+    FIFO_WINDOWS,
     NS,
     TABLE_SENSORS,
     Recording,
@@ -70,8 +71,9 @@ class TestStartSync:
         b = _const_source(SensorSpec("b", 1, 50), 2)
         sess = start_sync([a, b])
         sess.run_until(1)
-        assert sess.fifos["a"].buf[0][0] == 0
-        assert sess.fifos["b"].buf[0][0] == 0
+        for fifo in (sess.fifos["a"], sess.fifos["b"]):
+            first, _ = fifo.ranges[0]
+            assert fifo.t_track[first] == 0
 
     def test_counts_after_one_second(self):
         a = _const_source(SensorSpec("a", 1, 100), 2)
@@ -176,6 +178,82 @@ class TestWindowing:
         assert sess.overfill_events == [("o", NS), ("o", 3 * NS), ("o", 7 * NS // 2)]
         assert sess.underfill_events == [("u", 3 * NS // 2), ("u", 3 * NS)]
         assert all(type(t) is int for _, t in sess.overfill_events + sess.underfill_events)
+
+
+class TestSourceTrack:
+    def test_short_value_track_rejected(self):
+        spec = SensorSpec("short", 2, 10)
+        t = _stamps(spec, 1)
+        with pytest.raises(ValueError, match="'short': 10 stamps but 9 value rows"):
+            Source(spec, t, np.zeros((t.size - 1, 2)), 1)
+
+    def test_decreasing_stamps_rejected(self):
+        spec = SensorSpec("back", 1, 10)
+        t = _stamps(spec, 1)
+        Source(spec, np.repeat(t, 2), np.zeros((2 * t.size, 1)), 1)  # repeats are fine
+        t[[3, 4]] = t[[4, 3]]
+        with pytest.raises(ValueError, match="'back': stamp 4 of its track is below stamp 3"):
+            Source(spec, t, np.zeros((t.size, 1)), 1)
+
+
+def _drain(frames):
+    """The frames a stream yields before it ends, and its RuntimeError, if any."""
+    out = []
+    try:
+        for f in frames:
+            out.append(f)
+    except RuntimeError as e:
+        return out, str(e)
+    return out, None
+
+
+class TestRangeFifoMatchesDeque:
+    """The index-range FIFOs frame every stream exactly as a per-sample deque
+    FIFO does, overflow gaps and repeated stamps included."""
+
+    RATES = [4, 6.4, 6.6, 7.5, 20, 100 / 3, 119]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), window_ms=st.integers(300, 1500),
+           seed=st.integers(0, 2**32 - 1))
+    def test_frames_events_and_counters_bit_equal(self, data, n, window_ms, seed):
+        step_ms = data.draw(st.integers(window_ms // 4, window_ms))
+        cfg = WindowConfig(Fraction(window_ms, 1000), Fraction(step_ms, 1000))
+        rng = np.random.default_rng(seed)
+        sources, tracks, rows, depth, explicit = [], {}, {}, {}, {}
+        for i in range(n):
+            spec = SensorSpec(f"s{i}", data.draw(st.integers(1, 3)),
+                              data.draw(st.sampled_from(self.RATES)))
+            duration_s = Fraction(data.draw(st.integers(window_ms, 6000)), 1000)
+            t = _stamps(spec, duration_s)
+            if data.draw(st.booleans()):  # jittered: repeats, gaps, stamps past the end
+                t = np.sort(rng.integers(0, int(duration_s * NS * 6 / 5), t.size))
+            v = rng.standard_normal((t.size, spec.channels))
+            sources.append(Source(spec, t, v, duration_s))
+            tracks[spec.name] = (t, v, int(duration_s * NS))
+            rows[spec.name] = cfg.timesteps(spec.rate)
+            depth[spec.name] = FIFO_WINDOWS * rows[spec.name]
+            if data.draw(st.booleans()):
+                explicit[spec.name] = depth[spec.name] = data.draw(
+                    st.integers(1, 3 * rows[spec.name]))
+
+        sess = start_sync(sources, fifo_depth=explicit)
+        frames, err = _drain(stream_frames(sess, cfg))
+        ref = oracles.DequeStream(tracks, rows, depth)
+        ref_frames, ref_err = _drain(ref.frames(cfg.window_ns, cfg.step_ns))
+
+        assert err == ref_err
+        assert len(frames) == len(ref_frames)
+        for f, (tensors, a, b) in zip(frames, ref_frames):
+            assert (f.t_start_ns, f.t_end_ns) == (a, b)
+            assert f.tensors.keys() == tensors.keys()
+            for name, x in tensors.items():
+                y = f.tensors[name]
+                assert (y.dtype, y.shape, y.tobytes()) == (x.dtype, x.shape, x.tobytes())
+                assert not np.shares_memory(y, tracks[name][1])  # a copy, not a view
+        assert sess.underfill_events == ref.underfill_events
+        assert sess.overfill_events == ref.overfill_events
+        assert sess.conservation() == ref.conservation()
 
 
 class TestGenDataset:
