@@ -162,6 +162,8 @@ class SensorFifo:
     """Bounded FIFO of one source's samples, held as ascending (lo, hi) index
     ranges into its t_track/v_track: usually one, with a gap where samples
     overflowed. Conservation: produced == consumed + occupancy + overflowed.
+    cut is the track index found by the last drop_older_than, where the next
+    window starts, so that no window boundary is searched twice.
 
     A FIFO built without a depth is unbounded until stream_frames sizes it
     for the window it drains.
@@ -176,6 +178,7 @@ class SensorFifo:
         self.t_track = t_track
         self.v_track = v_track
         self.ranges: list[tuple[int, int]] = []
+        self.cut = 0
         self.produced = 0
         self.consumed = 0
         self.overflowed = 0
@@ -197,15 +200,16 @@ class SensorFifo:
             self.ranges.append((lo, lo + take))
 
     def drop_older_than(self, t_ns: int) -> None:
-        cut, held = int(self.t_track.searchsorted(t_ns)), self.occupancy
-        self.ranges = [(max(lo, cut), hi) for lo, hi in self.ranges if hi > cut]
+        """Drop the samples stamped before t_ns; windows start at t_ns from now on."""
+        self.cut, held = int(self.t_track.searchsorted(t_ns)), self.occupancy
+        self.ranges = [(max(lo, self.cut), hi) for lo, hi in self.ranges if hi > self.cut]
         self.consumed += held - self.occupancy
 
-    def window(self, a_ns: int, b_ns: int) -> np.ndarray:
-        """Values of the buffered samples stamped in [a_ns, b_ns), in order."""
-        a, b = int(self.t_track.searchsorted(a_ns)), int(self.t_track.searchsorted(b_ns))
-        parts = [self.v_track[max(lo, a):min(hi, b)] for lo, hi in self.ranges
-                 if max(lo, a) < min(hi, b)]
+    def window(self) -> np.ndarray:
+        """Values of the buffered samples stamped at or after the last cut, in
+        order. After a run_until(b) these are the window [cut, b): every
+        sample stamped before b has been pushed, and none after it."""
+        parts = [self.v_track[max(lo, self.cut):hi] for lo, hi in self.ranges if hi > self.cut]
         return parts[0] if len(parts) == 1 else np.concatenate([self.v_track[:0], *parts])
 
     def conservation_ok(self) -> bool:
@@ -369,6 +373,7 @@ def stream_frames(session: Session, cfg: WindowConfig):
     for name, fifo in session.fifos.items():
         if fifo.depth is None:
             fifo.depth = FIFO_WINDOWS * rows[name]
+        fifo.drop_older_than(0)  # frame 0's window starts at 0
     step_ns, window_ns, end_ns = cfg.step_ns, cfg.window_ns, session.duration_ns
     k = 0
     while True:
@@ -377,7 +382,7 @@ def stream_frames(session: Session, cfg: WindowConfig):
         if b > end_ns:
             return
         session.run_until(b)
-        tensors = {name: _fit_rows(name, fifo.window(a, b), rows[name], b, session)
+        tensors = {name: _fit_rows(name, fifo.window(), rows[name], b, session)
                    for name, fifo in session.fifos.items()}
         yield Frame(tensors, a, b)
         k += 1

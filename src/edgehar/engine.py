@@ -18,7 +18,9 @@ reaches 2^(acc_width - 1) or 2^53, so no partial sum can leave the register
 and every float64 product and sum is an exact integer. A conv layer's MAC is
 therefore the FP model's own convolution, model._conv_batch, run on the
 int64 input against the float64 weight copy: its float64 GEMM over
-cast-copied im2col blocks lands in an int64 accumulator. A dense layer is
+cast-copied im2col blocks is cast in place, block by block, to the int64
+accumulator. Large layers run their blocks on every core through the
+model's block map, whose results are the serial loop's. A dense layer is
 one such GEMM.
 
 Work per layer is split by what it depends on. Everything about the weights

@@ -12,11 +12,17 @@ Each concept of the network is defined once, here:
   the quantizer's calibration run it with an observer that keeps what they
   need of each layer (activations and pool indices, or running maxima).
 - _conv_batch is every convolution, FP and integer: one GEMM per block of
-  _conv_blocks, the one im2col block loop, which cast-copies _patch_view's
-  patches into one reused buffer of at most _COL_BLOCK_BYTES. It runs the
+  _map_blocks, the one im2col block loop, which cast-copies _patch_view's
+  patches into a buffer of at most _COL_BLOCK_BYTES per worker. It runs the
   FP forward pass, training's backward dX and the engine's integer MAC (an
   integer input gives the exact int64 accumulator); the backward dW reads
   the same blocks.
+- _map_blocks runs a call with at least two blocks per worker on every
+  usable core: contiguous runs of blocks go to _WORKERS threads (the caller
+  and a pool made on first use), while numpy's copy and GEMM release the
+  GIL. The blocks and their results are those of a serial loop, in block
+  order, so every output and every summed gradient is bit for bit the
+  same. Smaller calls run on the caller's thread and start no thread.
 - _pool_windows is every kernel max-pool, FP and integer alike; _head is the
   branch head (global max-pool or flatten) and _mix the importance mixing.
 - ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle
@@ -28,6 +34,7 @@ Each concept of the network is defined once, here:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,10 +58,15 @@ __all__ = [
 
 MODEL_SCHEMA = "edgehar.model/v1"
 
-# Cap in bytes on one block of im2col patch columns. It keeps conv memory flat
-# in the batch size, and a block small enough to stay in cache between its
-# copy and its GEMM measured faster than larger ones (1 MiB vs 2-32 MiB).
+# Cap in bytes on one block of im2col patch columns, one buffer per worker. It
+# keeps conv memory flat in the batch size, and a block small enough to stay
+# in cache between its copy and its GEMM measured faster than larger ones
+# (1 MiB vs 2-32 MiB).
 _COL_BLOCK_BYTES = 1 << 20
+# Workers of the block map: the cores this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = None  # the map's _WORKERS - 1 threads beside the caller's
 
 
 class ShapeError(ValueError):
@@ -276,36 +288,82 @@ def _patch_view(x: np.ndarray, k: int, nd: int) -> np.ndarray:
                       flat, 0, (st[0], *st[1:-1], *st[1:-1], st[-1]))
 
 
-def _conv_blocks(x: np.ndarray, k: int, nd: int, dtype):
-    """Yield the im2col patch matrix of x in blocks of rows.
+def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn) -> list:
+    """fn(rows, cols) for each block of rows of the im2col patch matrix of x,
+    returning the results in block order.
 
     x is (*lead, *spatial, C) with nd spatial axes. The patch matrix has one
     row per lead index and output position, k**nd * C columns ordered
-    tap-major, so it pairs with a weight reshaped to (-1, F). Each item is
-    (rows, cols): cols holds the matrix rows that rows slices, cast-copied
-    to dtype in one reused buffer of at most _COL_BLOCK_BYTES (or one lead
-    index's rows, if that is larger), so memory stays flat in the batch
-    size. cols is valid until the next item is drawn.
+    tap-major, so it pairs with a weight reshaped to (-1, F). cols holds the
+    matrix rows that the slice rows selects, cast-copied to dtype in its
+    worker's buffer of at most _COL_BLOCK_BYTES (or one lead index's rows, if
+    that is larger), so memory stays flat in the batch size. cols is valid
+    only during its fn call, which may run on a pool thread: fn may write
+    only its own rows of a shared output, and must not map blocks itself (a
+    pool thread waiting on the pool could wait forever). A call with at
+    least two blocks per worker splits them into contiguous runs, the first
+    on the caller's thread. An exception from any run reaches the caller
+    once every run has stopped.
     """
     patches = _patch_view(x, k, nd)
-    n, shape = patches.shape[0], patches.shape[1:]
-    step = max(1, _COL_BLOCK_BYTES // (math.prod(shape) * np.dtype(dtype).itemsize))
-    buf = np.empty((min(step, n), *shape), dtype)
-    per = math.prod(shape[:nd])
-    for s in range(0, n, step):
-        block = buf[: n - s]
+    n = len(patches)
+    step = max(1, _COL_BLOCK_BYTES // (math.prod(patches.shape[1:]) * dtype.itemsize))
+    blocks = -(-n // step)
+    if blocks < 4 or _WORKERS < 2:  # under two blocks for each of two workers
+        return _run_blocks(patches, 0, n, step, nd, dtype, fn)
+    workers = min(_WORKERS, blocks // 2)
+    cuts = [blocks * i // workers * step for i in range(workers)] + [n]
+    futures = [_pool().submit(_run_blocks, patches, a, b, step, nd, dtype, fn)
+               for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        results = _run_blocks(patches, 0, cuts[1], step, nd, dtype, fn)
+    finally:
+        for f in futures:
+            f.exception()  # waits: no run outlives the call
+    for f in futures:
+        results += f.result()
+    return results
+
+
+def _run_blocks(patches: np.ndarray, lo: int, hi: int, step: int, nd: int, dtype: np.dtype,
+                fn) -> list:
+    """One run of _map_blocks: fn on each block of `step` lead rows from lo to
+    hi, in order, cast-copied into the run's one buffer. A lone block is
+    cast-copied by itself, which saves setting up a buffer to reuse."""
+    per = math.prod(patches.shape[1 : nd + 1])
+    if 0 < hi - lo <= step:
+        return [fn(slice(lo * per, hi * per),
+                   patches[lo:hi].astype(dtype).reshape((hi - lo) * per, -1))]
+    buf = np.empty((min(step, hi - lo), *patches.shape[1:]), dtype)
+    results = []
+    for s in range(lo, hi, step):
+        block = buf[: hi - s]
         np.copyto(block, patches[s : s + step])
-        yield slice(s * per, (s + len(block)) * per), block.reshape(len(block) * per, -1)
+        results.append(fn(slice(s * per, (s + len(block)) * per),
+                          block.reshape(len(block) * per, -1)))
+    return results
+
+
+def _pool():
+    """The block map's pool, made on first use, so a process whose calls all
+    stay under two blocks per worker starts no thread."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="edgehar-blocks")
+    return _POOL
 
 
 def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Batched valid stride-1 convolution, one GEMM per _conv_blocks block.
+    """Batched valid stride-1 convolution, one GEMM per _map_blocks block.
 
     1D: x (B, L, C), w (K, C, F) -> (B, L-K+1, F).
     2D: x (B, T, H, W, C), w (K, K, C, F) -> (B, T, H-K+1, W-K+1, F).
     The GEMM runs in result_type(x, w) and writes straight into the output.
-    An integer x gives the int64 accumulator, into which each block's GEMM
-    (exact, for a float w whose model proves the range) is cast-assigned.
+    An integer x gives the int64 accumulator: its GEMM runs in float64 for a
+    float w (exact, for a w whose model proves the range), and each block's
+    sums are cast to int64 in place, in their own output rows.
     """
     nd = w.ndim - 2
     k, f = w.shape[0], w.shape[-1]
@@ -313,16 +371,20 @@ def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     out_sp = tuple([d - k + 1 for d in spatial])
     if min(out_sp) < 1:
         raise ValueError(f"input {spatial} shorter than kernel {k}")
-    gemm = np.result_type(x, w)
-    out = np.empty((math.prod(lead) * math.prod(out_sp), f),
-                   np.int64 if x.dtype.kind in "iu" else gemm)
+    integer = x.dtype.kind in "iu"
+    gemm = np.result_type(x, w, np.int64) if integer else np.result_type(x, w)
+    to_int = integer and gemm.kind == "f"
+    out = np.empty((math.prod(lead) * math.prod(out_sp), f), gemm)
     wmat = w.reshape(-1, f)
-    for rows, cols in _conv_blocks(x, k, nd, gemm):
-        if out.dtype == gemm:
-            np.matmul(cols, wmat, out=out[rows])
-        else:
-            out[rows] = cols @ wmat
-    return out.reshape(*lead, *out_sp, f)
+
+    def gemm_block(rows, cols):
+        np.matmul(cols, wmat, out=out[rows])
+        if to_int:  # a 1-D same-size cast in place needs no temporary
+            sums = out[rows].reshape(-1)
+            sums.view(np.int64)[...] = sums
+
+    _map_blocks(x, k, nd, gemm, gemm_block)
+    return (out.view(np.int64) if to_int else out).reshape(*lead, *out_sp, f)
 
 
 def _pool_windows(a: np.ndarray, p: int, nd: int) -> np.ndarray:

@@ -10,9 +10,11 @@ split, and batch order.
 The forward half of backprop is the model's own network walk (model._walk),
 run with an observer that keeps each layer's input, post-ReLU output and
 pool indices; there is no second copy of the network here. Conv gradients
-reuse the model's im2col kernel: dW is the patch columns transposed times
-dZ, and dX is the same kernel run on dZ zero-bordered by K-1 against the
-spatially flipped kernel with C and F swapped. The first layer's input
+reuse the model's im2col block map: dW is the patch columns transposed times
+dZ, one partial per block, which the map may compute on several cores and
+which are added into a zeroed dW in block order, the sum a serial loop
+makes. dX is the model's convolution run on dZ zero-bordered by K-1 against
+the spatially flipped kernel with C and F swapped. The first layer's input
 gradient is never computed.
 
 Training never runs a forward pass only to keep its history: an epoch's
@@ -33,7 +35,7 @@ from .model import (
     ModelParams,
     ModelSpec,
     _conv_batch,
-    _conv_blocks,
+    _map_blocks,
     _walk,
     softmax,
 )
@@ -165,16 +167,17 @@ def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 def _conv_bwd(dz, x, w, need_dx: bool):
     """Conv gradients through the forward kernel's im2col rule.
 
-    dW is the patch columns of x, transposed, times dZ. dX, when needed, is
-    the forward conv of dZ zero-padded by K-1 on each spatial side against
-    the kernel flipped in space with C and F swapped.
+    dW is the patch columns of x, transposed, times dZ: each block's partial,
+    added in block order. dX, when needed, is the forward conv of dZ
+    zero-padded by K-1 on each spatial side against the kernel flipped in
+    space with C and F swapped.
     """
     nd = w.ndim - 2
     k, f = w.shape[0], w.shape[-1]
     dz_rows = dz.reshape(-1, f)
     dw = np.zeros((w.size // f, f), dtype=w.dtype)
-    for rows, cols in _conv_blocks(x, k, nd, x.dtype):
-        dw += cols.T @ dz_rows[rows]
+    for part in _map_blocks(x, k, nd, x.dtype, lambda rows, cols: cols.T @ dz_rows[rows]):
+        dw += part
     dx = None
     if need_dx:
         space = dz.shape[-nd - 1 : -1]

@@ -7,19 +7,29 @@ file without changing it, so removing or renaming any of that API fails
 here instead of only in a traced benchmark run. The per-layer conv probes
 take their branch and depth from the where= keyword of each
 engine.qconv_layer call, so that keyword is checked here too.
+
+The tracer keeps one span stack for the whole process, not one per thread,
+so every traced function must run on the main thread, also when the model's
+block map runs a convolution on its pool; and the smoke and stream workloads
+must not start that pool at all.
 """
 
+import functools
 import importlib
 import inspect
 import json
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from edgehar import engine
+from edgehar import cli, engine, model, quantize, train
 from edgehar.daq import (
+    CATALOG,
     SensorSpec,
+    Session,
     WindowConfig,
     gen_timeline,
     recording_sources,
@@ -29,7 +39,8 @@ from edgehar.daq import (
 
 from conftest import random_qmodel
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 TRACED_MODULES = ("daq", "model", "train", "quantize", "engine", "persist")
 METHODS = {("daq", "Session"): "run_until"}
 
@@ -97,3 +108,81 @@ def test_qconv_calls_name_branch_and_layer(monkeypatch):
         wheres.clear()
         engine.qinfer_batch(qm, {k: np.stack([v, v // 2]) / 2.0**8 for k, v in qframe.items()})
         assert wheres == want
+
+
+def _wrap_traced(monkeypatch, record):
+    """Wrap what the tracer wraps, in every edgehar namespace that holds it:
+    each __all__ function of the traced modules and Session.run_until. Each
+    call records its name and whether it ran on the main thread."""
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            record.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = {}
+    for mod in TRACED_MODULES:
+        module = importlib.import_module(f"edgehar.{mod}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if inspect.isfunction(obj) and obj.__module__.rsplit(".", 1)[-1] in TRACED_MODULES:
+                targets[id(obj)] = obj
+    for fn in targets.values():
+        new = wrap(f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__qualname__}", fn)
+        for name, holder in list(sys.modules.items()):
+            if name.startswith("edgehar."):
+                for attr, obj in list(vars(holder).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(holder, attr, new)
+    monkeypatch.setattr(Session, "run_until", wrap("daq.Session.run_until", Session.run_until))
+
+
+def test_traced_functions_run_on_the_main_thread(monkeypatch):
+    # two frames of the rig's 768-channel thermal grid fill several blocks per
+    # worker, so the block map runs them on its pool
+    monkeypatch.setattr(model, "_WORKERS", 2)
+    calls, blocks, real = [], [], model._run_blocks
+
+    def run_blocks(*args):
+        blocks.append(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(model, "_run_blocks", run_blocks)
+    _wrap_traced(monkeypatch, calls)
+    sensors = [CATALOG["thermal"], CATALOG["motion"]]
+    spec = model.feature_fusion_spec(sensors, filters=8, kernel=5, hidden=16, classes=3)
+    params = train.init_params(spec, seed=0)
+    rng = np.random.default_rng(0)
+    X = {s.name: rng.uniform(-1, 1, size=(2, int(s.rate_hz), s.channels)) for s in sensors}
+    train.backward(spec, params, X, np.array([0, 2]))
+    model.forward_batch(spec, params, X)
+    qm = quantize.quantize(spec, params, quantize.calibrate(spec, params, X), 8)
+    engine.qinfer_batch(qm, X)
+    assert not all(blocks)  # the pool ran some blocks
+    names = {name for name, _ in calls}
+    assert {"train.backward", "model.forward_batch", "quantize.calibrate",
+            "engine.qinfer_batch", "engine.qconv_layer"} <= names
+    assert [name for name, main in calls if not main] == []
+
+
+def test_smoke_and_stream_start_no_thread(tmp_path, monkeypatch):
+    # every call of the stream workload (the smoke model, then a long
+    # simulate) holds under two blocks per worker, so it runs on the caller's
+    # thread: a started pool would add its threads and buffers to peak RSS
+    monkeypatch.setattr(model, "_WORKERS", 2)
+    monkeypatch.setattr(model, "_POOL", None)
+    cfg = json.loads((ROOT / "perfbench" / "workloads" / "stream.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, out=str(tmp_path / "out"))))
+    before = set(threading.enumerate())
+    try:
+        for stage in ("gen-data", "train", "select", "quantize", "sweep", "infer",
+                      "simulate", "report"):
+            assert cli.main([stage, "--config", str(path)]) == 0, stage
+        assert model._POOL is None
+        assert set(threading.enumerate()) <= before
+    finally:
+        if model._POOL is not None:
+            model._POOL.shutdown()

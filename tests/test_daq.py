@@ -256,6 +256,27 @@ class TestRangeFifoMatchesDeque:
         assert sess.conservation() == ref.conservation()
 
 
+    def test_stamps_before_the_origin_stay_out_of_frame_0(self):
+        # a replayed track may begin before t = 0: those samples are pushed
+        # with frame 0's and counted as consumed after it, but lie in no window
+        spec = SensorSpec("early", 2, 10)
+        t = _stamps(spec, 3) - 250_000_000
+        v = np.arange(2 * t.size, dtype=float).reshape(t.size, 2)
+        cfg = WindowConfig(Fraction(1), Fraction(1, 2))
+        rows = cfg.timesteps(spec.rate)
+        sess = start_sync([Source(spec, t, v, 3)])
+        frames, err = _drain(stream_frames(sess, cfg))
+        ref = oracles.DequeStream({"early": (t, v, 3 * NS)}, {"early": rows},
+                                  {"early": FIFO_WINDOWS * rows})
+        ref_frames, ref_err = _drain(ref.frames(cfg.window_ns, cfg.step_ns))
+        assert err == ref_err is None and len(frames) == len(ref_frames) == 5
+        for f, (tensors, a, b) in zip(frames, ref_frames):
+            assert f.tensors["early"].tobytes() == tensors["early"].tobytes()
+        assert frames[0].tensors["early"][0].tolist() == [6.0, 7.0]  # stamp 50 ms
+        assert sess.underfill_events == ref.underfill_events
+        assert sess.overfill_events == ref.overfill_events == []
+        assert sess.conservation() == ref.conservation()
+
 class TestGenDataset:
     def _sensors(self):
         return [SensorSpec("u", 2, 24), SensorSpec("v", 1, 16)]

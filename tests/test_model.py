@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,7 +86,7 @@ class TestConvKernel:
         lead_sp = (7, 12) if nd == 1 else (3, 4, 7, 6)
         x = rng.normal(size=(*lead_sp, c))
         w = rng.normal(size=(*(k,) * nd, c, 5))
-        assert len(list(model._conv_blocks(x, k, nd, x.dtype))) > 1
+        assert len(model._map_blocks(x, k, nd, x.dtype, lambda rows, cols: None)) > 1
         # float64 sums of at most 72 unit-scale products, reordered
         np.testing.assert_allclose(model._conv_batch(x, w), oracles.conv_per_tap(x, w),
                                    rtol=1e-12, atol=1e-12)
@@ -98,11 +103,149 @@ class TestConvKernel:
         w = rng.integers(-(1 << n), (1 << n) + 1, size=(*(k,) * nd, c, 5))
         x.reshape(-1, c)[: x.size // c // 2] = -(1 << n)  # storage corner: every
         w[..., 0] = 1 << n  # product of filter 0 over half the input is -2^30
-        assert len(list(model._conv_blocks(x, k, nd, np.float64))) > 1
+        assert len(model._map_blocks(x, k, nd, np.dtype(np.float64), lambda rows, cols: None)) > 1
         got = model._conv_batch(x, w.astype(np.float64))
         want = oracles.conv_per_tap(x, w)
         assert got.dtype == want.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    """The block map on 1, 2 or 3 workers, with a pool of its own, shut down after."""
+    monkeypatch.setattr(model, "_WORKERS", request.param)
+    monkeypatch.setattr(model, "_POOL", None)
+    yield request.param
+    if model._POOL is not None:
+        model._POOL.shutdown()
+
+
+class TestBlockMap:
+    """On several workers the block map gives one worker's results bit for
+    bit: the FP forward pass, the integer MAC and training's dW and dX."""
+
+    # input shape (*lead, *spatial, C), spatial axes, block bytes and blocks
+    # at K = 3: 13 lead rows of 960 patch bytes make 7 blocks of 2 rows and a
+    # last one of 1; 9 lead rows of 2880 make 5 blocks, the last also of 1.
+    # Neither count divides by 2 or 3.
+    CASES = {"1d": ((13, 12, 4), 1, 2000, 7), "2d": ((3, 3, 7, 6, 2), 2, 6000, 5)}
+
+    @staticmethod
+    def _convs(x, w, dz):
+        from edgehar.train import _conv_bwd
+
+        dx, dw = _conv_bwd(dz, x, w, need_dx=True)
+        q = np.rint(x * 2**12).astype(np.int64)
+        return {"forward": model._conv_batch(x, w), "dx": dx, "dw": dw,
+                "mac": model._conv_batch(q, np.rint(w * 2**12))}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_one_worker(self, rng, monkeypatch, workers, case):
+        shape, nd, block_bytes, blocks = self.CASES[case]
+        k = 3
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
+        x = rng.uniform(-1, 1, size=shape)
+        w = rng.uniform(-1, 1, size=(*(k,) * nd, shape[-1], 5))
+        dz = rng.normal(size=model._conv_batch(x, w).shape)
+        with monkeypatch.context() as one:
+            one.setattr(model, "_WORKERS", 1)
+            want = self._convs(x, w, dz)
+        runs, real = [], model._run_blocks
+        x_patches = model._patch_view(x, k, nd).shape
+
+        def spy(patches, lo, hi, *args):
+            if patches.shape == x_patches:  # a pass over x, not over dX's padded dz
+                runs.append((lo, hi, threading.current_thread() is threading.main_thread()))
+            return real(patches, lo, hi, *args)
+
+        monkeypatch.setattr(model, "_run_blocks", spy)
+        got = self._convs(x, w, dz)
+        assert want["mac"].dtype == np.int64
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+            assert got[name].tobytes() == want[name].tobytes(), name
+        # forward, dW and the MAC each split x's blocks into contiguous runs,
+        # the first on the caller's thread and the rest on the pool's
+        n = min(workers, blocks // 2)
+        assert len(runs) == 3 * n
+        for call in range(3):
+            mine = sorted(runs[call * n : (call + 1) * n])
+            assert [lo for lo, _, _ in mine[1:]] == [hi for _, hi, _ in mine[:-1]]
+            assert mine[0][0] == 0 and mine[-1][1] == x_patches[0]
+            assert [main for _, _, main in mine] == [True] + [False] * (n - 1)
+
+    def test_more_workers_than_cores_under_fast_switching(self, rng, monkeypatch):
+        # runs on more threads than cores, switched every microsecond, write
+        # disjoint output rows and their own result lists: nothing is lost
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 2000)
+        x = rng.uniform(-1, 1, size=(64, 12, 4))  # 32 blocks of 2 lead rows
+        w = rng.uniform(-1, 1, size=(3, 4, 5))
+        dz = rng.normal(size=(64, 10, 5))
+        with monkeypatch.context() as one:
+            one.setattr(model, "_WORKERS", 1)
+            want = self._convs(x, w, dz)
+        monkeypatch.setattr(model, "_WORKERS", 2 * (os.cpu_count() or 1) + 1)
+        monkeypatch.setattr(model, "_POOL", None)
+        same, errors = [], []
+
+        def hammer():
+            try:
+                for _ in range(20):
+                    got = self._convs(x, w, dz)
+                    same.append(all(got[k].tobytes() == want[k].tobytes() for k in want))
+            except Exception as e:  # reported below, from the test's thread
+                errors.append(e)
+
+        t = threading.Thread(target=hammer, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t.start()
+            t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            if model._POOL is not None:
+                model._POOL.shutdown(wait=False)
+        assert not t.is_alive() and errors == [] and same == [True] * 20
+
+    def test_worker_exception_reaches_caller(self, rng, monkeypatch):
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 2000)
+        x = rng.uniform(-1, 1, size=(13, 12, 4))
+        w = rng.uniform(-1, 1, size=(3, 4, 5))
+        want = model._conv_batch(x, w)
+        err, raised_on = ValueError("block failed"), []
+
+        def fn(rows, cols):
+            if rows.stop == 130:  # the last block, in the pool's run
+                raised_on.append(threading.current_thread())
+                raise err
+
+        with pytest.raises(ValueError) as info:
+            model._map_blocks(x, 3, 1, x.dtype, fn)
+        assert info.value is err and raised_on[0] is not threading.main_thread()
+        # the pool serves the next call
+        got = model._conv_batch(x, w)
+        assert got.tobytes() == want.tobytes()
+
+    def test_caller_exception_waits_for_the_pool(self, rng, monkeypatch):
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 2000)
+        x = rng.uniform(-1, 1, size=(13, 12, 4))
+        done = []
+
+        def fn(rows, cols):
+            if rows.start == 0:
+                raise KeyError("first block")
+            time.sleep(0.01)
+            done.append(rows.start)
+
+        with pytest.raises(KeyError):
+            model._map_blocks(x, 3, 1, x.dtype, fn)
+        # blocks 3 to 6 (rows 60 to 120) are the pool's run; none outlives the call
+        assert done[-4:] == [60, 80, 100, 120]
 
 
 _GMAX = BranchSpec("g", 1, (ConvSpec(1, 1),) * 3)
