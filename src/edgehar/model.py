@@ -22,7 +22,8 @@ Each concept of the network is defined once, here:
   and a pool made on first use), while numpy's copy and GEMM release the
   GIL. The blocks and their results are those of a serial loop, in block
   order, so every output and every summed gradient is bit for bit the
-  same. Smaller calls run on the caller's thread and start no thread.
+  same. Smaller calls run on the caller's thread and start no thread. A
+  caller may mark the lead rows it needs; blocks without one are skipped.
 - _pool_windows is every kernel max-pool, FP and integer alike; _head is the
   branch head (global max-pool or flatten) and _mix the importance mixing.
 - ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle
@@ -288,7 +289,14 @@ def _patch_view(x: np.ndarray, k: int, nd: int) -> np.ndarray:
                       flat, 0, (st[0], *st[1:-1], *st[1:-1], st[-1]))
 
 
-def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn) -> list:
+def _lead_step(patch_shape: tuple, dtype: np.dtype) -> int:
+    """Lead rows per block of _map_blocks over patches of this shape (that
+    of _patch_view): as many as fit _COL_BLOCK_BYTES of patch columns in
+    dtype, and at least one."""
+    return max(1, _COL_BLOCK_BYTES // (math.prod(patch_shape[1:]) * dtype.itemsize))
+
+
+def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn, need=None) -> list:
     """fn(rows, cols) for each block of rows of the im2col patch matrix of x,
     returning the results in block order.
 
@@ -297,26 +305,33 @@ def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn) -> list:
     tap-major, so it pairs with a weight reshaped to (-1, F). cols holds the
     matrix rows that the slice rows selects, cast-copied to dtype in its
     worker's buffer of at most _COL_BLOCK_BYTES (or one lead index's rows, if
-    that is larger), so memory stays flat in the batch size. cols is valid
-    only during its fn call, which may run on a pool thread: fn may write
-    only its own rows of a shared output, and must not map blocks itself (a
-    pool thread waiting on the pool could wait forever). A call with at
-    least two blocks per worker splits them into contiguous runs, the first
-    on the caller's thread. An exception from any run reaches the caller
-    once every run has stopped.
+    that is larger), so memory stays flat in the batch size. need, when
+    given, is a boolean per flattened lead index: a block that holds no
+    needed lead index is neither copied nor passed to fn, and the count and
+    runs below are of the needed blocks. cols is valid only during its fn
+    call, which may run on a pool thread: fn may write only its own rows of
+    a shared output, and must not map blocks itself (a pool thread waiting
+    on the pool could wait forever). A call with at least two blocks per
+    worker splits them into contiguous runs, the first on the caller's
+    thread. An exception from any run reaches the caller once every run has
+    stopped.
     """
     patches = _patch_view(x, k, nd)
     n = len(patches)
-    step = max(1, _COL_BLOCK_BYTES // (math.prod(patches.shape[1:]) * dtype.itemsize))
-    blocks = -(-n // step)
+    step = _lead_step(patches.shape, dtype)
+    starts, keep = range(0, n, step), None
+    if need is not None:
+        keep = np.logical_or.reduceat(need, starts)
+        starts = [s for s, kept in zip(starts, keep) if kept]
+    blocks = len(starts)
     if blocks < 4 or _WORKERS < 2:  # under two blocks for each of two workers
-        return _run_blocks(patches, 0, n, step, nd, dtype, fn)
+        return _run_blocks(patches, 0, n, step, nd, dtype, fn, keep)
     workers = min(_WORKERS, blocks // 2)
-    cuts = [blocks * i // workers * step for i in range(workers)] + [n]
-    futures = [_pool().submit(_run_blocks, patches, a, b, step, nd, dtype, fn)
+    cuts = [0] + [starts[blocks * i // workers] for i in range(1, workers)] + [n]
+    futures = [_pool().submit(_run_blocks, patches, a, b, step, nd, dtype, fn, keep)
                for a, b in zip(cuts[1:-1], cuts[2:])]
     try:
-        results = _run_blocks(patches, 0, cuts[1], step, nd, dtype, fn)
+        results = _run_blocks(patches, 0, cuts[1], step, nd, dtype, fn, keep)
     finally:
         for f in futures:
             f.exception()  # waits: no run outlives the call
@@ -326,17 +341,21 @@ def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn) -> list:
 
 
 def _run_blocks(patches: np.ndarray, lo: int, hi: int, step: int, nd: int, dtype: np.dtype,
-                fn) -> list:
+                fn, keep=None) -> list:
     """One run of _map_blocks: fn on each block of `step` lead rows from lo to
-    hi, in order, cast-copied into the run's one buffer. A lone block is
-    cast-copied by itself, which saves setting up a buffer to reuse."""
+    hi that the per-block mask keep holds (every block when keep is None), in
+    order, cast-copied into the run's one buffer. A run of one block and no
+    mask is cast-copied by itself, which saves setting up a buffer to reuse."""
     per = math.prod(patches.shape[1 : nd + 1])
-    if 0 < hi - lo <= step:
+    if keep is None and 0 < hi - lo <= step:
         return [fn(slice(lo * per, hi * per),
                    patches[lo:hi].astype(dtype).reshape((hi - lo) * per, -1))]
+    starts = range(lo, hi, step)
+    if keep is not None:
+        starts = [s for s in starts if keep[s // step]]
     buf = np.empty((min(step, hi - lo), *patches.shape[1:]), dtype)
     results = []
-    for s in range(lo, hi, step):
+    for s in starts:
         block = buf[: hi - s]
         np.copyto(block, patches[s : s + step])
         results.append(fn(slice(s * per, (s + len(block)) * per),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from edgehar import model
 from edgehar.model import BranchSpec, ConvSpec, ModelSpec
 from edgehar.quantize import QLayer, QuantizedModel
 from edgehar.train import init_params
@@ -92,6 +93,16 @@ def random_qmodel(rng: np.random.Generator, n_bits: int) -> tuple[QuantizedModel
         for b in spec.branches
     }
     return qm, qframe
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    """The block map on 1, 2 or 3 workers, with a pool of its own, shut down after."""
+    monkeypatch.setattr(model, "_WORKERS", request.param)
+    monkeypatch.setattr(model, "_POOL", None)
+    yield request.param
+    if model._POOL is not None:
+        model._POOL.shutdown()
 
 
 @pytest.fixture

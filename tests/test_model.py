@@ -110,17 +110,6 @@ class TestConvKernel:
         np.testing.assert_array_equal(got, want)
 
 
-
-@pytest.fixture(params=[1, 2, 3])
-def workers(request, monkeypatch):
-    """The block map on 1, 2 or 3 workers, with a pool of its own, shut down after."""
-    monkeypatch.setattr(model, "_WORKERS", request.param)
-    monkeypatch.setattr(model, "_POOL", None)
-    yield request.param
-    if model._POOL is not None:
-        model._POOL.shutdown()
-
-
 class TestBlockMap:
     """On several workers the block map gives one worker's results bit for
     bit: the FP forward pass, the integer MAC and training's dW and dX."""
@@ -175,6 +164,30 @@ class TestBlockMap:
             assert [lo for lo, _, _ in mine[1:]] == [hi for _, hi, _ in mine[:-1]]
             assert mine[0][0] == 0 and mine[-1][1] == x_patches[0]
             assert [main for _, _, main in mine] == [True] + [False] * (n - 1)
+
+    def test_need_mask_skips_blocks_and_splits_the_rest(self, rng, monkeypatch, workers):
+        # 13 lead rows in blocks of 2 (the 1d case); the mask needs lead rows
+        # 0, 5, 6, 9 and 12, so blocks 0, 2, 3, 4 and 6 run and 1 and 5 do not
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 2000)
+        x = rng.uniform(-1, 1, size=(13, 12, 4))
+        need = np.zeros(13, bool)
+        need[[0, 5, 6, 9, 12]] = True
+        every = model._map_blocks(x, 3, 1, x.dtype, lambda rows, cols: (rows, cols.copy()))
+        runs, real = [], model._run_blocks
+
+        def spy(patches, lo, hi, *args):
+            runs.append((lo, hi, threading.current_thread() is threading.main_thread()))
+            return real(patches, lo, hi, *args)
+
+        monkeypatch.setattr(model, "_run_blocks", spy)
+        got = model._map_blocks(x, 3, 1, x.dtype, lambda rows, cols: (rows, cols.copy()), need)
+        assert [rows for rows, _ in got] == [every[b][0] for b in (0, 2, 3, 4, 6)]
+        for (_, cols), b in zip(got, (0, 2, 3, 4, 6)):
+            assert cols.tobytes() == every[b][1].tobytes()
+        # five needed blocks: two runs on two or three workers, cut at the
+        # third needed block (lead row 6), the first on the caller's thread
+        want = [(0, 13, True)] if workers == 1 else [(0, 6, True), (6, 13, False)]
+        assert sorted(runs) == want
 
     def test_more_workers_than_cores_under_fast_switching(self, rng, monkeypatch):
         # runs on more threads than cores, switched every microsecond, write

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +140,243 @@ class TestConvBackward:
         X = {"s": rng.normal(size=(2, 8, 2))}  # 8 -> 5 -> 2 rows, third layer starves
         with pytest.raises(ValueError, match="shorter than kernel"):
             backward(spec, init_params(spec, seed=0), X, np.array([0, 1]))
+
+
+class TestRowPath:
+    """Backward through a gmax head's selected rows: the row path gives the
+    dense path's gradients byte for byte, wherever the block map runs."""
+
+    @staticmethod
+    def _rows_taken(monkeypatch):
+        """Spy on the row path: (gradient rows, input shape, need_dx) per call."""
+        calls, real = [], train_mod._conv_bwd_rows
+
+        def spy(rows, dz, x, w, need_dx):
+            calls.append((rows.copy(), x.shape, need_dx))
+            return real(rows, dz, x, w, need_dx)
+
+        monkeypatch.setattr(train_mod, "_conv_bwd_rows", spy)
+        return calls
+
+    @staticmethod
+    def _both_paths(monkeypatch, spec, params, X, y):
+        """(row path, dense path) gradients, the row path forced wherever a
+        layer allows it: one lead row per block, and any share of them held."""
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 1)
+        with monkeypatch.context() as dense:
+            dense.setattr(train_mod, "_takes_rows", lambda *args: False)
+            want = backward(spec, params, X, y)[1]
+        monkeypatch.setattr(train_mod, "_ROW_BLOCKS", 1)
+        got = backward(spec, params, X, y)[1]
+        return got, want
+
+    @staticmethod
+    def _assert_same_bytes(got, want):
+        for g, w in zip(_iter_tensors(got), _iter_tensors(want)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [1, 6000])
+    @pytest.mark.parametrize("lone", [False, True])
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_layer_equals_dense(self, rng, monkeypatch, workers, nd, lone, block_bytes):
+        # gradient rows on the first and last positions, one with two filters,
+        # and input rows whose every channel is dead to the ReLU: a third of
+        # them, or, under a gradient at every row, all but one interior row,
+        # which leaves that one row to compute. Blocks hold one lead row, or
+        # several, so that the last block of dX is held by its last row only
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
+        k, c, f = 3, 2, 9
+        x = np.maximum(rng.normal(size=((6, 13) if nd == 1 else (3, 2, 7, 6)) + (c,)), 0)
+        dead = rng.random(x.shape[:-1]) < 0.3
+        if lone:
+            dead.reshape(-1)[:] = True
+            dead.reshape(-1)[x.shape[-2] + 3] = False
+            x.reshape(-1, c)[x.shape[-2] + 3] = rng.uniform(0.5, 1.0, size=c)
+        x[dead] = 0.0
+        w = rng.normal(size=(*(k,) * nd, c, f))
+        out = model._conv_batch(x, w).shape
+        m = math.prod(out[:-1])
+        per = m // math.prod(x.shape[: -nd - 1])  # gradient rows per lead row
+        rows = np.arange(m) if lone else np.unique(np.r_[0, m - 1, rng.choice(2 * per, 6)])
+        dz = rng.normal(size=(len(rows), f)) * (rng.random((len(rows), f)) < 0.7)
+        dz[0] = 0.0
+        dz[0, :2] = [1.5, -2.0]  # two filters at the first position
+        dense = np.zeros(out)
+        dense.reshape(-1, f)[rows] = dz
+        want_dx, want_dw = _conv_bwd(dense, x, w, need_dx=True)
+        (near, dx), dw = train_mod._conv_bwd_rows(rows, dz, x, w, need_dx=True)
+        assert dw.tobytes() == want_dw.tobytes()
+        want_dx = want_dx.reshape(-1, c)
+        assert np.all(np.diff(near) > 0) and dx.tobytes() == want_dx[near].tobytes()
+        assert np.all((dx != 0).any(axis=1))
+        assert len(near) == 1 if lone else len(near) > 1
+        # each row left out is zero, or dead, and some dead row was left out
+        out_rows = np.setdiff1d(np.arange(len(want_dx)), near)
+        alive = (x.reshape(-1, c) > 0).any(axis=1)
+        assert np.all(want_dx[out_rows][alive[out_rows]] == 0)
+        assert np.any(want_dx[out_rows][~alive[out_rows]] != 0)
+        # layer 0: the same dW and no dX
+        dx0, dw0 = train_mod._conv_bwd_rows(rows, dz, x, w, need_dx=False)
+        assert dx0 is None and dw0.tobytes() == want_dw.tobytes()
+
+    @staticmethod
+    def _hot_spots(spec, rng, rows):
+        """Frames zero but for one sample at the first position of frame 0 and
+        one at the last of the last frame, and positive noise between; every
+        weight positive and the last layer's two filters equal, so the two
+        share their maximum and zero regions leave ReLU-dead rows."""
+        (branch,) = spec.branches
+        X = rng.uniform(0.1, 1.0, size=(6, rows, branch.channels))
+        X[0], X[-1] = 0.0, 0.0
+        X[0, 0, 0], X[-1, -1, -1] = 1.0, 1.0
+        params = init_params(spec, seed=5)
+        params.branch_weights[0] = [np.abs(w) for w in params.branch_weights[0]]
+        params.branch_weights[0][2][..., 1] = params.branch_weights[0][2][..., 0]
+        return params, {branch.name: X}
+
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_backward_equals_dense_and_central_differences(self, rng, monkeypatch, workers,
+                                                           nd):
+        layers = (ConvSpec(2, 3),) * 3
+        grid = (7, 8) if nd == 2 else None
+        branch = BranchSpec("s", 56 if nd == 2 else 1, layers, conv_dim=nd, grid=grid)
+        spec = ModelSpec((branch,), hidden=4, classes=3)
+        rows = 2 if nd == 2 else 14
+        params, X = self._hot_spots(spec, rng, rows)
+        y = np.array([0, 1, 2, 0, 1, 2])
+        calls = self._rows_taken(monkeypatch)
+        got, want = self._both_paths(monkeypatch, spec, params, X, y)
+        self._assert_same_bytes(got, want)
+        assert [need_dx for _, _, need_dx in calls] == [True, True, False]
+        head, _, _ = calls[0]
+        positions = math.prod(spec.layer_dims(branch, rows)[2][1])
+        assert head[0] == 0 and head[-1] == 6 * positions - 1
+        assert len(head) < 6 * 2  # frames 0 and 5: both filters at one position
+        assert (model._POOL is not None) == (workers > 1)
+
+        def loss_fn():
+            return backward(spec, params, X, y)[0]
+
+        numeric = oracles.finite_diff_grads(loss_fn, list(_iter_tensors(params)))
+        assert oracles.max_rel_error(list(_iter_tensors(got)), numeric) < 1e-4
+
+    def test_zero_frame_leaves_an_empty_row_list(self, rng, monkeypatch):
+        spec = ModelSpec((BranchSpec("s", 56, (ConvSpec(2, 3),) * 3, conv_dim=2,
+                                     grid=(7, 8)),), hidden=3, classes=2)
+        X = {"s": np.zeros((3, 4, 56))}
+        calls = self._rows_taken(monkeypatch)
+        got, want = self._both_paths(monkeypatch, spec, init_params(spec, seed=4), X,
+                                     np.array([0, 1, 1]))
+        self._assert_same_bytes(got, want)
+        assert all(np.all(g == 0.0) for g in got.branch_weights[0])
+        assert [(len(r), need_dx) for r, _, need_dx in calls] == [
+            (0, True), (0, True), (0, False)]
+
+    @pytest.mark.parametrize("pools, taken", [
+        ((None, None, 2), []), ((None, 2, None), [True]), ((2, None, None), [True, True]),
+    ])
+    def test_pooled_layers_and_below_stay_dense(self, rng, monkeypatch, pools, taken):
+        layers = tuple(ConvSpec(2, 3, p) for p in pools)
+        spec = ModelSpec((BranchSpec("s", 156, layers, conv_dim=2, grid=(12, 13)),),
+                         hidden=3, classes=2)
+        X = random_inputs(spec, rng, batch=3, rows={"s": 2})
+        calls = self._rows_taken(monkeypatch)
+        got, want = self._both_paths(monkeypatch, spec, init_params(spec, seed=6), X,
+                                     np.array([0, 1, 1]))
+        self._assert_same_bytes(got, want)
+        assert [need_dx for _, _, need_dx in calls] == taken
+
+    @pytest.mark.parametrize("block_bytes, taken", [(None, []), (1, [True, True, False])])
+    def test_lone_block_layers_stay_dense(self, rng, monkeypatch, block_bytes, taken):
+        # every layer's patch matrix fits one block of model._COL_BLOCK_BYTES,
+        # unless that is shrunk
+        if block_bytes:
+            monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(train_mod, "_ROW_BLOCKS", 1)
+        spec = ModelSpec((BranchSpec("s", 2, (ConvSpec(2, 3),) * 3),), hidden=3, classes=2)
+        X = random_inputs(spec, rng, batch=3, rows={"s": 40})
+        calls = self._rows_taken(monkeypatch)
+        backward(spec, init_params(spec, seed=6), X, np.array([0, 1, 1]))
+        assert [need_dx for _, _, need_dx in calls] == taken
+
+    def test_flatten_head_stays_dense(self, rng, monkeypatch):
+        spec = model.data_fusion_spec(8, 12, filters=2, kernel=3, hidden=3, classes=2)
+        X = {"fused": rng.uniform(-1, 1, size=(3, 12, 8))}
+        calls = self._rows_taken(monkeypatch)
+        got, want = self._both_paths(monkeypatch, spec, init_params(spec, seed=6), X,
+                                     np.array([0, 1, 1]))
+        self._assert_same_bytes(got, want)
+        assert calls == []
+
+    def test_rig_thermal_takes_rows_and_smoke_stays_dense(self, tmp_path, monkeypatch):
+        # the shipped block size and block share: the rig's thermal layers take
+        # the row path, its 1D branches and every smoke layer the dense one
+        from edgehar import cli
+
+        root = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+        cfg = cli.parse_config(json.loads((root / "rig.json").read_text()))
+        rng = np.random.default_rng(0)
+        b = cfg.train.batch_size
+        X = {s.name: rng.uniform(-1, 1, size=(b, cfg.rows[s.name], s.channels))
+             for s in cfg.sensors}
+        calls = self._rows_taken(monkeypatch)
+        dense, real = [], train_mod._conv_bwd
+        monkeypatch.setattr(train_mod, "_conv_bwd",
+                            lambda dz, x, *a, **k: dense.append(x.shape) or real(dz, x, *a, **k))
+        needs, real_map = [], train_mod._map_blocks
+        monkeypatch.setattr(train_mod, "_map_blocks",
+                            lambda *a: needs.append(a[5:]) or real_map(*a))
+        y = np.arange(b) % cfg.spec.classes
+        backward(cfg.spec, init_params(cfg.spec, cfg.train.seed), X, y)
+        # thermal layers 2 and 1 hold a gradient row in under half of their
+        # blocks; layer 0, in blocks of 9 timesteps, in 14 of 15 here, past
+        # the crossover, so it stays dense like every 1D layer
+        thermal = cfg.rows["thermal"]
+        assert [(x[:2], need_dx) for _, x, need_dx in calls] == [
+            ((b, thermal), True), ((b, thermal), True)]
+        masks = [need for (need,) in needs if need is not None]
+        assert len(masks) == 2 and all(m.sum() < m.size / 2 for m in masks)
+        assert len(dense) == 3 * (len(cfg.sensors) - 1) + 1
+        assert [x for x in dense if x[1] == thermal] == [(b, thermal, 24, 32, 1)]
+
+        del calls[:], dense[:]
+        smoke = json.loads((root / "smoke.json").read_text())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(smoke, out=str(tmp_path / "out"))))
+        for stage in ("gen-data", "train", "select"):
+            assert cli.main([stage, "--config", str(path)]) == 0, stage
+        assert calls == [] and len(dense) > 0
+
+    def test_thermal_shape_same_bytes_no_higher_peak(self, monkeypatch):
+        # the thermal grid's own block sizes: layer 0's blocks are 5,040 rows
+        import tracemalloc
+
+        from edgehar.daq import CATALOG
+
+        thermal = CATALOG["thermal"]
+        spec = feature_fusion_spec([thermal], filters=8, kernel=5, hidden=32, classes=4)
+        params = init_params(spec, seed=0)
+        X = {"thermal": np.random.default_rng(0).uniform(
+            -1, 1, size=(4, int(thermal.rate_hz), thermal.channels))}
+        y = np.arange(4)
+        calls = self._rows_taken(monkeypatch)
+
+        def peak():
+            backward(spec, params, X, y)  # the pool and its buffers, made once
+            tracemalloc.start()
+            try:
+                grads = backward(spec, params, X, y)[1]
+                return tracemalloc.get_traced_memory()[1], grads
+            finally:
+                tracemalloc.stop()
+
+        rows, got = peak()
+        assert [need_dx for _, _, need_dx in calls].count(True) == 4  # layers 2 and 1
+        with monkeypatch.context() as forced:
+            forced.setattr(train_mod, "_takes_rows", lambda *args: False)
+            dense, want = peak()
+        self._assert_same_bytes(got, want)
+        assert rows <= dense
 
 
 def _two_class_separable(rng, n=40, t=16):
