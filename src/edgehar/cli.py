@@ -11,11 +11,19 @@ cycles.json is the same static count, made from the spec before the stream
 starts. infer --qmodel and simulate take a qmodel only when it quantizes the
 --model file's network.
 
-simulate classifies the stream's frames in chunks of SIM_CHUNK_FRAMES, one
-qinfer_batch call per chunk, and writes the labels in frame order. Chunking
-cannot change a label: a label never feeds back into acquisition, the DAQ's
-virtual time does not read the wall clock, and the integer path is exact, so
-a frame's logits do not depend on the frames batched with it.
+simulate classifies the stream's frames through qinfer_batch and writes the
+labels in frame order. Frames that overlap share their samples: consecutive
+frames whose rows overlap for every sensor form a run, whose union of rows
+is normalized and convolved once, and each frame reads its features from its
+own window of the conv outputs (see engine._q_forward). A run spans at most
+SIM_CHUNK_FRAMES windows of rows, and a 1D sensor's run no more rows than
+one im2col block holds (engine._run_rows), so it holds no more than a chunk
+of that many frames. Frames that share no rows (adjacent windows, or a
+window the DAQ trimmed, held or split around an overflow) are stacked
+SIM_CHUNK_FRAMES to a call, one lead row each. Grouping cannot change a
+label: a label never feeds back into acquisition, the DAQ's virtual time
+does not read the wall clock, and the integer path is exact, so a frame's
+logits do not depend on the frames classified with it.
 
 The whole config is checked at load, before any stage runs: an unknown key,
 a bad type or range, or a config that cannot run exits 2 naming the key and
@@ -30,7 +38,6 @@ Exit codes: 0 success, 1 usage, 2 validation (bad config/schema/arguments),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -92,10 +99,15 @@ _SCHEMA = {
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 # Keys that stay in the schema but have one value the pipeline runs
 _FIXED = {"fusion": "feature", "alpha_enabled": False}
-# Frames simulate classifies per qinfer_batch call. A chunk's int64 layer
-# outputs grow with it (a thermal frame's are megabytes), so it is bounded
-# rather than the whole stream. On 1,191 smoke-model frames (2 vCPUs),
-# simulate took 0.88 s at one frame per call, 0.33 s at 16 and 0.28 s at 64.
+# Frames simulate stacks per qinfer_batch call, and the windows of rows a run
+# of overlapping frames may span. A call's int64 layer outputs grow with its
+# rows (a thermal frame's are megabytes), so they are bounded rather than the
+# whole stream. On the stream workload's 1,191 frames (1 s windows, 100 ms
+# steps; 2 vCPUs, BLAS at 1 thread) the engine took 102-125 ms in 75 chunks of
+# 16 frames and 12-18 ms in 8 runs, and simulate 0.20-0.25 s and 0.09-0.13 s.
+# Adjacent frames stay stacked: the union of smoke's 10 adjacent frames took
+# 1.2-1.4 ms in the engine, their stack 1.0-1.2 ms, as each boundary adds
+# the kernels' positions to every 1D layer; the rig's 8 read the same.
 SIM_CHUNK_FRAMES = 16
 
 
@@ -390,6 +402,78 @@ def cmd_infer(cfg: Config, args) -> int:
     return 0
 
 
+class _Run:
+    """Consecutive frames of simulate whose rows overlap, held as each
+    sensor's rows, once (the pieces its frames add), and each frame's end
+    stamp and first rows; the frames themselves are let go."""
+
+    def __init__(self, f):
+        self.ends, self.firsts = [f.t_end_ns], [f.first_rows]
+        self.parts = {n: [x] for n, x in f.tensors.items()}
+
+    def joins(self, f, limits: dict[str, int]) -> bool:
+        """Whether frame f extends the run: for every sensor, its first row lies
+        inside the last frame's rows, and the run then spans at most
+        limits[sensor] rows."""
+        start, last, new = self.firsts[0], self.firsts[-1], f.first_rows
+        return bool(last and new) and all(
+            last[n] <= new[n] < last[n] + len(x) and new[n] + len(x) - start[n] <= limits[n]
+            for n, x in f.tensors.items())
+
+    def add(self, f) -> None:
+        for n, x in f.tensors.items():  # a copy of its new rows, not a view of the frame
+            self.parts[n].append(x[len(x) - (f.first_rows[n] - self.firsts[-1][n]):].copy())
+        self.ends.append(f.t_end_ns)
+        self.firsts.append(f.first_rows)
+
+    def lead_rows(self) -> dict[str, np.ndarray]:
+        """Each sensor's rows as one lead row; the run lets go of its pieces."""
+        parts, self.parts = self.parts, None
+        return {n: np.concatenate(p)[None] for n, p in parts.items()}
+
+
+def _runs(frames, limits: dict[str, int]):
+    """simulate's frames in stream order, as runs of frames whose rows overlap
+    (see _Run.joins)."""
+    run = None
+    for f in frames:
+        if run is not None and run.joins(f, limits):
+            run.add(f)
+            continue
+        if run is not None:
+            yield run
+        run = _Run(f)
+    if run is not None:
+        yield run
+
+
+def _sim_calls(runs):
+    """(frame end stamps, raw lead rows, windows) of each qinfer_batch call
+    over runs, in order. A run of several frames is a call of its own: one
+    lead row per sensor holding the run's rows once, and a window per frame
+    at its offset in it. Runs of one frame are stacked, SIM_CHUNK_FRAMES at
+    most, one lead row each, with no windows."""
+    def stacked(runs):
+        return ([r.ends[0] for r in runs],
+                {n: np.stack([r.parts[n][0] for r in runs]) for n in runs[0].parts}, None)
+
+    stack = []
+    for run in runs:
+        if len(run.ends) == 1:
+            stack.append(run)
+            if len(stack) < SIM_CHUNK_FRAMES:
+                continue
+        if stack:
+            yield stacked(stack)
+            stack = []
+        if len(run.ends) > 1:
+            start = run.firsts[0]
+            yield run.ends, run.lead_rows(), (
+                [0] * len(run.ends), {n: [f[n] - start[n] for f in run.firsts] for n in start})
+    if stack:
+        yield stacked(stack)
+
+
 def cmd_simulate(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
     qm = _load_qmodel(cfg, args, spec)
@@ -404,11 +488,12 @@ def cmd_simulate(cfg: Config, args) -> int:
         cfg.raw["noise_level"], cfg.raw["seed"], classes=cfg.raw["classes"],
     )
     session = daq.start_sync(daq.recording_sources(rec, sensors))
-    frames, rows_out = daq.stream_frames(session, cfg.window), []
-    while chunk := list(itertools.islice(frames, SIM_CHUNK_FRAMES)):
-        stacked = {name: np.stack([f.tensors[name] for f in chunk]) for name in chunk[0].tensors}
-        preds = engine.qinfer_batch(qm, mdl.normalize_inputs(stacked, stats))
-        rows_out += [(f.t_end_ns, int(c)) for f, c in zip(chunk, preds)]
+    limits = {b.name: engine._run_rows(spec, b, cfg.rows[b.name], SIM_CHUNK_FRAMES)
+              for b in spec.branches}
+    rows_out = []
+    for ends, X, windows in _sim_calls(_runs(daq.stream_frames(session, cfg.window), limits)):
+        preds = engine.qinfer_batch(qm, mdl.normalize_inputs(X, stats), windows)
+        rows_out += [(t, int(c)) for t, c in zip(ends, preds)]
     conserved = session.conservation()
     if not all(c["ok"] for c in conserved.values()):
         raise RuntimeError(f"sample conservation violated: {conserved}")

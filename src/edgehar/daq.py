@@ -8,8 +8,10 @@ start-sync begins every source at the same t = 0 origin; samples flow through
 bounded data-level FIFOs into a stream controller that emits sliding-window
 frames with each sensor's native-rate rows. A FIFO copies no sample: it holds
 index ranges into its source's track, and a window's rows are slices of it.
-Overflow and underfill are explicit, counted events; no sample is ever
-silently dropped.
+A frame whose every window is one such slice of exactly its rows records
+the slices' first track indices, so that frames sharing samples can be told
+apart from ones that do not. Overflow and underfill are explicit, counted
+events; no sample is ever silently dropped.
 
 Also hosts the synthetic labeled-activity generator that stands in for a
 real multi-sensor recording rig, and the built-in sensor catalog.
@@ -205,12 +207,16 @@ class SensorFifo:
         self.ranges = [(max(lo, self.cut), hi) for lo, hi in self.ranges if hi > self.cut]
         self.consumed += held - self.occupancy
 
-    def window(self) -> np.ndarray:
+    def window(self) -> tuple[np.ndarray, int | None]:
         """Values of the buffered samples stamped at or after the last cut, in
-        order. After a run_until(b) these are the window [cut, b): every
-        sample stamped before b has been pushed, and none after it."""
-        parts = [self.v_track[max(lo, self.cut):hi] for lo, hi in self.ranges if hi > self.cut]
-        return parts[0] if len(parts) == 1 else np.concatenate([self.v_track[:0], *parts])
+        order, and the track index of the first when they are one slice of
+        the track (None across an overflow gap). After a run_until(b) these
+        are the window [cut, b): every sample stamped before b has been
+        pushed, and none after it."""
+        parts = [(max(lo, self.cut), hi) for lo, hi in self.ranges if hi > self.cut]
+        if len(parts) == 1:
+            return self.v_track[parts[0][0]:parts[0][1]], parts[0][0]
+        return np.concatenate([self.v_track[:0], *(self.v_track[a:b] for a, b in parts)]), None
 
     def conservation_ok(self) -> bool:
         return self.produced == self.consumed + self.occupancy + self.overflowed
@@ -363,8 +369,11 @@ def stream_frames(session: Session, cfg: WindowConfig):
     """Yield one Frame per step once every sensor's window is full.
 
     Frame k covers [k*step, k*step + window) and is emitted at virtual time
-    k*step + window. Tensors hold raw (un-normalized) sensor values. Each
-    FIFO without an explicit depth is sized to FIFO_WINDOWS windows of its
+    k*step + window. Tensors hold raw (un-normalized) sensor values. A
+    frame's first_rows give, per sensor, the track index of its first row
+    when every tensor is exactly its track's next rows samples, and are None
+    after an overfill trim, an underfill hold or an overflow gap. Each FIFO
+    without an explicit depth is sized to FIFO_WINDOWS windows of its
     sensor's rows.
     """
     from .model import Frame
@@ -382,9 +391,13 @@ def stream_frames(session: Session, cfg: WindowConfig):
         if b > end_ns:
             return
         session.run_until(b)
-        tensors = {name: _fit_rows(name, fifo.window(), rows[name], b, session)
-                   for name, fifo in session.fifos.items()}
-        yield Frame(tensors, a, b)
+        tensors, first = {}, {}
+        for name, fifo in session.fifos.items():
+            x, first[name] = fifo.window()
+            tensors[name] = _fit_rows(name, x, rows[name], b, session)
+            if len(x) != rows[name]:
+                first[name] = None
+        yield Frame(tensors, a, b, None if None in first.values() else first)
         k += 1
         for fifo in session.fifos.values():
             fifo.drop_older_than(k * step_ns)

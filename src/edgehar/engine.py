@@ -32,11 +32,17 @@ column copy, the GEMM and the requantization, with no scan and no format
 built. Every structural choice, each layer's pool included, is read from
 the spec, which a QLayer does not copy.
 
-One path runs every frame: _q_forward takes a lead frame axis, and each
-layer runs once over all the frames it is given. qinfer_batch quantizes a
-whole set once and runs it through _q_forward once, as forward_batch runs
-the FP model; infer runs the test split through it, and simulate runs its
-stream through it in fixed chunks of frames. qinfer is the batch-of-one API.
+One path runs every frame: _q_forward takes lead rows, and each layer runs
+once over all the rows it is given. By default each lead row is one frame.
+Given windows, frames that share rows read them from one lead row: its conv
+stack runs once, and each frame's gmax head takes the max over its own
+positions of the last layer's output (1D: rows - sum(K - 1) positions; 2D:
+its rows' timesteps, each one its grid's max). Max is exact, so the logits
+are the same bits either way. qinfer_batch quantizes a whole set once and
+runs it through _q_forward once, as forward_batch runs the FP model; infer
+and sweep run a split through it one frame per lead row, and simulate runs
+its stream through it in runs of overlapping frames and stacks of frames
+that share no rows. qinfer is the batch-of-one API.
 
 Nothing here restates the model or the arithmetic: rounding, saturation,
 the storage format and the multiply-shift requantization are fxp's; the
@@ -60,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .fxp import requantize, round_nearest, storage_format
 from .model import (
     BranchSpec, ModelSpec, _branch_input, _conv_batch, _head, _pool_windows, count_params,
@@ -141,19 +148,88 @@ def qdense_layer(x: np.ndarray, qlayer: QLayer, n_bits: int, where: str = "dense
                       storage_format(n_bits), qlayer.relu)
 
 
+def _shares_rows(spec: ModelSpec, branch: BranchSpec) -> bool:
+    """Whether frames may share a lead row of this branch: whether a frame's
+    features are the max of the outputs at its own positions wherever it
+    starts. A flatten head, data fusion and a 1D kernel pool (its windows
+    align to the frame's first row) break that; a 2D pool runs on the grid."""
+    return (spec.fusion == "feature" and branch.head == "gmax"
+            and (branch.conv_dim == 2 or not any(l.pool for l in branch.layers)))
+
+
+def _run_rows(spec: ModelSpec, branch: BranchSpec, rows: int, frames: int) -> int:
+    """The most input rows one lead row of this branch may hold for frames of
+    rows rows that share it, so that it costs no more memory than frames such
+    frames given a lead row each: frames windows of rows, and for a 1D
+    branch, whose lead row is one block of im2col columns, no more rows than
+    a block holds unless one window does. A branch that cannot share rows
+    holds one window."""
+    if not _shares_rows(spec, branch):
+        return rows
+    if branch.conv_dim == 2:  # its rows are lead rows of the block map
+        return frames * rows
+    cols = max(l.kernel * branch.layer_in_channels(i) for i, l in enumerate(branch.layers))
+    return min(frames * rows, max(rows, model._COL_BLOCK_BYTES // (cols * 8)))  # float64 columns
+
+
+def _window_max(h: np.ndarray, w: int) -> np.ndarray:
+    """Max of every w consecutive positions along axis 1 of h (L, P, F), as
+    (L, P - w + 1, F): spans of pairwise maxima double up to w."""
+    k = 1
+    while 2 * k <= w:
+        h = np.maximum(h[:, :-k], h[:, k:])
+        k *= 2
+    return np.maximum(h[:, : h.shape[1] - (w - k)], h[:, w - k :])
+
+
 def _q_branch(spec: ModelSpec, branch: BranchSpec, qlayers: list[QLayer],
-              x: np.ndarray, n_bits: int) -> np.ndarray:
-    """Integer features (N, n) of a branch's quantized frames x (N, rows, C)."""
+              x: np.ndarray, n_bits: int, windows=None, rows: int | None = None) -> np.ndarray:
+    """Integer features of a branch's quantized lead rows x (L, rows, C): (L, n),
+    one frame per lead row, or the (N, n) of the frames of windows (see
+    _q_forward), each rows rows long."""
     h = _branch_input(spec, branch, x)
     for i, q in enumerate(qlayers):
         h = qconv_layer(h, q, n_bits, branch.layers[i].pool,
                         where=f"branch {branch.name!r} layer {i}")
-    return _head(branch, h)[0]
+    if windows is None:
+        return _head(branch, h)[0]
+    return _window_head(spec, branch, h, windows[0], windows[1][branch.name], rows)
 
 
-def _q_forward(qm: QuantizedModel, qX: dict) -> np.ndarray:
-    """Integer logits (N, classes) of N quantized frames {name: (N, rows, C)},
+def _window_head(spec: ModelSpec, branch: BranchSpec, h: np.ndarray, lead, first,
+                 rows: int) -> np.ndarray:
+    """Integer features (N, n) of N frames from a branch's last layer output h
+    over its lead rows: frame i spans rows input rows of lead row lead[i]
+    from row first[i]."""
+    lead, first = np.asarray(lead, np.intp), np.asarray(first, np.intp)
+    if lead.size and (lead.min() < 0 or lead.max() >= len(h)):
+        raise ValueError(f"window lead rows must lie in 0..{len(h) - 1}")
+    if not _shares_rows(spec, branch):
+        if first.any() or spec.layer_dims(branch, rows)[-1][2] != h.shape[1:-1]:
+            raise ValueError(f"branch {branch.name!r} cannot share rows between frames: "
+                             f"each frame needs a whole lead row of {rows} rows")
+        return _head(branch, h)[0][lead]
+    if branch.conv_dim == 2:
+        h = h.max(axis=(2, 3))  # each timestep's grid max: (L, T, F)
+    h = _window_max(h, spec.layer_dims(branch, rows)[-1][2][0])
+    if first.size and (first.min() < 0 or first.max() >= h.shape[1]):
+        raise ValueError(f"branch {branch.name!r}: a {rows}-row frame must start in rows "
+                         f"0..{h.shape[1] - 1} of its lead row")
+    return h[lead, first]
+
+
+def _q_forward(qm: QuantizedModel, qX: dict, windows=None) -> np.ndarray:
+    """Integer logits (N, classes) of quantized lead rows {name: (L, rows, C)},
     one qconv_layer/qdense_layer call per layer for all of them.
+
+    By default each lead row is one frame (N = L). windows = (lead, first)
+    instead gives N frames that may share rows: frame i spans
+    qm.input_rows[name] rows of lead row lead[i] from row first[name][i] on.
+    Each branch's conv stack still runs once over the lead rows, and its gmax
+    head takes each frame's max over its own positions. MACs, requantization
+    and max are exact, so a frame's logits are the same bits either way. A
+    branch that cannot share rows (see _shares_rows) takes only windows of
+    whole lead rows.
 
     Each branch's input is checked against the storage format here, once;
     every later layer input is a saturated requantize output."""
@@ -165,7 +241,8 @@ def _q_forward(qm: QuantizedModel, qX: dict) -> np.ndarray:
         if x.size and (x.min() < qm.fmt.min_int or x.max() > qm.fmt.max_int):
             raise ValueError(f"branch {branch.name!r} input: values exceed signed "
                              f"{qm.fmt.n_bits}-bit storage")
-        feats.append(_q_branch(qm.spec, branch, qlayers, x, qm.n_bits))
+        rows = None if windows is None else qm.input_rows[branch.name]
+        feats.append(_q_branch(qm.spec, branch, qlayers, x, qm.n_bits, windows, rows))
     fused = np.concatenate(feats, axis=1)
     hidden = qdense_layer(fused, qm.dense[0], qm.n_bits, "dense hidden")
     return qdense_layer(hidden, qm.dense[1], qm.n_bits, "dense output")
@@ -180,10 +257,11 @@ def qinfer(qm: QuantizedModel, qframe: dict) -> int:
     return int(np.argmax(logits))
 
 
-def qinfer_batch(qm: QuantizedModel, X: dict) -> np.ndarray:
-    """Predicted classes for a batch of normalized float inputs {name: (N, ...)}:
-    the batch is quantized once and runs through _q_forward once."""
-    return np.argmax(_q_forward(qm, quantize_frame(X, qm.n_bits)), axis=1)
+def qinfer_batch(qm: QuantizedModel, X: dict, windows=None) -> np.ndarray:
+    """Predicted classes for normalized float lead rows {name: (L, ...)}: they
+    are quantized once and run through _q_forward once, as one frame each or
+    as the frames of windows (see _q_forward)."""
+    return np.argmax(_q_forward(qm, quantize_frame(X, qm.n_bits), windows), axis=1)
 
 
 # ---------------------------------------------------------------------------

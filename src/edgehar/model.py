@@ -239,11 +239,15 @@ class ModelParams:
 class Frame:
     """One sliding-window snapshot: per-branch (timesteps x channels) tensors
     of raw sensor values covering the same virtual-time span. normalize_inputs
-    maps them into model inputs."""
+    maps them into model inputs. first_rows, when set, holds each tensor's
+    first row as an index into its sensor's track, where the tensor is
+    exactly the track's next timesteps rows; frames whose first_rows overlap
+    share those rows."""
 
     tensors: dict[str, np.ndarray]
     t_start_ns: int = 0
     t_end_ns: int = 0
+    first_rows: dict[str, int] | None = None
 
 
 def validate_params(spec: ModelSpec, params: ModelParams) -> None:

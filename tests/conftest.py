@@ -65,10 +65,12 @@ def random_inputs(
     }
 
 
-def random_qmodel(rng: np.random.Generator, n_bits: int) -> tuple[QuantizedModel, dict]:
-    """A hand-rolled integer model (not via the quantizer) plus a matching qframe."""
-    spec = tiny_spec(rng, with_2d=rng.random() < 0.3, pools=rng.random() < 0.4)
-    rows = rows_for(spec, rng)
+def random_qmodel(rng: np.random.Generator, n_bits: int, spec: ModelSpec | None = None,
+                  rows: dict | None = None) -> tuple[QuantizedModel, dict]:
+    """A hand-rolled integer model (not via the quantizer) plus a matching
+    qframe, of a random tiny spec unless spec (and rows) are given."""
+    spec = spec or tiny_spec(rng, with_2d=rng.random() < 0.3, pools=rng.random() < 0.4)
+    rows = rows or rows_for(spec, rng)
     lim = (1 << n_bits) - 1
     branches = []
     for b in spec.branches:

@@ -253,10 +253,12 @@ def max_rel_error(analytic, numeric, floor=1e-6):
 
 class DequeStream:
     """Sliding-window framing the per-sample way. Each FIFO is a deque of
-    (stamp, row) pairs: before each frame, samples are pushed one at a time
-    (a full FIFO counts the sample as overflowed), the window is a filter
-    over the whole deque, old samples are popped from the front, and each
-    window's list of rows is forced to its row count with list operations.
+    (stamp, row, track index) triples: before each frame, samples are pushed
+    one at a time (a full FIFO counts the sample as overflowed), the window
+    is a filter over the whole deque, old samples are popped from the front,
+    and each window's list of rows is forced to its row count with list
+    operations. first_rows lists each frame's first track index per sensor
+    when every window holds exactly its rows at consecutive indices, else None.
 
     tracks maps a sensor name to (stamps, values, duration_ns); rows and
     depth map it to its rows per window and its FIFO depth.
@@ -270,6 +272,7 @@ class DequeStream:
                        for name in tracks}
         self.underfill_events: list[tuple[str, int]] = []
         self.overfill_events: list[tuple[str, int]] = []
+        self.first_rows: list[dict[str, int] | None] = []
 
     def _run_until(self, t_ns):
         for name, (t, v, duration_ns) in self.tracks.items():
@@ -279,7 +282,7 @@ class DequeStream:
                 if len(buf) >= self.depth[name]:
                     c["overflowed"] += 1
                 else:
-                    buf.append((int(t[k]), v[k]))
+                    buf.append((int(t[k]), v[k], k))
                 k += 1
             self.next[name] = k
 
@@ -303,10 +306,15 @@ class DequeStream:
             a = k * step_ns
             b = a + window_ns
             self._run_until(b)
-            tensors = {}
+            tensors, first = {}, {}
             for name, buf in self.buf.items():
-                samples = self._fit(name, [s for s in buf if a <= s[0] < b], b)
-                tensors[name] = np.array([row for _, row in samples])
+                window = [s for s in buf if a <= s[0] < b]
+                idx = [k for _, _, k in window]
+                if idx and idx == list(range(idx[0], idx[0] + self.rows[name])):
+                    first[name] = idx[0]
+                samples = self._fit(name, window, b)
+                tensors[name] = np.array([row for _, row, _ in samples])
+            self.first_rows.append(first if len(first) == len(tensors) else None)
             yield tensors, a, b
             k += 1
             for name, buf in self.buf.items():

@@ -105,9 +105,12 @@ def test_qconv_calls_name_branch_and_layer(monkeypatch):
         wheres.clear()
         engine.qinfer(qm, qframe)
         assert wheres == want
-        wheres.clear()
-        engine.qinfer_batch(qm, {k: np.stack([v, v // 2]) / 2.0**8 for k, v in qframe.items()})
-        assert wheres == want
+        batch = {k: np.stack([v, v // 2]) / 2.0**8 for k, v in qframe.items()}
+        # simulate's runs of overlapping frames take windows
+        for windows in (None, ([1, 0], {k: [0, 0] for k in qframe})):
+            wheres.clear()
+            engine.qinfer_batch(qm, batch, windows)
+            assert wheres == want
 
 
 def _wrap_traced(monkeypatch, record):

@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import itertools
 import json
 import re
 import shutil
 import tempfile
+import tracemalloc
 from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
@@ -14,9 +16,9 @@ from hypothesis import event, given, settings, strategies as st
 
 import oracles
 from edgehar import cli, daq, engine, quantize
-from edgehar.daq import NS
+from edgehar.daq import CATALOG, NS
 from edgehar.cli import DEFAULT_CONFIG, _load_bundle_arrays, main, parse_config
-from edgehar.model import load_model, normalize_inputs, save_model
+from edgehar.model import feature_fusion_spec, load_model, normalize_inputs, save_model
 from edgehar.train import TrainConfig, init_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -454,53 +456,166 @@ class TestOneNetwork:
                 {"schema": "edgehar.cycles/v1", **want} | parsed.echo
 
 
-class TestSimulateChunks:
-    """simulate classifies its stream in chunks of SIM_CHUNK_FRAMES through
-    qinfer_batch, and its labels equal a per-frame loop over the same stream."""
+def _recorded_simulate(monkeypatch, cfg):
+    """Run simulate, recording the frames it streams, its DAQ session and
+    each qinfer_batch call's (lead rows, frames) counts."""
+    frames, sessions, calls = [], [], []
+    stream, start, batch = daq.stream_frames, daq.start_sync, engine.qinfer_batch
 
-    @pytest.mark.parametrize("chunk, sizes", [(3, [3, 3, 2]), (16, [8])],
-                             ids=["two_full_and_a_partial", "shorter_than_a_chunk"])
-    def test_labels_equal_per_frame_loop(self, workdir, monkeypatch, chunk, sizes):
+    def recorded_stream(*args, **kwargs):
+        for frame in stream(*args, **kwargs):
+            frames.append(frame)
+            yield frame
+
+    def recorded_start(*args, **kwargs):
+        sessions.append(start(*args, **kwargs))
+        return sessions[-1]
+
+    def counted_batch(qm, X, windows=None):
+        preds = batch(qm, X, windows)
+        calls.append(({len(x) for x in X.values()}, len(preds)))
+        return preds
+
+    monkeypatch.setattr(daq, "stream_frames", recorded_stream)
+    monkeypatch.setattr(daq, "start_sync", recorded_start)
+    monkeypatch.setattr(engine, "qinfer_batch", counted_batch)
+    assert _run("simulate", "--config", cfg) == 0
+    return frames, sessions, calls
+
+
+def _per_frame_labels(out: Path, frames) -> list[list[str]]:
+    """labels.csv as a per-frame engine.qinfer loop over frames writes it;
+    the oracle agrees at the first and the last frame."""
+    _, _, meta = load_model(out / "model.json")
+    stats = {k: tuple(v) for k, v in meta["norm_stats"].items()}
+    qm, _ = quantize.load_qmodel(out / f"qmodel_n{CFG['bits'][0]}.json")
+    want = [["t_ns", "class"]]
+    for i, frame in enumerate(frames):
+        qframe = engine.quantize_frame(normalize_inputs(frame.tensors, stats), qm.n_bits)
+        label = engine.qinfer(qm, qframe)
+        if i in (0, len(frames) - 1):
+            assert oracles.qinfer(qm, qframe)[1] == label
+        want.append([str(frame.t_end_ns), str(label)])
+    return want
+
+
+class TestSimulateChunks:
+    """simulate classifies a run of frames that share rows in one
+    qinfer_batch call over the rows' union, and stacks frames that share none
+    SIM_CHUNK_FRAMES to a call. Its labels equal a per-frame loop over the
+    same stream either way."""
+
+    # (step_ms, SIM_CHUNK_FRAMES, each call's (lead rows, frames)). At 250 ms
+    # steps a run spans at most chunk windows of rows: 9 frames for chunk 3
+    # (every sensor's first row advances at most 2 windows' rows).
+    @pytest.mark.parametrize("step, chunk, sizes", [
+        (250, 3, [({1}, 9), ({1}, 9), ({1}, 3)]),
+        (250, 16, [({1}, 21)]),
+        (1000, 4, [({4}, 4), ({2}, 2)]),
+    ], ids=["two_full_and_a_partial", "shorter_than_a_chunk", "adjacent_frames_stacked"])
+    def test_labels_equal_per_frame_loop(self, workdir, monkeypatch, step, chunk, sizes):
         tmp, cfg, out = workdir
         # trained enough to label the stream's segments apart, so labels out
         # of frame order would show
         train = dict(CFG["train"], epochs=20, lr=0.01)
-        Path(cfg).write_text(json.dumps(dict(CFG, out=str(out), train=train)))
+        sim = {"n_segments": 4, "segment_ms": 1500}
+        Path(cfg).write_text(json.dumps(dict(CFG, out=str(out), train=train, sim=sim,
+                                             step_ms=step)))
         for stage in ("gen-data", "train", "quantize"):
             assert _run(stage, "--config", cfg) == 0
-        frames, batches = [], []
-        stream, batch = daq.stream_frames, engine.qinfer_batch
-
-        def recorded_stream(*args, **kwargs):
-            for frame in stream(*args, **kwargs):
-                frames.append(frame)
-                yield frame
-
-        def counted_batch(qm, X):
-            batches.append({len(x) for x in X.values()})
-            return batch(qm, X)
-
         monkeypatch.setattr(cli, "SIM_CHUNK_FRAMES", chunk)
-        monkeypatch.setattr(daq, "stream_frames", recorded_stream)
-        monkeypatch.setattr(engine, "qinfer_batch", counted_batch)
-        assert _run("simulate", "--config", cfg) == 0
-        # ceil(8 / chunk) calls, each of at most chunk frames, in stream order
-        assert batches == [{n} for n in sizes]
-        assert len(frames) == 8
-
-        _, _, meta = load_model(out / "model.json")
-        stats = {k: tuple(v) for k, v in meta["norm_stats"].items()}
-        qm, _ = quantize.load_qmodel(out / f"qmodel_n{CFG['bits'][0]}.json")
-        want = [["t_ns", "class"]]
-        for i, frame in enumerate(frames):
-            qframe = engine.quantize_frame(normalize_inputs(frame.tensors, stats), qm.n_bits)
-            label = engine.qinfer(qm, qframe)
-            if i in (0, len(frames) - 1):
-                assert oracles.qinfer(qm, qframe)[1] == label
-            want.append([str(frame.t_end_ns), str(label)])
+        frames, _, calls = _recorded_simulate(monkeypatch, cfg)
+        assert calls == sizes
+        assert len(frames) == sum(n for _, n in sizes)
+        assert all(f.first_rows is not None for f in frames)
+        want = _per_frame_labels(out, frames)
         assert len({label for _, label in want[1:]}) > 1
         with open(out / "labels.csv", newline="") as fh:
             assert list(csv.reader(fh)) == want
+
+    def test_fitted_frames_run_alone(self, workdir, monkeypatch):
+        # 12.4 Hz overfills and 12.6 Hz underfills some 1 s windows: those
+        # frames carry no first_rows and run on their own, the rest in runs
+        tmp, cfg, out = workdir
+        sensors = [{"name": "a", "channels": 2, "rate_hz": 25},
+                   {"name": "b", "channels": 1, "rate_hz": 12.4},
+                   {"name": "c", "channels": 3, "rate_hz": 12.6}]
+        Path(cfg).write_text(json.dumps(dict(CFG, out=str(out), sensors=sensors,
+                                             step_ms=250)))
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        frames, sessions, calls = _recorded_simulate(monkeypatch, cfg)
+        alone = [f for f in frames if f.first_rows is None]
+        assert 0 < len(alone) < len(frames)
+        assert any(n > 1 for _, n in calls) and sum(n for _, n in calls) == len(frames)
+        # each frame that runs alone is one lead row of a stacked call
+        assert sum(n for lead, n in calls if lead == {n}) >= len(alone)
+        with open(out / "labels.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == _per_frame_labels(out, frames)
+        assert len(sessions) == 1
+        assert all(c["ok"] for c in sessions[0].conservation().values())
+
+    def test_stream_workload_runs(self, tmp_path, monkeypatch):
+        # the benchmark's stream workload: 1,191 frames, 1 s windows, 100 ms steps
+        doc = json.loads((ROOT / "perfbench" / "workloads" / "stream.json").read_text())
+        cfg = tmp_path / "stream.json"
+        cfg.write_text(json.dumps(dict(doc, out=str(tmp_path / "out"))))
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", str(cfg)) == 0
+        frames, sessions, calls = _recorded_simulate(monkeypatch, str(cfg))
+        assert len(frames) == 1191
+        assert all(f.first_rows is not None for f in frames)
+        assert sum(n for _, n in calls) == 1191 and all(lead == {1} for lead, _ in calls)
+        # far fewer calls than ceil(1191 / 16) = 75 chunks of 16 frames
+        assert len(calls) <= 75 // 8
+        assert all(c["ok"] for c in sessions[0].conservation().values())
+
+    # a thermal grid and a 1D sensor; a 1D sensor of 32 channels, whose run
+    # spans at most the 819 rows one 1 MiB block of its im2col columns holds
+    @pytest.mark.parametrize("sensors, frames, rows", [
+        ([CATALOG["thermal"], CATALOG["tof"]], 151, {"thermal": 512, "tof": 800}),
+        ([daq.SensorSpec("wide", 32, 119)], 59, {"wide": 810}),
+    ], ids=["thermal", "wide_1d"])
+    def test_run_peak_within_a_chunk(self, sensors, frames, rows):
+        # a run of overlapping frames holds its rows once and spans at most
+        # SIM_CHUNK_FRAMES windows of them, so streaming and classifying it
+        # peaks no higher than a chunk of that many frames did, whose frames
+        # and stack stayed referenced through their call
+        cfg = daq.WindowConfig(1, Fraction(1, 10))
+        spec = feature_fusion_spec(sensors, filters=8, kernel=5, hidden=32, classes=4)
+        params = init_params(spec, seed=0)
+        rec, _ = daq.gen_timeline(sensors, [0, 1, 2, 3] * 5, 1, seed=3)
+        stats = {s.name: (-2.0, 2.0) for s in sensors}
+        limits = {b.name: engine._run_rows(spec, b, cfg.timesteps(s.rate), cli.SIM_CHUNK_FRAMES)
+                  for s, b in zip(sensors, spec.branches)}
+
+        def stream():
+            return daq.stream_frames(daq.start_sync(daq.recording_sources(rec, sensors)), cfg)
+
+        def chunk():
+            frames = list(itertools.islice(stream(), cli.SIM_CHUNK_FRAMES))
+            X = {n: np.stack([f.tensors[n] for f in frames]) for n in frames[0].tensors}
+            return normalize_inputs(X, stats), None, frames, X
+
+        def run():
+            ends, X, windows = next(cli._sim_calls(cli._runs(stream(), limits)))
+            assert len(ends) == frames
+            assert {n: x.shape[:2] for n, x in X.items()} == {n: (1, r) for n, r in rows.items()}
+            return normalize_inputs(X, stats), windows, ends, X
+
+        qm = quantize.quantize(spec, params, quantize.calibrate(spec, params, chunk()[0]), 8)
+        peaks = []  # (streamed and normalized, then classified) per path
+        for inputs in (chunk, run):
+            engine.qinfer_batch(qm, *inputs()[:2])  # first-call allocations are not the path's
+            tracemalloc.start()
+            try:
+                X, windows, *held = inputs()
+                built = tracemalloc.get_traced_memory()[1]
+                engine.qinfer_batch(qm, X, windows)
+                peaks.append((built, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+        assert all(r <= c for r, c in zip(peaks[1], peaks[0])), peaks
 
 
 class TestDeterminism:
@@ -730,22 +845,24 @@ class TestAllOrNothing:
 
     def test_simulate_writes_nothing_when_a_chunk_fails(self, workdir, monkeypatch, capsys):
         tmp, cfg, out = workdir
+        Path(cfg).write_text(json.dumps(dict(CFG, out=str(out), step_ms=250)))
         for stage in ("gen-data", "train", "quantize"):
             assert _run(stage, "--config", cfg) == 0
         real, calls = engine.qinfer_batch, []
 
-        def fail_second(qm, X):
-            calls.append(X)
+        def fail_second(qm, X, windows=None):
+            calls.append(len(windows[0]))
             if len(calls) == 2:
                 raise RuntimeError("second chunk failed")
-            return real(qm, X)
+            return real(qm, X, windows)
 
+        # runs of 9 overlapping frames (see TestSimulateChunks), one call each
         monkeypatch.setattr(cli, "SIM_CHUNK_FRAMES", 3)
         monkeypatch.setattr(engine, "qinfer_batch", fail_second)
         capsys.readouterr()
         assert _run("simulate", "--config", cfg) == 3
         assert "second chunk failed" in capsys.readouterr().err
-        assert len(calls) == 2
+        assert calls == [9, 9]
         assert not any((out / f).exists() for f in ("labels.csv", "labels.meta.json",
                                                     "cycles.json"))
 

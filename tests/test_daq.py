@@ -244,6 +244,7 @@ class TestRangeFifoMatchesDeque:
 
         assert err == ref_err
         assert len(frames) == len(ref_frames)
+        assert [f.first_rows for f in frames] == ref.first_rows[: len(frames)]
         for f, (tensors, a, b) in zip(frames, ref_frames):
             assert (f.t_start_ns, f.t_end_ns) == (a, b)
             assert f.tensors.keys() == tensors.keys()
@@ -272,10 +273,58 @@ class TestRangeFifoMatchesDeque:
         assert err == ref_err is None and len(frames) == len(ref_frames) == 5
         for f, (tensors, a, b) in zip(frames, ref_frames):
             assert f.tensors["early"].tobytes() == tensors["early"].tobytes()
+        assert [f.first_rows for f in frames] == ref.first_rows
         assert frames[0].tensors["early"][0].tolist() == [6.0, 7.0]  # stamp 50 ms
+        assert frames[0].first_rows == {"early": 3}
         assert sess.underfill_events == ref.underfill_events
         assert sess.overfill_events == ref.overfill_events == []
         assert sess.conservation() == ref.conservation()
+
+class TestFirstRows:
+    """A frame's first_rows index each tensor's first row in its sensor's
+    track when every tensor is exactly its track's next rows samples."""
+
+    @pytest.mark.parametrize("shift_ns", [0, 250_000_000], ids=["origin", "before_origin"])
+    def test_recorded_rows_are_track_slices(self, shift_ns):
+        # 6.4 Hz overfills and 6.6 Hz underfills 1 s windows; the others fit
+        specs = [SensorSpec("a", 2, 20), SensorSpec("b", 3, 119), SensorSpec("o", 1, 6.4),
+                 SensorSpec("u", 1, 6.6), SensorSpec("h", 1, 7.5)]
+        rec, _ = gen_timeline(specs, [0, 1, 2], 2, seed=5)
+        sources = [Source(src.spec, src.t_track - shift_ns, src.v_track, 6)
+                   for src in recording_sources(rec, specs)]
+        cfg = WindowConfig(1, Fraction(1, 10))
+        rows = {s.name: cfg.timesteps(s.rate) for s in specs}
+        sess = start_sync(sources)
+        frames = list(stream_frames(sess, cfg))
+        fitted = {t for _, t in sess.overfill_events + sess.underfill_events}
+        tracks = {src.spec.name: src.v_track for src in sources}
+        recorded = [f for f in frames if f.first_rows is not None]
+        assert 0 < len(recorded) < len(frames)
+        for f in frames:
+            assert (f.first_rows is None) == (f.t_end_ns in fitted)
+            for name, i in (f.first_rows or {}).items():
+                assert f.tensors[name].tobytes() == tracks[name][i : i + rows[name]].tobytes()
+        assert all(c["ok"] for c in sess.conservation().values())
+
+    def test_overflow_gap_records_none(self):
+        # a repeated stamp at 1.2 s puts 11 samples in [0.5, 1.5) s, and a
+        # 10-deep FIFO overflows the 1.4 s sample: frame 1 keeps one slice of
+        # 10 rows, frame 2's window [1, 2) s spans the gap
+        spec = SensorSpec("g", 1, 10)
+        t = np.insert(_stamps(spec, 4), 13, 1_200_000_000)
+        v = np.arange(t.size, dtype=np.float64)[:, None]
+        sess = start_sync([Source(spec, t, v, 4)], fifo_depth={"g": 10})
+        frames = list(stream_frames(sess, WindowConfig(1, Fraction(1, 2))))
+        assert [f.first_rows for f in frames[:4]] == [{"g": 0}, {"g": 5}, None, {"g": 16}]
+        assert frames[2].tensors["g"][:, 0].tolist() == [10, 11, 12, 13, 14, 16, 17, 18, 19, 20]
+        for f in frames:
+            if f.first_rows:
+                i = f.first_rows["g"]
+                assert f.tensors["g"].tobytes() == v[i : i + 10].tobytes()
+        assert sess.fifos["g"].overflowed == 1
+        assert sess.overfill_events == sess.underfill_events == []
+        assert sess.fifos["g"].conservation_ok()
+
 
 class TestGenDataset:
     def _sensors(self):

@@ -12,6 +12,7 @@ from edgehar import model
 from edgehar.engine import (
     CycleReport,
     _q_forward,
+    _run_rows,
     ResourceReport,
     conv_layer_cycles,
     dense_layer_cycles,
@@ -421,6 +422,110 @@ class TestBatchedPath:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], [p / 2**20 for p in peaks]
+
+
+def _union_frames(rng, qm, n, starts, extra=0):
+    """Quantized lead rows {name: (L, U, C)} holding frames at starts[name] =
+    [[first row, ...] per lead row], each qm.input_rows[name] rows long, with
+    extra rows past the last frame; and the frames' windows (lead, first)."""
+    lead = [i for i, firsts in enumerate(next(iter(starts.values()))) for _ in firsts]
+    qX, first = {}, {}
+    for b in qm.spec.branches:
+        rows = qm.input_rows[b.name]
+        u = max(f + rows for firsts in starts[b.name] for f in firsts) + extra
+        qX[b.name] = rng.integers(-(1 << n), 1 << n, size=(len(starts[b.name]), u, b.channels))
+        first[b.name] = [f for firsts in starts[b.name] for f in firsts]
+    return qX, (lead, first)
+
+
+def _frame(qX, qm, windows, i):
+    """Frame i of windows, cut out of its lead rows."""
+    lead, first = windows
+    return {k: v[lead[i], first[k][i] : first[k][i] + qm.input_rows[k]] for k, v in qX.items()}
+
+
+def _assert_windows_equal_frames(qm, qX, windows):
+    n = len(windows[0])
+    frames = [_frame(qX, qm, windows, i) for i in range(n)]
+    stacked = {k: np.stack([f[k] for f in frames]) for k in qX}
+    logits = _q_forward(qm, qX, windows)
+    assert logits.dtype == np.int64 and logits.shape == (n, qm.spec.classes)
+    assert logits.tobytes() == _q_forward(qm, stacked).tobytes()
+    scale = 2.0**qm.n_bits  # quantize_frame gives the integers back exactly
+    X, Xs = ({k: v / scale for k, v in d.items()} for d in (qX, stacked))
+    assert qinfer_batch(qm, X, windows).tolist() == qinfer_batch(qm, Xs).tolist()
+    for i in {0, n - 1}:
+        assert oracles.qinfer(qm, frames[i])[0] == logits[i].tolist()
+
+
+class TestWindowedForward:
+    """Frames that share the rows of one lead row give, byte for byte, the
+    logits of the same frames given one lead row each."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_windows_equal_frames(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(3, 12))
+        spec = tiny_spec(rng, with_2d=True, pools=data.draw(st.booleans()))
+        # a 1D kernel pool cannot share rows; the 2D one pools the grid
+        spec = dataclasses.replace(spec, branches=tuple(
+            b if b.conv_dim == 2 else dataclasses.replace(
+                b, layers=tuple(dataclasses.replace(l, pool=None) for l in b.layers))
+            for b in spec.branches))
+        qm, _ = random_qmodel(rng, n, spec)
+        kind = data.draw(st.sampled_from(["overlap_one", "adjacent", "any"]))
+        per_lead = [data.draw(st.integers(1, 4)) for _ in range(data.draw(st.integers(1, 2)))]
+        starts = {}
+        for b in spec.branches:
+            rows = qm.input_rows[b.name]
+            step = {"overlap_one": rows - 1, "adjacent": rows}.get(kind)
+            starts[b.name] = [
+                np.cumsum([0] + [data.draw(st.integers(0, rows)) if step is None else step
+                                 for _ in range(k - 1)]).tolist()
+                for k in per_lead]
+        qX, windows = _union_frames(rng, qm, n, starts, extra=data.draw(st.integers(0, 2)))
+        block = data.draw(st.sampled_from([1, 1 << 20]))
+        with mock.patch.object(model, "_COL_BLOCK_BYTES", block):
+            _assert_windows_equal_frames(qm, qX, windows)
+
+    @pytest.mark.parametrize("step", [2, 3, None], ids=["overlap_one", "adjacent", "one_frame"])
+    def test_thermal_grid_branch(self, step):
+        sensors = [CATALOG["thermal"], CATALOG["tof"]]
+        spec = feature_fusion_spec(sensors, filters=2, kernel=3, hidden=4, classes=3)
+        rng = np.random.default_rng(11)
+        qm, _ = random_qmodel(rng, 6, spec, {"thermal": 3, "tof": 8})
+        # the tof frames step by the same share of their rows as the thermal ones
+        starts = {"thermal": [[0] if step is None else [0, step, 2 * step, 3 * step]]}
+        starts["tof"] = [[f * 8 // 3 for f in starts["thermal"][0]]]
+        qX, windows = _union_frames(rng, qm, 6, starts)
+        _assert_windows_equal_frames(qm, qX, windows)
+
+    def test_run_rows(self):
+        # the rows a lead row may hold for 16 frames: 16 windows, one window
+        # where a kernel pool cannot share rows, and a 1D branch's run no
+        # more rows than one 1 MiB im2col block of its widest layer holds
+        spec = feature_fusion_spec([CATALOG["thermal"], CATALOG["motion"]], filters=8,
+                                   kernel=5, hidden=4, classes=3)
+        thermal, motion = spec.branches
+        assert _run_rows(spec, thermal, 32, 16) == 512
+        assert _run_rows(spec, motion, 119, 16) == 1904  # 8 filters x 5 taps
+        wide = dataclasses.replace(motion, channels=64)  # 64 channels x 5 taps
+        assert _run_rows(spec, wide, 119, 16) == (1 << 20) // (64 * 5 * 8) == 409
+        assert _run_rows(spec, wide, 500, 16) == 500
+        pooled = feature_fusion_spec([CATALOG["motion"]], pools=(None, 2, None))
+        assert _run_rows(pooled, pooled.branches[0], 119, 16) == 119
+
+    def test_pooled_branch_takes_no_offset(self, rng):
+        sensors = [CATALOG["tof"], CATALOG["magnetic"]]
+        spec = feature_fusion_spec(sensors, filters=2, kernel=3, hidden=4, classes=3,
+                                   pools=(None, 2, None))
+        qm, _ = random_qmodel(rng, 6, spec, {"tof": 14, "magnetic": 14})
+        qX, windows = _union_frames(rng, qm, 6, {"tof": [[0], [0]], "magnetic": [[0], [0]]})
+        _assert_windows_equal_frames(qm, qX, windows)  # whole lead rows
+        qX, windows = _union_frames(rng, qm, 6, {"tof": [[0, 1]], "magnetic": [[0, 0]]})
+        with pytest.raises(ValueError, match="^branch 'tof' cannot share rows"):
+            _q_forward(qm, qX, windows)
 
 
 class TestCycleModel:
