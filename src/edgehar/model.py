@@ -23,7 +23,9 @@ Each concept of the network is defined once, here:
   GIL. The blocks and their results are those of a serial loop, in block
   order, so every output and every summed gradient is bit for bit the
   same. Smaller calls run on the caller's thread and start no thread. A
-  caller may mark the lead rows it needs; blocks without one are skipped.
+  caller may mark the lead rows it needs; blocks without one are skipped,
+  and _conv_batch leaves their output rows zero. Training's dW and dX below
+  a 2D branch's gmax head pass such a mask.
 - _pool_windows is every kernel max-pool, FP and integer alike; _head is the
   branch head (global max-pool or flatten) and _mix the importance mixing.
 - ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle
@@ -293,13 +295,6 @@ def _patch_view(x: np.ndarray, k: int, nd: int) -> np.ndarray:
                       flat, 0, (st[0], *st[1:-1], *st[1:-1], st[-1]))
 
 
-def _lead_step(patch_shape: tuple, dtype: np.dtype) -> int:
-    """Lead rows per block of _map_blocks over patches of this shape (that
-    of _patch_view): as many as fit _COL_BLOCK_BYTES of patch columns in
-    dtype, and at least one."""
-    return max(1, _COL_BLOCK_BYTES // (math.prod(patch_shape[1:]) * dtype.itemsize))
-
-
 def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn, need=None) -> list:
     """fn(rows, cols) for each block of rows of the im2col patch matrix of x,
     returning the results in block order.
@@ -322,7 +317,7 @@ def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn, need=None) 
     """
     patches = _patch_view(x, k, nd)
     n = len(patches)
-    step = _lead_step(patches.shape, dtype)
+    step = max(1, _COL_BLOCK_BYTES // (math.prod(patches.shape[1:]) * dtype.itemsize))
     starts, keep = range(0, n, step), None
     if need is not None:
         keep = np.logical_or.reduceat(need, starts)
@@ -378,7 +373,7 @@ def _pool():
     return _POOL
 
 
-def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _conv_batch(x: np.ndarray, w: np.ndarray, need=None) -> np.ndarray:
     """Batched valid stride-1 convolution, one GEMM per _map_blocks block.
 
     1D: x (B, L, C), w (K, C, F) -> (B, L-K+1, F).
@@ -386,7 +381,10 @@ def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     The GEMM runs in result_type(x, w) and writes straight into the output.
     An integer x gives the int64 accumulator: its GEMM runs in float64 for a
     float w (exact, for a w whose model proves the range), and each block's
-    sums are cast to int64 in place, in their own output rows.
+    sums are cast to int64 in place, in their own output rows. need, when
+    given, is _map_blocks' per-lead-row mask: the rows of a skipped block
+    stay zero, +0.0 (or int64 0), and the rows of a kept block are those of
+    the unmasked call.
     """
     nd = w.ndim - 2
     k, f = w.shape[0], w.shape[-1]
@@ -397,7 +395,8 @@ def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     integer = x.dtype.kind in "iu"
     gemm = np.result_type(x, w, np.int64) if integer else np.result_type(x, w)
     to_int = integer and gemm.kind == "f"
-    out = np.empty((math.prod(lead) * math.prod(out_sp), f), gemm)
+    shape = (math.prod(lead) * math.prod(out_sp), f)
+    out = np.empty(shape, gemm) if need is None else np.zeros(shape, gemm)
     wmat = w.reshape(-1, f)
 
     def gemm_block(rows, cols):
@@ -406,7 +405,7 @@ def _conv_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
             sums = out[rows].reshape(-1)
             sums.view(np.int64)[...] = sums
 
-    _map_blocks(x, k, nd, gemm, gemm_block)
+    _map_blocks(x, k, nd, gemm, gemm_block, need)
     return (out.view(np.int64) if to_int else out).reshape(*lead, *out_sp, f)
 
 

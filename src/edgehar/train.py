@@ -19,12 +19,13 @@ gradient is never computed.
 
 Below a global max-pool head the gradient is nonzero at one position per
 frame and filter, and then only within those positions' receptive fields.
-A branch with such a head carries it as its nonzero rows and their values,
-and a layer whose patch matrix spans several blocks, few of which hold a
-gradient row, takes the row path (_conv_bwd_rows): dW and dX run only the
-dense path's blocks that hold a gradient row, each exactly as the dense
-path runs it, so the gradients are the same bits. Other layers, pooled
-ones, flatten heads and every layer below a dense one take the dense path.
+A 2D branch convolves and pools each timestep's grid on its own, so its
+gradient stays, through every layer, in the lead rows (frame, timestep)
+that hold a filter's maximum (_held_rows). Its backward applies the ReLU
+to those rows alone and passes them to the block map as a mask: dW and dX
+run only the blocks that hold one, each exactly as without the mask, and
+dX's skipped rows stay zero, so the gradients are the same bits. 1D
+branches and flatten heads pass no mask.
 
 Training never runs a forward pass only to keep its history: an epoch's
 batch_loss and batch_acc are the batch-size-weighted means of what its
@@ -44,7 +45,6 @@ from .model import (
     ModelParams,
     ModelSpec,
     _conv_batch,
-    _lead_step,
     _map_blocks,
     _walk,
     softmax,
@@ -56,7 +56,6 @@ __all__ = [
     "ImportanceReport",
     "TrainingDiverged",
     "init_params",
-    "loss_ce",
     "backward",
     "train",
     "train_importance",
@@ -150,12 +149,6 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float64) -> ModelParams
 # Loss
 # ---------------------------------------------------------------------------
 
-def loss_ce(logits: np.ndarray, label: int) -> float:
-    """Sparse categorical cross-entropy: -log softmax(logits)[label]."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(1, -1)
-    return _ce_loss_grad(logits, np.array([label]))[0]
-
-
 def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     b, c = logits.shape
     if y.min() < 0 or y.max() >= c:
@@ -174,115 +167,34 @@ def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 # Layer gradients
 # ---------------------------------------------------------------------------
 
-# A layer takes the row path when at most this share of its blocks hold a
-# gradient row. Measured per layer against the dense path on gradients from a
-# gmax head (thermal 24x32 grid and 1D branches of 30-500 rows; K 5, F 8-16,
-# 1-32 timesteps, 4-1024 frames; BLAS at one thread, two block-map workers):
-# with a gradient row in at most 0.66 of the blocks the row path took 0.28-0.90
-# of the dense time, at 0.80-0.94 it took 0.78-1.14, and with every block held
-# it took 1.02-2.2 times it. The crossover is near 0.9.
-_ROW_BLOCKS = 0.9
-
-
-def _blocks(x, w) -> tuple[int, int]:
-    """The block map's block count over x's patch matrix, and its rows per block."""
-    nd = w.ndim - 2
-    k = w.shape[0]
-    patches = (math.prod(x.shape[: -nd - 1]), *(d - k + 1 for d in x.shape[-nd - 1 : -1]),
-               *(k,) * nd, x.shape[-1])
-    step = _lead_step(patches, x.dtype)
-    return -(-patches[0] // step), step * math.prod(patches[1 : nd + 1])
-
-
-def _takes_rows(x, w, rows) -> bool:
-    """Whether a layer's backward takes the row path for the sorted gradient
-    rows `rows`: its patch matrix spans more than one block, and few enough
-    of them hold a gradient row."""
-    blocks, size = _blocks(x, w)
-    return blocks > 1 and len(np.unique(rows // size)) <= _ROW_BLOCKS * blocks
-
-
-def _conv_bwd(dz, x, w, need_dx: bool):
+def _conv_bwd(dz, x, w, need_dx: bool, need=None):
     """Conv gradients through the forward kernel's im2col rule.
 
     dW is the patch columns of x, transposed, times dZ: each block's partial,
     added in block order. dX, when needed, is the forward conv of dZ
     zero-padded by K-1 on each spatial side against the kernel flipped in
-    space with C and F swapped. This is the dense path; _conv_bwd_rows gives
-    the same bits from dZ's nonzero rows alone.
+    space with C and F swapped. need, when given, marks the lead rows that
+    hold dZ's nonzero rows: both run only the blocks that hold one, each as
+    without the mask. A skipped dW partial is exactly +0, and a skipped dX
+    row stays the +0 that the GEMM over its zero patches gives, so the
+    gradients are the same bits.
     """
     nd = w.ndim - 2
     k, f = w.shape[0], w.shape[-1]
     dz_rows = dz.reshape(-1, f)
-    dw = _sum_blocks(x, w, lambda rows, cols: cols.T @ dz_rows[rows])
+    dw = np.zeros((w.size // f, f), dtype=w.dtype)
+    for part in _map_blocks(x, k, nd, x.dtype, lambda rows, cols: cols.T @ dz_rows[rows],
+                            need):
+        dw += part
     dx = None
     if need_dx:
         space = dz.shape[-nd - 1 : -1]
         padded = np.zeros((*dz.shape[: -nd - 1], *(s + 2 * (k - 1) for s in space),
                            f), dtype=dz.dtype)
         padded[(..., *(slice(k - 1, k - 1 + s) for s in space), slice(None))] = dz
-        dx = _conv_batch(padded, _flipped(w))
-    return dx, dw
-
-
-def _conv_bwd_rows(rows, dz, x, w, need_dx: bool):
-    """_conv_bwd for a dZ that is zero outside the sorted flat rows `rows` of
-    its (-1, F) matrix, with dz their values: the dense path's dW, and the
-    rows of its dX that can matter, bit for bit.
-
-    Both run only the dense path's blocks that hold a gradient row, each as
-    the dense path runs it. dW skips the other blocks of x's patch matrix,
-    whose partials are exactly +0; partials are not taken over the gradient
-    rows alone, as a GEMM over fewer rows sums in another order. dX stacks
-    the zero-bordered dZ of the dense path's dX blocks that hold a gradient
-    row, so each of their GEMMs is the dense path's, and is returned as
-    (input rows, values): the rows of those blocks that are nonzero and
-    whose input is positive in some channel (the layer below's ReLU zeroes
-    the rest).
-    """
-    nd = w.ndim - 2
-    k, c, f = w.shape[0], w.shape[-2], w.shape[-1]
-    lead, space = math.prod(x.shape[: -nd - 1]), x.shape[-nd - 1 : -1]
-    out = tuple(s - k + 1 for s in space)
-    at = np.unravel_index(rows, (lead, *out))
-    need = np.zeros(lead, bool)
-    need[at[0]] = True
-
-    def part(span, cols):
-        lo, hi = np.searchsorted(rows, (span.start, span.stop))
-        block = np.zeros((span.stop - span.start, f), dz.dtype)
-        block[rows[lo:hi] - span.start] = dz[lo:hi]
-        return cols.T @ block
-
-    dw = _sum_blocks(x, w, part, need)
-    if not need_dx:
-        return None, dw
-    # the lead rows of the dense dX map's blocks that hold a gradient row
-    step = _lead_step((lead, *space, *(k,) * nd, f), np.result_type(dz, w))
-    held = np.logical_or.reduceat(need, range(0, lead, step))
-    kept = np.flatnonzero(np.repeat(held, step)[:lead])
-    padded = np.zeros((len(kept), *(s + k - 1 for s in space), f), dz.dtype)
-    padded[(np.searchsorted(kept, at[0]), *(o + k - 1 for o in at[1:]))] = dz
-    dx = _conv_batch(padded, _flipped(w)).reshape(-1, c)
-    near = (kept[:, None] * math.prod(space) + np.arange(math.prod(space))).ravel()
-    live = (dx != 0).any(axis=1) & (x.reshape(-1, c)[near] > 0).any(axis=1)
-    return (near[live], dx[live]), dw
-
-
-def _sum_blocks(x, w, part, need=None):
-    """dW from part(rows, cols), the dW partial of each block of x's patch
-    matrix, added into a zeroed dW in block order: the sum a serial loop
-    makes, wherever the block map ran each block."""
-    nd = w.ndim - 2
-    dw = np.zeros((w.size // w.shape[-1], w.shape[-1]), dtype=w.dtype)
-    for p in _map_blocks(x, w.shape[0], nd, x.dtype, part, need):
-        dw += p
-    return dw.reshape(w.shape)
-
-
-def _flipped(w):
-    """The kernel of the dX convolution: w flipped in space, C and F swapped."""
-    return np.flip(w, axis=tuple(range(w.ndim - 2))).swapaxes(-1, -2)
+        w_flip = np.flip(w, axis=tuple(range(nd))).swapaxes(-1, -2)
+        dx = _conv_batch(padded, w_flip, need)
+    return dx, dw.reshape(w.shape)
 
 
 def _unmax(dout, idx, n):
@@ -314,56 +226,39 @@ def _unwindow(dwin, shape, p: int, nd: int):
 def _branch_bwd(branch: BranchSpec, ws, tape: dict, bi: int, dfeat):
     h, _, idx = tape[bi, 3]
     nd, positions = branch.conv_dim, math.prod(h.shape[1:-1])
-    rows = None  # when set, the gradient dh is nonzero only at these rows
+    held = None
     if idx is None:  # a flatten head
         dh = dfeat.reshape(h.shape)
-    elif _blocks(tape[bi, 2][0], ws[2])[0] < 2:  # the top layer runs dense anyway
+    else:
         dh = _unmax(dfeat, idx, positions).reshape(h.shape)
-    else:  # a gmax head: one row per frame and filter, at its maximum
-        rows, dh = _head_rows(dfeat, idx, positions)
+        if nd == 2:
+            held = _held_rows(h, idx)
+    need = None if held is None else held.reshape(-1)
     dws = []
     for depth in reversed(range(3)):
         x, a, idx = tape[bi, depth]
         p = branch.layers[depth].pool
-        if rows is not None and (p or not _takes_rows(x, ws[depth], rows)):
-            rows, dh = None, _scatter_rows(rows, dh, tape[bi, depth + 1][0].shape)
         if p:
             dh = _unwindow(_unmax(dh, idx, p**nd), a.shape, p, nd)
+        if held is None:
+            dh = dh * (a > 0)
+        else:  # dh is zero outside the held lead rows, and stays so through the ReLU
+            dh[held] *= a[held] > 0
         # the branch input's own gradient is never used
-        if rows is None:
-            dh, dw = _conv_bwd(dh * (a > 0), x, ws[depth], need_dx=depth > 0)
-        else:
-            live = a.reshape(-1, a.shape[-1])[rows] > 0
-            kept = live.any(axis=1)
-            dx, dw = _conv_bwd_rows(rows[kept], dh[kept] * live[kept], x, ws[depth],
-                                    need_dx=depth > 0)
-            if dx is not None:
-                rows, dh = dx
+        dh, dw = _conv_bwd(dh, x, ws[depth], need_dx=depth > 0, need=need)
         dws.append(dw)
     dws.reverse()
     return dws
 
 
-def _scatter_rows(rows, dh, shape):
-    """A gradient carried as its nonzero rows, as a dense array of this shape.
-    A function of its own, so that no name in the caller's loop keeps the
-    array alive once the layer below has replaced it (measured: +1.9 MiB at
-    the peak of a rig backward)."""
-    dense = np.zeros(shape, dh.dtype)
-    dense.reshape(-1, shape[-1])[rows] = dh
-    return dense
-
-
-def _head_rows(dfeat, idx, positions: int):
-    """The gradient of a gmax head's input as its sorted nonzero flat rows of
-    the (-1, F) matrix and their values: frame b's filter j reaches only row
-    b * positions + idx[b, j], its first maximum."""
-    b, f = idx.shape
-    at = np.arange(b)[:, None] * positions + idx
-    rows = np.unique(at)
-    dh = np.zeros((len(rows), f), dfeat.dtype)
-    dh[np.searchsorted(rows, at), np.arange(f)] = dfeat
-    return rows, dh
+def _held_rows(h, idx):
+    """The lead rows (frame, timestep) of a 2D branch's last output h that
+    hold a filter's maximum, from its gmax head's indices idx: the only rows
+    in which any of the branch's layers has a nonzero gradient, as a 2D conv
+    and a 2D pool keep each timestep's gradient in that timestep."""
+    held = np.zeros(h.shape[:2], bool)
+    np.put_along_axis(held, idx // math.prod(h.shape[2:-1]), True, axis=1)
+    return held
 
 
 def backward(

@@ -189,6 +189,27 @@ class TestBlockMap:
         want = [(0, 13, True)] if workers == 1 else [(0, 6, True), (6, 13, False)]
         assert sorted(runs) == want
 
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_conv_need_mask_zeroes_skipped_rows(self, rng, monkeypatch, workers, nd, integer):
+        # one lead row per block, 9 lead rows of which the mask needs 4: the
+        # skipped rows are the bytes of np.zeros, the kept ones those of the
+        # unmasked call, for the FP conv and the integer MAC
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 1)
+        x = rng.uniform(-1, 1, size=((9, 12) if nd == 1 else (3, 3, 7, 6)) + (2,))
+        w = rng.uniform(-1, 1, size=(*(3,) * nd, 2, 4))
+        if integer:
+            x, w = np.rint(x * 2**12).astype(np.int64), np.rint(w * 2**12)
+        need = np.zeros(9, bool)
+        need[[0, 4, 5, 8]] = True
+        want = model._conv_batch(x, w)
+        got = model._conv_batch(x, w, need)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.dtype == (np.int64 if integer else np.float64)
+        got, want = got.reshape(9, -1), want.reshape(9, -1)
+        assert got[need].tobytes() == want[need].tobytes()
+        assert got[~need].tobytes() == np.zeros((5, got.shape[1]), got.dtype).tobytes()
+
     def test_more_workers_than_cores_under_fast_switching(self, rng, monkeypatch):
         # runs on more threads than cores, switched every microsecond, write
         # disjoint output rows and their own result lists: nothing is lost

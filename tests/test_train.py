@@ -16,10 +16,10 @@ from edgehar.train import (
     evaluate,
     history_to_csv,
     init_params,
-    loss_ce,
     select_modalities,
     train,
     train_importance,
+    _ce_loss_grad,
     _conv_bwd,
     _iter_tensors,
 )
@@ -30,21 +30,22 @@ from conftest import random_inputs, rows_for, tiny_spec
 
 class TestLossCE:
     def test_uniform_logits(self):
-        assert loss_ce(np.zeros(10), 3) == pytest.approx(math.log(10), abs=1e-9)
+        loss, _ = _ce_loss_grad(np.zeros((1, 10)), np.array([3]))
+        assert loss == pytest.approx(math.log(10), abs=1e-9)
 
     def test_saturated_correct(self):
-        logits = np.zeros(4)
-        logits[2] = 1e6
-        assert loss_ce(logits, 2) == pytest.approx(0.0, abs=1e-9)
+        logits = np.zeros((1, 4))
+        logits[0, 2] = 1e6
+        assert _ce_loss_grad(logits, np.array([2]))[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_closed_form(self):
-        assert loss_ce(np.array([1.0, 0.0]), 1) == pytest.approx(
+        assert _ce_loss_grad(np.array([[1.0, 0.0]]), np.array([1]))[0] == pytest.approx(
             math.log(1 + math.e), abs=1e-6
         )
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            loss_ce(np.zeros(3), 3)
+            _ce_loss_grad(np.zeros((1, 3)), np.array([3]))
 
 
 class TestGradients:
@@ -143,32 +144,53 @@ class TestConvBackward:
 
 
 class TestRowPath:
-    """Backward through a gmax head's selected rows: the row path gives the
-    dense path's gradients byte for byte, wherever the block map runs."""
+    """Backward through a 2D gmax branch's lead-row mask: the masked backward
+    gives the unmasked one's gradients byte for byte, wherever the block map
+    runs."""
 
     @staticmethod
-    def _rows_taken(monkeypatch):
-        """Spy on the row path: (gradient rows, input shape, need_dx) per call."""
-        calls, real = [], train_mod._conv_bwd_rows
+    def _masks(monkeypatch):
+        """Spy on _conv_bwd: (mask or None, input shape, need_dx, nonzero dZ
+        rows) per call."""
+        calls = []
 
-        def spy(rows, dz, x, w, need_dx):
-            calls.append((rows.copy(), x.shape, need_dx))
-            return real(rows, dz, x, w, need_dx)
+        def spy(dz, x, w, need_dx, need=None):
+            live = np.count_nonzero(dz.reshape(-1, dz.shape[-1]).any(axis=1))
+            calls.append((None if need is None else need.copy(), x.shape, need_dx, live))
+            return _conv_bwd(dz, x, w, need_dx, need)
 
-        monkeypatch.setattr(train_mod, "_conv_bwd_rows", spy)
+        monkeypatch.setattr(train_mod, "_conv_bwd", spy)
         return calls
 
     @staticmethod
-    def _both_paths(monkeypatch, spec, params, X, y):
-        """(row path, dense path) gradients, the row path forced wherever a
-        layer allows it: one lead row per block, and any share of them held."""
-        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 1)
+    def _both_paths(monkeypatch, spec, params, X, y, block_bytes=1):
+        """(masked, unmasked) gradients, by default at one lead row per block,
+        so that the mask skips every block it can, and the masked run's
+        _conv_bwd calls (see _masks)."""
+        if block_bytes:
+            monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
         with monkeypatch.context() as dense:
-            dense.setattr(train_mod, "_takes_rows", lambda *args: False)
+            dense.setattr(train_mod, "_held_rows", lambda h, idx: None)
             want = backward(spec, params, X, y)[1]
-        monkeypatch.setattr(train_mod, "_ROW_BLOCKS", 1)
+        calls = TestRowPath._masks(monkeypatch)
         got = backward(spec, params, X, y)[1]
-        return got, want
+        return got, want, calls
+
+    @staticmethod
+    def _blocks_run(monkeypatch, *modules):
+        """Spy on the block map these modules call: (blocks run, blocks) per
+        call with a mask."""
+        counts, real = [], model._map_blocks
+
+        def spy(x, k, nd, dtype, fn, need=None):
+            results = real(x, k, nd, dtype, fn, need)
+            if need is not None:
+                counts.append((len(results), len(real(x, k, nd, dtype, lambda r, c: None))))
+            return results
+
+        for module in modules:
+            monkeypatch.setattr(module, "_map_blocks", spy)
+        return counts
 
     @staticmethod
     def _assert_same_bytes(got, want):
@@ -179,44 +201,32 @@ class TestRowPath:
     @pytest.mark.parametrize("lone", [False, True])
     @pytest.mark.parametrize("nd", [1, 2])
     def test_layer_equals_dense(self, rng, monkeypatch, workers, nd, lone, block_bytes):
-        # gradient rows on the first and last positions, one with two filters,
-        # and input rows whose every channel is dead to the ReLU: a third of
-        # them, or, under a gradient at every row, all but one interior row,
-        # which leaves that one row to compute. Blocks hold one lead row, or
-        # several, so that the last block of dX is held by its last row only
+        # dZ is nonzero in the masked lead rows alone: one interior row, or the
+        # first, the last and two drawn between, some entries zero and one row
+        # with only two filters. Blocks hold one lead row, or several, so that
+        # a block is held by one row only
         monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
         k, c, f = 3, 2, 9
-        x = np.maximum(rng.normal(size=((6, 13) if nd == 1 else (3, 2, 7, 6)) + (c,)), 0)
-        dead = rng.random(x.shape[:-1]) < 0.3
-        if lone:
-            dead.reshape(-1)[:] = True
-            dead.reshape(-1)[x.shape[-2] + 3] = False
-            x.reshape(-1, c)[x.shape[-2] + 3] = rng.uniform(0.5, 1.0, size=c)
-        x[dead] = 0.0
+        x = rng.normal(size=((6, 13) if nd == 1 else (3, 2, 7, 6)) + (c,))
         w = rng.normal(size=(*(k,) * nd, c, f))
         out = model._conv_batch(x, w).shape
-        m = math.prod(out[:-1])
-        per = m // math.prod(x.shape[: -nd - 1])  # gradient rows per lead row
-        rows = np.arange(m) if lone else np.unique(np.r_[0, m - 1, rng.choice(2 * per, 6)])
-        dz = rng.normal(size=(len(rows), f)) * (rng.random((len(rows), f)) < 0.7)
-        dz[0] = 0.0
-        dz[0, :2] = [1.5, -2.0]  # two filters at the first position
-        dense = np.zeros(out)
-        dense.reshape(-1, f)[rows] = dz
-        want_dx, want_dw = _conv_bwd(dense, x, w, need_dx=True)
-        (near, dx), dw = train_mod._conv_bwd_rows(rows, dz, x, w, need_dx=True)
+        lead = out[: -nd - 1]
+        need = np.zeros(math.prod(lead), bool)
+        need[[need.size // 2] if lone else [0, need.size - 1, *rng.choice(need.size, 2)]] = True
+        live = need.reshape(*lead, *(1,) * (nd + 1)) & (rng.random(out) < 0.7)
+        dz = np.where(live, rng.normal(size=out), 0.0)
+        dz.reshape(need.size, -1, f)[need.argmax(), 0] = [1.5, -2.0, *(0.0,) * (f - 2)]
+        want_dx, want_dw = _conv_bwd(dz, x, w, need_dx=True)
+        dx, dw = _conv_bwd(dz, x, w, need_dx=True, need=need)
         assert dw.tobytes() == want_dw.tobytes()
-        want_dx = want_dx.reshape(-1, c)
-        assert np.all(np.diff(near) > 0) and dx.tobytes() == want_dx[near].tobytes()
-        assert np.all((dx != 0).any(axis=1))
-        assert len(near) == 1 if lone else len(near) > 1
-        # each row left out is zero, or dead, and some dead row was left out
-        out_rows = np.setdiff1d(np.arange(len(want_dx)), near)
-        alive = (x.reshape(-1, c) > 0).any(axis=1)
-        assert np.all(want_dx[out_rows][alive[out_rows]] == 0)
-        assert np.any(want_dx[out_rows][~alive[out_rows]] != 0)
+        assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
+        # at one lead row per block the mask skips blocks, whose rows of dX
+        # are zero without being computed
+        kept = model._map_blocks(x, k, nd, x.dtype, lambda rows, cols: None, need)
+        every = model._map_blocks(x, k, nd, x.dtype, lambda rows, cols: None)
+        assert 0 < len(kept) < len(every) if block_bytes == 1 else 0 < len(kept)
         # layer 0: the same dW and no dX
-        dx0, dw0 = train_mod._conv_bwd_rows(rows, dz, x, w, need_dx=False)
+        dx0, dw0 = _conv_bwd(dz, x, w, need_dx=False, need=need)
         assert dx0 is None and dw0.tobytes() == want_dw.tobytes()
 
     @staticmethod
@@ -244,14 +254,17 @@ class TestRowPath:
         rows = 2 if nd == 2 else 14
         params, X = self._hot_spots(spec, rng, rows)
         y = np.array([0, 1, 2, 0, 1, 2])
-        calls = self._rows_taken(monkeypatch)
-        got, want = self._both_paths(monkeypatch, spec, params, X, y)
+        got, want, calls = self._both_paths(monkeypatch, spec, params, X, y)
         self._assert_same_bytes(got, want)
-        assert [need_dx for _, _, need_dx in calls] == [True, True, False]
-        head, _, _ = calls[0]
-        positions = math.prod(spec.layer_dims(branch, rows)[2][1])
-        assert head[0] == 0 and head[-1] == 6 * positions - 1
-        assert len(head) < 6 * 2  # frames 0 and 5: both filters at one position
+        assert [need_dx for _, _, need_dx, _ in calls] == [True, True, False]
+        masks = [need for need, _, _, _ in calls]
+        if nd == 1:
+            assert masks == [None] * 3
+        else:
+            # one mask for all three layers, over 6 frames of 2 timesteps: frame
+            # 0's maxima lie in its first timestep and frame 5's in its last
+            assert all(m.tobytes() == masks[0].tobytes() for m in masks)
+            assert masks[0][[0, 11]].all() and not masks[0][[1, 10]].any()
         assert (model._POOL is not None) == (workers > 1)
 
         def loss_fn():
@@ -261,56 +274,65 @@ class TestRowPath:
         assert oracles.max_rel_error(list(_iter_tensors(got)), numeric) < 1e-4
 
     def test_zero_frame_leaves_an_empty_row_list(self, rng, monkeypatch):
+        # all-zero frames: every maximum is 0, at each frame's first position,
+        # so the mask holds each frame's first timestep, and no layer's dZ has
+        # a nonzero row
         spec = ModelSpec((BranchSpec("s", 56, (ConvSpec(2, 3),) * 3, conv_dim=2,
                                      grid=(7, 8)),), hidden=3, classes=2)
         X = {"s": np.zeros((3, 4, 56))}
-        calls = self._rows_taken(monkeypatch)
-        got, want = self._both_paths(monkeypatch, spec, init_params(spec, seed=4), X,
-                                     np.array([0, 1, 1]))
+        got, want, calls = self._both_paths(monkeypatch, spec, init_params(spec, seed=4),
+                                            X, np.array([0, 1, 1]))
         self._assert_same_bytes(got, want)
         assert all(np.all(g == 0.0) for g in got.branch_weights[0])
-        assert [(len(r), need_dx) for r, _, need_dx in calls] == [
-            (0, True), (0, True), (0, False)]
+        first = (np.arange(12) % 4 == 0).tobytes()
+        assert [(need.tobytes(), need_dx, live) for need, _, need_dx, live in calls] == [
+            (first, True, 0), (first, True, 0), (first, False, 0)]
 
-    @pytest.mark.parametrize("pools, taken", [
-        ((None, None, 2), []), ((None, 2, None), [True]), ((2, None, None), [True, True]),
-    ])
-    def test_pooled_layers_and_below_stay_dense(self, rng, monkeypatch, pools, taken):
+    @pytest.mark.parametrize("pools", [(None, None, 2), (None, 2, None), (2, None, None)])
+    def test_pooled_layers_take_the_mask(self, rng, monkeypatch, pools):
+        # a 2D pool runs on each timestep's grid, so the head's mask holds the
+        # gradient of every layer, above a pool and below it
         layers = tuple(ConvSpec(2, 3, p) for p in pools)
         spec = ModelSpec((BranchSpec("s", 156, layers, conv_dim=2, grid=(12, 13)),),
                          hidden=3, classes=2)
         X = random_inputs(spec, rng, batch=3, rows={"s": 2})
-        calls = self._rows_taken(monkeypatch)
-        got, want = self._both_paths(monkeypatch, spec, init_params(spec, seed=6), X,
-                                     np.array([0, 1, 1]))
+        got, want, calls = self._both_paths(monkeypatch, spec, init_params(spec, seed=6),
+                                            X, np.array([0, 1, 1]))
         self._assert_same_bytes(got, want)
-        assert [need_dx for _, _, need_dx in calls] == taken
+        masks = [need for need, _, _, _ in calls]
+        assert len(masks) == 3 and all(m is not None and m.size == 6 for m in masks)
+        assert all(m.tobytes() == masks[0].tobytes() for m in masks)
 
     @pytest.mark.parametrize("block_bytes, taken", [(None, []), (1, [True, True, False])])
     def test_lone_block_layers_stay_dense(self, rng, monkeypatch, block_bytes, taken):
         # every layer's patch matrix fits one block of model._COL_BLOCK_BYTES,
-        # unless that is shrunk
+        # which its mask holds, so every block runs; at one lead row per block
+        # the mask skips some blocks of each layer's dW and dX
         if block_bytes:
             monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(train_mod, "_ROW_BLOCKS", 1)
-        spec = ModelSpec((BranchSpec("s", 2, (ConvSpec(2, 3),) * 3),), hidden=3, classes=2)
-        X = random_inputs(spec, rng, batch=3, rows={"s": 40})
-        calls = self._rows_taken(monkeypatch)
+        spec = ModelSpec((BranchSpec("s", 56, (ConvSpec(2, 3),) * 3, conv_dim=2,
+                                     grid=(7, 8)),), hidden=3, classes=2)
+        X = random_inputs(spec, rng, batch=3, rows={"s": 4})
+        counts = self._blocks_run(monkeypatch, train_mod, model)  # dW's map, and dX's
+        masks = self._masks(monkeypatch)
         backward(spec, init_params(spec, seed=6), X, np.array([0, 1, 1]))
-        assert [need_dx for _, _, need_dx in calls] == taken
+        assert all(need is not None and not need.all() for need, _, _, _ in masks)
+        # dW and dX of layers 2 and 1, then layer 0's dW
+        skips = [run < n for run, n in counts]
+        assert len(skips) == 5 and skips[1::2] == [bool(taken)] * 2
+        assert [need_dx for (_, _, need_dx, _), s in zip(masks, skips[0::2]) if s] == taken
 
     def test_flatten_head_stays_dense(self, rng, monkeypatch):
         spec = model.data_fusion_spec(8, 12, filters=2, kernel=3, hidden=3, classes=2)
         X = {"fused": rng.uniform(-1, 1, size=(3, 12, 8))}
-        calls = self._rows_taken(monkeypatch)
-        got, want = self._both_paths(monkeypatch, spec, init_params(spec, seed=6), X,
-                                     np.array([0, 1, 1]))
+        got, want, calls = self._both_paths(monkeypatch, spec, init_params(spec, seed=6),
+                                            X, np.array([0, 1, 1]))
         self._assert_same_bytes(got, want)
-        assert calls == []
+        assert [need for need, _, _, _ in calls] == [None] * 3
 
     def test_rig_thermal_takes_rows_and_smoke_stays_dense(self, tmp_path, monkeypatch):
-        # the shipped block size and block share: the rig's thermal layers take
-        # the row path, its 1D branches and every smoke layer the dense one
+        # the shipped block size: the rig's thermal layers pass the mask, its
+        # 1D branches and every smoke layer none
         from edgehar import cli
 
         root = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -319,38 +341,26 @@ class TestRowPath:
         b = cfg.train.batch_size
         X = {s.name: rng.uniform(-1, 1, size=(b, cfg.rows[s.name], s.channels))
              for s in cfg.sensors}
-        calls = self._rows_taken(monkeypatch)
-        dense, real = [], train_mod._conv_bwd
-        monkeypatch.setattr(train_mod, "_conv_bwd",
-                            lambda dz, x, *a, **k: dense.append(x.shape) or real(dz, x, *a, **k))
-        needs, real_map = [], train_mod._map_blocks
-        monkeypatch.setattr(train_mod, "_map_blocks",
-                            lambda *a: needs.append(a[5:]) or real_map(*a))
+        calls = self._masks(monkeypatch)
+        counts = self._blocks_run(monkeypatch, train_mod)  # dW's block map
         y = np.arange(b) % cfg.spec.classes
         backward(cfg.spec, init_params(cfg.spec, cfg.train.seed), X, y)
-        # thermal layers 2 and 1 hold a gradient row in under half of their
-        # blocks; layer 0, in blocks of 9 timesteps, in 14 of 15 here, past
-        # the crossover, so it stays dense like every 1D layer
         thermal = cfg.rows["thermal"]
-        assert [(x[:2], need_dx) for _, x, need_dx in calls] == [
-            ((b, thermal), True), ((b, thermal), True)]
-        masks = [need for (need,) in needs if need is not None]
-        assert len(masks) == 2 and all(m.sum() < m.size / 2 for m in masks)
-        assert len(dense) == 3 * (len(cfg.sensors) - 1) + 1
-        assert [x for x in dense if x[1] == thermal] == [(b, thermal, 24, 32, 1)]
+        assert [x[:2] for need, x, _, _ in calls if need is not None] == [(b, thermal)] * 3
+        assert len(calls) == 3 * len(cfg.sensors)
+        # thermal layers 2 and 1 run under half of their dW blocks
+        assert len(counts) == 3 and all(1 < n and run < n / 2 for run, n in counts[:2])
 
-        del calls[:], dense[:]
+        del calls[:]
         smoke = json.loads((root / "smoke.json").read_text())
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(smoke, out=str(tmp_path / "out"))))
         for stage in ("gen-data", "train", "select"):
             assert cli.main([stage, "--config", str(path)]) == 0, stage
-        assert calls == [] and len(dense) > 0
+        assert len(calls) > 0 and all(need is None for need, _, _, _ in calls)
 
-    def test_thermal_shape_same_bytes_no_higher_peak(self, monkeypatch):
+    def test_thermal_shape_same_bytes(self, monkeypatch):
         # the thermal grid's own block sizes: layer 0's blocks are 5,040 rows
-        import tracemalloc
-
         from edgehar.daq import CATALOG
 
         thermal = CATALOG["thermal"]
@@ -358,25 +368,10 @@ class TestRowPath:
         params = init_params(spec, seed=0)
         X = {"thermal": np.random.default_rng(0).uniform(
             -1, 1, size=(4, int(thermal.rate_hz), thermal.channels))}
-        y = np.arange(4)
-        calls = self._rows_taken(monkeypatch)
-
-        def peak():
-            backward(spec, params, X, y)  # the pool and its buffers, made once
-            tracemalloc.start()
-            try:
-                grads = backward(spec, params, X, y)[1]
-                return tracemalloc.get_traced_memory()[1], grads
-            finally:
-                tracemalloc.stop()
-
-        rows, got = peak()
-        assert [need_dx for _, _, need_dx in calls].count(True) == 4  # layers 2 and 1
-        with monkeypatch.context() as forced:
-            forced.setattr(train_mod, "_takes_rows", lambda *args: False)
-            dense, want = peak()
+        got, want, calls = self._both_paths(monkeypatch, spec, params, X, np.arange(4),
+                                            block_bytes=None)
         self._assert_same_bytes(got, want)
-        assert rows <= dense
+        assert [need is not None for need, _, _, _ in calls] == [True] * 3
 
 
 def _two_class_separable(rng, n=40, t=16):
