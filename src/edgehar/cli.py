@@ -14,8 +14,9 @@ starts. infer --qmodel and simulate take a qmodel only when it quantizes the
 simulate classifies the stream's frames through qinfer_batch and writes the
 labels in frame order. Frames that overlap share their samples: consecutive
 frames whose rows overlap for every sensor form a run, whose union of rows
-is normalized and convolved once, and each frame reads its features from its
-own window of the conv outputs (see engine._q_forward). A run spans at most
+is read from the sensor tracks as a view, normalized into one copy and
+convolved once, and each frame reads its features from its own window of
+the conv outputs (see engine._q_forward). A run spans at most
 SIM_CHUNK_FRAMES windows of rows, and a 1D sensor's run no more rows than
 one im2col block holds (engine._run_rows), so it holds no more than a chunk
 of that many frames. Frames that share no rows (adjacent windows, or a
@@ -102,9 +103,10 @@ _FIXED = {"fusion": "feature", "alpha_enabled": False}
 # Frames simulate stacks per qinfer_batch call, and the windows of rows a run
 # of overlapping frames may span. A call's int64 layer outputs grow with its
 # rows (a thermal frame's are megabytes), so they are bounded rather than the
-# whole stream. On the stream workload's 1,191 frames (1 s windows, 100 ms
-# steps; 2 vCPUs, BLAS at 1 thread) the engine took 102-125 ms in 75 chunks of
-# 16 frames and 12-18 ms in 8 runs, and simulate 0.20-0.25 s and 0.09-0.13 s.
+# whole stream. No benchmark workload fills a stack: smoke's 10 frames and
+# the rig's 8 are one stacked call each, and the stream's 1,191 (1 s windows,
+# 100 ms steps) 8 run calls, whose engine time was 12-18 ms against 102-125 ms
+# for stacks of 16 (2 vCPUs, BLAS at 1 thread).
 # Adjacent frames stay stacked: the union of smoke's 10 adjacent frames took
 # 1.2-1.4 ms in the engine, their stack 1.0-1.2 ms, as each boundary adds
 # the kernels' positions to every 1D layer; the rig's 8 read the same.
@@ -403,13 +405,12 @@ def cmd_infer(cfg: Config, args) -> int:
 
 
 class _Run:
-    """Consecutive frames of simulate whose rows overlap, held as each
-    sensor's rows, once (the pieces its frames add), and each frame's end
-    stamp and first rows; the frames themselves are let go."""
+    """Consecutive frames of simulate whose rows overlap, held as each frame's
+    end stamp and first rows and the first frame's tensors, which a stacked
+    call reads; the frames themselves are let go (see _sim_calls)."""
 
     def __init__(self, f):
-        self.ends, self.firsts = [f.t_end_ns], [f.first_rows]
-        self.parts = {n: [x] for n, x in f.tensors.items()}
+        self.ends, self.firsts, self.tensors = [f.t_end_ns], [f.first_rows], f.tensors
 
     def joins(self, f, limits: dict[str, int]) -> bool:
         """Whether frame f extends the run: for every sensor, its first row lies
@@ -421,15 +422,8 @@ class _Run:
             for n, x in f.tensors.items())
 
     def add(self, f) -> None:
-        for n, x in f.tensors.items():  # a copy of its new rows, not a view of the frame
-            self.parts[n].append(x[len(x) - (f.first_rows[n] - self.firsts[-1][n]):].copy())
         self.ends.append(f.t_end_ns)
         self.firsts.append(f.first_rows)
-
-    def lead_rows(self) -> dict[str, np.ndarray]:
-        """Each sensor's rows as one lead row; the run lets go of its pieces."""
-        parts, self.parts = self.parts, None
-        return {n: np.concatenate(p)[None] for n, p in parts.items()}
 
 
 def _runs(frames, limits: dict[str, int]):
@@ -447,15 +441,17 @@ def _runs(frames, limits: dict[str, int]):
         yield run
 
 
-def _sim_calls(runs):
+def _sim_calls(runs, tracks: dict[str, np.ndarray]):
     """(frame end stamps, raw lead rows, windows) of each qinfer_batch call
-    over runs, in order. A run of several frames is a call of its own: one
-    lead row per sensor holding the run's rows once, and a window per frame
-    at its offset in it. Runs of one frame are stacked, SIM_CHUNK_FRAMES at
-    most, one lead row each, with no windows."""
+    over runs, in order. A run of several frames is a call of its own: each
+    sensor's lead row is a view of the value rows the DAQ replays,
+    tracks[sensor], from the run's first row to its last frame's end (a
+    frame with first_rows is exactly its track's rows), and a window per
+    frame at its offset in it. Runs of one frame are stacked, SIM_CHUNK_FRAMES
+    at most, one lead row each of their own tensors, with no windows."""
     def stacked(runs):
         return ([r.ends[0] for r in runs],
-                {n: np.stack([r.parts[n][0] for r in runs]) for n in runs[0].parts}, None)
+                {n: np.stack([r.tensors[n] for r in runs]) for n in runs[0].tensors}, None)
 
     stack = []
     for run in runs:
@@ -467,8 +463,9 @@ def _sim_calls(runs):
             yield stacked(stack)
             stack = []
         if len(run.ends) > 1:
-            start = run.firsts[0]
-            yield run.ends, run.lead_rows(), (
+            start, last = run.firsts[0], run.firsts[-1]
+            yield run.ends, {n: tracks[n][start[n]:last[n] + len(x)][None]
+                             for n, x in run.tensors.items()}, (
                 [0] * len(run.ends), {n: [f[n] - start[n] for f in run.firsts] for n in start})
     if stack:
         yield stacked(stack)
@@ -491,7 +488,9 @@ def cmd_simulate(cfg: Config, args) -> int:
     limits = {b.name: engine._run_rows(spec, b, cfg.rows[b.name], SIM_CHUNK_FRAMES)
               for b in spec.branches}
     rows_out = []
-    for ends, X, windows in _sim_calls(_runs(daq.stream_frames(session, cfg.window), limits)):
+    tracks = {n: v for n, (_, v) in rec.tracks.items()}
+    frames = daq.stream_frames(session, cfg.window)
+    for ends, X, windows in _sim_calls(_runs(frames, limits), tracks):
         preds = engine.qinfer_batch(qm, mdl.normalize_inputs(X, stats), windows)
         rows_out += [(t, int(c)) for t, c in zip(ends, preds)]
     conserved = session.conservation()

@@ -384,18 +384,6 @@ class ResourceReport:
     def multiplier_units(self) -> int:
         return self.mac_lanes * self.multipliers_per_lane
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "stored_width": self.stored_width,
-            "weight_words": self.weight_words,
-            "feature_words": self.feature_words,
-            "weight_bits": self.weight_bits,
-            "memory_bits": self.memory_bits,
-            "mac_lanes": self.mac_lanes,
-            "multiplier_units": self.multiplier_units,
-        }
-
 
 def estimate_resources(
     spec: ModelSpec, input_rows: dict[str, int], schedule: str, stored_width: int

@@ -553,7 +553,6 @@ def feature_fusion_spec(
     classes: int = 10,
     alpha_enabled: bool = False,
     pools: tuple[int | None, int | None, int | None] = (None, None, None),
-    window_rows: int | None = None,
 ) -> ModelSpec:
     """One conv branch per sensor; sensors need .name/.channels/.conv_dim/.grid."""
     branches = []
@@ -564,7 +563,7 @@ def feature_fusion_spec(
                        grid=getattr(s, "grid", None))
         )
     return ModelSpec(tuple(branches), hidden, classes, fusion="feature",
-                     alpha_enabled=alpha_enabled, window_rows=window_rows)
+                     alpha_enabled=alpha_enabled)
 
 
 def data_fusion_spec(

@@ -555,6 +555,38 @@ class TestSimulateChunks:
         assert len(sessions) == 1
         assert all(c["ok"] for c in sessions[0].conservation().values())
 
+    def test_runs_read_their_rows_from_the_tracks(self, workdir, monkeypatch):
+        # a run of several frames classifies each sensor's rows as one view of
+        # its track, from the first frame's first row to the last frame's end:
+        # no frame's rows are copied or joined before normalize_inputs
+        tmp, cfg, out = workdir
+        Path(cfg).write_text(json.dumps(dict(CFG, out=str(out), step_ms=250)))
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        raws = []
+
+        def recorded_normalize(X, stats):
+            raws.append(X)
+            return normalize_inputs(X, stats)
+
+        monkeypatch.setattr("edgehar.model.normalize_inputs", recorded_normalize)
+        frames, sessions, calls = _recorded_simulate(monkeypatch, cfg)
+        assert len(raws) == len(calls)
+        tracks = {s.spec.name: s.v_track for s in sessions[0].sources}
+        runs, i = 0, 0
+        for X, (lead, n) in zip(raws, calls):
+            run, i = frames[i:i + n], i + n
+            if lead != {1} or n == 1:  # a stack of frames with no shared rows
+                continue
+            runs += 1
+            for name, track in tracks.items():
+                want = track[run[0].first_rows[name]:
+                             run[-1].first_rows[name] + len(run[-1].tensors[name])]
+                assert X[name].shape == (1, *want.shape)
+                assert X[name].tobytes() == want.tobytes()
+                assert np.shares_memory(X[name], track), name
+        assert runs > 0 and i == len(frames)
+
     def test_stream_workload_runs(self, tmp_path, monkeypatch):
         # the benchmark's stream workload: 1,191 frames, 1 s windows, 100 ms steps
         doc = json.loads((ROOT / "perfbench" / "workloads" / "stream.json").read_text())
@@ -577,7 +609,8 @@ class TestSimulateChunks:
         ([daq.SensorSpec("wide", 32, 119)], 59, {"wide": 810}),
     ], ids=["thermal", "wide_1d"])
     def test_run_peak_within_a_chunk(self, sensors, frames, rows):
-        # a run of overlapping frames holds its rows once and spans at most
+        # a run of overlapping frames reads its rows as one view of each
+        # sensor's track, which normalize_inputs copies once, and spans at most
         # SIM_CHUNK_FRAMES windows of them, so streaming and classifying it
         # peaks no higher than a chunk of that many frames did, whose frames
         # and stack stayed referenced through their call
@@ -598,7 +631,8 @@ class TestSimulateChunks:
             return normalize_inputs(X, stats), None, frames, X
 
         def run():
-            ends, X, windows = next(cli._sim_calls(cli._runs(stream(), limits)))
+            tracks = {n: v for n, (_, v) in rec.tracks.items()}
+            ends, X, windows = next(cli._sim_calls(cli._runs(stream(), limits), tracks))
             assert len(ends) == frames
             assert {n: x.shape[:2] for n, x in X.items()} == {n: (1, r) for n, r in rows.items()}
             return normalize_inputs(X, stats), windows, ends, X

@@ -665,8 +665,8 @@ class TestResources:
 
     def test_report_serialization(self, rng):
         spec, rows = self._spec_rows(rng)
-        d = estimate_resources(spec, rows, "parallel", 11).to_dict()
-        assert d["multiplier_units"] == d["mac_lanes"] * -(-d["stored_width"] // 9)
+        r = estimate_resources(spec, rows, "parallel", 11)
+        assert r.multiplier_units == r.mac_lanes * -(-r.stored_width // 9)
         rep = model_cycles(spec, rows, "serial", 100e6)
         rd = rep.to_dict()
         assert rd["total_cycles"] == rep.total_cycles
