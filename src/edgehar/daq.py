@@ -79,19 +79,16 @@ def _as_frac(x) -> Fraction:
     return Fraction(x)
 
 
-def sample_time_ns(m, rate):
-    """Stamp of sample m >= 0 at rate Hz: floor(m * 1e9 / rate), exact.
-
-    m is an int or an integer array. An array is computed in int64 only when
-    no product m * 1e9 * denominator can wrap, else in Python ints.
+def sample_time_ns(m: np.ndarray, rate) -> np.ndarray:
+    """Int64 stamps of the samples m >= 0, an integer array, at rate Hz:
+    floor(m * 1e9 / rate), exact. They are computed in int64 only when no
+    product m * 1e9 * denominator can wrap, else in Python ints.
     """
     r = _as_frac(rate)
     scale = NS * r.denominator
-    if isinstance(m, np.ndarray):
-        fits64 = (int(m.max(initial=0)) + 1) * scale < 2**63 and r.numerator < 2**63
-        m = m.astype(np.int64 if fits64 else object)
-        return (m * scale // r.numerator).astype(np.int64)
-    return m * scale // r.numerator
+    fits64 = (int(m.max(initial=0)) + 1) * scale < 2**63 and r.numerator < 2**63
+    m = m.astype(np.int64 if fits64 else object)
+    return (m * scale // r.numerator).astype(np.int64)
 
 
 def count_until(t_ns: int, rate) -> int:

@@ -100,7 +100,8 @@ _SCHEDULES = ("serial", "parallel")
 
 def quantize_frame(tensors: dict, n_bits: int) -> dict[str, np.ndarray]:
     """Map normalized [-1, 1] tensors onto the integer grid round(x * 2^n) in
-    signed (n + 1)-bit storage, rounding one scaled float64 copy in place."""
+    signed (n + 1)-bit storage; round_nearest consumes each tensor's one
+    scaled float64 copy, keeping the exact fraction of its values there."""
     fmt = storage_format(n_bits)
     out = {}
     for name, x in tensors.items():

@@ -228,14 +228,6 @@ class ModelParams:
     dense2: np.ndarray
     alpha: np.ndarray | None = None
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            [[w.copy() for w in ws] for ws in self.branch_weights],
-            self.dense1.copy(),
-            self.dense2.copy(),
-            None if self.alpha is None else self.alpha.copy(),
-        )
-
 
 @dataclass
 class Frame:

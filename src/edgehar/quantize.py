@@ -232,7 +232,7 @@ def quantize_weights(
 
 def _ratio_mult(r: float, n_bits: int) -> tuple[int, int]:
     """Encode a real scale ratio r as (mult, shift): r / 2^n ~= mult / 2^shift."""
-    mult = round_nearest(r * (1 << RATIO_SHIFT))
+    mult = int(round_nearest(np.array([r * (1 << RATIO_SHIFT)]))[0])
     if mult < 1:
         raise ValueError(f"scale ratio {r} too small to encode with {RATIO_SHIFT} bits")
     return mult, n_bits + RATIO_SHIFT
@@ -292,12 +292,12 @@ def sweep_bits(
     params: ModelParams,
     test_set: tuple[dict, np.ndarray],
     n_range,
-    calib_X: dict | None = None,
+    calib_X: dict,
 ) -> list[tuple[int, float]]:
-    """One (n, ratio) point per precision from one calibration and one FP32
-    pass, where ratio = (integer argmax accuracy) / (FP32 argmax accuracy) on
-    the labeled test set; every ratio is nan when FP32 accuracy is zero
-    (undefined)."""
+    """One (n, ratio) point per precision from one calibration on calib_X and
+    one FP32 pass, where ratio = (integer argmax accuracy) / (FP32 argmax
+    accuracy) on the labeled test set; every ratio is nan when FP32 accuracy
+    is zero (undefined)."""
     from .engine import qinfer_batch
 
     n_range = list(n_range)
@@ -307,7 +307,7 @@ def sweep_bits(
     if y.size == 0:
         raise ValueError("test set is empty")
     fp_acc = float(np.mean(np.argmax(forward_batch(spec, params, X), axis=1) == y))
-    stats = calibrate(spec, params, calib_X if calib_X is not None else X)
+    stats = calibrate(spec, params, calib_X)
     curve = []
     for n in n_range:
         q_acc = float(np.mean(qinfer_batch(quantize(spec, params, stats, n), X) == y))

@@ -360,9 +360,9 @@ def train(
     spec: ModelSpec,
     dataset: tuple[dict, np.ndarray],
     config: TrainConfig,
-    params: ModelParams | None = None,
 ) -> tuple[ModelParams, list[dict]]:
-    """Adam training, deterministic for a fixed seed.
+    """Adam training from init_params(spec, config.seed), deterministic for a
+    fixed seed.
 
     Returns the trained parameters and one history row per epoch:
     batch_loss and batch_acc, the batch-size-weighted means over the epoch
@@ -384,10 +384,7 @@ def train(
         raise ValueError("dataset is empty")
     if y.min() < 0 or y.max() >= spec.classes:
         raise ValueError(f"labels outside [0, {spec.classes})")
-    if params is None:
-        params = init_params(spec, config.seed)
-    else:
-        params = params.copy()
+    params = init_params(spec, config.seed)
 
     n_val = config.n_val(n)
     perm = substream(config.seed, "split").permutation(n)

@@ -9,13 +9,22 @@ it checks (only the documented rounding rules are the same).
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
 
 class OracleOverflow(Exception):
     """The reference accumulator exceeded its register width."""
+
+
+def round_exact(x: float) -> int:
+    """Nearest integer to x, ties away from zero, in exact rational arithmetic."""
+    q = Fraction(x)
+    mag = math.floor(abs(q) + Fraction(1, 2))
+    return mag if q >= 0 else -mag
 
 
 def _requant(acc: int, mult: int, shift: int, n_bits: int, relu: bool) -> int:

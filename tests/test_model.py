@@ -1,3 +1,4 @@
+import copy
 import os
 import sys
 import threading
@@ -395,7 +396,7 @@ class TestForward:
         sizes = [spec.head_size(b) for b in spec.branches]
         offs = np.cumsum([0] + sizes)
         blocks = [params.dense1[offs[i] : offs[i + 1]] for i in range(len(sizes))]
-        params_p = params.copy()
+        params_p = copy.deepcopy(params)
         params_p.branch_weights = [params.branch_weights[i] for i in order]
         params_p.dense1 = np.concatenate([blocks[i] for i in order], axis=0)
         out = forward_batch(spec_p, params_p, X)

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -106,7 +107,7 @@ class TestComputeRescale:
         spec, params, X = _fixture_model(rng)
         s1 = calibrate(spec, params, X)
         k = 3.7
-        scaled = params.copy()
+        scaled = copy.deepcopy(params)
         for ws in scaled.branch_weights:
             ws[0] *= k  # scaling layer-1 weights scales layer-1 W and O by k
         s2 = calibrate(spec, scaled, X)
@@ -131,7 +132,7 @@ class TestQuantizeWeights:
 
     def test_odd_symmetry(self, rng):
         spec, params = self._params_with(rng, 0.4)
-        neg = params.copy()
+        neg = copy.deepcopy(params)
         for ws in neg.branch_weights:
             for w in ws:
                 w *= -1.0
@@ -147,7 +148,7 @@ class TestQuantizeWeights:
         spec, params = self._params_with(rng, 0.8)
         w = quantize_weights(params, [0.8, 1.0, 1.0], 10)
         assert w[0][0].flat[0] == 1023
-        neg = params.copy()
+        neg = copy.deepcopy(params)
         for ws in neg.branch_weights:
             for wt in ws:
                 wt *= -1.0
@@ -358,4 +359,4 @@ class TestAccuracyRatio:
     def test_empty_range_rejected(self, rng):
         spec, params, X = _fixture_model(rng)
         with pytest.raises(ValueError):
-            sweep_bits(spec, params, (X, np.zeros(24, dtype=int)), [])
+            sweep_bits(spec, params, (X, np.zeros(24, dtype=int)), [], calib_X=X)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -424,7 +425,7 @@ class TestTrain:
         X, y = _two_class_separable(rng)
         spec = self._spec()
         p0 = init_params(spec, seed=9)
-        p1, hist = train(spec, (X, y), TrainConfig(epochs=0, seed=9), params=p0)
+        p1, hist = train(spec, (X, y), TrainConfig(epochs=0, seed=9))
         assert hist == []
         for a, b in zip(_iter_tensors(p0), _iter_tensors(p1)):
             np.testing.assert_array_equal(a, b)
@@ -466,7 +467,7 @@ class TestTrain:
         calls = []
 
         def recording(spec_, params, Xb, yb, **kw):
-            calls.append((params.copy(), Xb, yb))
+            calls.append((copy.deepcopy(params), Xb, yb))
             return backward(spec_, params, Xb, yb, **kw)
 
         monkeypatch.setattr(train_mod, "backward", recording)
