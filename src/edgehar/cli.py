@@ -12,19 +12,19 @@ starts. infer --qmodel and simulate take a qmodel only when it quantizes the
 --model file's network.
 
 simulate classifies the stream's frames through qinfer_batch and writes the
-labels in frame order. Frames that overlap share their samples: consecutive
-frames whose rows overlap for every sensor form a run, whose union of rows
-is read from the sensor tracks as a view, normalized into one copy and
-convolved once, and each frame reads its features from its own window of
-the conv outputs (see engine._q_forward). A run spans at most
-SIM_CHUNK_FRAMES windows of rows, and a 1D sensor's run no more rows than
-one im2col block holds (engine._run_rows), so it holds no more than a chunk
-of that many frames. Frames that share no rows (adjacent windows, or a
-window the DAQ trimmed, held or split around an overflow) are stacked
-SIM_CHUNK_FRAMES to a call, one lead row each. Grouping cannot change a
-label: a label never feeds back into acquisition, the DAQ's virtual time
-does not read the wall clock, and the integer path is exact, so a frame's
-logits do not depend on the frames classified with it.
+labels in frame order, grouping them in one pass (_sim_calls). Consecutive
+exact frames, whose rows are exactly their sensor tracks' rows, overlap or
+abut, and form a run: its union of rows is read from the tracks as a view,
+normalized into one copy and convolved once, and each frame reads its
+features from its own window of the conv outputs (see engine._q_forward).
+A run spans at most SIM_CHUNK_FRAMES windows of rows, and a 1D sensor's run
+no more rows than one im2col block holds (engine._run_rows), so it holds no
+more than a chunk of that many frames. Frames the DAQ fitted (a window it
+trimmed, held or split around an overflow) are stacked SIM_CHUNK_FRAMES to
+a call, one lead row each. Grouping cannot change a label: a label never
+feeds back into acquisition, the DAQ's virtual time does not read the wall
+clock, and the integer path is exact, so a frame's logits do not depend on
+the frames classified with it.
 
 The whole config is checked at load, before any stage runs: an unknown key,
 a bad type or range, or a config that cannot run exits 2 naming the key and
@@ -100,16 +100,13 @@ _SCHEMA = {
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 # Keys that stay in the schema but have one value the pipeline runs
 _FIXED = {"fusion": "feature", "alpha_enabled": False}
-# Frames simulate stacks per qinfer_batch call, and the windows of rows a run
-# of overlapping frames may span. A call's int64 layer outputs grow with its
+# Fitted frames simulate stacks per qinfer_batch call, and the windows of rows
+# a run of exact frames may span. A call's int64 layer outputs grow with its
 # rows (a thermal frame's are megabytes), so they are bounded rather than the
-# whole stream. No benchmark workload fills a stack: smoke's 10 frames and
-# the rig's 8 are one stacked call each, and the stream's 1,191 (1 s windows,
-# 100 ms steps) 8 run calls, whose engine time was 12-18 ms against 102-125 ms
-# for stacks of 16 (2 vCPUs, BLAS at 1 thread).
-# Adjacent frames stay stacked: the union of smoke's 10 adjacent frames took
-# 1.2-1.4 ms in the engine, their stack 1.0-1.2 ms, as each boundary adds
-# the kernels' positions to every 1D layer; the rig's 8 read the same.
+# whole stream. No benchmark workload stacks a frame: smoke's 10 adjacent
+# frames and the rig's 8 are one run call each, and the stream's 1,191 (1 s
+# windows, 100 ms steps) 8 run calls, whose engine time was 12-18 ms against
+# 102-125 ms for stacks of 16 (2 vCPUs, BLAS at 1 thread).
 SIM_CHUNK_FRAMES = 16
 
 
@@ -338,9 +335,12 @@ def _load_qmodel(cfg: Config, args, spec: mdl.ModelSpec):
         have, want = ([b.name for b in s.branches] for s in (qm.spec, spec))
         raise ValueError(f"{path} (branches {have}) does not quantize the network of "
                          f"{args.model or cfg.out / 'model.json'} (branches {want})")
-    for s in cfg.sensors:
-        rows = qm.input_rows.get(s.name)
-        if rows is not None and rows != cfg.rows[s.name]:
+    sensors = {s.name: s for s in cfg.sensors}
+    for b in spec.branches:
+        s, rows = sensors[b.name], qm.input_rows.get(b.name)
+        if rows is None:
+            raise ValueError(f"{path} has no input_rows entry for sensor {s.name!r}")
+        if rows != cfg.rows[s.name]:
             raise ValueError(f"{path} was quantized at {rows} rows for sensor {s.name!r}, "
                              f"but window_ms {cfg.raw['window_ms']} gives it "
                              f"{cfg.rows[s.name]} rows at {s.rate_hz} Hz")
@@ -404,71 +404,39 @@ def cmd_infer(cfg: Config, args) -> int:
     return 0
 
 
-class _Run:
-    """Consecutive frames of simulate whose rows overlap, held as each frame's
-    end stamp and first rows and the first frame's tensors, which a stacked
-    call reads; the frames themselves are let go (see _sim_calls)."""
-
-    def __init__(self, f):
-        self.ends, self.firsts, self.tensors = [f.t_end_ns], [f.first_rows], f.tensors
-
-    def joins(self, f, limits: dict[str, int]) -> bool:
-        """Whether frame f extends the run: for every sensor, its first row lies
-        inside the last frame's rows, and the run then spans at most
-        limits[sensor] rows."""
-        start, last, new = self.firsts[0], self.firsts[-1], f.first_rows
-        return bool(last and new) and all(
-            last[n] <= new[n] < last[n] + len(x) and new[n] + len(x) - start[n] <= limits[n]
-            for n, x in f.tensors.items())
-
-    def add(self, f) -> None:
-        self.ends.append(f.t_end_ns)
-        self.firsts.append(f.first_rows)
-
-
-def _runs(frames, limits: dict[str, int]):
-    """simulate's frames in stream order, as runs of frames whose rows overlap
-    (see _Run.joins)."""
-    run = None
-    for f in frames:
-        if run is not None and run.joins(f, limits):
-            run.add(f)
-            continue
-        if run is not None:
-            yield run
-        run = _Run(f)
-    if run is not None:
-        yield run
-
-
-def _sim_calls(runs, tracks: dict[str, np.ndarray]):
+def _sim_calls(frames, tracks: dict[str, np.ndarray], limits: dict[str, int]):
     """(frame end stamps, raw lead rows, windows) of each qinfer_batch call
-    over runs, in order. A run of several frames is a call of its own: each
-    sensor's lead row is a view of the value rows the DAQ replays,
-    tracks[sensor], from the run's first row to its last frame's end (a
-    frame with first_rows is exactly its track's rows), and a window per
-    frame at its offset in it. Runs of one frame are stacked, SIM_CHUNK_FRAMES
-    at most, one lead row each of their own tensors, with no windows."""
-    def stacked(runs):
-        return ([r.ends[0] for r in runs],
-                {n: np.stack([r.tensors[n] for r in runs]) for n in runs[0].tensors}, None)
+    over simulate's frames, made in one pass over them in frame order.
+    Consecutive exact frames (first_rows set), which abut or overlap since
+    WindowConfig keeps step <= window, form a run while each sensor's span
+    from the run's first row stays within limits[sensor]: its lead row is a
+    view of the value rows the DAQ replays, tracks[sensor], over the span,
+    with a window per frame at its offset. Fitted frames are stacked,
+    SIM_CHUNK_FRAMES at most, one lead row each of their own tensors."""
+    ends, held = [], []  # the open call's end stamps, and its first rows or tensors
+    start = stop = None  # the open run's first and end rows per sensor; None for a stack
 
-    stack = []
-    for run in runs:
-        if len(run.ends) == 1:
-            stack.append(run)
-            if len(stack) < SIM_CHUNK_FRAMES:
-                continue
-        if stack:
-            yield stacked(stack)
-            stack = []
-        if len(run.ends) > 1:
-            start, last = run.firsts[0], run.firsts[-1]
-            yield run.ends, {n: tracks[n][start[n]:last[n] + len(x)][None]
-                             for n, x in run.tensors.items()}, (
-                [0] * len(run.ends), {n: [f[n] - start[n] for f in run.firsts] for n in start})
-    if stack:
-        yield stacked(stack)
+    def call():
+        if start is None:
+            return ends, {n: np.stack([x[n] for x in held]) for n in held[0]}, None
+        return ends, {n: tracks[n][start[n]:stop[n]][None] for n in start}, (
+            [0] * len(ends), {n: [f[n] - start[n] for f in held] for n in start})
+
+    for f in frames:
+        first = f.first_rows
+        end = None if first is None else {n: first[n] + len(x) for n, x in f.tensors.items()}
+        joins = (start is None and len(ends) < SIM_CHUNK_FRAMES if end is None else
+                 start is not None and all(end[n] - start[n] <= limits[n] for n in end))
+        if ends and not joins:
+            yield call()
+            ends, held = [], []
+        if not ends:
+            start = first
+        ends.append(f.t_end_ns)
+        held.append(f.tensors if first is None else first)
+        stop = end
+    if ends:
+        yield call()
 
 
 def cmd_simulate(cfg: Config, args) -> int:
@@ -489,8 +457,7 @@ def cmd_simulate(cfg: Config, args) -> int:
               for b in spec.branches}
     rows_out = []
     tracks = {n: v for n, (_, v) in rec.tracks.items()}
-    frames = daq.stream_frames(session, cfg.window)
-    for ends, X, windows in _sim_calls(_runs(frames, limits), tracks):
+    for ends, X, windows in _sim_calls(daq.stream_frames(session, cfg.window), tracks, limits):
         preds = engine.qinfer_batch(qm, mdl.normalize_inputs(X, stats), windows)
         rows_out += [(t, int(c)) for t, c in zip(ends, preds)]
     conserved = session.conservation()

@@ -41,8 +41,8 @@ its rows' timesteps, each one its grid's max). Max is exact, so the logits
 are the same bits either way. qinfer_batch quantizes a whole set once and
 runs it through _q_forward once, as forward_batch runs the FP model; infer
 and sweep run a split through it one frame per lead row, and simulate runs
-its stream through it in runs of overlapping frames and stacks of frames
-that share no rows. qinfer is the batch-of-one API.
+its stream through it in runs of exact frames, which overlap or abut, and
+stacks of the frames its DAQ fitted. qinfer is the batch-of-one API.
 
 Nothing here restates the model or the arithmetic: rounding, saturation,
 the storage format and the multiply-shift requantization are fxp's; the
@@ -203,6 +203,8 @@ def _window_head(spec: ModelSpec, branch: BranchSpec, h: np.ndarray, lead, first
     over its lead rows: frame i spans rows input rows of lead row lead[i]
     from row first[i]."""
     lead, first = np.asarray(lead, np.intp), np.asarray(first, np.intp)
+    if first.shape != lead.shape:
+        raise ValueError(f"branch {branch.name!r}: {first.size} first rows for {lead.size} frames")
     if lead.size and (lead.min() < 0 or lead.max() >= len(h)):
         raise ValueError(f"window lead rows must lie in 0..{len(h) - 1}")
     if not _shares_rows(spec, branch):

@@ -368,6 +368,24 @@ class TestWindowMismatch:
         assert "quantized at 25 rows for sensor 'a'" in err and "gives it 38 rows" in err
         assert not (out / "predictions.csv").exists()
 
+    def test_qmodel_missing_input_rows_exit_2(self, workdir, capsys):
+        # a qmodel without one branch's window rows is rejected at load, not
+        # after streaming, where simulate's windows read them
+        tmp, cfg, out = workdir
+        for stage in ("gen-data", "train", "quantize"):
+            assert _run(stage, "--config", cfg) == 0
+        qpath = out / "qmodel_n8.json"
+        doc = json.loads(qpath.read_text())
+        del doc["input_rows"]["c"]
+        qpath.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for stage in ("infer", "simulate"):
+            assert _run(stage, "--config", cfg, "--qmodel", str(qpath)) == 2, stage
+            assert (f"validation error: {qpath} has no input_rows entry for sensor 'c'"
+                    in capsys.readouterr().err), stage
+        assert not any((out / f).exists() for f in ("predictions.csv", "labels.csv",
+                                                    "cycles.json"))
+
 
 class TestOneNetwork:
     """The --model file's spec alone describes the network that infer --qmodel
@@ -500,19 +518,20 @@ def _per_frame_labels(out: Path, frames) -> list[list[str]]:
 
 
 class TestSimulateChunks:
-    """simulate classifies a run of frames that share rows in one
-    qinfer_batch call over the rows' union, and stacks frames that share none
+    """simulate classifies a run of exact frames, overlapping or adjacent, in
+    one qinfer_batch call over the rows' union, and stacks fitted frames
     SIM_CHUNK_FRAMES to a call. Its labels equal a per-frame loop over the
     same stream either way."""
 
-    # (step_ms, SIM_CHUNK_FRAMES, each call's (lead rows, frames)). At 250 ms
-    # steps a run spans at most chunk windows of rows: 9 frames for chunk 3
-    # (every sensor's first row advances at most 2 windows' rows).
+    # (step_ms, SIM_CHUNK_FRAMES, each call's (lead rows, frames)). A run
+    # spans at most chunk windows of rows: at 250 ms steps 9 frames for
+    # chunk 3 (every sensor's first row advances at most 2 windows' rows),
+    # at 1000 ms steps chunk frames.
     @pytest.mark.parametrize("step, chunk, sizes", [
         (250, 3, [({1}, 9), ({1}, 9), ({1}, 3)]),
         (250, 16, [({1}, 21)]),
-        (1000, 4, [({4}, 4), ({2}, 2)]),
-    ], ids=["two_full_and_a_partial", "shorter_than_a_chunk", "adjacent_frames_stacked"])
+        (1000, 4, [({1}, 4), ({1}, 2)]),
+    ], ids=["two_full_and_a_partial", "shorter_than_a_chunk", "adjacent_frames_in_runs"])
     def test_labels_equal_per_frame_loop(self, workdir, monkeypatch, step, chunk, sizes):
         tmp, cfg, out = workdir
         # trained enough to label the stream's segments apart, so labels out
@@ -533,9 +552,11 @@ class TestSimulateChunks:
         with open(out / "labels.csv", newline="") as fh:
             assert list(csv.reader(fh)) == want
 
-    def test_fitted_frames_run_alone(self, workdir, monkeypatch):
+    @pytest.mark.parametrize("chunk", [2, 16])
+    def test_fitted_frames_run_alone(self, workdir, monkeypatch, chunk):
         # 12.4 Hz overfills and 12.6 Hz underfills some 1 s windows: those
-        # frames carry no first_rows and run on their own, the rest in runs
+        # frames carry no first_rows and are stacked, at most chunk to a
+        # call and one lead row each, the rest in runs
         tmp, cfg, out = workdir
         sensors = [{"name": "a", "channels": 2, "rate_hz": 25},
                    {"name": "b", "channels": 1, "rate_hz": 12.4},
@@ -544,57 +565,90 @@ class TestSimulateChunks:
                                              step_ms=250)))
         for stage in ("gen-data", "train", "quantize"):
             assert _run(stage, "--config", cfg) == 0
+        monkeypatch.setattr(cli, "SIM_CHUNK_FRAMES", chunk)
+        stacks, batch = [], engine.qinfer_batch
+
+        def stack_recorded(qm, X, windows=None):
+            stacks.append(windows is None)
+            return batch(qm, X, windows)
+
+        monkeypatch.setattr(engine, "qinfer_batch", stack_recorded)
         frames, sessions, calls = _recorded_simulate(monkeypatch, cfg)
         alone = [f for f in frames if f.first_rows is None]
         assert 0 < len(alone) < len(frames)
         assert any(n > 1 for _, n in calls) and sum(n for _, n in calls) == len(frames)
-        # each frame that runs alone is one lead row of a stacked call
-        assert sum(n for lead, n in calls if lead == {n}) >= len(alone)
+        i, sizes = 0, []
+        for stacked, (lead, n) in zip(stacks, calls, strict=True):
+            held, i = frames[i:i + n], i + n
+            assert all((f.first_rows is None) == stacked for f in held)
+            assert lead == ({n} if stacked else {1})
+            sizes += [n] if stacked else []
+        # each streak of fitted frames is stacked in full calls of chunk frames
+        # and one partial, so the cap is met at 2 (the longest streak is 9)
+        streaks = [len(list(g)) for fitted, g in
+                   itertools.groupby(frames, lambda f: f.first_rows is None) if fitted]
+        assert sizes == [min(chunk, k - j) for k in streaks for j in range(0, k, chunk)]
+        assert max(sizes) <= chunk and (chunk in sizes) == (chunk <= max(streaks))
         with open(out / "labels.csv", newline="") as fh:
             assert list(csv.reader(fh)) == _per_frame_labels(out, frames)
         assert len(sessions) == 1
         assert all(c["ok"] for c in sessions[0].conservation().values())
 
     def test_runs_read_their_rows_from_the_tracks(self, workdir, monkeypatch):
-        # a run of several frames classifies each sensor's rows as one view of
-        # its track, from the first frame's first row to the last frame's end:
-        # no frame's rows are copied or joined before normalize_inputs
+        # a run of exact frames, overlapping (250 ms steps) or adjacent
+        # (1000 ms), classifies each sensor's rows as one view of its track,
+        # from the first frame's first row to the last frame's end: no
+        # frame's rows are copied or joined before normalize_inputs
         tmp, cfg, out = workdir
-        Path(cfg).write_text(json.dumps(dict(CFG, out=str(out), step_ms=250)))
         for stage in ("gen-data", "train", "quantize"):
             assert _run(stage, "--config", cfg) == 0
-        raws = []
+        for step in (250, 1000):
+            Path(cfg).write_text(json.dumps(dict(CFG, out=str(out), step_ms=step)))
+            raws = []
 
-        def recorded_normalize(X, stats):
-            raws.append(X)
-            return normalize_inputs(X, stats)
+            def recorded_normalize(X, stats):
+                raws.append(X)
+                return normalize_inputs(X, stats)
 
-        monkeypatch.setattr("edgehar.model.normalize_inputs", recorded_normalize)
-        frames, sessions, calls = _recorded_simulate(monkeypatch, cfg)
-        assert len(raws) == len(calls)
-        tracks = {s.spec.name: s.v_track for s in sessions[0].sources}
-        runs, i = 0, 0
-        for X, (lead, n) in zip(raws, calls):
-            run, i = frames[i:i + n], i + n
-            if lead != {1} or n == 1:  # a stack of frames with no shared rows
-                continue
-            runs += 1
-            for name, track in tracks.items():
-                want = track[run[0].first_rows[name]:
-                             run[-1].first_rows[name] + len(run[-1].tensors[name])]
-                assert X[name].shape == (1, *want.shape)
-                assert X[name].tobytes() == want.tobytes()
-                assert np.shares_memory(X[name], track), name
-        assert runs > 0 and i == len(frames)
+            with monkeypatch.context() as m:
+                m.setattr("edgehar.model.normalize_inputs", recorded_normalize)
+                frames, sessions, calls = _recorded_simulate(m, cfg)
+            assert len(raws) == len(calls)
+            assert all(f.first_rows is not None for f in frames)
+            tracks = {s.spec.name: s.v_track for s in sessions[0].sources}
+            i = 0
+            for X, (lead, n) in zip(raws, calls):
+                run, i = frames[i:i + n], i + n
+                assert lead == {1}, step
+                for name, track in tracks.items():
+                    want = track[run[0].first_rows[name]:
+                                 run[-1].first_rows[name] + len(run[-1].tensors[name])]
+                    assert X[name].shape == (1, *want.shape)
+                    assert X[name].tobytes() == want.tobytes()
+                    assert np.shares_memory(X[name], track), name
+            assert any(n > 1 for _, n in calls) and i == len(frames)
 
-    def test_stream_workload_runs(self, tmp_path, monkeypatch):
-        # the benchmark's stream workload: 1,191 frames, 1 s windows, 100 ms steps
-        doc = json.loads((ROOT / "perfbench" / "workloads" / "stream.json").read_text())
-        cfg = tmp_path / "stream.json"
+    @staticmethod
+    def _workload_simulate(tmp_path, monkeypatch, name):
+        """simulate on the benchmark's workload name, recorded (see
+        _recorded_simulate)."""
+        doc = json.loads((ROOT / "perfbench" / "workloads" / f"{name}.json").read_text())
+        cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(dict(doc, out=str(tmp_path / "out"))))
         for stage in ("gen-data", "train", "quantize"):
             assert _run(stage, "--config", str(cfg)) == 0
-        frames, sessions, calls = _recorded_simulate(monkeypatch, str(cfg))
+        return _recorded_simulate(monkeypatch, str(cfg))
+
+    def test_smoke_workload_runs(self, tmp_path, monkeypatch):
+        # the benchmark's smoke workload: 10 adjacent frames (step = window),
+        # one run over their rows
+        frames, sessions, calls = self._workload_simulate(tmp_path, monkeypatch, "smoke")
+        assert calls == [({1}, 10)] and len(frames) == 10
+        assert all(f.first_rows is not None for f in frames)
+
+    def test_stream_workload_runs(self, tmp_path, monkeypatch):
+        # the benchmark's stream workload: 1,191 frames, 1 s windows, 100 ms steps
+        frames, sessions, calls = self._workload_simulate(tmp_path, monkeypatch, "stream")
         assert len(frames) == 1191
         assert all(f.first_rows is not None for f in frames)
         assert sum(n for _, n in calls) == 1191 and all(lead == {1} for lead, _ in calls)
@@ -632,7 +686,7 @@ class TestSimulateChunks:
 
         def run():
             tracks = {n: v for n, (_, v) in rec.tracks.items()}
-            ends, X, windows = next(cli._sim_calls(cli._runs(stream(), limits), tracks))
+            ends, X, windows = next(cli._sim_calls(stream(), tracks, limits))
             assert len(ends) == frames
             assert {n: x.shape[:2] for n, x in X.items()} == {n: (1, r) for n, r in rows.items()}
             return normalize_inputs(X, stats), windows, ends, X

@@ -527,6 +527,19 @@ class TestWindowedForward:
         with pytest.raises(ValueError, match="^branch 'tof' cannot share rows"):
             _q_forward(qm, qX, windows)
 
+    @pytest.mark.parametrize("firsts", [[0], [0, 2]], ids=["one_broadcast", "two_short"])
+    def test_first_rows_match_lead(self, rng, firsts):
+        # each branch names one first row per frame: one entry must not
+        # broadcast to every frame, nor two fail deep inside numpy
+        sensors = [CATALOG["tof"], CATALOG["magnetic"]]
+        spec = feature_fusion_spec(sensors, filters=2, kernel=3, hidden=4, classes=3)
+        qm, _ = random_qmodel(rng, 6, spec, {"tof": 8, "magnetic": 8})
+        qX, (lead, first) = _union_frames(rng, qm, 6, {"tof": [[0, 2, 4]],
+                                                       "magnetic": [[0, 2, 4]]})
+        msg = f"branch 'magnetic': {len(firsts)} first rows for 3 frames"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            _q_forward(qm, qX, (lead, dict(first, magnetic=firsts)))
+
 
 class TestCycleModel:
     def test_hand_counted_layer(self):
