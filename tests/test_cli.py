@@ -706,6 +706,79 @@ class TestSimulateChunks:
         assert all(r <= c for r, c in zip(peaks[1], peaks[0])), peaks
 
 
+class TestSimulateMatchesOracle:
+    """simulate's labels.csv is oracles.DequeStream's per-sample framing of
+    the same tracks, each frame labelled by oracles.qinfer, over drawn
+    sensors, windows, steps and chunk caps. Its calls hold runs of exact
+    frames and stacks of fitted ones, each within its cap."""
+
+    # windows of most lengths hold no whole number of 7.5, 12.4 or 12.6 Hz
+    # samples, so frames underfill or overfill; 100/3 Hz stamps are not a
+    # whole number of nanoseconds apart
+    RATES = [7.5, 12.4, 12.6, 20, 100 / 3]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_labels_and_calls_match_the_oracle(self, data):
+        sensors = [{"name": f"s{i}", "channels": data.draw(st.integers(1, 3)),
+                    "rate_hz": data.draw(st.sampled_from(self.RATES))}
+                   for i in range(data.draw(st.integers(1, 3)))]
+        if data.draw(st.booleans()):
+            sensors.append({"name": "grid", "channels": 20, "conv_dim": 2, "grid": [4, 5],
+                            "rate_hz": data.draw(st.sampled_from([8, 12.4]))})
+        window_ms = data.draw(st.integers(700, 1500))
+        step_ms = data.draw(st.integers(window_ms // 6, window_ms))
+        chunk = data.draw(st.integers(1, 16))
+        doc = dict(CFG, sensors=sensors, classes=2, n_per_class=3, n_per_class_test=1,
+                   window_ms=window_ms, step_ms=step_ms, bits=[8], keep=1, calib_frames=6,
+                   model={"filters": 3, "kernel": 2, "hidden": 6},
+                   train=dict(CFG["train"], epochs=2), sim={"n_segments": 3, "segment_ms": 1500})
+        parsed = parse_config(doc)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+            out, cfg = Path(tmp) / "run", Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(dict(doc, out=str(out))))
+            for stage in ("gen-data", "train", "quantize"):
+                assert _run(stage, "--config", str(cfg)) == 0
+            m.setattr(cli, "SIM_CHUNK_FRAMES", chunk)
+            runs, batch = [], engine.qinfer_batch
+
+            def kind_recorded(qm, X, windows=None):
+                runs.append(windows is not None)
+                return batch(qm, X, windows)
+
+            m.setattr(engine, "qinfer_batch", kind_recorded)
+            _, sessions, calls = _recorded_simulate(m, str(cfg))
+            with open(out / "labels.csv", newline="") as fh:
+                labels = list(csv.reader(fh))
+            qm, _ = quantize.load_qmodel(out / "qmodel_n8.json")
+            stats = {k: tuple(v) for k, v in load_model(out / "model.json")[2]["norm_stats"].items()}
+
+        rows = parsed.rows
+        tracks = {s.spec.name: (s.t_track, s.v_track, s.duration_ns) for s in sessions[0].sources}
+        ref = oracles.DequeStream(tracks, rows,
+                                  {n: daq.FIFO_WINDOWS * r for n, r in rows.items()})
+        want = [["t_ns", "class"]]
+        for tensors, _, b in ref.frames(parsed.window.window_ns, parsed.window.step_ns):
+            qframe = engine.quantize_frame(normalize_inputs(tensors, stats), qm.n_bits)
+            want.append([str(b), str(oracles.qinfer(qm, qframe)[1])])
+        assert labels == want
+
+        limits = {b.name: engine._run_rows(qm.spec, b, rows[b.name], chunk)
+                  for b in qm.spec.branches}
+        i = 0
+        for run, (_, n) in zip(runs, calls, strict=True):
+            held, i = ref.first_rows[i:i + n], i + n
+            if run:
+                assert None not in held
+                assert all(held[-1][s] + rows[s] - held[0][s] <= limits[s] for s in rows)
+            else:
+                assert held == [None] * n and n <= chunk
+        assert i == len(ref.first_rows)
+        event(f"calls: {'runs' if any(runs) else 'no run'}, "
+              f"{'stacks' if not all(runs) else 'no stack'}")
+        event(f"{'a' if 'grid' in rows else 'no'} grid sensor")
+
+
 class TestDeterminism:
     @staticmethod
     def _digest(out: Path) -> dict:
