@@ -8,10 +8,12 @@ start-sync begins every source at the same t = 0 origin; samples flow through
 bounded data-level FIFOs into a stream controller that emits sliding-window
 frames with each sensor's native-rate rows. A FIFO copies no sample: it holds
 index ranges into its source's track, and a window's rows are slices of it.
-A frame whose every window is one such slice of exactly its rows records
-the slices' first track indices, so that frames sharing samples can be told
-apart from ones that do not. Overflow and underfill are explicit, counted
-events; no sample is ever silently dropped.
+A stream searches each track once, for the index every frame end pushes it
+to and the index every frame start cuts it at, so that each frame moves its
+FIFOs by integer index alone. A frame whose every window is one such slice
+of exactly its rows records the slices' first track indices, so that frames
+sharing samples can be told apart from ones that do not. Overflow and
+underfill are explicit, counted events; no sample is ever silently dropped.
 
 Also hosts the synthetic labeled-activity generator that stands in for a
 real multi-sensor recording rig, and the built-in sensor catalog.
@@ -160,9 +162,10 @@ TABLE_SENSORS: list[SensorSpec] = [
 class SensorFifo:
     """Bounded FIFO of one source's samples, held as ascending (lo, hi) index
     ranges into its t_track/v_track: usually one, with a gap where samples
-    overflowed. Conservation: produced == consumed + occupancy + overflowed.
-    cut is the track index found by the last drop_older_than, where the next
-    window starts, so that no window boundary is searched twice.
+    overflowed. Samples enter and leave by track index: produced is the index
+    of the next sample to push, and cut, set by the last drop_before, is where
+    the next window starts. occupancy counts the samples held, kept by push
+    and drop. Conservation: produced == consumed + occupancy + overflowed.
 
     A FIFO built without a depth is unbounded until stream_frames sizes it
     for the window it drains.
@@ -180,36 +183,43 @@ class SensorFifo:
         self.cut = 0
         self.produced = 0
         self.consumed = 0
+        self.occupancy = 0
         self.overflowed = 0
 
-    @property
-    def occupancy(self) -> int:
-        return sum(hi - lo for lo, hi in self.ranges)
-
-    def push_range(self, lo: int, hi: int) -> None:
-        """Push track samples lo..hi-1 in order: the FIFO takes as many as it
-        has room for, and the rest overflow."""
-        n = hi - lo
+    def push_until(self, hi: int) -> None:
+        """Push track samples produced..hi-1 in order: the FIFO takes as many
+        as it has room for, and the rest overflow."""
+        lo, n = self.produced, hi - self.produced
+        if n <= 0:
+            return
         take = n if self.depth is None else max(0, min(n, self.depth - self.occupancy))
-        self.produced += n
+        self.produced = hi
         self.overflowed += n - take
+        self.occupancy += take
         if take and self.ranges and self.ranges[-1][1] == lo:
             self.ranges[-1] = (self.ranges[-1][0], lo + take)
         elif take:
             self.ranges.append((lo, lo + take))
 
-    def drop_older_than(self, t_ns: int) -> None:
-        """Drop the samples stamped before t_ns; windows start at t_ns from now on."""
-        self.cut, held = int(self.t_track.searchsorted(t_ns)), self.occupancy
-        self.ranges = [(max(lo, self.cut), hi) for lo, hi in self.ranges if hi > self.cut]
-        self.consumed += held - self.occupancy
+    def drop_before(self, cut: int) -> None:
+        """Drop the samples of track index below cut; windows start at cut
+        from now on."""
+        self.cut, ranges = cut, self.ranges
+        while ranges and ranges[0][0] < cut:
+            lo, hi = ranges[0]
+            if hi > cut:
+                ranges[0] = (cut, hi)
+            else:
+                del ranges[0]
+            gone = min(hi, cut) - lo
+            self.consumed += gone
+            self.occupancy -= gone
 
     def window(self) -> tuple[np.ndarray, int | None]:
-        """Values of the buffered samples stamped at or after the last cut, in
-        order, and the track index of the first when they are one slice of
-        the track (None across an overflow gap). After a run_until(b) these
-        are the window [cut, b): every sample stamped before b has been
-        pushed, and none after it."""
+        """Values of the buffered samples from track index cut on, in order,
+        and the track index of the first when they are one slice of the track
+        (None across an overflow gap). Once every sample stamped before b has
+        been pushed, and none after it, these are the window [cut, b)."""
         parts = [(max(lo, self.cut), hi) for lo, hi in self.ranges if hi > self.cut]
         if len(parts) == 1:
             return self.v_track[parts[0][0]:parts[0][1]], parts[0][0]
@@ -263,13 +273,10 @@ class Session:
         }
 
     def run_until(self, t_ns: int) -> None:
-        """Push every sample stamped before t_ns and its source's end, as one
-        range per source: a FIFO's produced count indexes its next sample."""
+        """Push every sample stamped before t_ns and its source's end."""
         for src in self.sources:
-            fifo = self.fifos[src.spec.name]
-            hi = int(src.t_track.searchsorted(min(t_ns, src.duration_ns)))
-            if hi > fifo.produced:
-                fifo.push_range(fifo.produced, hi)
+            self.fifos[src.spec.name].push_until(
+                int(src.t_track.searchsorted(min(t_ns, src.duration_ns))))
 
     @property
     def duration_ns(self) -> int:
@@ -365,39 +372,48 @@ def _fit_rows(name, rows, want, t_emit, session):
 def stream_frames(session: Session, cfg: WindowConfig):
     """Yield one Frame per step once every sensor's window is full.
 
-    Frame k covers [k*step, k*step + window) and is emitted at virtual time
-    k*step + window. Tensors hold raw (un-normalized) sensor values. A
-    frame's first_rows give, per sensor, the track index of its first row
-    when every tensor is exactly its track's next rows samples, and are None
-    after an overfill trim, an underfill hold or an overflow gap. Each FIFO
-    without an explicit depth is sized to FIFO_WINDOWS windows of its
-    sensor's rows.
+    Frame k covers [a_k, b_k) = [k*step, k*step + window) and is emitted at
+    virtual time b_k, the last when b_k reaches the session's duration.
+    Tensors hold raw (un-normalized) sensor values. A frame's first_rows give,
+    per sensor, the track index of its first row when every tensor is exactly
+    its track's next rows samples, and are None after an overfill trim, an
+    underfill hold or an overflow gap. Each FIFO without an explicit depth is
+    sized to FIFO_WINDOWS windows of its sensor's rows.
+
+    Each track is searched once per stream, not once per frame: one
+    searchsorted over every frame end min(b_k, the source's end) gives the
+    index each FIFO is pushed to before frame k, and one over every frame
+    start a_0 .. a_n the index it is cut at. Each frame then pushes every
+    FIFO, takes its windows and cuts it, in integer index arithmetic.
     """
     from .model import Frame
 
-    rows = {s.spec.name: cfg.timesteps(s.spec.rate) for s in session.sources}
-    for name, fifo in session.fifos.items():
+    step_ns, window_ns = cfg.step_ns, cfg.window_ns
+    n = max(0, (session.duration_ns - window_ns) // step_ns + 1)
+    starts = np.arange(n + 1, dtype=np.int64) * step_ns
+    fifos = []  # (fifo, rows, push index per frame, cut index per frame start)
+    for src in session.sources:
+        fifo, rows = session.fifos[src.spec.name], cfg.timesteps(src.spec.rate)
         if fifo.depth is None:
-            fifo.depth = FIFO_WINDOWS * rows[name]
-        fifo.drop_older_than(0)  # frame 0's window starts at 0
-    step_ns, window_ns, end_ns = cfg.step_ns, cfg.window_ns, session.duration_ns
-    k = 0
-    while True:
+            fifo.depth = FIFO_WINDOWS * rows
+        push = src.t_track.searchsorted(np.minimum(starts[:n] + window_ns, src.duration_ns))
+        cut = src.t_track.searchsorted(starts).tolist()
+        fifo.drop_before(cut[0])  # frame 0's window starts at 0
+        fifos.append((fifo, rows, push.tolist(), cut))
+    for k in range(n):
         a = k * step_ns
         b = a + window_ns
-        if b > end_ns:
-            return
-        session.run_until(b)
+        for fifo, _, push, _ in fifos:
+            fifo.push_until(push[k])
         tensors, first = {}, {}
-        for name, fifo in session.fifos.items():
-            x, first[name] = fifo.window()
-            tensors[name] = _fit_rows(name, x, rows[name], b, session)
-            if len(x) != rows[name]:
-                first[name] = None
+        for fifo, rows, _, _ in fifos:
+            x, first[fifo.name] = fifo.window()
+            tensors[fifo.name] = _fit_rows(fifo.name, x, rows, b, session)
+            if len(x) != rows:
+                first[fifo.name] = None
         yield Frame(tensors, a, b, None if None in first.values() else first)
-        k += 1
-        for fifo in session.fifos.values():
-            fifo.drop_older_than(k * step_ns)
+        for fifo, _, _, cut in fifos:
+            fifo.drop_before(cut[k + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +548,13 @@ def gen_timeline(
     for j, s in enumerate(specs):
         t = sample_time_ns(np.arange(count_until(total_ns, s.rate)), s.rate)
         t_s = t / NS
+        edges = t.searchsorted(np.arange(len(class_seq) + 1) * seg_ns).tolist()
         v = np.empty((t.size, s.channels))
         for si, cls in enumerate(class_seq):
-            m = (t >= si * seg_ns) & (t < (si + 1) * seg_ns)
-            v[m] = _class_pattern(s, cls, classes, t_s[m] - si * float(segment_s), j)
+            lo, hi = edges[si], edges[si + 1]  # the rows stamped in segment si
+            v[lo:hi] = _class_pattern(s, cls, classes, t_s[lo:hi] - si * float(segment_s), j)
         if noise_level:
-            v = v + noise_level * rng.standard_normal(v.shape)
+            v += noise_level * rng.standard_normal(v.shape)
         tracks[s.name] = (t, v)
     spans = [(i * seg_ns, (i + 1) * seg_ns, c) for i, c in enumerate(class_seq)]
     return Recording(tracks, total_ns), spans

@@ -14,6 +14,7 @@ from edgehar.daq import (
     SensorSpec,
     Source,
     WindowConfig,
+    _class_pattern,
     bundle_arrays,
     gen_dataset,
     gen_timeline,
@@ -25,6 +26,7 @@ from edgehar.daq import (
     start_sync,
     stream_frames,
 )
+from edgehar.seeding import substream
 
 import oracles
 
@@ -280,6 +282,70 @@ class TestRangeFifoMatchesDeque:
         assert sess.overfill_events == ref.overfill_events == []
         assert sess.conservation() == ref.conservation()
 
+
+class TestBoundaryIndices:
+    """stream_frames finds each track's push and cut indices once per stream;
+    at the edges of that search it frames exactly as oracles.DequeStream."""
+
+    @staticmethod
+    def _framed(sources, cfg):
+        """The frames of sources, checked bit for bit against the oracle's
+        frames, first rows, events and counters; and the session."""
+        sess = start_sync(sources)
+        frames, err = _drain(stream_frames(sess, cfg))
+        rows = {s.spec.name: cfg.timesteps(s.spec.rate) for s in sources}
+        ref = oracles.DequeStream(
+            {s.spec.name: (s.t_track, s.v_track, s.duration_ns) for s in sources}, rows,
+            {n: FIFO_WINDOWS * r for n, r in rows.items()})
+        ref_frames, ref_err = _drain(ref.frames(cfg.window_ns, cfg.step_ns))
+        assert err == ref_err is None and len(frames) == len(ref_frames)
+        for f, (tensors, a, b) in zip(frames, ref_frames):
+            assert (f.t_start_ns, f.t_end_ns) == (a, b)
+            assert {n: x.tobytes() for n, x in f.tensors.items()} == \
+                {n: x.tobytes() for n, x in tensors.items()}
+        assert [f.first_rows for f in frames] == ref.first_rows
+        assert sess.underfill_events == ref.underfill_events
+        assert sess.overfill_events == ref.overfill_events
+        assert sess.conservation() == ref.conservation()
+        assert all(c["ok"] for c in sess.conservation().values())
+        return frames, sess
+
+    def test_stream_shorter_than_a_window_yields_no_frame(self):
+        sources = [_ramp_source(SensorSpec("a", 2, 20), Fraction(9, 10)),
+                   _ramp_source(SensorSpec("b", 1, 100 / 3), 2)]
+        frames, sess = self._framed(sources, WindowConfig(1, Fraction(1, 4)))
+        assert frames == [] and sess.duration_ns == 9 * NS // 10
+        assert all(c["produced"] == 0 for c in sess.conservation().values())
+
+    def test_frame_ending_at_the_duration_is_emitted(self):
+        # the session ends at 3 s, where the last frame ends; "late" has a
+        # sample stamped at its 3 s end, which is never pushed, and "long"
+        # samples past the session's end, which are not pushed either
+        late = SensorSpec("late", 1, 10)
+        t = np.append(_stamps(late, 3), 3 * NS)
+        sources = [Source(late, t, np.arange(t.size, dtype=float)[:, None], 3),
+                   _ramp_source(SensorSpec("long", 2, 20), 4)]
+        frames, sess = self._framed(sources, WindowConfig(1, Fraction(1, 2)))
+        assert [f.t_end_ns for f in frames] == [NS * k // 2 for k in range(2, 7)]
+        assert frames[-1].t_end_ns == sess.duration_ns == 3 * NS
+        assert frames[-1].first_rows == {"late": 20, "long": 40}
+        assert (sess.fifos["late"].produced, sess.fifos["long"].produced) == (30, 60)
+
+    def test_repeated_stamps_on_frame_bounds(self):
+        # one more sample stamped at 0.5 s, frame 1's start, and one at 1 s,
+        # frame 0's end and frame 2's start: a sample lies in every window
+        # [a, b) that holds its stamp, and each overfilled window keeps its
+        # latest 10 rows
+        spec = SensorSpec("r", 1, 10)
+        t = np.sort(np.concatenate([_stamps(spec, 4), [NS // 2, NS]]))
+        sources = [Source(spec, t, np.arange(t.size, dtype=float)[:, None], 4)]
+        frames, sess = self._framed(sources, WindowConfig(1, Fraction(1, 2)))
+        assert [f.tensors["r"][:, 0].tolist() for f in frames[:4]] == \
+            [list(range(1, 11)), list(range(7, 17)), list(range(12, 22)), list(range(17, 27))]
+        assert [f.first_rows for f in frames[:4]] == [None, None, None, {"r": 17}]
+        assert sess.overfill_events == [("r", NS), ("r", 3 * NS // 2), ("r", 2 * NS)]
+
+
 class TestFirstRows:
     """A frame's first_rows index each tensor's first row in its sensor's
     track when every tensor is exactly its track's next rows samples."""
@@ -406,6 +472,24 @@ class TestTimeline:
         srcs = recording_sources(rec, sensors)
         frames = list(stream_frames(start_sync(srcs), WindowConfig(1, 1)))
         assert len(frames) == 3
+
+    def test_segment_rows_match_the_mask_rule(self):
+        # each segment's rows are those stamped in [start, end): a 20 Hz stamp
+        # lands exactly on every 2 s edge, and 100/3 Hz stamps are not a whole
+        # number of nanoseconds apart
+        specs = [SensorSpec("u", 2, 20), SensorSpec("w", 3, 100 / 3)]
+        seq, seg_ns = [0, 2, 1, 0], 2 * NS
+        rec, _ = gen_timeline(specs, seq, 2, noise_level=0.1, seed=4, classes=3)
+        rng = substream(4, "timeline")
+        assert {2 * NS, 4 * NS, 6 * NS} <= set(rec.tracks["u"][0].tolist())
+        for j, s in enumerate(specs):
+            t = rec.tracks[s.name][0]
+            v = np.empty((t.size, s.channels))
+            for si, cls in enumerate(seq):
+                m = (t >= si * seg_ns) & (t < (si + 1) * seg_ns)
+                v[m] = _class_pattern(s, cls, 3, (t / NS)[m] - si * 2.0, j)
+            v = v + 0.1 * rng.standard_normal(v.shape)
+            assert rec.tracks[s.name][1].tobytes() == v.tobytes(), s.name
 
 
 class TestRowsRule:
