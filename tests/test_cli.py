@@ -751,7 +751,8 @@ class TestSimulateMatchesOracle:
             with open(out / "labels.csv", newline="") as fh:
                 labels = list(csv.reader(fh))
             qm, _ = quantize.load_qmodel(out / "qmodel_n8.json")
-            stats = {k: tuple(v) for k, v in load_model(out / "model.json")[2]["norm_stats"].items()}
+            norm = load_model(out / "model.json")[2]["norm_stats"]
+        stats = {k: tuple(v) for k, v in norm.items()}
 
         rows = parsed.rows
         tracks = {s.spec.name: (s.t_track, s.v_track, s.duration_ns) for s in sessions[0].sources}
@@ -777,6 +778,71 @@ class TestSimulateMatchesOracle:
         event(f"calls: {'runs' if any(runs) else 'no run'}, "
               f"{'stacks' if not all(runs) else 'no stack'}")
         event(f"{'a' if 'grid' in rows else 'no'} grid sensor")
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_sim_calls_match_the_oracle_with_overflow(self, data, seed):
+        # no config sets a FIFO depth, so overflow is drawn on a Session:
+        # frames that span an overflow gap are fitted, and stacked from
+        # their own tensors like trimmed and held ones
+        window_ms = data.draw(st.integers(700, 1500))
+        cfg = daq.WindowConfig(Fraction(window_ms, 1000),
+                               Fraction(data.draw(st.integers(window_ms // 6, window_ms)), 1000))
+        chunk = data.draw(st.integers(1, 16))
+        rng = np.random.default_rng(seed)
+        sensors, sources, tracks, depth = [], [], {}, {}
+        for i in range(data.draw(st.integers(1, 3))):
+            s = daq.SensorSpec(f"s{i}", data.draw(st.integers(1, 3)),
+                               data.draw(st.sampled_from(self.RATES)))
+            t = daq.sample_time_ns(np.arange(daq.count_until(6 * NS, s.rate)), s.rate)
+            if data.draw(st.booleans()):  # jittered: repeated stamps and gaps
+                t = np.sort(rng.integers(0, 6 * NS, t.size))
+            v = rng.standard_normal((t.size, s.channels))
+            r = cfg.timesteps(s.rate)
+            depth[s.name] = data.draw(st.integers(r, daq.FIFO_WINDOWS * r))
+            sensors.append(s)
+            sources.append(daq.Source(s, t, v, 6))
+            tracks[s.name] = (t, v, 6 * NS)
+        spec = feature_fusion_spec(sensors, filters=3, kernel=2, hidden=4, classes=2)
+        rows = {s.name: cfg.timesteps(s.rate) for s in sensors}
+        limits = {b.name: engine._run_rows(spec, b, rows[b.name], chunk) for b in spec.branches}
+        ref = oracles.DequeStream(tracks, rows, depth)
+        ref_frames, ref_err = [], None
+        try:
+            ref_frames.extend(ref.frames(cfg.window_ns, cfg.step_ns))
+        except RuntimeError as ex:  # a window the overflow left empty
+            ref_err = str(ex)
+        session = daq.start_sync(sources, depth)
+        values = {n: v for n, (_, v, _) in tracks.items()}
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "SIM_CHUNK_FRAMES", chunk)
+            calls = cli._sim_calls(daq.stream_frames(session, cfg), values, limits)
+            if ref_err:
+                with pytest.raises(RuntimeError, match=re.escape(ref_err)):
+                    list(calls)
+                return
+            calls = list(calls)
+        i = 0
+        for ends, X, windows in calls:
+            n = len(ends)
+            held, first, i = ref_frames[i:i + n], ref.first_rows[i:i + n], i + n
+            assert ends == [b for _, _, b in held]
+            if windows is None:
+                assert first == [None] * n and n <= chunk
+                for name, x in X.items():
+                    assert x.tobytes() == np.stack([f[name] for f, _, _ in held]).tobytes()
+            else:
+                assert None not in first
+                assert windows == ([0] * n, {s: [f[s] - first[0][s] for f in first] for s in rows})
+                for name, x in X.items():
+                    span = first[-1][name] + rows[name] - first[0][name]
+                    assert span <= limits[name]
+                    assert x.tobytes() == values[name][first[0][name]:][:span].tobytes()
+        assert i == len(ref_frames)
+        assert session.conservation() == ref.conservation()
+        overflowed = any(c["overflowed"] for c in ref.conservation().values())
+        event(f"{'overflow' if overflowed else 'no overflow'}, "
+              f"{'stacks' if any(w is None for _, _, w in calls) else 'no stack'}")
 
 
 class TestDeterminism:
