@@ -13,18 +13,19 @@ starts. infer --qmodel and simulate take a qmodel only when it quantizes the
 
 simulate classifies the stream's frames through qinfer_batch and writes the
 labels in frame order, grouping them in one pass (_sim_calls). Consecutive
-exact frames, whose rows are exactly their sensor tracks' rows, overlap or
-abut, and form a run: its union of rows is read from the tracks as a view,
-normalized into one copy and convolved once, and each frame reads its
-features from its own window of the conv outputs (see engine._q_forward).
-A run spans at most SIM_CHUNK_FRAMES windows of rows, and a 1D sensor's run
-no more rows than one im2col block holds (engine._run_rows), so it holds no
-more than a chunk of that many frames. Frames the DAQ fitted (a window it
-trimmed, held or split around an overflow) are stacked SIM_CHUNK_FRAMES to
-a call, one lead row each. Grouping cannot change a label: a label never
-feeds back into acquisition, the DAQ's virtual time does not read the wall
-clock, and the integer path is exact, so a frame's logits do not depend on
-the frames classified with it.
+exact frames, whose tensors are read-only views of exactly their sensor
+tracks' rows, overlap or abut, and form a run: its union of rows is read
+from the tracks as a view, normalized into one copy and convolved once, and
+each frame reads its features from its own window of the conv outputs (see
+engine._q_forward). A run spans at most SIM_CHUNK_FRAMES windows of rows,
+and a 1D sensor's run no more rows than one im2col block holds
+(engine._run_rows), so it holds no more than a chunk of that many frames;
+how far each sensor's first row may reach is found once per run. Frames the
+DAQ fitted (a window it trimmed, held or split around an overflow) own their
+tensors, and are stacked SIM_CHUNK_FRAMES to a call, one lead row each.
+Grouping cannot change a label: a label never feeds back into acquisition,
+the DAQ's virtual time does not read the wall clock, and the integer path is
+exact, so a frame's logits do not depend on the frames classified with it.
 
 The whole config is checked at load, before any stage runs: an unknown key,
 a bad type or range, or a config that cannot run exits 2 naming the key and
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -409,32 +411,35 @@ def _sim_calls(frames, tracks: dict[str, np.ndarray], limits: dict[str, int]):
     over simulate's frames, made in one pass over them in frame order.
     Consecutive exact frames (first_rows set), which abut or overlap since
     WindowConfig keeps step <= window, form a run while each sensor's span
-    from the run's first row stays within limits[sensor]: its lead row is a
-    view of the value rows the DAQ replays, tracks[sensor], over the span,
-    with a window per frame at its offset. Fitted frames are stacked,
+    from the run's first row stays within limits[sensor]. That bounds each
+    sensor's first row, the run's reach, found once per run. A run's lead row
+    is a view of the value rows the DAQ replays, tracks[sensor], over the
+    span, with a window per frame at its offset. Fitted frames are stacked,
     SIM_CHUNK_FRAMES at most, one lead row each of their own tensors."""
     ends, held = [], []  # the open call's end stamps, and its first rows or tensors
-    start = stop = None  # the open run's first and end rows per sensor; None for a stack
+    start = None  # the open run's first rows per sensor; None for a stack
+    rows = reach = None  # the open run's rows per window and reach, per sensor
 
     def call():
         if start is None:
             return ends, {n: np.stack([x[n] for x in held]) for n in held[0]}, None
-        return ends, {n: tracks[n][start[n]:stop[n]][None] for n in start}, (
+        return ends, {n: tracks[n][start[n]:held[-1][n] + rows[n]][None] for n in start}, (
             [0] * len(ends), {n: [f[n] - start[n] for f in held] for n in start})
 
     for f in frames:
         first = f.first_rows
-        end = None if first is None else {n: first[n] + len(x) for n, x in f.tensors.items()}
-        joins = (start is None and len(ends) < SIM_CHUNK_FRAMES if end is None else
-                 start is not None and all(end[n] - start[n] <= limits[n] for n in end))
+        joins = (start is None and len(ends) < SIM_CHUNK_FRAMES if first is None else
+                 start is not None and all(map(operator.le, first.values(), reach)))
         if ends and not joins:
             yield call()
             ends, held = [], []
         if not ends:
             start = first
+            if first is not None:
+                rows = {n: len(x) for n, x in f.tensors.items()}
+                reach = [first[n] + limits[n] - rows[n] for n in first]
         ends.append(f.t_end_ns)
         held.append(f.tensors if first is None else first)
-        stop = end
     if ends:
         yield call()
 

@@ -11,9 +11,11 @@ index ranges into its source's track, and a window's rows are slices of it.
 A stream searches each track once, for the index every frame end pushes it
 to and the index every frame start cuts it at, so that each frame moves its
 FIFOs by integer index alone. A frame whose every window is one such slice
-of exactly its rows records the slices' first track indices, so that frames
-sharing samples can be told apart from ones that do not. Overflow and
-underfill are explicit, counted events; no sample is ever silently dropped.
+of exactly its rows is exact: its tensors are those slices, read-only views
+of the tracks, and it records their first track indices, so that frames
+sharing samples can be told apart from ones that do not. Every other frame
+is fitted, and owns copies of its rows. Overflow and underfill are explicit,
+counted events; no sample is ever silently dropped.
 
 Also hosts the synthetic labeled-activity generator that stands in for a
 real multi-sensor recording rig, and the built-in sensor catalog.
@@ -217,13 +219,16 @@ class SensorFifo:
 
     def window(self) -> tuple[np.ndarray, int | None]:
         """Values of the buffered samples from track index cut on, in order,
-        and the track index of the first when they are one slice of the track
-        (None across an overflow gap). Once every sample stamped before b has
-        been pushed, and none after it, these are the window [cut, b)."""
-        parts = [(max(lo, self.cut), hi) for lo, hi in self.ranges if hi > self.cut]
-        if len(parts) == 1:
-            return self.v_track[parts[0][0]:parts[0][1]], parts[0][0]
-        return np.concatenate([self.v_track[:0], *(self.v_track[a:b] for a, b in parts)]), None
+        and the track index of the first when they are one slice of the track:
+        a view of v_track. Across an overflow gap they are a new array, and
+        the index is None. Once every sample stamped before b has been pushed,
+        and none after it, these are the window [cut, b)."""
+        ranges, cut = self.ranges, self.cut
+        if len(ranges) == 1 and ranges[0][1] > cut:
+            lo = max(ranges[0][0], cut)
+            return self.v_track[lo:ranges[0][1]], lo
+        return np.concatenate([self.v_track[:0],
+                               *(self.v_track[max(lo, cut):hi] for lo, hi in ranges)]), None
 
     def conservation_ok(self) -> bool:
         return self.produced == self.consumed + self.occupancy + self.overflowed
@@ -232,12 +237,15 @@ class SensorFifo:
 class Source:
     """Replays one (timestamps, values) track: sample k is stamped t_ns[k],
     and the track ends at its last stamp before duration_s. The stamps must
-    never decrease, and there must be one value row per stamp."""
+    never decrease, and there must be one value row per stamp. v_track is a
+    read-only view of values, so that an exact frame's tensors, slices of
+    it, cannot be written; values itself stays writable."""
 
     def __init__(self, spec: SensorSpec, t_ns: np.ndarray, values: np.ndarray, duration_s):
         self.spec = spec
         self.t_track = np.asarray(t_ns)
-        self.v_track = np.asarray(values)
+        self.v_track = np.asarray(values).view()
+        self.v_track.flags.writeable = False
         if len(self.t_track) != len(self.v_track):
             raise ValueError(f"sensor {spec.name!r}: {len(self.t_track)} stamps but "
                              f"{len(self.v_track)} value rows")
@@ -355,8 +363,9 @@ class WindowConfig:
 
 
 def _fit_rows(name, rows, want, t_emit, session):
-    """A copy of a window's value rows, forced to exactly `want` rows: keep the
-    latest on overfill, hold the last on underfill. Both are logged events."""
+    """One tensor of a fitted frame: its window's rows as a new array forced to
+    exactly `want` rows, keeping the latest on overfill and holding the last
+    on underfill. Both are logged events."""
     n = len(rows)
     if n == want:
         return rows.copy()
@@ -374,17 +383,20 @@ def stream_frames(session: Session, cfg: WindowConfig):
 
     Frame k covers [a_k, b_k) = [k*step, k*step + window) and is emitted at
     virtual time b_k, the last when b_k reaches the session's duration.
-    Tensors hold raw (un-normalized) sensor values. A frame's first_rows give,
-    per sensor, the track index of its first row when every tensor is exactly
-    its track's next rows samples, and are None after an overfill trim, an
-    underfill hold or an overflow gap. Each FIFO without an explicit depth is
-    sized to FIFO_WINDOWS windows of its sensor's rows.
+    Tensors hold raw (un-normalized) sensor values. A frame is exact when
+    every window is one slice of exactly its track's next rows samples: its
+    tensors are those slices, read-only views of the tracks, and its
+    first_rows give each one's first track index. Any overfill trim,
+    underfill hold or overflow gap makes the frame fitted: every tensor is
+    then a new array (_fit_rows), and first_rows is None. Each FIFO without
+    an explicit depth is sized to FIFO_WINDOWS windows of its sensor's rows.
 
     Each track is searched once per stream, not once per frame: one
     searchsorted over every frame end min(b_k, the source's end) gives the
     index each FIFO is pushed to before frame k, and one over every frame
     start a_0 .. a_n the index it is cut at. Each frame then pushes every
-    FIFO, takes its windows and cuts it, in integer index arithmetic.
+    FIFO before it takes any window, fits its windows if it is not exact, and
+    cuts every FIFO once it has been consumed, in integer index arithmetic.
     """
     from .model import Frame
 
@@ -405,13 +417,15 @@ def stream_frames(session: Session, cfg: WindowConfig):
         b = a + window_ns
         for fifo, _, push, _ in fifos:
             fifo.push_until(push[k])
-        tensors, first = {}, {}
+        tensors, first, exact = {}, {}, True
         for fifo, rows, _, _ in fifos:
-            x, first[fifo.name] = fifo.window()
-            tensors[fifo.name] = _fit_rows(fifo.name, x, rows, b, session)
-            if len(x) != rows:
-                first[fifo.name] = None
-        yield Frame(tensors, a, b, None if None in first.values() else first)
+            x, i = fifo.window()
+            tensors[fifo.name], first[fifo.name] = x, i
+            exact = exact and i is not None and len(x) == rows
+        if not exact:
+            tensors = {fifo.name: _fit_rows(fifo.name, tensors[fifo.name], rows, b, session)
+                       for fifo, rows, _, _ in fifos}
+        yield Frame(tensors, a, b, first if exact else None)
         for fifo, _, _, cut in fifos:
             fifo.drop_before(cut[k + 1])
 
@@ -536,7 +550,9 @@ def gen_timeline(
     classes: int | None = None,
 ) -> tuple[Recording, list[tuple[int, int, int]]]:
     """A long continuous recording cycling through class_seq, one segment per
-    entry. Returns the recording and (t_start_ns, t_end_ns, label) truth spans."""
+    entry. Returns the recording and (t_start_ns, t_end_ns, label) truth spans.
+    A row stamped in segment si takes its class's pattern at local time
+    t_s - si * segment_s, made by one _class_pattern call per sensor and class."""
     if not class_seq:
         raise ValueError("class_seq is empty")
     segment_s = _as_frac(segment_s)
@@ -547,12 +563,16 @@ def gen_timeline(
     tracks = {}
     for j, s in enumerate(specs):
         t = sample_time_ns(np.arange(count_until(total_ns, s.rate)), s.rate)
-        t_s = t / NS
-        edges = t.searchsorted(np.arange(len(class_seq) + 1) * seg_ns).tolist()
+        edges = t.searchsorted(np.arange(len(class_seq) + 1) * seg_ns)
+        seg = np.repeat(np.arange(len(class_seq)), np.diff(edges))  # each row's segment
+        local = t / NS - seg * float(segment_s)
+        row_cls = np.asarray(class_seq)[seg]
+        order = row_cls.argsort(kind="stable")  # the rows, grouped by class
+        bounds = [0, *np.bincount(row_cls, minlength=max(class_seq) + 1).cumsum().tolist()]
         v = np.empty((t.size, s.channels))
-        for si, cls in enumerate(class_seq):
-            lo, hi = edges[si], edges[si + 1]  # the rows stamped in segment si
-            v[lo:hi] = _class_pattern(s, cls, classes, t_s[lo:hi] - si * float(segment_s), j)
+        for cls in set(class_seq):
+            rows = order[bounds[cls]:bounds[cls + 1]]
+            v[rows] = _class_pattern(s, cls, classes, local[rows], j)
         if noise_level:
             v += noise_level * rng.standard_normal(v.shape)
         tracks[s.name] = (t, v)

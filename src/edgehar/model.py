@@ -235,9 +235,10 @@ class Frame:
     of raw sensor values covering the same virtual-time span. normalize_inputs
     maps them into model inputs. first_rows, when set, holds each tensor's
     first row as an index into its sensor's track, where the tensor is
-    exactly the track's next timesteps rows: simulate reads such a frame's
-    rows from the track, not its tensors. It is None for a frame the DAQ
-    fitted (trimmed, held or split by an overflow)."""
+    exactly the track's next timesteps rows: such an exact frame's tensors
+    are read-only views of the tracks, and simulate reads its rows from the
+    tracks, not its tensors. It is None for a frame the DAQ fitted (trimmed,
+    held or split by an overflow), whose tensors are arrays of its own."""
 
     tensors: dict[str, np.ndarray]
     t_start_ns: int = 0

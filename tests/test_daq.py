@@ -253,10 +253,16 @@ class TestRangeFifoMatchesDeque:
             for name, x in tensors.items():
                 y = f.tensors[name]
                 assert (y.dtype, y.shape, y.tobytes()) == (x.dtype, x.shape, x.tobytes())
-                assert not np.shares_memory(y, tracks[name][1])  # a copy, not a view
+                if f.first_rows is None:  # fitted: a copy, not a view
+                    assert not np.shares_memory(y, tracks[name][1])
+                else:  # exact: a read-only view of the track
+                    assert np.shares_memory(y, tracks[name][1]) and not y.flags.writeable
+                    with pytest.raises(ValueError):
+                        y[0] = 0
         assert sess.underfill_events == ref.underfill_events
         assert sess.overfill_events == ref.overfill_events
         assert sess.conservation() == ref.conservation()
+        assert all(v.flags.writeable for _, v, _ in tracks.values())  # the caller's arrays
 
 
     def test_stamps_before_the_origin_stay_out_of_frame_0(self):
@@ -281,6 +287,34 @@ class TestRangeFifoMatchesDeque:
         assert sess.underfill_events == ref.underfill_events
         assert sess.overfill_events == ref.overfill_events == []
         assert sess.conservation() == ref.conservation()
+
+
+    def test_empty_window_raises_after_every_fifo_is_pushed(self):
+        # "e" has no sample in [1, 2) s, so frame 2 raises at "e". Every FIFO
+        # was pushed for frame 2 before any window was fitted: "u" has logged
+        # its underfill at 2 s, and "z", listed after "e", holds its samples
+        # up to 2 s, exactly as in the oracle
+        cfg = WindowConfig(1, Fraction(1, 2))
+        u, e, z = SensorSpec("u", 1, 10), SensorSpec("e", 1, 10), SensorSpec("z", 2, 20)
+        tu, te = _stamps(u, 4), _stamps(e, 4)
+        sources, tracks = [], {}
+        for spec, t in [(u, tu[tu != 3 * NS // 2]), (e, te[(te < NS) | (te >= 2 * NS)]),
+                        (z, _stamps(z, 4))]:
+            v = np.arange(t.size * spec.channels, dtype=float).reshape(t.size, spec.channels)
+            sources.append(Source(spec, t, v, 4))
+            tracks[spec.name] = (t, v, 4 * NS)
+        rows = {s.name: cfg.timesteps(s.rate) for s in (u, e, z)}
+        sess = start_sync(sources)
+        frames, err = _drain(stream_frames(sess, cfg))
+        ref = oracles.DequeStream(tracks, rows, {n: FIFO_WINDOWS * r for n, r in rows.items()})
+        ref_frames, ref_err = _drain(ref.frames(cfg.window_ns, cfg.step_ns))
+        assert err == ref_err == f"sensor 'e': no samples in window at t={2 * NS}"
+        assert len(frames) == len(ref_frames) == 2
+        assert [f.first_rows for f in frames] == ref.first_rows[:2]
+        assert sess.underfill_events == ref.underfill_events == [("e", 3 * NS // 2), ("u", 2 * NS)]
+        assert sess.overfill_events == ref.overfill_events == []
+        assert sess.conservation() == ref.conservation()
+        assert sess.fifos["z"].produced == 40
 
 
 class TestBoundaryIndices:
@@ -489,6 +523,35 @@ class TestTimeline:
                 m = (t >= si * seg_ns) & (t < (si + 1) * seg_ns)
                 v[m] = _class_pattern(s, cls, 3, (t / NS)[m] - si * 2.0, j)
             v = v + 0.1 * rng.standard_normal(v.shape)
+            assert rec.tracks[s.name][1].tobytes() == v.tobytes(), s.name
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), segment_ms=st.integers(50, 2500), extra=st.integers(0, 2),
+           noise_level=st.sampled_from([0.0, 0.1, 0.4]), seed=st.integers(0, 2**32 - 1))
+    def test_rows_per_class_match_the_per_segment_rule(self, data, segment_ms, extra,
+                                                       noise_level, seed):
+        # the rule of test_segment_rows_match_the_mask_rule over drawn rates,
+        # segments that mostly hold no whole number of samples, and class
+        # sequences with repeated classes and classes that never occur
+        rates = data.draw(st.lists(st.sampled_from(TestRowsRule.RATES), min_size=1,
+                                   max_size=3, unique=True))
+        seq = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+        classes = max(seq) + 1 + extra
+        specs = [SensorSpec(f"s{i}", 1 + i, r) for i, r in enumerate(rates)]
+        segment_s = Fraction(segment_ms, 1000)
+        seg_ns = int(segment_s * NS)
+        rec, _ = gen_timeline(specs, seq, segment_s, noise_level=noise_level, seed=seed,
+                              classes=classes)
+        rng = substream(seed, "timeline")
+        for j, s in enumerate(specs):
+            t = rec.tracks[s.name][0]
+            v = np.empty((t.size, s.channels))
+            for si, cls in enumerate(seq):
+                m = (t >= si * seg_ns) & (t < (si + 1) * seg_ns)
+                v[m] = _class_pattern(s, cls, classes, (t / NS)[m] - si * float(segment_s), j)
+            if noise_level:
+                v = v + noise_level * rng.standard_normal(v.shape)
             assert rec.tracks[s.name][1].tobytes() == v.tobytes(), s.name
 
 
