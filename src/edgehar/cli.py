@@ -157,7 +157,11 @@ def _load_config(args) -> dict:
              ("seed", "out", "schedule", "keep", "clock_hz", "window_ms", "step_ms", "bits")
              if getattr(args, k) is not None}
     if "bits" in flags:
-        flags["bits"] = [int(b) for b in flags["bits"].split(",")]
+        try:
+            flags["bits"] = [int(b) for b in flags["bits"].split(",")]
+        except ValueError:
+            raise ValueError(f"--bits must be a comma-separated list of integers, "
+                             f"got {flags['bits']!r}") from None
     return _merge(doc, flags)
 
 

@@ -30,7 +30,10 @@ branches and flatten heads pass no mask.
 Training never runs a forward pass only to keep its history: an epoch's
 batch_loss and batch_acc are the batch-size-weighted means of what its
 backward calls computed, each at the weights before that batch's step.
-Validation, when a split is held out, runs at the end of every epoch.
+Validation, when a split is held out, runs at the end of every epoch. Nor
+does a pass over the training split check the final weights' loss when one
+walk of the absolute weights proves it finite (_bound_walk: interval bound
+propagation, Gowal et al. 2018).
 """
 
 from __future__ import annotations
@@ -345,14 +348,72 @@ def _take(X: dict, idx: np.ndarray) -> dict:
     return {k: v[idx] for k, v in X.items()}
 
 
+def _check_frames(X: dict, y: np.ndarray) -> None:
+    """Reject a dataset whose sensor arrays do not hold one frame per label."""
+    for name, x in X.items():
+        if len(x) != len(y):
+            raise ValueError(f"sensor {name!r} holds {len(x)} frames for {len(y)} labels")
+
+
+# The final training-split pass is skipped when every value of the bound walk
+# is below this. Every |value| of the real forward pass, each partial sum of
+# its GEMMs included, is then below it too, give or take a relative rounding
+# of about 1e-12 (a GEMM may sum in another order): far below float64's
+# largest finite value, just under 2^1024. Each frame's loss, a log-sum-exp
+# less a logit, is then at most 2^901 + log(classes) in magnitude, and their
+# mean over fewer than 2^100 frames cannot overflow either.
+_BOUND_LIMIT = 2.0**900
+
+
+def _bound_walk(spec: ModelSpec, params: ModelParams, X: dict, observe=None) -> np.ndarray:
+    """The bound walk's logits (1, classes): model._walk, with observe, run once
+    with every conv and dense weight replaced by its absolute value and alpha
+    as it is, on one frame per sensor filled with the sensor's largest |x|
+    over X.
+
+    The walk's values are nonnegative, and the conv and dense sums, ReLU,
+    max-pools, heads and the softmax-weighted mix are monotone in them, so
+    each value of the walk bounds the |value| at the same place of every
+    frame of X in the real forward pass.
+    """
+    bound = ModelParams([[np.abs(w) for w in ws] for ws in params.branch_weights],
+                        np.abs(params.dense1), np.abs(params.dense2), params.alpha)
+    frames = {k: np.full((1, *x.shape[1:]), np.maximum(x.max(), -x.min()))
+              for k, x in X.items()}
+    return _walk(spec, bound, frames, observe)
+
+
+def _loss_proven_finite(spec: ModelSpec, params: ModelParams, X: dict) -> bool:
+    """Whether the bound walk proves the loss at params finite on every frame
+    of X: every value it reaches is below _BOUND_LIMIT.
+
+    A NaN or inf in a weight or an input reaches the walk's values (where it
+    meets a zero, 0 * inf is NaN), and a NaN is never below the limit. Alpha
+    must be finite, as a -inf entry gives a finite softmax.
+    """
+    if spec.alpha_enabled and not np.isfinite(params.alpha).all():
+        return False
+    peaks = []
+
+    def keep(key, x, a, win):
+        peaks.append(a.max())
+
+    # huge weights overflow here; they must fall through to the real check
+    with np.errstate(over="ignore", invalid="ignore"):
+        peaks.append(_bound_walk(spec, params, X, keep).max())
+    return all(p < _BOUND_LIMIT for p in peaks)
+
+
 def evaluate(spec: ModelSpec, params: ModelParams, X: dict, y: np.ndarray
              ) -> tuple[float, float]:
     """(mean loss, accuracy) over a dataset."""
     from .model import forward_batch
 
+    y = np.asarray(y)
+    _check_frames(X, y)
     logits = forward_batch(spec, params, X)
-    loss, _ = _ce_loss_grad(logits, np.asarray(y))
-    acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
+    loss, _ = _ce_loss_grad(logits, y)
+    acc = float(np.mean(np.argmax(logits, axis=1) == y))
     return loss, acc
 
 
@@ -373,15 +434,19 @@ def train(
     Raises TrainingDiverged if a batch loss goes non-finite, naming the
     epoch whose updates made the weights that batch saw: the first batch of
     epoch e > 0 sees epoch e - 1's last step, and the first batch of epoch 0
-    names epoch 0. After the last epoch, one pass over the training split
-    checks the final weights the same way, naming the last epoch, so the
-    returned weights never give a non-finite training loss.
+    names epoch 0. The final weights are checked the same way, naming the
+    last epoch, so the returned weights never give a non-finite training
+    loss: by one pass over the training split, unless the bound walk proves
+    the loss finite (_loss_proven_finite).
+
+    Raises ValueError if a sensor's array does not hold one frame per label.
     """
     X, y = dataset
     y = np.asarray(y)
     n = y.shape[0]
     if n == 0:
         raise ValueError("dataset is empty")
+    _check_frames(X, y)
     if y.min() < 0 or y.max() >= spec.classes:
         raise ValueError(f"labels outside [0, {spec.classes})")
     params = init_params(spec, config.seed)
@@ -416,7 +481,7 @@ def train(
         else:
             row["val_loss"], row["val_acc"] = float("nan"), float("nan")
         history.append(row)
-    if history:
+    if history and not _loss_proven_finite(spec, params, X):
         final_loss, _ = evaluate(spec, params, _take(X, tr_idx), y[tr_idx])
         if not np.isfinite(final_loss):
             raise TrainingDiverged(f"non-finite loss at epoch {made_by}")

@@ -204,6 +204,9 @@ class TestExitCodes:
         ({"clock_hz": 0}, [], "clock_hz must be a number > 0, got 0"),
         ({"clock_hz": -1e6}, [], "clock_hz must be a number > 0, got -1000000.0"),
         ({}, ["--clock-hz", "0"], "clock_hz must be a number > 0, got 0.0"),
+        ({}, ["--bits", "8,,10"], "--bits must be a comma-separated list of integers, "
+                                  "got '8,,10'"),
+        ({}, ["--bits", "x"], "--bits must be a comma-separated list of integers, got 'x'"),
     ])
     def test_calib_frames_and_clock_hz_exit_2(self, tmp_path, capsys, override, flags,
                                               expected):
@@ -214,6 +217,24 @@ class TestExitCodes:
             assert _run(stage, "--config", str(path), *flags) == 2
             assert expected in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("stage", ["train", "select"])
+    def test_diverged_final_weights_exit_3(self, tmp_path, capsys, stage):
+        # one epoch of one batch: its loss is finite, and the step it takes
+        # makes weights that only the final check over the training split sees
+        cfg = json.loads((ROOT / "configs" / "smoke.json").read_text())
+        cfg["out"] = str(tmp_path / "run")
+        cfg["train"] = dict(cfg["train"], lr=1e100, epochs=1, batch_size=64)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert _run("gen-data", "--config", str(path)) == 0
+        capsys.readouterr()
+        assert _run(stage, "--config", str(path)) == 3
+        assert "non-finite loss at epoch 0" in capsys.readouterr().err
+        out = Path(cfg["out"])
+        assert not (out / "model.json").exists() and not (out / "model_selected.json").exists()
 
     def test_v1_dataset_exit_2_names_schemas(self, workdir, capsys):
         tmp, cfg, out = workdir

@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgehar import model, train as train_mod
 from edgehar.daq import SensorSpec, bundle_arrays, gen_dataset
-from edgehar.model import BranchSpec, ConvSpec, ModelSpec, feature_fusion_spec
+from edgehar.model import (BranchSpec, ConvSpec, ModelSpec, data_fusion_spec,
+                           feature_fusion_spec)
+from edgehar.seeding import substream
 from edgehar.train import (
     ImportanceReport,
     TrainConfig,
@@ -488,16 +491,18 @@ class TestTrain:
     def test_one_training_split_pass_per_run(self, rng, monkeypatch):
         X, y = _two_class_separable(rng)
         cfg = TrainConfig(epochs=3, batch_size=8, seed=2, val_fraction=0.25)
-        frames = []
-
-        def counting(spec_, params, Xe, ye):
-            frames.append(len(ye))
-            return evaluate(spec_, params, Xe, ye)
-
-        monkeypatch.setattr(train_mod, "evaluate", counting)
-        train(self._spec(), (X, y), cfg)
+        frames = _evaluated_frames(monkeypatch)
+        first, _ = train(self._spec(), (X, y), cfg)
         n_val = cfg.n_val(y.size)
+        # the bound walk proves these weights' loss finite: no training-split pass
+        assert frames == [n_val] * cfg.epochs
+        # with nothing provable, one pass over the training split checks it
+        frames.clear()
+        monkeypatch.setattr(train_mod, "_BOUND_LIMIT", 0.0)
+        second, _ = train(self._spec(), (X, y), cfg)
         assert frames == [n_val] * cfg.epochs + [y.size - n_val]
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(_iter_tensors(first), _iter_tensors(second)))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -524,6 +529,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(self._spec(), (X, y + 5), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("frames", [10, 14])
+    def test_frames_must_match_labels(self, rng, frames):
+        # 10 frames for 12 labels once failed deep in numpy, and 14 trained
+        # without reading the last 2
+        X = {"s": rng.normal(size=(frames, 16, 1))}
+        y = (np.arange(12) % 2).astype(np.int64)
+        msg = f"sensor 's' holds {frames} frames for 12 labels"
+        with pytest.raises(ValueError, match=msg):
+            train(self._spec(), (X, y), TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match=msg):
+            evaluate(self._spec(), init_params(self._spec()), X, y)
+
     def test_history_csv(self, tmp_path, rng):
         X, y = _two_class_separable(rng)
         _, hist = train(self._spec(), (X, y), TrainConfig(epochs=2, seed=1))
@@ -532,6 +549,113 @@ class TestTrain:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "epoch,batch_loss,batch_acc,val_loss,val_acc"
         assert len(lines) == 3
+
+
+def _evaluated_frames(monkeypatch) -> list[int]:
+    """The frame count of each evaluate call train makes from now on."""
+    frames = []
+
+    def counting(spec_, params, Xe, ye):
+        frames.append(len(ye))
+        return evaluate(spec_, params, Xe, ye)
+
+    monkeypatch.setattr(train_mod, "evaluate", counting)
+    return frames
+
+
+class TestLossBound:
+    """The bound walk that lets train skip its final training-split pass."""
+
+    @staticmethod
+    def _observed(walk, spec, params, X):
+        seen = {}
+
+        def keep(key, x, a, win):
+            seen[key] = (x, a)
+
+        return seen, walk(spec, params, X, keep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_walk_bounds_every_value(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        batch = data.draw(st.integers(1, 5), label="batch")
+        if data.draw(st.booleans(), label="data fusion"):
+            rows, cols = int(rng.integers(5, 9)), int(rng.integers(5, 9))
+            spec = data_fusion_spec(cols, rows, filters=3, kernel=2, hidden=4, classes=3)
+            X = {"fused": rng.normal(size=(batch, rows, cols))}
+        else:
+            spec = tiny_spec(rng, with_2d=data.draw(st.booleans(), label="2d"),
+                             alpha=data.draw(st.booleans(), label="alpha"),
+                             pools=data.draw(st.booleans(), label="pools"))
+            X = random_inputs(spec, rng, batch)
+        params = init_params(spec, seed=int(rng.integers(100)))
+        for ws in params.branch_weights:
+            for w in ws:
+                w *= 10.0 ** data.draw(st.integers(-3, 3), label="weight decade")
+        params.dense1 *= 10.0 ** data.draw(st.integers(-3, 3), label="dense1 decade")
+        params.dense2 *= 10.0 ** data.draw(st.integers(-3, 3), label="dense2 decade")
+        if spec.alpha_enabled:
+            params.alpha[:] = rng.normal(scale=2.0, size=params.alpha.shape)
+        for x in X.values():  # frames decades apart: the largest |x| is far above the mean
+            x *= 10.0 ** rng.uniform(-3, 3, size=(batch, 1, 1))
+
+        real, logits = self._observed(model._walk, spec, params, X)
+        bound, bound_logits = self._observed(train_mod._bound_walk, spec, params, X)
+        assert bound_logits.shape == (1, spec.classes) and real.keys() == bound.keys()
+        # a GEMM may sum a 1-frame batch in another order: allow its rounding
+        tol = 1 + 1e-9
+        for key in real:
+            for r, b in zip(real[key], bound[key]):
+                assert np.all(np.abs(r) <= b * tol), key
+        assert np.all(np.abs(logits) <= bound_logits * tol)
+        assert train_mod._loss_proven_finite(spec, params, X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_never_proven(self, rng, bad):
+        spec = tiny_spec(rng, with_2d=True, alpha=True, pools=True)
+        X = random_inputs(spec, rng, batch=3)
+        params = init_params(spec, seed=5)
+        params.alpha[:] = rng.normal(size=params.alpha.shape)
+        assert train_mod._loss_proven_finite(spec, params, X)
+        for t in [*_iter_tensors(params), *X.values()]:
+            at = tuple(int(rng.integers(d)) for d in t.shape)
+            kept, t[at] = t[at], bad
+            assert not train_mod._loss_proven_finite(spec, params, X), (t.shape, bad)
+            t[at] = kept
+
+    def test_nan_in_a_held_out_frame_falls_back(self, rng, monkeypatch):
+        X, y = _two_class_separable(rng)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=2, val_fraction=0.25)
+        n_val = cfg.n_val(y.size)
+        X["s"][substream(cfg.seed, "split").permutation(y.size)[0], 3, 0] = np.nan
+        layers = (ConvSpec(3, 3), ConvSpec(3, 3), ConvSpec(3, 3))
+        spec = ModelSpec((BranchSpec("s", 1, layers),), hidden=8, classes=2)
+        frames = _evaluated_frames(monkeypatch)
+        _, hist = train(spec, (X, y), cfg)
+        assert frames == [n_val] * cfg.epochs + [y.size - n_val]
+        assert all(np.isnan(row["val_loss"]) for row in hist)
+
+    def test_minus_inf_alpha_falls_back(self, rng, monkeypatch):
+        # softmax gives a -inf alpha the weight 0, so training runs on, but the
+        # bound walk alone would not see it
+        layers = (ConvSpec(3, 3), ConvSpec(3, 3), ConvSpec(3, 3))
+        spec = ModelSpec((BranchSpec("s", 1, layers), BranchSpec("t", 1, layers)),
+                         hidden=8, classes=2, alpha_enabled=True)
+        X, y = _two_class_separable(rng)
+        X["t"] = X["s"][:, ::-1].copy()
+        real_init = train_mod.init_params
+
+        def minus_inf_alpha(spec_, seed=0):
+            params = real_init(spec_, seed)
+            params.alpha[0] = -np.inf
+            return params
+
+        monkeypatch.setattr(train_mod, "init_params", minus_inf_alpha)
+        frames = _evaluated_frames(monkeypatch)
+        params, _ = train(spec, (X, y), TrainConfig(epochs=2, batch_size=8, seed=3))
+        assert params.alpha[0] == -np.inf
+        assert frames == [y.size]
 
 
 class TestImportance:
