@@ -17,12 +17,12 @@ exact frames, whose tensors are read-only views of exactly their sensor
 tracks' rows, overlap or abut, and form a run: its union of rows is read
 from the tracks as a view, normalized into one copy and convolved once, and
 each frame reads its features from its own window of the conv outputs (see
-engine._q_forward). A run spans at most SIM_CHUNK_FRAMES windows of rows,
-and a 1D sensor's run no more rows than one im2col block holds
-(engine._run_rows), so it holds no more than a chunk of that many frames;
-how far each sensor's first row may reach is found once per run. Frames the
-DAQ fitted (a window it trimmed, held or split around an overflow) own their
-tensors, and are stacked SIM_CHUNK_FRAMES to a call, one lead row each.
+engine._q_forward). A run spans at most SIM_CHUNK_FRAMES windows of each
+sensor's rows (engine._run_rows), so it holds no more than a chunk of that
+many frames; how far each sensor's first row may reach is found once per
+run. Frames the DAQ fitted (a window it trimmed, held or split around an
+overflow) own their tensors, and are stacked SIM_CHUNK_FRAMES to a call,
+one lead row each.
 Grouping cannot change a label: a label never feeds back into acquisition,
 the DAQ's virtual time does not read the wall clock, and the integer path is
 exact, so a frame's logits do not depend on the frames classified with it.
@@ -102,13 +102,13 @@ _SCHEMA = {
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 # Keys that stay in the schema but have one value the pipeline runs
 _FIXED = {"fusion": "feature", "alpha_enabled": False}
-# Fitted frames simulate stacks per qinfer_batch call, and the windows of rows
-# a run of exact frames may span. A call's int64 layer outputs grow with its
-# rows (a thermal frame's are megabytes), so they are bounded rather than the
-# whole stream. No benchmark workload stacks a frame: smoke's 10 adjacent
-# frames and the rig's 8 are one run call each, and the stream's 1,191 (1 s
-# windows, 100 ms steps) 8 run calls, whose engine time was 12-18 ms against
-# 102-125 ms for stacks of 16 (2 vCPUs, BLAS at 1 thread).
+# Fitted frames simulate stacks per qinfer_batch call, and the windows of each
+# sensor's rows, 1D or 2D, a run of exact frames may span. A call's int64 layer
+# outputs grow with its rows (a thermal frame's are megabytes), so they are
+# bounded rather than the whole stream. No benchmark workload stacks a frame:
+# smoke's 10 adjacent frames and the rig's 8 are one run call each, and the
+# stream's 1,191 (1 s windows, 100 ms steps) 8 run calls, whose engine time was
+# 12-18 ms against 102-125 ms for stacks of 16 (2 vCPUs, BLAS at 1 thread).
 SIM_CHUNK_FRAMES = 16
 
 
@@ -204,7 +204,7 @@ def _sensors(entries) -> list[daq.SensorSpec]:
             _check_object(e, f"sensors[{i}]", _rules("sensors"))
         try:
             out.append(daq.CATALOG[e] if type(e) is str else daq.SensorSpec(**e))
-        except TypeError as ex:  # a required field is missing, or a grid is not two ints
+        except TypeError as ex:  # a required field is missing
             raise ValueError(f"sensors[{i}]: {ex}") from None
     names = [s.name for s in out]
     dup = next((n for n in names if names.count(n) > 1), None)

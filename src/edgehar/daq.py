@@ -117,11 +117,17 @@ class SensorSpec:
 
     def __post_init__(self) -> None:
         if self.grid is not None:  # a JSON list from a config or a manifest
+            if not (type(self.grid) in (list, tuple) and len(self.grid) == 2
+                    and all(type(d) is int and d >= 1 for d in self.grid)):
+                raise ValueError(f"sensor {self.name!r}: grid must be two positive integers, "
+                                 f"got {self.grid!r}")
             object.__setattr__(self, "grid", tuple(self.grid))
         if self.channels < 1:
             raise ValueError(f"sensor {self.name!r} needs channels >= 1")
         if not self.rate_hz > 0:
             raise ValueError(f"sensor {self.name!r} needs a positive rate")
+        if self.conv_dim not in (1, 2):
+            raise ValueError(f"sensor {self.name!r}: conv_dim must be 1 or 2, got {self.conv_dim}")
         if self.conv_dim == 2 and (
             self.grid is None or self.grid[0] * self.grid[1] != self.channels
         ):

@@ -41,8 +41,9 @@ its rows' timesteps, each one its grid's max). Max is exact, so the logits
 are the same bits either way. qinfer_batch quantizes a whole set once and
 runs it through _q_forward once, as forward_batch runs the FP model; infer
 and sweep run a split through it one frame per lead row, and simulate runs
-its stream through it in runs of exact frames, which overlap or abut, and
-stacks of the frames its DAQ fitted. qinfer is the batch-of-one API.
+its stream through it in runs of exact frames, which overlap or abut and
+span at most _run_rows rows of each sensor, 1D or 2D alike, and stacks of
+the frames its DAQ fitted. qinfer is the batch-of-one API.
 
 Nothing here restates the model or the arithmetic: rounding, saturation,
 the storage format and the multiply-shift requantization are fxp's; the
@@ -66,7 +67,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
 from .fxp import requantize, round_nearest, storage_format
 from .model import (
     BranchSpec, ModelSpec, _branch_input, _conv_batch, _head, _pool_windows, count_params,
@@ -160,17 +160,9 @@ def _shares_rows(spec: ModelSpec, branch: BranchSpec) -> bool:
 
 def _run_rows(spec: ModelSpec, branch: BranchSpec, rows: int, frames: int) -> int:
     """The most input rows one lead row of this branch may hold for frames of
-    rows rows that share it, so that it costs no more memory than frames such
-    frames given a lead row each: frames windows of rows, and for a 1D
-    branch, whose lead row is one block of im2col columns, no more rows than
-    a block holds unless one window does. A branch that cannot share rows
-    holds one window."""
-    if not _shares_rows(spec, branch):
-        return rows
-    if branch.conv_dim == 2:  # its rows are lead rows of the block map
-        return frames * rows
-    cols = max(l.kernel * branch.layer_in_channels(i) for i, l in enumerate(branch.layers))
-    return min(frames * rows, max(rows, model._COL_BLOCK_BYTES // (cols * 8)))  # float64 columns
+    rows rows that share it: frames windows, or one window where a branch
+    cannot share rows. The block map bounds its im2col blocks."""
+    return frames * rows if _shares_rows(spec, branch) else rows
 
 
 def _window_max(h: np.ndarray, w: int) -> np.ndarray:

@@ -13,16 +13,15 @@ Each concept of the network is defined once, here:
   need of each layer (activations and pool indices, or running maxima).
 - _conv_batch is every convolution, FP and integer: one GEMM per block of
   _map_blocks, the one im2col block loop, which cast-copies _patch_view's
-  patches into a buffer of at most _COL_BLOCK_BYTES per worker. It runs the
-  FP forward pass, training's backward dX and the engine's integer MAC (an
-  integer input gives the exact int64 accumulator); the backward dW reads
-  the same blocks.
-- _map_blocks runs a call with at least two blocks per worker on every
-  usable core: contiguous runs of blocks go to _WORKERS threads (the caller
-  and a pool made on first use), while numpy's copy and GEMM release the
-  GIL. The blocks and their results are those of a serial loop, in block
-  order, so every output and every summed gradient is bit for bit the
-  same. Smaller calls run on the caller's thread and start no thread. A
+  patches into one buffer per worker. It runs the FP forward pass,
+  training's backward dX and the engine's integer MAC (an integer input
+  gives the exact int64 accumulator); the backward dW reads the same blocks.
+- _map_blocks alone sizes the blocks, in patch rows, so that no window or
+  run makes a block whose sums depend on the BLAS thread count. A call with
+  at least two blocks per worker runs contiguous slices of its block list
+  on every usable core, as _WORKERS threads (the caller's and a pool's made
+  on first use), while numpy's copy and GEMM release the GIL; its results
+  are the serial loop's, bit for bit. Smaller calls start no thread. A
   caller may mark the lead rows it needs; blocks without one are skipped,
   and _conv_batch leaves their output rows zero. Training's dW and dX below
   a 2D branch's gmax head pass such a mask.
@@ -61,11 +60,16 @@ __all__ = [
 
 MODEL_SCHEMA = "edgehar.model/v1"
 
-# Cap in bytes on one block of im2col patch columns, one buffer per worker. It
-# keeps conv memory flat in the batch size, and a block small enough to stay
-# in cache between its copy and its GEMM measured faster than larger ones
-# (1 MiB vs 2-32 MiB).
+# Caps on one block of im2col patch rows, one buffer per worker. The bytes cap
+# keeps conv memory flat in the batch size, and a block that stays in cache
+# between its copy and its GEMM measured faster (1 MiB vs 2-32 MiB).
 _COL_BLOCK_BYTES = 1 << 20
+# The rows cap keeps a block's sums independent of the BLAS thread count: a
+# dW partial cols.T @ dZ of 25 columns and 8 filters changed bytes between 1
+# and 2 OpenBLAS threads at 5,040 rows in 20 of 20 random draws, and at 560,
+# 1,120 and 2,240 in none (OpenBLAS 0.3.31, 2 vCPUs). A 16-frame batch of a
+# shipped 1D sensor (at most 1,840 rows) stays one block.
+_BLOCK_ROWS = 2240
 # Workers of the block map: the cores this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -291,40 +295,47 @@ def _patch_view(x: np.ndarray, k: int, nd: int) -> np.ndarray:
 
 def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn, need=None) -> list:
     """fn(rows, cols) for each block of rows of the im2col patch matrix of x,
-    returning the results in block order.
+    in block order.
 
     x is (*lead, *spatial, C) with nd spatial axes. The patch matrix has one
     row per lead index and output position, k**nd * C columns ordered
-    tap-major, so it pairs with a weight reshaped to (-1, F). cols holds the
-    matrix rows that the slice rows selects, cast-copied to dtype in its
-    worker's buffer of at most _COL_BLOCK_BYTES (or one lead index's rows, if
-    that is larger), so memory stays flat in the batch size. need, when
-    given, is a boolean per flattened lead index: a block that holds no
-    needed lead index is neither copied nor passed to fn, and the count and
-    runs below are of the needed blocks. cols is valid only during its fn
-    call, which may run on a pool thread: fn may write only its own rows of
-    a shared output, and must not map blocks itself (a pool thread waiting
-    on the pool could wait forever). A call with at least two blocks per
-    worker splits them into contiguous runs, the first on the caller's
-    thread. An exception from any run reaches the caller once every run has
-    stopped.
+    tap-major, so it pairs with a weight reshaped to (-1, F). A block holds
+    at most min(_BLOCK_ROWS, _COL_BLOCK_BYTES // bytes per row) rows: whole
+    lead indices when one fits, else steps along one lead index's first
+    position axis (one step at least). cols holds the block's rows, cast-
+    copied to dtype in its worker's buffer. need, when given, is a boolean
+    per flattened lead index: blocks that hold none are dropped. cols is
+    valid only during its fn call, which may run on a pool thread: fn may
+    write only its own rows of a shared output, and must not map blocks
+    itself (a pool thread waiting on the pool could wait forever). With at
+    least two blocks per worker, contiguous slices of the block list run at
+    once, the first on the caller's thread. An exception from any run
+    reaches the caller once every run has stopped.
     """
     patches = _patch_view(x, k, nd)
-    n = len(patches)
-    step = max(1, _COL_BLOCK_BYTES // (math.prod(patches.shape[1:]) * dtype.itemsize))
-    starts, keep = range(0, n, step), None
+    n, first = patches.shape[:2]
+    per = math.prod(patches.shape[1 : nd + 1])  # rows of one lead index
+    step = per // first  # rows of one step along its first position axis
+    row_bytes = math.prod(patches.shape[nd + 1 :]) * dtype.itemsize
+    cap = max(1, min(_BLOCK_ROWS, _COL_BLOCK_BYTES // row_bytes))
+    if need is None and 0 < n * per <= cap:  # one block, cast-copied by itself
+        return [fn(slice(0, n * per), patches.astype(dtype).reshape(n * per, -1))]
+    leads, span = max(1, cap // per), min(first, max(1, cap // step))
+    lead_cuts, pos_cuts = [*range(0, n, leads), n], [*range(0, first, span), first]
+    blocks = [((slice(a, b), slice(p, q)), slice(a * per + p * step, (b - 1) * per + q * step))
+              for a, b in zip(lead_cuts, lead_cuts[1:]) for p, q in zip(pos_cuts, pos_cuts[1:])]
     if need is not None:
-        keep = np.logical_or.reduceat(need, starts)
-        starts = [s for s, kept in zip(starts, keep) if kept]
-    blocks = len(starts)
-    if blocks < 4 or _WORKERS < 2:  # under two blocks for each of two workers
-        return _run_blocks(patches, 0, n, step, nd, dtype, fn, keep)
-    workers = min(_WORKERS, blocks // 2)
-    cuts = [0] + [starts[blocks * i // workers] for i in range(1, workers)] + [n]
-    futures = [_pool().submit(_run_blocks, patches, a, b, step, nd, dtype, fn, keep)
+        keep = np.logical_or.reduceat(need, [rows.start // per for _, rows in blocks])
+        blocks = [block for block, kept in zip(blocks, keep) if kept]
+    count = len(blocks)
+    if count < 4 or _WORKERS < 2:  # under two blocks for each of two workers
+        return _run_blocks(patches, blocks, dtype, fn)
+    workers = min(_WORKERS, count // 2)
+    cuts = [count * i // workers for i in range(workers + 1)]
+    futures = [_pool().submit(_run_blocks, patches, blocks[a:b], dtype, fn)
                for a, b in zip(cuts[1:-1], cuts[2:])]
     try:
-        results = _run_blocks(patches, 0, cuts[1], step, nd, dtype, fn, keep)
+        results = _run_blocks(patches, blocks[: cuts[1]], dtype, fn)
     finally:
         for f in futures:
             f.exception()  # waits: no run outlives the call
@@ -333,26 +344,16 @@ def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn, need=None) 
     return results
 
 
-def _run_blocks(patches: np.ndarray, lo: int, hi: int, step: int, nd: int, dtype: np.dtype,
-                fn, keep=None) -> list:
-    """One run of _map_blocks: fn on each block of `step` lead rows from lo to
-    hi that the per-block mask keep holds (every block when keep is None), in
-    order, cast-copied into the run's one buffer. A run of one block and no
-    mask is cast-copied by itself, which saves setting up a buffer to reuse."""
-    per = math.prod(patches.shape[1 : nd + 1])
-    if keep is None and 0 < hi - lo <= step:
-        return [fn(slice(lo * per, hi * per),
-                   patches[lo:hi].astype(dtype).reshape((hi - lo) * per, -1))]
-    starts = range(lo, hi, step)
-    if keep is not None:
-        starts = [s for s in starts if keep[s // step]]
-    buf = np.empty((min(step, hi - lo), *patches.shape[1:]), dtype)
+def _run_blocks(patches: np.ndarray, blocks: list, dtype: np.dtype, fn) -> list:
+    """One run of _map_blocks: fn on each of its (index into patches, rows)
+    blocks in order, cast-copied into the run's one buffer."""
+    srcs = [patches[index] for index, _ in blocks]
+    buf = np.empty(max((src.size for src in srcs), default=0), dtype)
     results = []
-    for s in starts:
-        block = buf[: hi - s]
-        np.copyto(block, patches[s : s + step])
-        results.append(fn(slice(s * per, (s + len(block)) * per),
-                          block.reshape(len(block) * per, -1)))
+    for src, (_, rows) in zip(srcs, blocks):
+        block = buf[: src.size].reshape(src.shape)
+        np.copyto(block, src)
+        results.append(fn(rows, block.reshape(rows.stop - rows.start, -1)))
     return results
 
 

@@ -678,10 +678,11 @@ class TestSimulateChunks:
         assert all(c["ok"] for c in sessions[0].conservation().values())
 
     # a thermal grid and a 1D sensor; a 1D sensor of 32 channels, whose run
-    # spans at most the 819 rows one 1 MiB block of its im2col columns holds
+    # spans 16 windows of rows as thermal's does, in im2col blocks of at
+    # most model._BLOCK_ROWS rows
     @pytest.mark.parametrize("sensors, frames, rows", [
         ([CATALOG["thermal"], CATALOG["tof"]], 151, {"thermal": 512, "tof": 800}),
-        ([daq.SensorSpec("wide", 32, 119)], 59, {"wide": 810}),
+        ([daq.SensorSpec("wide", 32, 119)], 151, {"wide": 1904}),
     ], ids=["thermal", "wide_1d"])
     def test_run_peak_within_a_chunk(self, sensors, frames, rows):
         # a run of overlapping frames reads its rows as one view of each
@@ -923,6 +924,12 @@ class TestSchema:
         ({"window_ms": 1000.7}, ["window_ms", "1000.7"]),
         ({"kappa": -5}, ["kappa", "-5"]),
         ({"noise_level": -1}, ["noise_level", "-1"]),
+        ({"sensors": [dict(CFG["sensors"][0], conv_dim=3), "tof"]},
+         ["sensor 'a'", "conv_dim", "got 3"]),
+        ({"sensors": [{"name": "g", "channels": 6, "rate_hz": 25, "conv_dim": 2,
+                       "grid": [2, 3, 1]}, "tof"]}, ["sensor 'g'", "grid", "[2, 3, 1]"]),
+        ({"sensors": [{"name": "g", "channels": 169, "rate_hz": 25, "conv_dim": 2,
+                       "grid": [13.0, 13]}, "tof"]}, ["sensor 'g'", "grid", "[13.0, 13]"]),
     ])
     def test_rejected_at_load_by_every_stage(self, tmp_path, capsys, override, expected):
         path = tmp_path / "cfg.json"

@@ -144,10 +144,11 @@ class TestBlockMap:
         runs, real = [], model._run_blocks
         x_patches = model._patch_view(x, k, nd).shape
 
-        def spy(patches, lo, hi, *args):
+        def spy(patches, blocks, *args):
             if patches.shape == x_patches:  # a pass over x, not over dX's padded dz
-                runs.append((lo, hi, threading.current_thread() is threading.main_thread()))
-            return real(patches, lo, hi, *args)
+                runs.append((blocks[0][1].start, blocks[-1][1].stop,
+                             threading.current_thread() is threading.main_thread()))
+            return real(patches, blocks, *args)
 
         monkeypatch.setattr(model, "_run_blocks", spy)
         got = self._convs(x, w, dz)
@@ -156,14 +157,15 @@ class TestBlockMap:
             assert got[name].dtype == want[name].dtype, name
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
             assert got[name].tobytes() == want[name].tobytes(), name
-        # forward, dW and the MAC each split x's blocks into contiguous runs,
-        # the first on the caller's thread and the rest on the pool's
+        # forward, dW and the MAC each split x's blocks into contiguous runs
+        # of patch rows, the first on the caller's thread and the rest on the
+        # pool's
         n = min(workers, blocks // 2)
         assert len(runs) == 3 * n
         for call in range(3):
             mine = sorted(runs[call * n : (call + 1) * n])
             assert [lo for lo, _, _ in mine[1:]] == [hi for _, hi, _ in mine[:-1]]
-            assert mine[0][0] == 0 and mine[-1][1] == x_patches[0]
+            assert mine[0][0] == 0 and mine[-1][1] == dz.size // dz.shape[-1]
             assert [main for _, _, main in mine] == [True] + [False] * (n - 1)
 
     def test_need_mask_skips_blocks_and_splits_the_rest(self, rng, monkeypatch, workers):
@@ -176,9 +178,10 @@ class TestBlockMap:
         every = model._map_blocks(x, 3, 1, x.dtype, lambda rows, cols: (rows, cols.copy()))
         runs, real = [], model._run_blocks
 
-        def spy(patches, lo, hi, *args):
-            runs.append((lo, hi, threading.current_thread() is threading.main_thread()))
-            return real(patches, lo, hi, *args)
+        def spy(patches, blocks, *args):
+            runs.append((blocks[0][1].start, blocks[-1][1].stop,
+                         threading.current_thread() is threading.main_thread()))
+            return real(patches, blocks, *args)
 
         monkeypatch.setattr(model, "_run_blocks", spy)
         got = model._map_blocks(x, 3, 1, x.dtype, lambda rows, cols: (rows, cols.copy()), need)
@@ -186,8 +189,10 @@ class TestBlockMap:
         for (_, cols), b in zip(got, (0, 2, 3, 4, 6)):
             assert cols.tobytes() == every[b][1].tobytes()
         # five needed blocks: two runs on two or three workers, cut at the
-        # third needed block (lead row 6), the first on the caller's thread
-        want = [(0, 13, True)] if workers == 1 else [(0, 6, True), (6, 13, False)]
+        # third needed block (lead row 6, patch row 60), the first on the
+        # caller's thread; a run spans its first block's first patch row to
+        # its last block's end
+        want = [(0, 130, True)] if workers == 1 else [(0, 60, True), (60, 130, False)]
         assert sorted(runs) == want
 
     @pytest.mark.parametrize("integer", [False, True])
@@ -281,6 +286,50 @@ class TestBlockMap:
             model._map_blocks(x, 3, 1, x.dtype, fn)
         # blocks 3 to 6 (rows 60 to 120) are the pool's run; none outlives the call
         assert done[-4:] == [60, 80, 100, 120]
+
+
+class TestSplitLeads:
+    """A lead index of more than model._BLOCK_ROWS patch rows is split along
+    its first position axis. On integer-valued data every sum is exact, so
+    the FP forward pass, the integer MAC and training's dW and dX give the
+    bytes of the same call on blocks that split no lead index."""
+
+    # input shape (*lead, *spatial, C) and spatial axes: at K = 3 a 1D lead
+    # index holds 2,298 patch rows and a 2D one 48 x 48 = 2,304, and dX's
+    # padded passes 2,300 and 2,500, each two blocks at the 2,240-row cap
+    CASES = {"1d": ((4, 2300, 2), 1), "2d": ((2, 2, 50, 50, 1), 2)}
+
+    @staticmethod
+    def _convs(x, w, dz, need):
+        from edgehar.train import _conv_bwd
+
+        dx, dw = _conv_bwd(dz, x, w, need_dx=True, need=need)
+        return {"forward": model._conv_batch(x, w, need), "dx": dx, "dw": dw,
+                "mac": model._conv_batch(x.astype(np.int64), w, need)}
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("case", CASES)
+    def test_split_equals_whole(self, rng, monkeypatch, workers, case, masked):
+        shape, nd = self.CASES[case]
+        k = 3
+        x = rng.integers(-8, 9, size=shape).astype(np.float64)
+        w = rng.integers(-8, 9, size=(*(k,) * nd, shape[-1], 4)).astype(np.float64)
+        dz = rng.integers(-8, 9, size=model._conv_batch(x, w).shape).astype(np.float64)
+        need = None
+        if masked:  # dZ is nonzero in the needed lead indices alone
+            need = np.array([True, False, True, True])
+            dz.reshape(4, -1)[~need] = 0.0
+        rows = model._map_blocks(x, k, nd, x.dtype, lambda rows, cols: len(cols), need)
+        assert len(rows) == 2 * (3 if masked else 4) and max(rows) <= model._BLOCK_ROWS
+        got = self._convs(x, w, dz, need)
+        with monkeypatch.context() as whole:  # one whole lead index per block
+            whole.setattr(model, "_BLOCK_ROWS", 2500)
+            assert len(model._map_blocks(x, k, nd, x.dtype, lambda rows, cols: None)) == 4
+            want = self._convs(x, w, dz, need)
+        assert want["mac"].dtype == np.int64
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 _GMAX = BranchSpec("g", 1, (ConvSpec(1, 1),) * 3)

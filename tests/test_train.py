@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +148,35 @@ class TestConvBackward:
         X = {"s": rng.normal(size=(2, 8, 2))}  # 8 -> 5 -> 2 rows, third layer starves
         with pytest.raises(ValueError, match="shorter than kernel"):
             backward(spec, init_params(spec, seed=0), X, np.array([0, 1]))
+
+
+class TestBlasThreads:
+    # OpenBLAS reads its thread count once, when numpy loads, so each count
+    # runs in a process of its own: a thermal-shaped backward, 4 frames of 32
+    # timesteps of the 24 x 32 grid at K 5 and 8 filters, prints one digest
+    # per gradient tensor
+    SCRIPT = """
+import hashlib
+import numpy as np
+from edgehar.daq import CATALOG
+from edgehar.model import feature_fusion_spec
+from edgehar.train import _iter_tensors, backward, init_params
+spec = feature_fusion_spec([CATALOG["thermal"]], filters=8, kernel=5, hidden=16, classes=3)
+X = {"thermal": np.random.default_rng(0).uniform(-1, 1, size=(4, 32, 768))}
+_, grads = backward(spec, init_params(spec, seed=0), X, np.array([0, 1, 2, 0]))
+for g in _iter_tensors(grads):
+    print(hashlib.sha256(g.tobytes()).hexdigest())
+"""
+
+    def test_thermal_gradients_same_bytes_at_1_and_2_threads(self):
+        # every im2col block is at most model._BLOCK_ROWS patch rows, which
+        # OpenBLAS sums in one order at either thread count
+        src = str(Path(model.__file__).resolve().parents[1])
+        digests = [subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, check=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src),
+        ).stdout.split() for threads in (1, 2)]
+        assert len(digests[0]) == 5 and digests[0] == digests[1]
 
 
 class TestRowPath:
