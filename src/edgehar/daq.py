@@ -9,13 +9,15 @@ bounded data-level FIFOs into a stream controller that emits sliding-window
 frames with each sensor's native-rate rows. A FIFO copies no sample: it holds
 index ranges into its source's track, and a window's rows are slices of it.
 A stream searches each track once, for the index every frame end pushes it
-to and the index every frame start cuts it at, so that each frame moves its
-FIFOs by integer index alone. A frame whose every window is one such slice
-of exactly its rows is exact: its tensors are those slices, read-only views
-of the tracks, and it records their first track indices, so that frames
-sharing samples can be told apart from ones that do not. Every other frame
-is fitted, and owns copies of its rows. Overflow and underfill are explicit,
-counted events; no sample is ever silently dropped.
+to and the index every frame start cuts it at. When those index arrays prove
+that no FIFO can overflow, every window is framed as a track slice with no
+FIFO call, and the counters are written once, when the stream stops; else
+each frame pushes, windows and cuts its FIFOs. A frame whose every window is
+one such slice of exactly its rows is exact: its tensors are those slices,
+read-only views of the tracks, and it records their first track indices, so
+that frames sharing samples can be told apart from ones that do not. Every
+other frame is fitted, and owns copies of its rows. Overflow and underfill
+are explicit, counted events; no sample is ever silently dropped.
 
 Also hosts the synthetic labeled-activity generator that stands in for a
 real multi-sensor recording rig, and the built-in sensor catalog.
@@ -121,6 +123,9 @@ class SensorSpec:
                     and all(type(d) is int and d >= 1 for d in self.grid)):
                 raise ValueError(f"sensor {self.name!r}: grid must be two positive integers, "
                                  f"got {self.grid!r}")
+            if self.conv_dim == 1:
+                raise ValueError(f"sensor {self.name!r}: a 1D sensor takes no grid, "
+                                 f"got {self.grid!r}")
             object.__setattr__(self, "grid", tuple(self.grid))
         if self.channels < 1:
             raise ValueError(f"sensor {self.name!r} needs channels >= 1")
@@ -174,6 +179,8 @@ class SensorFifo:
     of the next sample to push, and cut, set by the last drop_before, is where
     the next window starts. occupancy counts the samples held, kept by push
     and drop. Conservation: produced == consumed + occupancy + overflowed.
+    A stream that proves it cannot overflow writes them once, when it stops,
+    not per frame: read them once the stream has stopped.
 
     A FIFO built without a depth is unbounded until stream_frames sizes it
     for the window it drains.
@@ -274,7 +281,8 @@ class Source:
 
 class Session:
     """Started sources, each feeding its own FIFO. fifo_depth overrides the
-    depth of the named FIFOs; the others are sized by stream_frames."""
+    depth of the named FIFOs; the others are sized by stream_frames. Its
+    counters and events are final once its stream has stopped: read them then."""
 
     def __init__(self, sources: list[Source], fifo_depth: dict[str, int] | None = None):
         self.sources = sources
@@ -399,25 +407,57 @@ def stream_frames(session: Session, cfg: WindowConfig):
 
     Each track is searched once per stream, not once per frame: one
     searchsorted over every frame end min(b_k, the source's end) gives the
-    index each FIFO is pushed to before frame k, and one over every frame
-    start a_0 .. a_n the index it is cut at. Each frame then pushes every
-    FIFO before it takes any window, fits its windows if it is not exact, and
-    cuts every FIFO once it has been consumed, in integer index arithmetic.
+    index push[k] each FIFO is pushed to before frame k, and one over every
+    frame start a_0 .. a_n the index cut[k] it is cut at after frame k - 1.
+    From a session that has pushed nothing, a FIFO then holds push[k] - held[k]
+    samples after frame k's push, held = [0, cut[1], .., cut[n-1]] (frame 0
+    also holds the samples stamped before the origin). When that never exceeds
+    a FIFO's depth, no sample can overflow: frame k's windows are the track
+    slices [cut[k], push[k]), and each FIFO's counters are written once, as
+    the per-frame loop would leave them, when the stream stops (it ends,
+    raises or is closed). Otherwise every frame pushes every FIFO before it
+    takes any window, fits its windows if it is not exact, and cuts every FIFO
+    once it has been consumed; push_until counts any overflow. Either way the
+    session's counters are final once its stream has stopped: read them then.
     """
     from .model import Frame
 
     step_ns, window_ns = cfg.step_ns, cfg.window_ns
     n = max(0, (session.duration_ns - window_ns) // step_ns + 1)
     starts = np.arange(n + 1, dtype=np.int64) * step_ns
+    proven = not any(f.produced for f in session.fifos.values())
+    whole = np.ones(n, dtype=bool)  # frames whose every slice is exactly its rows
     fifos = []  # (fifo, rows, push index per frame, cut index per frame start)
     for src in session.sources:
         fifo, rows = session.fifos[src.spec.name], cfg.timesteps(src.spec.rate)
         if fifo.depth is None:
             fifo.depth = FIFO_WINDOWS * rows
         push = src.t_track.searchsorted(np.minimum(starts[:n] + window_ns, src.duration_ns))
-        cut = src.t_track.searchsorted(starts).tolist()
-        fifo.drop_before(cut[0])  # frame 0's window starts at 0
-        fifos.append((fifo, rows, push.tolist(), cut))
+        cut = src.t_track.searchsorted(starts)
+        proven = proven and bool((push - np.append(0, cut[1:n]) <= fifo.depth).all())
+        whole &= push - cut[:n] == rows
+        fifo.drop_before(int(cut[0]))  # frame 0's window starts at 0
+        fifos.append((fifo, rows, push.tolist(), cut.tolist()))
+    if proven:  # frame k's windows are the slices [cut[k], push[k]) of the tracks
+        pushed = done = 0  # frames pushed, and frames consumed and cut
+        try:
+            for k, exact in enumerate(whole.tolist()):
+                a = k * step_ns
+                b, pushed = a + window_ns, k + 1
+                if exact:
+                    yield Frame({f.name: f.v_track[c[k]:p[k]] for f, _, p, c in fifos}, a, b,
+                                {f.name: c[k] for f, _, _, c in fifos})
+                else:
+                    yield Frame({f.name: _fit_rows(f.name, f.v_track[c[k]:p[k]], rows, b, session)
+                                 for f, rows, p, c in fifos}, a, b, None)
+                done = k + 1
+        finally:  # each FIFO's counters, as the per-frame loop leaves them here
+            for fifo, _, push, cut in fifos:
+                fifo.produced = push[pushed - 1] if pushed else 0
+                fifo.consumed = cut[done] if done else 0
+                fifo.cut, fifo.occupancy = cut[done], fifo.produced - fifo.consumed
+                fifo.ranges = [(fifo.consumed, fifo.produced)] if fifo.occupancy else []
+        return
     for k in range(n):
         a = k * step_ns
         b = a + window_ns

@@ -930,6 +930,8 @@ class TestSchema:
                        "grid": [2, 3, 1]}, "tof"]}, ["sensor 'g'", "grid", "[2, 3, 1]"]),
         ({"sensors": [{"name": "g", "channels": 169, "rate_hz": 25, "conv_dim": 2,
                        "grid": [13.0, 13]}, "tof"]}, ["sensor 'g'", "grid", "[13.0, 13]"]),
+        ({"sensors": [{"name": "x", "channels": 5, "rate_hz": 25, "grid": [2, 3]}, "tof"]},
+         ["sensor 'x'", "1D", "grid", "[2, 3]"]),
     ])
     def test_rejected_at_load_by_every_stage(self, tmp_path, capsys, override, expected):
         path = tmp_path / "cfg.json"

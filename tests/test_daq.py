@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from edgehar.daq import (
     NS,
     TABLE_SENSORS,
     Recording,
+    SensorFifo,
     SensorSpec,
     Source,
     WindowConfig,
@@ -209,6 +212,17 @@ def _drain(frames):
     return out, None
 
 
+def _fifo_calls(monkeypatch):
+    """Per FIFO name, the count of its push_until, window and drop_before calls."""
+    calls = Counter()
+    for meth in ("push_until", "window", "drop_before"):
+        def spy(self, *args, _real=getattr(SensorFifo, meth)):
+            calls[self.name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(SensorFifo, meth, spy)
+    return calls
+
+
 class TestRangeFifoMatchesDeque:
     """The index-range FIFOs frame every stream exactly as a per-sample deque
     FIFO does, overflow gaps and repeated stamps included."""
@@ -264,6 +278,99 @@ class TestRangeFifoMatchesDeque:
         assert sess.conservation() == ref.conservation()
         assert all(v.flags.writeable for _, v, _ in tracks.values())  # the caller's arrays
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), window_ms=st.integers(300, 1500),
+           seed=st.integers(0, 2**32 - 1))
+    def test_counters_when_the_stream_stops(self, data, n, window_ms, seed):
+        # the stream and the oracle's are closed after `stop` frames, unless
+        # they end or raise first: the counters then are the oracle's, and the
+        # FIFOs hold its buffered track indices. A drawn depth may let a FIFO
+        # overflow, and a track may begin before the origin
+        step_ms = data.draw(st.integers(window_ms // 4, window_ms))
+        cfg = WindowConfig(Fraction(window_ms, 1000), Fraction(step_ms, 1000))
+        rng = np.random.default_rng(seed)
+        sources, tracks, rows, depth, explicit = [], {}, {}, {}, {}
+        for i in range(n):
+            spec = SensorSpec(f"s{i}", 1, data.draw(st.sampled_from(self.RATES)))
+            duration_s = Fraction(data.draw(st.integers(window_ms, 6000)), 1000)
+            t = _stamps(spec, duration_s)
+            if data.draw(st.booleans()):  # jittered: repeats, gaps, stamps past the end
+                t = np.sort(rng.integers(0, int(duration_s * NS * 6 / 5), t.size))
+            t = t - data.draw(st.sampled_from([0, 0, NS // 10, NS // 2]))
+            v = rng.standard_normal((t.size, 1))
+            sources.append(Source(spec, t, v, duration_s))
+            tracks[spec.name] = (t, v, int(duration_s * NS))
+            rows[spec.name] = cfg.timesteps(spec.rate)
+            depth[spec.name] = FIFO_WINDOWS * rows[spec.name]
+            if data.draw(st.booleans()):
+                explicit[spec.name] = depth[spec.name] = data.draw(
+                    st.integers(1, 3 * rows[spec.name]))
+        frames_in = (min(d for _, _, d in tracks.values()) - cfg.window_ns) // cfg.step_ns + 1
+        stop = data.draw(st.integers(0, frames_in + 1))
+
+        sess = start_sync(sources, fifo_depth=explicit)
+        ref = oracles.DequeStream(tracks, rows, depth)
+        drained = []
+        for frames in (stream_frames(sess, cfg), ref.frames(cfg.window_ns, cfg.step_ns)):
+            got, err = _drain(itertools.islice(frames, stop))
+            frames.close()
+            drained.append((len(got), err))
+        assert drained[0] == drained[1]
+        assert sess.underfill_events == ref.underfill_events
+        assert sess.overfill_events == ref.overfill_events
+        assert sess.conservation() == ref.conservation()
+        # frames consumed: the windows start at the last one's cut
+        done = drained[0][0] if drained[0][1] or stop > frames_in else max(0, stop - 1)
+        for name, (t, _, _) in tracks.items():
+            idx = np.array([i for _, _, i in ref.buf[name]], dtype=np.int64)
+            runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1) if idx.size else []
+            assert sess.fifos[name].ranges == [(int(r[0]), int(r[-1]) + 1) for r in runs]
+            assert sess.fifos[name].cut == (int(t.searchsorted(done * cfg.step_ns)) if stop else 0)
+
+    def test_a_session_run_before_streaming_is_framed_per_frame(self, monkeypatch):
+        # samples pushed by run_until before the stream leave nothing to prove
+        # from the index arrays: every frame pushes, windows and cuts each FIFO,
+        # exactly as the oracle run to the same time first
+        calls = _fifo_calls(monkeypatch)
+        specs = [SensorSpec("a", 2, 20), SensorSpec("b", 1, 100 / 3), SensorSpec("c", 3, 6.6)]
+        sources = [_ramp_source(spec, 4) for spec in specs]
+        cfg = WindowConfig(1, Fraction(1, 4))
+        rows = {spec.name: cfg.timesteps(spec.rate) for spec in specs}
+        sess = start_sync(sources)
+        ref = oracles.DequeStream({s.spec.name: (s.t_track, s.v_track, s.duration_ns)
+                                   for s in sources}, rows,
+                                  {name: FIFO_WINDOWS * r for name, r in rows.items()})
+        sess.run_until(600_000_000)
+        ref._run_until(600_000_000)
+        assert sess.conservation() == ref.conservation()
+        frames, err = _drain(stream_frames(sess, cfg))
+        ref_frames, ref_err = _drain(ref.frames(cfg.window_ns, cfg.step_ns))
+        assert err == ref_err is None and len(frames) == len(ref_frames) == 13
+        for f, (tensors, _, _) in zip(frames, ref_frames):
+            assert {n: x.tobytes() for n, x in f.tensors.items()} == \
+                {n: x.tobytes() for n, x in tensors.items()}
+        assert [f.first_rows for f in frames] == ref.first_rows
+        assert sess.underfill_events == ref.underfill_events != []
+        assert sess.overfill_events == ref.overfill_events
+        assert sess.conservation() == ref.conservation()
+        # run_until's push, frame 0's cut, and a push, a window and a cut per frame
+        assert calls == {name: 2 + 3 * 13 for name in rows}
+
+    def test_an_overflow_free_stream_makes_no_fifo_call_per_frame(self, monkeypatch):
+        # the stream workload's four sensors, windows and steps: each FIFO is
+        # called once, to cut it at frame 0's start, and its counters are
+        # written when the stream ends
+        calls = _fifo_calls(monkeypatch)
+        specs = [CATALOG[name] for name in ("optical", "motion", "magnetic", "tof")]
+        rec, _ = gen_timeline(specs, [0, 1, 2], 2, seed=7)
+        sess = start_sync(recording_sources(rec, specs))
+        frames = list(stream_frames(sess, WindowConfig(1, Fraction(1, 10))))
+        assert len(frames) == 51 and all(f.first_rows for f in frames)
+        assert dict(calls) == {spec.name: 1 for spec in specs}
+        for spec in specs:
+            c = sess.conservation()[spec.name]
+            assert c["ok"] and c["overflowed"] == 0
+            assert c["produced"] == count_until(6 * NS, spec.rate)
 
     def test_stamps_before_the_origin_stay_out_of_frame_0(self):
         # a replayed track may begin before t = 0: those samples are pushed

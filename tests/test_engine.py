@@ -381,7 +381,8 @@ class TestBatchedPath:
         frames = data.draw(st.integers(0, 4))
         spike = data.draw(st.integers(-1, frames - 1))  # one frame at full storage scale
         m = data.draw(st.sampled_from([1, 1 << (n // 2), 1 << n]))
-        block = data.draw(st.sampled_from([1, 1 << 20]))  # one im2col lead row or all per block
+        # one im2col patch row per block (one grid row of positions in 2D), or all
+        block = data.draw(st.sampled_from([1, 1 << 20]))
         qX = {}
         for b in qm.spec.branches:
             x = rng.integers(-m, m, size=(frames, qm.input_rows[b.name], b.channels))

@@ -198,7 +198,8 @@ class TestBlockMap:
     @pytest.mark.parametrize("integer", [False, True])
     @pytest.mark.parametrize("nd", [1, 2])
     def test_conv_need_mask_zeroes_skipped_rows(self, rng, monkeypatch, workers, nd, integer):
-        # one lead row per block, 9 lead rows of which the mask needs 4: the
+        # one patch row per block in 1D, one grid row of positions in 2D, so no
+        # block spans two of the 9 lead rows, of which the mask needs 4: the
         # skipped rows are the bytes of np.zeros, the kept ones those of the
         # unmasked call, for the FP conv and the integer MAC
         monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 1)

@@ -200,9 +200,9 @@ class TestRowPath:
 
     @staticmethod
     def _both_paths(monkeypatch, spec, params, X, y, block_bytes=1):
-        """(masked, unmasked) gradients, by default at one lead row per block,
-        so that the mask skips every block it can, and the masked run's
-        _conv_bwd calls (see _masks)."""
+        """(masked, unmasked) gradients, by default at one patch row per block
+        (one grid row of positions in 2D), so that the mask skips every block
+        it can, and the masked run's _conv_bwd calls (see _masks)."""
         if block_bytes:
             monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
         with monkeypatch.context() as dense:
@@ -239,8 +239,9 @@ class TestRowPath:
     def test_layer_equals_dense(self, rng, monkeypatch, workers, nd, lone, block_bytes):
         # dZ is nonzero in the masked lead rows alone: one interior row, or the
         # first, the last and two drawn between, some entries zero and one row
-        # with only two filters. Blocks hold one lead row, or several, so that
-        # a block is held by one row only
+        # with only two filters. Blocks hold one patch row (one grid row of
+        # positions in 2D), or several lead rows, so that a block is held by
+        # one row only
         monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
         k, c, f = 3, 2, 9
         x = rng.normal(size=((6, 13) if nd == 1 else (3, 2, 7, 6)) + (c,))
@@ -256,8 +257,8 @@ class TestRowPath:
         dx, dw = _conv_bwd(dz, x, w, need_dx=True, need=need)
         assert dw.tobytes() == want_dw.tobytes()
         assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
-        # at one lead row per block the mask skips blocks, whose rows of dX
-        # are zero without being computed
+        # at one patch row (2D: one grid row of positions) per block the mask
+        # skips blocks, whose rows of dX are zero without being computed
         kept = model._map_blocks(x, k, nd, x.dtype, lambda rows, cols: None, need)
         every = model._map_blocks(x, k, nd, x.dtype, lambda rows, cols: None)
         assert 0 < len(kept) < len(every) if block_bytes == 1 else 0 < len(kept)
@@ -342,8 +343,9 @@ class TestRowPath:
     @pytest.mark.parametrize("block_bytes, taken", [(None, []), (1, [True, True, False])])
     def test_lone_block_layers_stay_dense(self, rng, monkeypatch, block_bytes, taken):
         # every layer's patch matrix fits one block of model._COL_BLOCK_BYTES,
-        # which its mask holds, so every block runs; at one lead row per block
-        # the mask skips some blocks of each layer's dW and dX
+        # which its mask holds, so every block runs; at one grid row of
+        # positions per block the mask skips some blocks of each layer's dW
+        # and dX
         if block_bytes:
             monkeypatch.setattr(model, "_COL_BLOCK_BYTES", block_bytes)
         spec = ModelSpec((BranchSpec("s", 56, (ConvSpec(2, 3),) * 3, conv_dim=2,
