@@ -9,15 +9,15 @@ bounded data-level FIFOs into a stream controller that emits sliding-window
 frames with each sensor's native-rate rows. A FIFO copies no sample: it holds
 index ranges into its source's track, and a window's rows are slices of it.
 A stream searches each track once, for the index every frame end pushes it
-to and the index every frame start cuts it at. When those index arrays prove
-that no FIFO can overflow, every window is framed as a track slice with no
-FIFO call, and the counters are written once, when the stream stops; else
-each frame pushes, windows and cuts its FIFOs. A frame whose every window is
-one such slice of exactly its rows is exact: its tensors are those slices,
-read-only views of the tracks, and it records their first track indices, so
-that frames sharing samples can be told apart from ones that do not. Every
-other frame is fitted, and owns copies of its rows. Overflow and underfill
-are explicit, counted events; no sample is ever silently dropped.
+to and the index every frame start cuts it at. One frame loop frames every
+sensor, and each FIFO is proven on its own: one that cannot overflow is
+framed as track slices with no FIFO call, its counters written when the
+stream stops; any other is pushed, windowed and cut per frame. A frame whose
+every window is one slice of exactly its rows is exact: its tensors are those
+slices, read-only views of the tracks, and it records their first track
+indices, so that frames sharing samples can be told apart from ones that do
+not. Every other frame is fitted, and owns copies of its rows. Overflow and
+underfill are explicit, counted events; no sample is ever silently dropped.
 
 Also hosts the synthetic labeled-activity generator that stands in for a
 real multi-sensor recording rig, and the built-in sensor catalog.
@@ -179,8 +179,9 @@ class SensorFifo:
     of the next sample to push, and cut, set by the last drop_before, is where
     the next window starts. occupancy counts the samples held, kept by push
     and drop. Conservation: produced == consumed + occupancy + overflowed.
-    A stream that proves it cannot overflow writes them once, when it stops,
-    not per frame: read them once the stream has stopped.
+    A FIFO that its stream proves cannot overflow is not called per frame:
+    the stream writes its counters once, when it stops, so read them once
+    the stream has stopped.
 
     A FIFO built without a depth is unbounded until stream_frames sizes it
     for the window it drains.
@@ -188,8 +189,8 @@ class SensorFifo:
 
     def __init__(self, name: str, t_track: np.ndarray, v_track: np.ndarray,
                  depth: int | None = None):
-        if depth is not None and depth < 1:
-            raise ValueError("FIFO depth must be >= 1")
+        if depth is not None and (type(depth) is not int or depth < 1):
+            raise ValueError(f"sensor {name!r}: FIFO depth must be an int >= 1, got {depth!r}")
         self.name = name
         self.depth = depth
         self.t_track = t_track
@@ -230,18 +231,18 @@ class SensorFifo:
             self.consumed += gone
             self.occupancy -= gone
 
-    def window(self) -> tuple[np.ndarray, int | None]:
-        """Values of the buffered samples from track index cut on, in order,
-        and the track index of the first when they are one slice of the track:
-        a view of v_track. Across an overflow gap they are a new array, and
-        the index is None. Once every sample stamped before b has been pushed,
-        and none after it, these are the window [cut, b)."""
-        ranges, cut = self.ranges, self.cut
-        if len(ranges) == 1 and ranges[0][1] > cut:
-            lo = max(ranges[0][0], cut)
-            return self.v_track[lo:ranges[0][1]], lo
-        return np.concatenate([self.v_track[:0],
-                               *(self.v_track[max(lo, cut):hi] for lo, hi in ranges)]), None
+    def window(self, hi: int) -> tuple[np.ndarray, int | None]:
+        """Values of the buffered samples of track index in [cut, hi), in
+        order, and the track index of the first when they are one slice of the
+        track: a view of v_track. Across an overflow gap they are a new array,
+        and the index is None. With hi the index of the first sample stamped
+        at b or later, once all before b are pushed, they are the window
+        [cut, b), however far past b the FIFO was pushed."""
+        clipped = ((max(lo, self.cut), min(top, hi)) for lo, top in self.ranges)
+        spans = [(lo, top) for lo, top in clipped if lo < top]
+        if len(spans) == 1:
+            return self.v_track[slice(*spans[0])], spans[0][0]
+        return np.concatenate([self.v_track[:0], *(self.v_track[lo:top] for lo, top in spans)]), None
 
     def conservation_ok(self) -> bool:
         return self.produced == self.consumed + self.occupancy + self.overflowed
@@ -281,10 +282,14 @@ class Source:
 
 class Session:
     """Started sources, each feeding its own FIFO. fifo_depth overrides the
-    depth of the named FIFOs; the others are sized by stream_frames. Its
-    counters and events are final once its stream has stopped: read them then."""
+    depth of the named FIFOs; the others are sized by stream_frames. A FIFO
+    that run_until pushed is framed per frame, each window ending at its
+    frame's end. Counters and events are final once the stream has stopped."""
 
     def __init__(self, sources: list[Source], fifo_depth: dict[str, int] | None = None):
+        unknown = set(fifo_depth or {}) - {s.spec.name for s in sources}
+        if unknown:
+            raise ValueError(f"fifo_depth names no sensor of the session: {sorted(unknown)}")
         self.sources = sources
         self.underfill_events: list[tuple[str, int]] = []
         self.overfill_events: list[tuple[str, int]] = []
@@ -325,9 +330,10 @@ def start_sync(sources: list[Source],
     names = [s.spec.name for s in sources]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate sensor names: {names}")
+    session = Session(sources, fifo_depth)  # checks fifo_depth before any source starts
     for s in sources:
         s.start()  # raises on double start
-    return Session(sources, fifo_depth)
+    return session
 
 
 # ---------------------------------------------------------------------------
@@ -407,73 +413,66 @@ def stream_frames(session: Session, cfg: WindowConfig):
 
     Each track is searched once per stream, not once per frame: one
     searchsorted over every frame end min(b_k, the source's end) gives the
-    index push[k] each FIFO is pushed to before frame k, and one over every
-    frame start a_0 .. a_n the index cut[k] it is cut at after frame k - 1.
-    From a session that has pushed nothing, a FIFO then holds push[k] - held[k]
-    samples after frame k's push, held = [0, cut[1], .., cut[n-1]] (frame 0
-    also holds the samples stamped before the origin). When that never exceeds
-    a FIFO's depth, no sample can overflow: frame k's windows are the track
-    slices [cut[k], push[k]), and each FIFO's counters are written once, as
-    the per-frame loop would leave them, when the stream stops (it ends,
-    raises or is closed). Otherwise every frame pushes every FIFO before it
-    takes any window, fits its windows if it is not exact, and cuts every FIFO
-    once it has been consumed; push_until counts any overflow. Either way the
-    session's counters are final once its stream has stopped: read them then.
+    index push[k] its FIFO is pushed to before frame k, and one over every
+    frame start a_0 .. a_n the index cut[k] it is cut at after frame k - 1:
+    window k is the samples the FIFO holds in [cut[k], push[k]). Each FIFO
+    is proven on its own. From none pushed before the stream, it holds
+    push[k] - held[k] samples after frame k's push, held = [0, cut[1], ..,
+    cut[n-1]] (frame 0 also holds the samples stamped before the origin).
+    When that never exceeds its depth, it cannot overflow: its windows are
+    track slices, and its counters are written once, as the per-frame calls
+    would leave them, when the stream stops (it ends, raises or is closed).
+    Every other FIFO is pushed and windowed for each frame, before any window
+    is fitted, and cut once the frame is consumed; push_until counts its
+    overflow. Either way the session's counters are final once its stream
+    has stopped.
     """
     from .model import Frame
 
     step_ns, window_ns = cfg.step_ns, cfg.window_ns
     n = max(0, (session.duration_ns - window_ns) // step_ns + 1)
     starts = np.arange(n + 1, dtype=np.int64) * step_ns
-    proven = not any(f.produced for f in session.fifos.values())
-    whole = np.ones(n, dtype=bool)  # frames whose every slice is exactly its rows
-    fifos = []  # (fifo, rows, push index per frame, cut index per frame start)
+    whole = np.ones(n, dtype=bool)  # frames whose every proven slice is exactly its rows
+    fifos = []  # (fifo, rows, push index per frame, cut index per frame start, proven)
     for src in session.sources:
         fifo, rows = session.fifos[src.spec.name], cfg.timesteps(src.spec.rate)
         if fifo.depth is None:
             fifo.depth = FIFO_WINDOWS * rows
         push = src.t_track.searchsorted(np.minimum(starts[:n] + window_ns, src.duration_ns))
         cut = src.t_track.searchsorted(starts)
-        proven = proven and bool((push - np.append(0, cut[1:n]) <= fifo.depth).all())
-        whole &= push - cut[:n] == rows
+        proven = not fifo.produced and bool((push - np.append(0, cut[1:n]) <= fifo.depth).all())
+        if proven:
+            whole &= push - cut[:n] == rows
         fifo.drop_before(int(cut[0]))  # frame 0's window starts at 0
-        fifos.append((fifo, rows, push.tolist(), cut.tolist()))
-    if proven:  # frame k's windows are the slices [cut[k], push[k]) of the tracks
-        pushed = done = 0  # frames pushed, and frames consumed and cut
-        try:
-            for k, exact in enumerate(whole.tolist()):
-                a = k * step_ns
-                b, pushed = a + window_ns, k + 1
-                if exact:
-                    yield Frame({f.name: f.v_track[c[k]:p[k]] for f, _, p, c in fifos}, a, b,
-                                {f.name: c[k] for f, _, _, c in fifos})
+        fifos.append((fifo, rows, push.tolist(), cut.tolist(), proven))
+    looped = [(fifo, cut) for fifo, _, _, cut, proven in fifos if not proven]
+    pushed = done = 0  # frames pushed, and frames consumed and cut
+    try:
+        for k, exact in enumerate(whole.tolist()):
+            a = k * step_ns
+            b, pushed = a + window_ns, k + 1
+            tensors, first = {}, {}
+            for fifo, rows, p, c, proven in fifos:
+                if proven:
+                    tensors[fifo.name], first[fifo.name] = fifo.v_track[c[k]:p[k]], c[k]
                 else:
-                    yield Frame({f.name: _fit_rows(f.name, f.v_track[c[k]:p[k]], rows, b, session)
-                                 for f, rows, p, c in fifos}, a, b, None)
-                done = k + 1
-        finally:  # each FIFO's counters, as the per-frame loop leaves them here
-            for fifo, _, push, cut in fifos:
+                    fifo.push_until(p[k])
+                    x, i = tensors[fifo.name], first[fifo.name] = fifo.window(p[k])
+                    exact = exact and i is not None and len(x) == rows
+            if not exact:
+                tensors = {fifo.name: _fit_rows(fifo.name, tensors[fifo.name], rows, b, session)
+                           for fifo, rows, _, _, _ in fifos}
+            yield Frame(tensors, a, b, first if exact else None)
+            done = k + 1
+            for fifo, cut in looped:
+                fifo.drop_before(cut[k + 1])
+    finally:  # each proven FIFO's counters, as pushing and cutting it per frame leaves them
+        for fifo, _, push, cut, proven in fifos:
+            if proven:
                 fifo.produced = push[pushed - 1] if pushed else 0
                 fifo.consumed = cut[done] if done else 0
                 fifo.cut, fifo.occupancy = cut[done], fifo.produced - fifo.consumed
                 fifo.ranges = [(fifo.consumed, fifo.produced)] if fifo.occupancy else []
-        return
-    for k in range(n):
-        a = k * step_ns
-        b = a + window_ns
-        for fifo, _, push, _ in fifos:
-            fifo.push_until(push[k])
-        tensors, first, exact = {}, {}, True
-        for fifo, rows, _, _ in fifos:
-            x, i = fifo.window()
-            tensors[fifo.name], first[fifo.name] = x, i
-            exact = exact and i is not None and len(x) == rows
-        if not exact:
-            tensors = {fifo.name: _fit_rows(fifo.name, tensors[fifo.name], rows, b, session)
-                       for fifo, rows, _, _ in fifos}
-        yield Frame(tensors, a, b, first if exact else None)
-        for fifo, _, _, cut in fifos:
-            fifo.drop_before(cut[k + 1])
 
 
 # ---------------------------------------------------------------------------

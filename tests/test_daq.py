@@ -98,6 +98,18 @@ class TestStartSync:
         with pytest.raises(RuntimeError, match="already started"):
             start_sync([a])
 
+    @pytest.mark.parametrize("fifo_depth, message", [
+        ({"toff": 3}, r"fifo_depth names no sensor of the session: \['toff'\]"),
+        ({"tof": 2.5}, "sensor 'tof': FIFO depth must be an int >= 1, got 2.5"),
+        ({"tof": 0}, "sensor 'tof': FIFO depth must be an int >= 1, got 0"),
+        ({"tof": True}, "sensor 'tof': FIFO depth must be an int >= 1, got True"),
+    ], ids=["unknown_name", "float", "zero", "bool"])
+    def test_bad_fifo_depth_rejected_before_any_source_starts(self, fifo_depth, message):
+        tof = _const_source(CATALOG["tof"], 1)
+        with pytest.raises(ValueError, match=message):
+            start_sync([tof], fifo_depth=fifo_depth)
+        assert start_sync([tof], fifo_depth={"tof": 3}).fifos["tof"].depth == 3
+
 
 class TestWindowing:
     def test_first_frame_latency_fast_sensor(self):
@@ -371,6 +383,62 @@ class TestRangeFifoMatchesDeque:
             c = sess.conservation()[spec.name]
             assert c["ok"] and c["overflowed"] == 0
             assert c["produced"] == count_until(6 * NS, spec.rate)
+
+    def test_a_push_past_a_frame_end_stays_out_of_its_window(self):
+        # run_until(1.3 s) pushes a 10 Hz track up to its 1.2 s sample before
+        # the stream: frame 0, [0, 1) s, still holds exactly samples 0-0.9 s
+        spec = SensorSpec("r", 1, 10)
+        src = _ramp_source(spec, 4)
+        cfg = WindowConfig(1, Fraction(1, 2))
+        rows = cfg.timesteps(spec.rate)
+        sess = start_sync([src])
+        ref = oracles.DequeStream({"r": (src.t_track, src.v_track, src.duration_ns)},
+                                  {"r": rows}, {"r": FIFO_WINDOWS * rows})
+        sess.run_until(1_300_000_000)
+        ref._run_until(1_300_000_000)
+        frames, err = _drain(stream_frames(sess, cfg))
+        ref_frames, ref_err = _drain(ref.frames(cfg.window_ns, cfg.step_ns))
+        assert err == ref_err is None and len(frames) == len(ref_frames) == 7
+        for f, (tensors, a, b) in zip(frames, ref_frames):
+            assert (f.t_start_ns, f.t_end_ns) == (a, b)
+            assert f.tensors["r"].tobytes() == tensors["r"].tobytes()
+        assert frames[0].tensors["r"][:, 0].tolist() == list(range(10))
+        assert [f.first_rows for f in frames] == ref.first_rows
+        assert frames[0].first_rows == {"r": 0}
+        assert sess.underfill_events == ref.underfill_events == []
+        assert sess.overfill_events == ref.overfill_events == []
+        assert sess.conservation() == ref.conservation()
+
+    def test_each_fifo_is_proven_on_its_own(self, monkeypatch):
+        # the stream workload's four sensors, with motion's FIFO one sample
+        # short of its window: motion overflows and is pushed, windowed and
+        # cut per frame, while the others are framed as track slices, each
+        # called once, to cut it at frame 0's start
+        calls = _fifo_calls(monkeypatch)
+        specs = [CATALOG[name] for name in ("optical", "motion", "magnetic", "tof")]
+        rec, _ = gen_timeline(specs, [0, 1, 2], 2, seed=7)
+        sources = recording_sources(rec, specs)
+        cfg = WindowConfig(1, Fraction(1, 10))
+        rows = {spec.name: cfg.timesteps(spec.rate) for spec in specs}
+        depth = {name: FIFO_WINDOWS * r for name, r in rows.items()}
+        depth["motion"] = rows["motion"] - 1
+        sess = start_sync(sources, fifo_depth={"motion": depth["motion"]})
+        frames, err = _drain(stream_frames(sess, cfg))
+        ref = oracles.DequeStream({s.spec.name: (s.t_track, s.v_track, s.duration_ns)
+                                   for s in sources}, rows, depth)
+        ref_frames, ref_err = _drain(ref.frames(cfg.window_ns, cfg.step_ns))
+        assert err == ref_err is None and len(frames) == len(ref_frames) == 51
+        for f, (tensors, a, b) in zip(frames, ref_frames):
+            assert (f.t_start_ns, f.t_end_ns) == (a, b)
+            assert {n: x.tobytes() for n, x in f.tensors.items()} == \
+                {n: x.tobytes() for n, x in tensors.items()}
+        assert [f.first_rows for f in frames] == ref.first_rows
+        assert sess.underfill_events == ref.underfill_events != []
+        assert sess.overfill_events == ref.overfill_events
+        assert sess.conservation() == ref.conservation()
+        assert [c["overflowed"] > 0 for c in sess.conservation().values()] == \
+            [False, True, False, False]
+        assert dict(calls) == {"optical": 1, "motion": 1 + 3 * 51, "magnetic": 1, "tof": 1}
 
     def test_stamps_before_the_origin_stay_out_of_frame_0(self):
         # a replayed track may begin before t = 0: those samples are pushed
