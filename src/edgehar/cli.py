@@ -33,6 +33,10 @@ its value. model.fusion is fixed to "feature" and model.alpha_enabled to
 false (select trains its own importance model). A stage writes all of its
 outputs or none.
 
+select retrains on the sensors it keeps, unless it keeps every sensor and
+out holds exactly what train writes for the run: that model is the one a
+retrain would make, and select takes its weights and history instead.
+
 Exit codes: 0 success, 1 usage, 2 validation (bad config/schema/arguments),
 3 runtime failure.
 """
@@ -52,7 +56,7 @@ import numpy as np
 
 from . import daq, engine, model as mdl, quantize as qz, train as tr
 from .fxp import storage_format
-from .persist import SchemaError, write_csv_atomic, write_json_atomic
+from .persist import SchemaError, write_csv_atomic, write_json_atomic, write_text_atomic
 from .seeding import substream
 
 __all__ = ["main", "DEFAULT_CONFIG", "Config", "parse_config"]
@@ -299,10 +303,14 @@ def cmd_gen_data(cfg: Config, args) -> int:
     return 0
 
 
+def _train_meta(cfg: Config, stats) -> dict:
+    return cfg.echo | {"norm_stats": {k: list(v) for k, v in stats.items()}}
+
+
 def cmd_train(cfg: Config, args) -> int:
     X, y, stats = _load_bundle_arrays(cfg, cfg.spec)
     params, history = tr.train(cfg.spec, (X, y), cfg.train)
-    meta = cfg.echo | {"norm_stats": {k: list(v) for k, v in stats.items()}}
+    meta = _train_meta(cfg, stats)
     mdl.save_model(cfg.out / "model.json", cfg.spec, params, meta=meta)
     tr.history_to_csv(history, cfg.out / "history.csv")
     write_json_atomic(cfg.out / "history.meta.json", cfg.echo)
@@ -311,14 +319,49 @@ def cmd_train(cfg: Config, args) -> int:
     return 0
 
 
+def _same_json(a, b) -> bool:
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _trained(cfg: Config, stats):
+    """(params, history.csv text) of train's model in out, when model.json,
+    history.csv and history.meta.json are what cmd_train writes for this
+    config and the dataset's stats; None when any is missing, unreadable or
+    of another run."""
+    try:
+        spec, params, meta = mdl.load_model(cfg.out / "model.json")
+        history = (cfg.out / "history.csv").read_text(encoding="utf-8")
+        with open(cfg.out / "history.meta.json", encoding="utf-8") as fh:
+            history_meta = json.load(fh)
+    except Exception:  # noqa: BLE001 - a file select cannot use is retrained, never an error
+        return None
+    if (spec == cfg.spec and _same_json(meta, _train_meta(cfg, stats))
+            and _same_json(history_meta, cfg.echo)):
+        return params, history
+    return None
+
+
 def cmd_select(cfg: Config, args) -> int:
+    """Rank the sensors by a jointly trained importance vector, keep the
+    config's keep highest-ranked ones and write the model of those sensors.
+
+    When every sensor is kept, the kept model is train's: same spec, data,
+    seed and settings. select then trusts train's files in out, as quantize,
+    sweep and infer trust model.json: it takes model.json's weights and
+    history.csv's text when _trained finds them made for this run, and
+    retrains otherwise. Training is deterministic, so both give the same
+    bytes."""
     spec_a = replace(cfg.spec, alpha_enabled=True)
     X, y, stats = _load_bundle_arrays(cfg, spec_a)
     _, _, report = tr.train_importance(spec_a, (X, y), cfg.train)
     kept = tr.select_modalities(report, cfg.raw["keep"])
     spec_sel = replace(cfg.spec, branches=tuple(b for b in cfg.spec.branches if b.name in kept))
-    Xs = {k: v for k, v in X.items() if k in kept}
-    params, history = tr.train(spec_sel, (Xs, y), cfg.train)
+    reused = _trained(cfg, stats) if spec_sel == cfg.spec else None
+    if reused:
+        params, history_csv = reused
+    else:
+        Xs = {k: v for k, v in X.items() if k in kept}
+        params, history = tr.train(spec_sel, (Xs, y), cfg.train)
     importance = {"schema": "edgehar.importance/v1", **report.to_dict(), "kept": kept}
     write_json_atomic(cfg.out / "importance.json", importance | cfg.echo)
     meta = cfg.echo | {
@@ -326,9 +369,13 @@ def cmd_select(cfg: Config, args) -> int:
         "kept_sensors": kept,
     }
     mdl.save_model(cfg.out / "model_selected.json", spec_sel, params, meta=meta)
-    tr.history_to_csv(history, cfg.out / "history_selected.csv")
+    if reused:
+        write_text_atomic(cfg.out / "history_selected.csv", history_csv)
+    else:
+        tr.history_to_csv(history, cfg.out / "history_selected.csv")
     write_json_atomic(cfg.out / "history_selected.meta.json", cfg.echo)
-    print(f"kept {kept}; retrained model at {cfg.out/'model_selected.json'}")
+    how = "reused train's model" if reused else "retrained model"
+    print(f"kept {kept}; {how} at {cfg.out/'model_selected.json'}")
     return 0
 
 
@@ -533,7 +580,8 @@ def _build_parser() -> _Parser:
 
     common("gen-data", cmd_gen_data, "generate the synthetic dataset")
     common("train", cmd_train, "train the fp32 model")
-    common("select", cmd_select, "rank modalities and retrain on the top ones")
+    common("select", cmd_select, "rank modalities and retrain on the top ones, or reuse "
+           "train's model when all are kept")
     common("quantize", cmd_quantize, "post-training quantize at each bit width", "model")
     common("sweep", cmd_sweep, "accuracy-ratio curve over bit widths", "model")
     common("infer", cmd_infer, "run inference over the test dataset", "model", "qmodel")

@@ -331,8 +331,9 @@ def start_sync(sources: list[Source],
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate sensor names: {names}")
     session = Session(sources, fifo_depth)  # checks fifo_depth before any source starts
-    for s in sources:
-        s.start()  # raises on double start
+    # started sources first: one raises on its double start before any other starts
+    for s in sorted(sources, key=lambda s: not s.started):
+        s.start()
     return session
 
 

@@ -375,10 +375,18 @@ def _bound_walk(spec: ModelSpec, params: ModelParams, X: dict, observe=None) -> 
     max-pools, heads and the softmax-weighted mix are monotone in them, so
     each value of the walk bounds the |value| at the same place of every
     frame of X in the real forward pass.
+
+    A 2D branch with a gmax head, under feature fusion, gets one timestep of
+    its frame: its convolutions and pools act on each timestep alone and its
+    head maxes over them, so every timestep of the constant frame gives the
+    same values and features. The fill is still the largest |x| over all of X.
     """
     bound = ModelParams([[np.abs(w) for w in ws] for ws in params.branch_weights],
                         np.abs(params.dense1), np.abs(params.dense2), params.alpha)
-    frames = {k: np.full((1, *x.shape[1:]), np.maximum(x.max(), -x.min()))
+    one = {b.name for b in spec.branches
+           if spec.fusion == "feature" and b.conv_dim == 2 and b.head == "gmax"}
+    frames = {k: np.full((1, 1 if k in one else x.shape[1], *x.shape[2:]),
+                         np.maximum(x.max(), -x.min()))
               for k, x in X.items()}
     return _walk(spec, bound, frames, observe)
 

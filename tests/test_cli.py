@@ -906,6 +906,115 @@ class TestDeterminism:
         assert man["meta"]["seed"] == 99
 
 
+def _edit_json(path: Path, edit) -> None:
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _keep_all_config(tmp_path, name="cfg.json", **override) -> str:
+    """CFG keeping all 3 of its sensors, written to tmp_path/name."""
+    path = tmp_path / name
+    path.write_text(json.dumps(cli._merge(dict(CFG, keep=3, out=str(tmp_path / "run")),
+                                          override)))
+    return str(path)
+
+
+# Ways to leave out/ with other files than train writes for the keep-all config
+def _train_other_epochs(tmp_path, cfg, out):
+    assert _run("train", "--config", _keep_all_config(tmp_path, "other.json",
+                                                      train={"epochs": 4})) == 0
+
+
+def _train_other_seed(tmp_path, cfg, out):
+    assert _run("train", "--config", cfg, "--seed", "4") == 0
+
+
+def _edit_norm_stats(tmp_path, cfg, out):
+    assert _run("train", "--config", cfg) == 0
+
+    def shift(doc):
+        doc["meta"]["norm_stats"]["a"][1] += 0.5
+
+    _edit_json(out / "model.json", shift)
+
+
+def _drop_history(tmp_path, cfg, out):
+    assert _run("train", "--config", cfg) == 0
+    (out / "history.csv").unlink()
+
+
+def _wrong_schema(tmp_path, cfg, out):
+    assert _run("train", "--config", cfg) == 0
+    _edit_json(out / "model.json", lambda doc: doc.update(schema="edgehar.model/v0"))
+
+
+def _truncate_model(tmp_path, cfg, out):
+    assert _run("train", "--config", cfg) == 0
+    text = (out / "model.json").read_text()
+    (out / "model.json").write_text(text[: len(text) // 2])
+
+
+class TestSelectReuse:
+    """select takes train's model when it keeps every sensor and out holds
+    what train wrote for the run, and retrains otherwise, to the same bytes."""
+
+    OUTPUTS = ("model_selected.json", "history_selected.csv", "history_selected.meta.json",
+               "importance.json")
+
+    def _select(self, monkeypatch, cfg, out) -> tuple[int, dict]:
+        """(tr.train calls, output bytes) of one select run."""
+        calls = []
+        real = cli.tr.train
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(cli.tr, "train", counted)
+            assert _run("select", "--config", cfg) == 0
+        return len(calls), {n: (out / n).read_bytes() for n in self.OUTPUTS}
+
+    def _retrained(self, monkeypatch, cfg, out) -> dict:
+        """gen-data, then select's bytes with no model.json to reuse."""
+        assert _run("gen-data", "--config", cfg) == 0
+        calls, outputs = self._select(monkeypatch, cfg, out)
+        assert calls == 2
+        return outputs
+
+    def test_reuse_writes_the_retrain_bytes(self, tmp_path, monkeypatch, capsys):
+        cfg, out = _keep_all_config(tmp_path), tmp_path / "run"
+        retrained = self._retrained(monkeypatch, cfg, out)
+        assert "retrained model" in capsys.readouterr().out
+        assert _run("train", "--config", cfg) == 0
+        calls, reused = self._select(monkeypatch, cfg, out)
+        assert calls == 1  # the importance training alone
+        assert "reused train's model" in capsys.readouterr().out
+        assert reused == retrained
+        (out / "model.json").unlink()
+        assert self._select(monkeypatch, cfg, out) == (2, retrained)
+
+    @pytest.mark.parametrize("mismatch", [
+        _train_other_epochs, _train_other_seed, _edit_norm_stats, _drop_history, _wrong_schema,
+        _truncate_model,
+    ], ids=["other_epochs", "other_seed", "norm_stats", "no_history", "schema", "truncated"])
+    def test_mismatch_retrains(self, tmp_path, monkeypatch, capsys, mismatch):
+        cfg, out = _keep_all_config(tmp_path), tmp_path / "run"
+        retrained = self._retrained(monkeypatch, cfg, out)
+        mismatch(tmp_path, cfg, out)
+        capsys.readouterr()
+        assert self._select(monkeypatch, cfg, out) == (2, retrained)
+        assert "retrained model" in capsys.readouterr().out
+
+    def test_keep_below_sensor_count_ignores_model_json(self, workdir, monkeypatch):
+        tmp, cfg, out = workdir  # keeps 2 of 3 sensors
+        retrained = self._retrained(monkeypatch, cfg, out)
+        assert _run("train", "--config", cfg) == 0
+        (out / "model.json").write_text("{not json")
+        assert self._select(monkeypatch, cfg, out) == (2, retrained)
+
+
 class TestSchema:
     # each config failed late or was accepted silently before the schema
     @pytest.mark.parametrize("override, expected", [

@@ -98,6 +98,15 @@ class TestStartSync:
         with pytest.raises(RuntimeError, match="already started"):
             start_sync([a])
 
+    def test_a_started_source_starts_none(self):
+        a, b, c = (_const_source(SensorSpec(n, 1, 10), 1) for n in "abc")
+        start_sync([b])
+        with pytest.raises(RuntimeError, match="source 'b' already started"):
+            start_sync([a, b])
+        assert not a.started
+        start_sync([a, c])
+        assert a.started and c.started
+
     @pytest.mark.parametrize("fifo_depth, message", [
         ({"toff": 3}, r"fifo_depth names no sensor of the session: \['toff'\]"),
         ({"tof": 2.5}, "sensor 'tof': FIFO depth must be an int >= 1, got 2.5"),

@@ -658,6 +658,36 @@ class TestLossBound:
             assert not train_mod._loss_proven_finite(spec, params, X), (t.shape, bad)
             t[at] = kept
 
+    @pytest.mark.parametrize("alpha", [False, True])
+    def test_2d_gmax_branch_walks_one_timestep(self, rng, alpha):
+        # the walk over every timestep of the constant frame, as it ran before
+        spec = tiny_spec(rng, with_2d=True, alpha=alpha, pools=True)
+        grid = spec.branches[-1]
+        rows = rows_for(spec, rng) | {grid.name: 6}
+        X = random_inputs(spec, rng, batch=3, rows=rows)
+        X[grid.name][1, -1] *= 50.0  # the largest |x| is in no frame's first timestep
+        params = init_params(spec, seed=4)
+        if alpha:
+            params.alpha[:] = rng.normal(size=params.alpha.shape)
+        absolute = model.ModelParams([[np.abs(w) for w in ws] for ws in params.branch_weights],
+                                     np.abs(params.dense1), np.abs(params.dense2), params.alpha)
+        full = {k: np.full((1, *x.shape[1:]), np.abs(x).max()) for k, x in X.items()}
+        walks = []
+        for walk, args in ((model._walk, (spec, absolute, full)),
+                           (train_mod._bound_walk, (spec, params, X))):
+            peaks, lead = [], {}
+
+            def keep(key, x, a, win):
+                peaks.append((key, a.max()))
+                lead.setdefault(key, x.shape[1])
+
+            walks.append((walk(*args, keep), peaks, lead))
+        (logits, peaks, lead), (one_logits, one_peaks, one_lead) = walks
+        bi = len(spec.branches) - 1
+        assert lead[(bi, 0)] == 6 and one_lead[(bi, 0)] == 1
+        assert np.array_equal(one_logits, logits)
+        assert one_peaks == peaks
+
     def test_nan_in_a_held_out_frame_falls_back(self, rng, monkeypatch):
         X, y = _two_class_separable(rng)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=2, val_fraction=0.25)
