@@ -17,14 +17,19 @@ Each concept of the network is defined once, here:
   training's backward dX and the engine's integer MAC (an integer input
   gives the exact int64 accumulator); the backward dW reads the same blocks.
 - _map_blocks alone sizes the blocks, in patch rows, so that no window or
-  run makes a block whose sums depend on the BLAS thread count. A call with
-  at least two blocks per worker runs contiguous slices of its block list
-  on every usable core, as _WORKERS threads (the caller's and a pool's made
-  on first use), while numpy's copy and GEMM release the GIL; its results
-  are the serial loop's, bit for bit. Smaller calls start no thread. A
-  caller may mark the lead rows it needs; blocks without one are skipped,
-  and _conv_batch leaves their output rows zero. Training's dW and dX below
-  a 2D branch's gmax head pass such a mask.
+  run makes a block whose sums depend on the BLAS thread count. It plans
+  each input shape once (_block_plan, a bounded cache): the patch view's
+  shape and strides, the blocks and the one-block test, keyed on the shape,
+  K, the spatial axes, the input's and the columns' itemsizes and both
+  block caps. A call builds only the view over x's buffer, the mask filter,
+  the copies and the GEMMs. A call with at least two blocks per worker runs
+  contiguous slices of its block list on every usable core, as _WORKERS
+  threads (the caller's and a pool's made on first use), while numpy's copy
+  and GEMM release the GIL; its results are the serial loop's, bit for bit.
+  Smaller calls start no thread. A caller may mark the lead rows it needs;
+  blocks without one are skipped, and _conv_batch leaves their output rows
+  zero. Training's dW and dX below a 2D branch's gmax head pass such a
+  mask.
 - _pool_windows is every kernel max-pool, FP and integer alike; _head is the
   branch head (global max-pool or flatten) and _mix the importance mixing.
 - ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle
@@ -35,6 +40,7 @@ Each concept of the network is defined once, here:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -74,6 +80,10 @@ _BLOCK_ROWS = 2240
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _POOL = None  # the map's _WORKERS - 1 threads beside the caller's
+# Input shapes whose block plans _block_plan keeps, least recently used first
+# out. All 8 stages of a shipped config plan at most 109 (the rig's, about
+# 1 MB of plans).
+_PLAN_SHAPES = 256
 
 
 class ShapeError(ValueError):
@@ -282,15 +292,46 @@ def validate_params(spec: ModelSpec, params: ModelParams) -> None:
 # Layer primitives (batched; leading axis is the batch)
 # ---------------------------------------------------------------------------
 
+def _view_geometry(shape: tuple, k: int, nd: int, itemsize: int) -> tuple:
+    """Shape and strides of _patch_view over a C-contiguous array of this
+    shape and itemsize."""
+    flat = (math.prod(shape[: -nd - 1]), *shape[-nd - 1 :])
+    st = [itemsize * math.prod(flat[i + 1 :]) for i in range(len(flat))]
+    return ((flat[0], *[d - k + 1 for d in flat[1:-1]], *(k,) * nd, flat[-1]),
+            (st[0], *st[1:-1], *st[1:-1], st[-1]))
+
+
 def _patch_view(x: np.ndarray, k: int, nd: int) -> np.ndarray:
     """The im2col patches of x (*lead, *spatial, C) with nd spatial axes, as a
     view (n, *positions, *(k,) * nd, C) over the n flattened lead rows, built
-    straight from x's strides. Each patch flattens tap-major, so it pairs with
-    a weight reshaped to (-1, F)."""
-    flat = np.ascontiguousarray(x).reshape(math.prod(x.shape[: -nd - 1]), *x.shape[-nd - 1 :])
-    sh, st = flat.shape, flat.strides
-    return np.ndarray((sh[0], *[d - k + 1 for d in sh[1:-1]], *(k,) * nd, sh[-1]), flat.dtype,
-                      flat, 0, (st[0], *st[1:-1], *st[1:-1], st[-1]))
+    straight over x's buffer (a contiguous copy of x, when x is not). Each
+    patch flattens tap-major, so it pairs with a weight reshaped to (-1, F)."""
+    flat = np.ascontiguousarray(x)
+    shape, strides = _view_geometry(flat.shape, k, nd, flat.itemsize)
+    return np.ndarray(shape, flat.dtype, flat, 0, strides)
+
+
+@functools.lru_cache(maxsize=_PLAN_SHAPES)
+def _block_plan(shape: tuple, k: int, nd: int, itemsize: int, col_itemsize: int,
+                block_rows: int, col_bytes: int) -> tuple:
+    """_map_blocks' geometry for an input of this shape and itemsize, cast to
+    columns of col_itemsize under the caps block_rows and col_bytes:
+    (view shape, view strides, patch rows, whether they fit one block,
+    blocks, each block's first lead index). The key holds both caps, so a
+    changed cap plans anew."""
+    view_shape, strides = _view_geometry(shape, k, nd, itemsize)
+    n, first = view_shape[:2]
+    per = math.prod(view_shape[1 : nd + 1])  # rows of one lead index
+    step = per // first  # rows of one step along its first position axis
+    row_bytes = math.prod(view_shape[nd + 1 :]) * col_itemsize
+    cap = max(1, min(block_rows, col_bytes // row_bytes))
+    leads, span = max(1, cap // per), min(first, max(1, cap // step))
+    lead_cuts, pos_cuts = [*range(0, n, leads), n], [*range(0, first, span), first]
+    blocks = tuple(((slice(a, b), slice(p, q)), slice(a * per + p * step, (b - 1) * per + q * step))
+                   for a, b in zip(lead_cuts, lead_cuts[1:])
+                   for p, q in zip(pos_cuts, pos_cuts[1:]))
+    starts = tuple(rows.start // per for _, rows in blocks)
+    return view_shape, strides, n * per, 0 < n * per <= cap, blocks, starts
 
 
 def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn, need=None) -> list:
@@ -302,30 +343,25 @@ def _map_blocks(x: np.ndarray, k: int, nd: int, dtype: np.dtype, fn, need=None) 
     tap-major, so it pairs with a weight reshaped to (-1, F). A block holds
     at most min(_BLOCK_ROWS, _COL_BLOCK_BYTES // bytes per row) rows: whole
     lead indices when one fits, else steps along one lead index's first
-    position axis (one step at least). cols holds the block's rows, cast-
-    copied to dtype in its worker's buffer. need, when given, is a boolean
-    per flattened lead index: blocks that hold none are dropped. cols is
-    valid only during its fn call, which may run on a pool thread: fn may
-    write only its own rows of a shared output, and must not map blocks
-    itself (a pool thread waiting on the pool could wait forever). With at
-    least two blocks per worker, contiguous slices of the block list run at
-    once, the first on the caller's thread. An exception from any run
-    reaches the caller once every run has stopped.
+    position axis (one step at least). The blocks are planned once per input
+    shape (_block_plan). cols holds the block's rows, cast-copied to dtype
+    in its worker's buffer. need, when given, is a boolean per flattened
+    lead index: blocks that hold none are dropped. cols is valid only during
+    its fn call, which may run on a pool thread: fn may write only its own
+    rows of a shared output, and must not map blocks itself (a pool thread
+    waiting on the pool could wait forever). With at least two blocks per
+    worker, contiguous slices of the block list run at once, the first on
+    the caller's thread. An exception from any run reaches the caller once
+    every run has stopped.
     """
-    patches = _patch_view(x, k, nd)
-    n, first = patches.shape[:2]
-    per = math.prod(patches.shape[1 : nd + 1])  # rows of one lead index
-    step = per // first  # rows of one step along its first position axis
-    row_bytes = math.prod(patches.shape[nd + 1 :]) * dtype.itemsize
-    cap = max(1, min(_BLOCK_ROWS, _COL_BLOCK_BYTES // row_bytes))
-    if need is None and 0 < n * per <= cap:  # one block, cast-copied by itself
-        return [fn(slice(0, n * per), patches.astype(dtype).reshape(n * per, -1))]
-    leads, span = max(1, cap // per), min(first, max(1, cap // step))
-    lead_cuts, pos_cuts = [*range(0, n, leads), n], [*range(0, first, span), first]
-    blocks = [((slice(a, b), slice(p, q)), slice(a * per + p * step, (b - 1) * per + q * step))
-              for a, b in zip(lead_cuts, lead_cuts[1:]) for p, q in zip(pos_cuts, pos_cuts[1:])]
+    flat = np.ascontiguousarray(x)
+    view_shape, strides, n_rows, one, blocks, starts = _block_plan(
+        flat.shape, k, nd, flat.itemsize, dtype.itemsize, _BLOCK_ROWS, _COL_BLOCK_BYTES)
+    patches = np.ndarray(view_shape, flat.dtype, flat, 0, strides)
+    if need is None and one:  # one block, cast-copied by itself
+        return [fn(slice(0, n_rows), patches.astype(dtype).reshape(n_rows, -1))]
     if need is not None:
-        keep = np.logical_or.reduceat(need, [rows.start // per for _, rows in blocks])
+        keep = np.logical_or.reduceat(need, starts)
         blocks = [block for block, kept in zip(blocks, keep) if kept]
     count = len(blocks)
     if count < 4 or _WORKERS < 2:  # under two blocks for each of two workers

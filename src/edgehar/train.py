@@ -27,6 +27,11 @@ run only the blocks that hold one, each exactly as without the mask, and
 dX's skipped rows stay zero, so the gradients are the same bits. 1D
 branches and flatten heads pass no mask.
 
+Adam keeps the weights, m and v as one flat vector each. The tensors that
+train returns are reshaped views into the weight vector, and each step runs
+the update once over the whole vector, every element by the expressions, in
+the order, of an update tensor by tensor, so the weights are the same bits.
+
 Training never runs a forward pass only to keep its history: an epoch's
 batch_loss and batch_acc are the batch-size-weighted means of what its
 backward calls computed, each at the weights before that batch's step.
@@ -89,6 +94,10 @@ class TrainConfig:
         for name in ("val_fraction", "beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        for name in ("lr", "eps"):  # eps 0 makes a zero gradient's update 0/0
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def n_val(self, n: int) -> int:
         """Validation samples held out of a set of n."""
@@ -195,7 +204,7 @@ def _conv_bwd(dz, x, w, need_dx: bool, need=None):
         padded = np.zeros((*dz.shape[: -nd - 1], *(s + 2 * (k - 1) for s in space),
                            f), dtype=dz.dtype)
         padded[(..., *(slice(k - 1, k - 1 + s) for s in space), slice(None))] = dz
-        w_flip = np.flip(w, axis=tuple(range(nd))).swapaxes(-1, -2)
+        w_flip = w[(slice(None, None, -1),) * nd].swapaxes(-1, -2)
         dx = _conv_batch(padded, w_flip, need)
     return dx, dw.reshape(w.shape)
 
@@ -204,8 +213,10 @@ def _unmax(dout, idx, n):
     """Gradient of a max over axis -2 of n-element windows: each window's
     gradient goes to its first maximal element, the subgradient the tests
     check against finite differences."""
-    dwin = np.zeros((*idx.shape[:-1], n, idx.shape[-1]), dtype=dout.dtype)
-    np.put_along_axis(dwin, idx[..., None, :], dout[..., None, :], axis=-2)
+    lead, f = math.prod(idx.shape[:-1]), idx.shape[-1]
+    dwin = np.zeros((*idx.shape[:-1], n, f), dtype=dout.dtype)
+    dwin.reshape(lead, n, f)[np.arange(lead)[:, None], idx.reshape(lead, f),
+                             np.arange(f)] = dout.reshape(lead, f)
     return dwin
 
 
@@ -260,7 +271,7 @@ def _held_rows(h, idx):
     in which any of the branch's layers has a nonzero gradient, as a 2D conv
     and a 2D pool keep each timestep's gradient in that timestep."""
     held = np.zeros(h.shape[:2], bool)
-    np.put_along_axis(held, idx // math.prod(h.shape[2:-1]), True, axis=1)
+    held[np.arange(len(h))[:, None], idx // math.prod(h.shape[2:-1])] = True
     return held
 
 
@@ -327,21 +338,38 @@ def _iter_tensors(p: ModelParams):
 
 
 class _Adam:
+    """Adam (Kingma & Ba 2015) over one flat vector.
+
+    The weights, m and v are one contiguous vector each, the weights laid out
+    in _iter_tensors order. params is a ModelParams of the given parameters'
+    values whose tensors are reshaped views into the weight vector, so each
+    step updates them in place. A step concatenates the gradients once and
+    runs the per-element update on the whole vector: every element gets the
+    expressions, in the order, of an update tensor by tensor.
+    """
+
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
-        self.m = [np.zeros_like(w) for w in _iter_tensors(params)]
-        self.v = [np.zeros_like(w) for w in _iter_tensors(params)]
+        tensors = list(_iter_tensors(params))
+        self.w = np.concatenate(tensors, axis=None)
+        parts = np.split(self.w, np.cumsum([t.size for t in tensors])[:-1])
+        views = iter([part.reshape(t.shape) for t, part in zip(tensors, parts)])
+        self.params = ModelParams([[next(views) for _ in ws] for ws in params.branch_weights],
+                                  next(views), next(views),
+                                  None if params.alpha is None else next(views))
+        self.m = np.zeros_like(self.w)
+        self.v = np.zeros_like(self.w)
 
-    def step(self, params: ModelParams, grads: ModelParams) -> None:
+    def step(self, grads: ModelParams) -> None:
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for i, (w, g) in enumerate(zip(_iter_tensors(params), _iter_tensors(grads))):
-            self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
-            self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g * g
-            w -= c.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + c.eps)
+        g = np.concatenate(tuple(_iter_tensors(grads)), axis=None)
+        self.m = c.beta1 * self.m + (1 - c.beta1) * g
+        self.v = c.beta2 * self.v + (1 - c.beta2) * g * g
+        self.w -= c.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + c.eps)
 
 
 def _take(X: dict, idx: np.ndarray) -> dict:
@@ -457,15 +485,15 @@ def train(
     _check_frames(X, y)
     if y.min() < 0 or y.max() >= spec.classes:
         raise ValueError(f"labels outside [0, {spec.classes})")
-    params = init_params(spec, config.seed)
-
     n_val = config.n_val(n)
     perm = substream(config.seed, "split").permutation(n)
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
     if tr_idx.size == 0:
         raise ValueError("val_fraction leaves no training samples")
 
-    opt = _Adam(params, config)
+    opt = _Adam(init_params(spec, config.seed), config)
+    params = opt.params
+    X_val, y_val = _take(X, val_idx), y[val_idx]
     batch_rng = substream(config.seed, "batch")
     history = []
     made_by = 0  # the epoch whose steps made the current weights
@@ -478,14 +506,12 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {made_by}")
             loss_sum += loss * idx.size
-            opt.step(params, grads)
+            opt.step(grads)
             made_by = epoch
         row = {"epoch": epoch, "batch_loss": loss_sum / tr_idx.size,
                "batch_acc": sum(correct) / tr_idx.size}
         if n_val:
-            row["val_loss"], row["val_acc"] = evaluate(
-                spec, params, _take(X, val_idx), y[val_idx]
-            )
+            row["val_loss"], row["val_acc"] = evaluate(spec, params, X_val, y_val)
         else:
             row["val_loss"], row["val_acc"] = float("nan"), float("nan")
         history.append(row)

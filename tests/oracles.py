@@ -257,6 +257,47 @@ def max_rel_error(analytic, numeric, floor=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# Optimizer and max-gradient oracles
+# ---------------------------------------------------------------------------
+
+class AdamPerTensor:
+    """Adam (Kingma & Ba 2015) tensor by tensor, in place: m and v hold one
+    array per weight tensor, and a step runs the update on each in turn."""
+
+    def __init__(self, tensors, cfg):
+        self.cfg = cfg
+        self.t = 0
+        self.m = [np.zeros_like(w) for w in tensors]
+        self.v = [np.zeros_like(w) for w in tensors]
+
+    def step(self, tensors, grads) -> None:
+        c = self.cfg
+        self.t += 1
+        bc1 = 1.0 - c.beta1 ** self.t
+        bc2 = 1.0 - c.beta2 ** self.t
+        for i, (w, g) in enumerate(zip(tensors, grads)):
+            self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
+            self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g * g
+            w -= c.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + c.eps)
+
+
+def unmax_along_axis(dout, idx, n):
+    """The max-over-axis -2 gradient by np.put_along_axis: dout at each
+    window's index idx, zero elsewhere, in n-element windows."""
+    dwin = np.zeros((*idx.shape[:-1], n, idx.shape[-1]), dtype=dout.dtype)
+    np.put_along_axis(dwin, idx[..., None, :], dout[..., None, :], axis=-2)
+    return dwin
+
+
+def held_rows_along_axis(h, idx):
+    """The lead rows (frame, timestep) of h holding a gmax index, by
+    np.put_along_axis."""
+    held = np.zeros(h.shape[:2], bool)
+    np.put_along_axis(held, idx // math.prod(h.shape[2:-1]), True, axis=1)
+    return held
+
+
+# ---------------------------------------------------------------------------
 # Acquisition oracle
 # ---------------------------------------------------------------------------
 

@@ -289,6 +289,51 @@ class TestBlockMap:
         assert done[-4:] == [60, 80, 100, 120]
 
 
+class TestBlockPlan:
+    """_map_blocks plans each input shape once (_block_plan), keyed on both
+    block caps as well as the shape."""
+
+    def test_each_cap_gets_its_own_blocks(self, rng, monkeypatch):
+        # 13 lead rows of 10 patch rows at K = 3, each row 96 bytes: the same
+        # shape, planned under the default caps first, is cut at each cap
+        x = rng.uniform(-1, 1, size=(13, 12, 4))
+
+        def cuts():
+            return model._map_blocks(x, 3, 1, x.dtype, lambda rows, cols: (rows.start, rows.stop))
+
+        assert cuts() == [(0, 130)]
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 2000)  # 20 rows: 2 lead rows
+        assert cuts() == [(a, min(a + 20, 130)) for a in range(0, 130, 20)]
+        monkeypatch.setattr(model, "_BLOCK_ROWS", 4)  # 4 positions of one lead row
+        assert cuts() == [(10 * i + p, 10 * i + q) for i in range(13)
+                          for p, q in ((0, 4), (4, 8), (8, 10))]
+        monkeypatch.setattr(model, "_COL_BLOCK_BYTES", 1 << 20)
+        monkeypatch.setattr(model, "_BLOCK_ROWS", 30)  # 3 lead rows
+        assert cuts() == [(a, min(a + 30, 130)) for a in range(0, 130, 30)]
+        monkeypatch.undo()
+        assert cuts() == [(0, 130)]
+
+    def test_cache_is_bounded(self):
+        info = model._block_plan.cache_info()
+        assert info.maxsize == model._PLAN_SHAPES
+        w = np.ones((3, 1, 1))
+        for length in range(3, 3 + model._PLAN_SHAPES + 10):
+            model._conv_batch(np.ones((1, length, 1)), w)
+        assert model._block_plan.cache_info().currsize == model._PLAN_SHAPES
+
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_planned_view_holds_each_patch(self, rng, nd):
+        # the view planned from the shape alone, over x's buffer (a copy of
+        # a non-contiguous x), holds numpy's sliding windows, tap-major
+        x = rng.uniform(-1, 1, size=(3, 2, 9, 8, 10) if nd == 2 else (4, 11, 12))[..., ::2]
+        axes = tuple(range(x.ndim - nd - 1, x.ndim - 1))
+        windows = np.lib.stride_tricks.sliding_window_view(x, (3,) * nd, axis=axes)
+        want = np.moveaxis(windows, x.ndim - 1, -1).reshape(-1, 3**nd * x.shape[-1])
+        got = model._map_blocks(x, 3, nd, x.dtype, lambda rows, cols: cols.copy())
+        assert len(got) == 1 and got[0].tobytes() == want.tobytes()
+        assert model._patch_view(x, 3, nd).reshape(want.shape).tobytes() == want.tobytes()
+
+
 class TestSplitLeads:
     """A lead index of more than model._BLOCK_ROWS patch rows is split along
     its first position axis. On integer-valued data every sum is exact, so

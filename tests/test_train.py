@@ -585,6 +585,112 @@ class TestTrain:
         assert len(lines) == 3
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf), ("lr", -math.inf),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan), ("eps", math.inf),
+    ])
+    def test_nonpositive_or_non_finite_lr_and_eps_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value!r}$"):
+            TrainConfig(**{name: value})
+
+    def test_smallest_positive_lr_and_eps_accepted(self):
+        tiny = math.ulp(0.0)
+        assert TrainConfig(lr=tiny, eps=tiny).eps == tiny
+
+
+class TestFlatAdam:
+    """The flat Adam update gives the bytes of the update tensor by tensor
+    (oracles.AdamPerTensor), and train's tensors are views into its vector."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_tensor(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        spec = tiny_spec(rng, with_2d=data.draw(st.booleans(), label="2d"),
+                         alpha=data.draw(st.booleans(), label="alpha"))
+        params = init_params(spec, seed=int(rng.integers(100)))
+        cfg = TrainConfig(lr=data.draw(st.sampled_from([1e-3, 3e-3, 0.5]), label="lr"),
+                          beta1=data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="beta1"),
+                          beta2=data.draw(st.sampled_from([0.0, 0.9, 0.999]), label="beta2"),
+                          eps=data.draw(st.sampled_from([1e-8, 1e-300, 1.0]), label="eps"))
+        want = [w.copy() for w in _iter_tensors(params)]
+        opt, oracle = train_mod._Adam(params, cfg), oracles.AdamPerTensor(want, cfg)
+        got = list(_iter_tensors(opt.params))
+        assert [w.shape for w in got] == [w.shape for w in want]
+        assert all(np.shares_memory(w, opt.w) for w in got)
+        for _ in range(data.draw(st.integers(1, 5), label="steps")):
+            kind = data.draw(st.sampled_from(["dense", "zero", "some zero"]), label="grads")
+            grads = [rng.normal(size=w.shape) * 10.0 ** rng.integers(-6, 4) for w in want]
+            for g in grads:
+                if kind == "zero" or (kind == "some zero" and rng.random() < 0.5):
+                    g[...] = 0.0
+            it = iter(grads)
+            packed = model.ModelParams([[next(it) for _ in ws] for ws in params.branch_weights],
+                                       next(it), next(it),
+                                       None if params.alpha is None else next(it))
+            opt.step(packed)
+            oracle.step(want, grads)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert opt.m.tobytes() == np.concatenate(oracle.m, axis=None).tobytes()
+        assert opt.v.tobytes() == np.concatenate(oracle.v, axis=None).tobytes()
+
+    def test_trained_views_save_and_load_the_same_bytes(self, rng, tmp_path):
+        spec = tiny_spec(rng, with_2d=True, alpha=True)
+        X = random_inputs(spec, rng, batch=12)
+        y = np.arange(12) % spec.classes
+        params, _ = train(spec, (X, y), TrainConfig(epochs=2, batch_size=4, seed=3))
+        tensors = list(_iter_tensors(params))
+        base = tensors[0].base
+        assert base is not None and all(w.base is base for w in tensors)
+        copies = model.ModelParams([[w.copy() for w in ws] for ws in params.branch_weights],
+                                   params.dense1.copy(), params.dense2.copy(),
+                                   params.alpha.copy())
+        model.save_model(tmp_path / "views.json", spec, params)
+        model.save_model(tmp_path / "copies.json", spec, copies)
+        saved = (tmp_path / "views.json").read_bytes()
+        assert saved == (tmp_path / "copies.json").read_bytes()
+        spec2, loaded, _ = model.load_model(tmp_path / "views.json")
+        model.save_model(tmp_path / "again.json", spec2, loaded)
+        assert (tmp_path / "again.json").read_bytes() == saved
+
+
+class TestUnmax:
+    """_unmax and _held_rows give the bytes of their np.put_along_axis forms
+    (oracles.unmax_along_axis, oracles.held_rows_along_axis)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_put_along_axis(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["gmax 1d", "gmax 2d", "pool 1d", "pool 2d"]),
+                         label="windows")
+        nd = int(kind[-2])
+        batch, f = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        lead = (batch,) if nd == 1 else (batch, int(rng.integers(1, 4)))
+        spatial = tuple(int(d) for d in rng.integers(1, 9, size=nd))
+        # ties, so that each window's first maximal element is the one chosen
+        h = rng.integers(-2, 3, size=(*lead, *spatial, f)).astype(np.float64)
+        if kind.startswith("gmax"):
+            win = model._head(_GMAX_1D if nd == 1 else _GMAX_2D, h)[1]
+        else:
+            p = data.draw(st.integers(1, min(spatial)), label="pool")
+            win = model._pool_windows(h, p, nd)
+        idx = win.argmax(axis=-2)
+        dout = rng.normal(size=idx.shape)
+        got = train_mod._unmax(dout, idx, win.shape[-2])
+        want = oracles.unmax_along_axis(dout, idx, win.shape[-2])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if kind == "gmax 2d":
+            held = train_mod._held_rows(h, idx)
+            assert held.tobytes() == oracles.held_rows_along_axis(h, idx).tobytes()
+
+
+_GMAX_1D = BranchSpec("g", 1, (ConvSpec(1, 1),) * 3)
+_GMAX_2D = BranchSpec("g", 1, (ConvSpec(1, 1),) * 3, conv_dim=2, grid=(1, 1))
+
+
 def _evaluated_frames(monkeypatch) -> list[int]:
     """The frame count of each evaluate call train makes from now on."""
     frames = []
