@@ -47,6 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import Frame, normalize_inputs
+from .persist import SchemaError, read_json_checked, write_json_atomic, write_npy_atomic
 from .seeding import substream
 
 __all__ = [
@@ -118,6 +120,10 @@ class SensorSpec:
     model: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("channels", "conv_dim"):  # a config or a manifest may hold any JSON
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"sensor {self.name!r}: {name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         if self.grid is not None:  # a JSON list from a config or a manifest
             if not (type(self.grid) in (list, tuple) and len(self.grid) == 2
                     and all(type(d) is int and d >= 1 for d in self.grid)):
@@ -428,8 +434,6 @@ def stream_frames(session: Session, cfg: WindowConfig):
     overflow. Either way the session's counters are final once its stream
     has stopped.
     """
-    from .model import Frame
-
     step_ns, window_ns = cfg.step_ns, cfg.window_ns
     n = max(0, (session.duration_ns - window_ns) // step_ns + 1)
     starts = np.arange(n + 1, dtype=np.int64) * step_ns
@@ -637,8 +641,6 @@ def bundle_arrays(bundle: DatasetBundle, names, stats=None):
     """Model inputs of a split: the arrays of the sensors in names, normalized
     with stats (the bundle's own by default), and the labels. Every array
     must hold one window's rows."""
-    from .model import normalize_inputs
-
     if not bundle.labels.size:
         raise ValueError("dataset has no recordings")
     window = WindowConfig(bundle.window_s, bundle.window_s)
@@ -660,8 +662,6 @@ def save_dataset(out_dir, bundle: DatasetBundle, meta: dict | None = None) -> No
     """Write a split as manifest.json plus <sensor>.npy for each sensor. Plain
     .npy, not .npz, whose zip entries carry write times: reruns stay
     byte-identical. Timestamps are not stored; the sample grid gives them."""
-    from .persist import write_json_atomic, write_npy_atomic
-
     out = Path(out_dir)
     manifest = {
         "schema": DATASET_SCHEMA,
@@ -685,8 +685,6 @@ def save_dataset(out_dir, bundle: DatasetBundle, meta: dict | None = None) -> No
 
 
 def load_dataset(in_dir) -> DatasetBundle:
-    from .persist import SchemaError, read_json_checked
-
     root = Path(in_dir)
     man = read_json_checked(root / "manifest.json", DATASET_SCHEMA)
     specs = [SensorSpec(**d) for d in man["sensors"]]

@@ -12,24 +12,24 @@ Each concept of the network is defined once, here:
   the quantizer's calibration run it with an observer that keeps what they
   need of each layer (activations and pool indices, or running maxima).
 - _conv_batch is every convolution, FP and integer: one GEMM per block of
-  _map_blocks, the one im2col block loop, which cast-copies _patch_view's
-  patches into one buffer per worker. It runs the FP forward pass,
+  _map_blocks, the one im2col block loop, which cast-copies the patches of
+  _block_plan's view into one buffer per worker. It runs the FP forward pass,
   training's backward dX and the engine's integer MAC (an integer input
   gives the exact int64 accumulator); the backward dW reads the same blocks.
 - _map_blocks alone sizes the blocks, in patch rows, so that no window or
   run makes a block whose sums depend on the BLAS thread count. It plans
-  each input shape once (_block_plan, a bounded cache): the patch view's
-  shape and strides, the blocks and the one-block test, keyed on the shape,
-  K, the spatial axes, the input's and the columns' itemsizes and both
-  block caps. A call builds only the view over x's buffer, the mask filter,
-  the copies and the GEMMs. A call with at least two blocks per worker runs
-  contiguous slices of its block list on every usable core, as _WORKERS
-  threads (the caller's and a pool's made on first use), while numpy's copy
-  and GEMM release the GIL; its results are the serial loop's, bit for bit.
-  Smaller calls start no thread. A caller may mark the lead rows it needs;
-  blocks without one are skipped, and _conv_batch leaves their output rows
-  zero. Training's dW and dX below a 2D branch's gmax head pass such a
-  mask.
+  each input shape once (_block_plan, a bounded cache, the one code that
+  knows the im2col layout): the patch view's shape and strides, the blocks
+  and the one-block test, keyed on the shape, K, the spatial axes, the
+  input's and the columns' itemsizes and both block caps. A call builds only
+  the view over x's buffer, the mask filter, the copies and the GEMMs. A call
+  with at least two blocks per worker runs contiguous slices of its block
+  list on every usable core, as _WORKERS threads (the caller's and a pool's
+  made on first use), while numpy's copy and GEMM release the GIL; its
+  results are the serial loop's, bit for bit. Smaller calls start no thread.
+  A caller may mark the lead rows it needs; blocks without one are skipped,
+  and _conv_batch leaves their output rows zero. Training's dW and dX below
+  a 2D branch's gmax head pass such a mask.
 - _pool_windows is every kernel max-pool, FP and integer alike; _head is the
   branch head (global max-pool or flatten) and _mix the importance mixing.
 - ModelSpec.layer_dims is the layer-shape walker: the dense width, the cycle
@@ -46,6 +46,8 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .persist import read_json_checked, write_json_atomic
 
 __all__ = [
     "ConvSpec",
@@ -292,35 +294,25 @@ def validate_params(spec: ModelSpec, params: ModelParams) -> None:
 # Layer primitives (batched; leading axis is the batch)
 # ---------------------------------------------------------------------------
 
-def _view_geometry(shape: tuple, k: int, nd: int, itemsize: int) -> tuple:
-    """Shape and strides of _patch_view over a C-contiguous array of this
-    shape and itemsize."""
-    flat = (math.prod(shape[: -nd - 1]), *shape[-nd - 1 :])
-    st = [itemsize * math.prod(flat[i + 1 :]) for i in range(len(flat))]
-    return ((flat[0], *[d - k + 1 for d in flat[1:-1]], *(k,) * nd, flat[-1]),
-            (st[0], *st[1:-1], *st[1:-1], st[-1]))
-
-
-def _patch_view(x: np.ndarray, k: int, nd: int) -> np.ndarray:
-    """The im2col patches of x (*lead, *spatial, C) with nd spatial axes, as a
-    view (n, *positions, *(k,) * nd, C) over the n flattened lead rows, built
-    straight over x's buffer (a contiguous copy of x, when x is not). Each
-    patch flattens tap-major, so it pairs with a weight reshaped to (-1, F)."""
-    flat = np.ascontiguousarray(x)
-    shape, strides = _view_geometry(flat.shape, k, nd, flat.itemsize)
-    return np.ndarray(shape, flat.dtype, flat, 0, strides)
-
-
 @functools.lru_cache(maxsize=_PLAN_SHAPES)
 def _block_plan(shape: tuple, k: int, nd: int, itemsize: int, col_itemsize: int,
                 block_rows: int, col_bytes: int) -> tuple:
-    """_map_blocks' geometry for an input of this shape and itemsize, cast to
-    columns of col_itemsize under the caps block_rows and col_bytes:
-    (view shape, view strides, patch rows, whether they fit one block,
-    blocks, each block's first lead index). The key holds both caps, so a
-    changed cap plans anew."""
-    view_shape, strides = _view_geometry(shape, k, nd, itemsize)
-    n, first = view_shape[:2]
+    """_map_blocks' geometry for a C-contiguous input of this shape and
+    itemsize, cast to columns of col_itemsize under the caps block_rows and
+    col_bytes: (view shape, view strides, patch rows, whether they fit one
+    block, blocks, each block's first lead index). The key holds both caps,
+    so a changed cap plans anew.
+
+    The view is the im2col patches of x (*lead, *spatial, C), (n, *positions,
+    *(k,) * nd, C) over the n flattened lead rows, straight over x's buffer:
+    a step along a position axis and along its tap are the same stride. Each
+    patch flattens tap-major, so it pairs with a weight reshaped to (-1, F).
+    """
+    tail = shape[-nd - 1 :]  # (*spatial, C)
+    st = [itemsize * math.prod(tail[i:]) for i in range(1, nd + 1)]  # the spatial strides
+    n, first = math.prod(shape[: -nd - 1]), tail[0] - k + 1
+    view_shape = (n, *[d - k + 1 for d in tail[:-1]], *(k,) * nd, tail[-1])
+    strides = (itemsize * math.prod(tail), *st, *st, itemsize)
     per = math.prod(view_shape[1 : nd + 1])  # rows of one lead index
     step = per // first  # rows of one step along its first position axis
     row_bytes = math.prod(view_shape[nd + 1 :]) * col_itemsize
@@ -398,6 +390,7 @@ def _pool():
     stay under two blocks per worker starts no thread."""
     global _POOL
     if _POOL is None:
+        # imported here, so that a process that never pools never loads it
         from concurrent.futures import ThreadPoolExecutor
 
         _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="edgehar-blocks")
@@ -642,14 +635,10 @@ def save_model(path, spec: ModelSpec, params: ModelParams, meta: dict | None = N
         },
         "meta": meta or {},
     }
-    from .persist import write_json_atomic
-
     write_json_atomic(path, doc)
 
 
 def load_model(path) -> tuple[ModelSpec, ModelParams, dict]:
-    from .persist import read_json_checked
-
     doc = read_json_checked(path, MODEL_SCHEMA)
     spec = _spec_from_dict(doc["spec"])
     w = doc["weights"]

@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .fxp import FxFormat, round_nearest, storage_format
-from .model import ModelParams, ModelSpec, _walk, forward_batch, validate_params
+from .model import ModelParams, ModelSpec, _spec_from_dict, _walk, forward_batch, validate_params
+from .persist import read_json_checked, write_json_atomic
 
 __all__ = [
     "CalibStats",
@@ -218,9 +219,9 @@ def _quantize_tensor(w: np.ndarray, scale: float, n_bits: int) -> np.ndarray:
 def quantize_weights(
     params: ModelParams, rescales: list[float], n_bits: int
 ) -> list[list[np.ndarray]]:
-    """Integer conv weights for every branch from the shared per-depth rescales."""
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+    """Integer conv weights for every branch from the shared per-depth rescales,
+    for an n_bits width that storage_format accepts."""
+    storage_format(n_bits)
     for r in rescales:
         if not r > 0:
             raise ValueError(f"rescale coefficients must be positive, got {r}")
@@ -246,10 +247,6 @@ def quantize(
         raise ValueError(
             "quantization applies to models without importance mixing; "
             "retrain without alpha first"
-        )
-    if n_bits > 15:
-        raise ValueError(
-            f"n_bits = {n_bits} magnitude bits exceeds the 16-bit storage cap"
         )
     rescales = [compute_rescale(stats, l) for l in (1, 2, 3)]
     w_ints = quantize_weights(params, rescales, n_bits)
@@ -298,7 +295,7 @@ def sweep_bits(
     one FP32 pass, where ratio = (integer argmax accuracy) / (FP32 argmax
     accuracy) on the labeled test set; every ratio is nan when FP32 accuracy
     is zero (undefined)."""
-    from .engine import qinfer_batch
+    from .engine import qinfer_batch  # here: engine imports this module
 
     n_range = list(n_range)
     if not n_range:
@@ -320,8 +317,6 @@ def sweep_bits(
 # ---------------------------------------------------------------------------
 
 def save_qmodel(path, qm: QuantizedModel, meta: dict | None = None) -> None:
-    from .persist import write_json_atomic
-
     doc = {
         "schema": QMODEL_SCHEMA,
         "n_bits": qm.n_bits,
@@ -352,9 +347,6 @@ def load_qmodel(path) -> tuple[QuantizedModel, dict]:
     its spec's, a missing or extra branch and a weight whose shape is not
     its spec layer's are rejected, naming the file, the branch and the
     layer."""
-    from .model import _spec_from_dict
-    from .persist import read_json_checked
-
     doc = read_json_checked(path, QMODEL_SCHEMA)
     spec = _spec_from_dict(doc["spec"])
     for b, ls in zip(spec.branches, doc["branches"]):

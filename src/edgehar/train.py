@@ -55,8 +55,10 @@ from .model import (
     _conv_batch,
     _map_blocks,
     _walk,
+    forward_batch,
     softmax,
 )
+from .persist import write_csv_atomic
 from .seeding import substream
 
 __all__ = [
@@ -89,6 +91,9 @@ class TrainConfig:
     val_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "seed"):  # a bool would run as 0 or 1
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         for name in ("val_fraction", "beta1", "beta2"):
@@ -133,13 +138,13 @@ class ImportanceReport:
 # Initialization
 # ---------------------------------------------------------------------------
 
-def _uniform_init(rng, fan_in: int, fan_out: int, shape, dtype) -> np.ndarray:
+def _uniform_init(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=shape).astype(dtype)
+    return rng.uniform(-s, s, size=shape)
 
 
-def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float64) -> ModelParams:
-    """Bias-free uniform init, fully determined by the seed."""
+def init_params(spec: ModelSpec, seed: int = 0) -> ModelParams:
+    """Bias-free float64 uniform init, fully determined by the seed."""
     rng = substream(seed, "init")
     branch_weights = []
     for b in spec.branches:
@@ -147,13 +152,11 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float64) -> ModelParams
         for i in range(3):
             shape = b.weight_shape(i)
             taps = math.prod(shape[:-2])
-            ws.append(_uniform_init(rng, taps * shape[-2], taps * shape[-1], shape, dtype))
+            ws.append(_uniform_init(rng, taps * shape[-2], taps * shape[-1], shape))
         branch_weights.append(ws)
-    d1 = _uniform_init(rng, spec.dense_in, spec.hidden,
-                       (spec.dense_in, spec.hidden), dtype)
-    d2 = _uniform_init(rng, spec.hidden, spec.classes,
-                       (spec.hidden, spec.classes), dtype)
-    alpha = np.zeros(len(spec.branches), dtype=dtype) if spec.alpha_enabled else None
+    d1 = _uniform_init(rng, spec.dense_in, spec.hidden, (spec.dense_in, spec.hidden))
+    d2 = _uniform_init(rng, spec.hidden, spec.classes, (spec.hidden, spec.classes))
+    alpha = np.zeros(len(spec.branches)) if spec.alpha_enabled else None
     return ModelParams(branch_weights, d1, d2, alpha)
 
 
@@ -443,8 +446,6 @@ def _loss_proven_finite(spec: ModelSpec, params: ModelParams, X: dict) -> bool:
 def evaluate(spec: ModelSpec, params: ModelParams, X: dict, y: np.ndarray
              ) -> tuple[float, float]:
     """(mean loss, accuracy) over a dataset."""
-    from .model import forward_batch
-
     y = np.asarray(y)
     _check_frames(X, y)
     logits = forward_batch(spec, params, X)
@@ -550,7 +551,5 @@ def select_modalities(report: ImportanceReport, keep: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def history_to_csv(history: list[dict], path) -> None:
-    from .persist import write_csv_atomic
-
     cols = ["epoch", "batch_loss", "batch_acc", "val_loss", "val_acc"]
     write_csv_atomic(path, cols, ([row[c] for c in cols] for row in history))

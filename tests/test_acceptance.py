@@ -68,7 +68,7 @@ def test_criterion_1_gradient_correctness():
             spec = data_fusion_spec(total_channels=int(rng.integers(3, 6)),
                                     window_rows=9, filters=2, kernel=2,
                                     hidden=3, classes=3)
-        params = init_params(spec, seed=trial, dtype=np.float64)
+        params = init_params(spec, seed=trial)
         X = random_inputs(spec, rng, batch=2) if spec.fusion == "feature" else {
             "fused": rng.normal(size=(2, 9, spec.branches[0].grid[1]))
         }

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -665,6 +666,22 @@ class TestGenDataset:
         assert b2.window_s == b.window_s and b2.specs == b.specs
         for name in b.arrays:
             np.testing.assert_array_equal(b.arrays[name], b2.arrays[name])
+
+    @pytest.mark.parametrize("field, value", [
+        ("channels", 2.5), ("channels", True), ("conv_dim", True), ("conv_dim", 1.0),
+    ])
+    def test_non_int_channels_and_conv_dim_rejected(self, tmp_path, field, value):
+        # conv_dim True was taken as 1D; a manifest is input from outside
+        msg = f"^sensor 'u': {field} must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=msg):
+            SensorSpec(**{"name": "u", "channels": 2, "rate_hz": 24, field: value})
+        save_dataset(tmp_path / "ds", gen_dataset(self._sensors(), 2, 1, seed=5))
+        path = tmp_path / "ds" / "manifest.json"
+        man = json.loads(path.read_text())
+        man["sensors"][0][field] = value
+        path.write_text(json.dumps(man))
+        with pytest.raises(ValueError, match=msg):
+            load_dataset(tmp_path / "ds")
 
     def test_round_trip_keeps_bit_patterns(self, tmp_path):
         b = gen_dataset(self._sensors(), 2, 2, seed=5)

@@ -27,7 +27,7 @@ from edgehar.engine import (
 )
 from edgehar.daq import CATALOG
 from edgehar.model import (
-    BranchSpec, ConvSpec, ModelSpec, _head, _patch_view, feature_fusion_spec, forward_batch,
+    BranchSpec, ConvSpec, ModelSpec, _head, feature_fusion_spec, forward_batch,
 )
 from edgehar.quantize import QLayer, QuantizedModel, calibrate, quantize
 from edgehar.train import init_params
@@ -190,10 +190,11 @@ def _stepped(x, w):
     if nd == 0:
         cols, w3, out_shape = x.reshape(-1, c, 1), w[:, None, :], (*x.shape[:-1], f)
     else:
-        patches = _patch_view(x, w.shape[0], nd)
-        cols = patches.reshape(-1, w.shape[0] ** nd, c).swapaxes(1, 2)
+        spatial = tuple(range(x.ndim - nd - 1, x.ndim - 1))
+        windows = np.lib.stride_tricks.sliding_window_view(x, (w.shape[0],) * nd, axis=spatial)
+        cols = windows.reshape(-1, c, w.shape[0] ** nd)  # (position, channel, tap)
         w3 = w.reshape(-1, c, f).swapaxes(0, 1)
-        out_shape = (*x.shape[: -nd - 1], *patches.shape[1 : nd + 1], f)
+        out_shape = (*windows.shape[: -nd - 1], f)
     cum = np.cumsum(np.einsum("pct,ctf->pcf", cols, w3), axis=1)
     return cum[:, -1, :].reshape(out_shape)
 

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+from edgehar.engine import quantize_frame
+from edgehar.fxp import storage_format
 from edgehar.model import BranchSpec, ConvSpec, ModelSpec, forward_batch
 from edgehar.quantize import (
     CalibStats,
@@ -199,6 +201,33 @@ class TestQuantizedModel:
         stats = calibrate(spec, params, X)
         with pytest.raises(ValueError, match="16-bit"):
             quantize(spec, params, stats, 16)
+
+    @pytest.mark.parametrize("n", [0, 16])
+    def test_width_rule_holds_everywhere(self, rng, n):
+        # storage_format is the one width rule; each caller raises its message
+        spec, params, X = _fixture_model(rng)
+        stats = calibrate(spec, params, X)
+        msg = re.escape(f"n_bits must be 1 to 15 magnitude bits, a sign and magnitude "
+                        f"within the 16-bit storage cap, got {n}")
+        rescales = [compute_rescale(stats, l) for l in (1, 2, 3)]
+        frame = {k: v[0] for k, v in X.items()}
+        for call in (lambda: storage_format(n), lambda: quantize(spec, params, stats, n),
+                     lambda: quantize_weights(params, rescales, n),
+                     lambda: quantize_frame(frame, n)):
+            with pytest.raises(ValueError, match=f"^{msg}$"):
+                call()
+
+    @pytest.mark.parametrize("n", [1, 15])
+    def test_width_rule_accepts_its_ends(self, rng, n):
+        spec, params, X = _fixture_model(rng)
+        stats = calibrate(spec, params, X)
+        assert storage_format(n).n_bits == n + 1
+        assert quantize(spec, params, stats, n).fmt == storage_format(n)
+        rescales = [compute_rescale(stats, l) for l in (1, 2, 3)]
+        assert all(np.abs(w).max() <= (1 << n) - 1
+                   for ws in quantize_weights(params, rescales, n) for w in ws)
+        qframe = quantize_frame({k: v[0] for k, v in X.items()}, n)
+        assert all(np.abs(v).max() <= 1 << n for v in qframe.values())
 
     def test_alpha_model_rejected(self, rng):
         spec = tiny_spec(rng, alpha=True)

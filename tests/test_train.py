@@ -594,6 +594,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value!r}$"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", True),
+        ("seed", 1.5), ("seed", False), ("seed", "1"),
+    ])
+    def test_non_int_counts_and_seed_rejected(self, name, value):
+        # a float reached range() deep in train, and a bool ran as 1 or 0
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            TrainConfig(**{name: value})
+
     def test_smallest_positive_lr_and_eps_accepted(self):
         tiny = math.ulp(0.0)
         assert TrainConfig(lr=tiny, eps=tiny).eps == tiny
