@@ -29,9 +29,11 @@ exact, so a frame's logits do not depend on the frames classified with it.
 
 The whole config is checked at load, before any stage runs: an unknown key,
 a bad type or range, or a config that cannot run exits 2 naming the key and
-its value. model.fusion is fixed to "feature" and model.alpha_enabled to
-false (select trains its own importance model). A stage writes all of its
-outputs or none.
+its value. A rule is written once, by the class that owns the field:
+TrainConfig checks train (as train.<field>), SensorSpec a custom sensor, and
+storage_format each bits entry; _SCHEMA holds the rest. model.fusion is fixed
+to "feature" and model.alpha_enabled to false (select trains its own
+importance model). A stage writes all of its outputs or none.
 
 select retrains on the sensors it keeps, unless it keeps every sensor and
 out holds exactly what train writes for the run: that model is the one a
@@ -48,7 +50,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,7 +58,8 @@ import numpy as np
 
 from . import daq, engine, model as mdl, quantize as qz, train as tr
 from .fxp import storage_format
-from .persist import SchemaError, write_csv_atomic, write_json_atomic, write_text_atomic
+from .persist import (SchemaError, check_value, write_csv_atomic, write_json_atomic,
+                      write_text_atomic)
 from .seeding import substream
 
 __all__ = ["main", "DEFAULT_CONFIG", "Config", "parse_config"]
@@ -85,9 +88,10 @@ DEFAULT_CONFIG: dict = {
     "sim": {"n_segments": 6, "segment_ms": 2000},
 }
 
-# Every key of the config by section ("sensors" is a custom sensor entry),
-# with the type and least value of each scalar; None marks a key that is not
-# a scalar. int is an integer and float a finite number, bools neither.
+# Every key of the config by section ("sensors" is a custom sensor entry), with
+# the persist.check_value rule of each scalar the CLI owns. None marks a key
+# that is not a scalar, or whose class checks it: TrainConfig's fields but
+# seed (train.*) and SensorSpec's (sensors.*).
 _SCHEMA = {
     "seed": (int, 0), "out": (str,), "sensors": None, "informative": None,
     "classes": (int, 2), "n_per_class": (int, 1), "n_per_class_test": (int, 1),
@@ -96,14 +100,10 @@ _SCHEMA = {
     "clock_hz": (float, 0, ">"), "kappa": (int, 0), "calib_frames": (int, 1), "sim": None,
     "model.filters": (int, 1), "model.kernel": (int, 1), "model.hidden": (int, 1),
     "model.fusion": (str,), "model.alpha_enabled": (bool,),
-    "train.epochs": (int, 0), "train.batch_size": (int, 1), "train.lr": (float, 0, ">"),
-    "train.beta1": (float, 0), "train.beta2": (float, 0), "train.eps": (float, 0, ">"),
-    "train.val_fraction": (float, 0),
     "sim.n_segments": (int, 1), "sim.segment_ms": (int, 1),
-    "sensors.name": (str,), "sensors.channels": (int, 1), "sensors.rate_hz": (float, 0, ">"),
-    "sensors.conv_dim": (int, 1), "sensors.grid": None, "sensors.model": (str,),
 }
-_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+_SCHEMA |= {f"train.{f.name}": None for f in fields(tr.TrainConfig) if f.name != "seed"}
+_SCHEMA |= {f"sensors.{f.name}": None for f in fields(daq.SensorSpec)}
 # Keys that stay in the schema but have one value the pipeline runs
 _FIXED = {"fusion": "feature", "alpha_enabled": False}
 # Fitted frames simulate stacks per qinfer_batch call, and the windows of each
@@ -169,17 +169,6 @@ def _load_config(args) -> dict:
     return _merge(doc, flags)
 
 
-def _check_scalar(key: str, v, kind, least=None, op=">=") -> None:
-    ok = type(v) in ((int, float) if kind is float else (kind,))
-    if ok and kind is float:
-        ok = math.isfinite(v)
-    if ok and least is not None:
-        ok = v > least if op == ">" else v >= least
-    if not ok:
-        bound = "" if least is None else f" {op} {least}"
-        raise ValueError(f"{key} must be {_KINDS[kind]}{bound}, got {v!r}")
-
-
 def _rules(section: str) -> dict:
     return {k.rpartition(".")[2]: r for k, r in _SCHEMA.items()
             if k.rpartition(".")[0] == section}
@@ -194,7 +183,7 @@ def _check_object(d, where: str, rules: dict) -> None:
         if k not in rules:
             raise ValueError(f"unknown config key {key!r}; known: {sorted(rules)}")
         if rules[k]:
-            _check_scalar(key, v, *rules[k])
+            check_value(key, v, *rules[k])
 
 
 def _sensors(entries) -> list[daq.SensorSpec]:
@@ -219,17 +208,29 @@ def _sensors(entries) -> list[daq.SensorSpec]:
 
 def parse_config(doc: dict) -> Config:
     """Resolve a config over DEFAULT_CONFIG, check it against _SCHEMA and build
-    the objects every stage uses. Raises ValueError naming the key and value."""
+    the objects every stage uses, which check their own fields. Raises
+    ValueError naming the key and value."""
     _check_object(doc, "", _rules(""))
     for section in ("model", "train", "sim"):
         _check_object(doc.get(section, {}), section, _rules(section))
     raw = _merge(DEFAULT_CONFIG, doc)
+    try:  # each message starts with the field's name
+        train = tr.TrainConfig(seed=raw["seed"], **raw["train"])
+        train.n_val(raw["classes"] * raw["n_per_class"])
+    except ValueError as ex:
+        raise ValueError(f"train.{ex}") from None
     m, sim, bits = raw["model"], raw["sim"], raw["bits"]
     for k, v in _FIXED.items():
         if m.get(k, v) != v:
             raise ValueError(f"model.{k} is fixed to {v!r} in the pipeline, got {m[k]!r}")
-    if not (type(bits) is list and bits and all(type(b) is int and 1 <= b <= 15 for b in bits)):
-        raise ValueError(f"bits must be a non-empty list of integers in [1, 15], got {bits!r}")
+    bad_bits = f"bits must be a non-empty list of integers in [1, 15], got {bits!r}"
+    if not (type(bits) is list and bits):
+        raise ValueError(bad_bits)
+    for b in bits:
+        try:
+            storage_format(b)  # the width rule
+        except ValueError:
+            raise ValueError(bad_bits) from None
     if raw["schedule"] not in engine._SCHEDULES:
         raise ValueError(f"schedule must be one of {engine._SCHEDULES}, got {raw['schedule']!r}")
     sensors = _sensors(raw["sensors"])
@@ -254,11 +255,6 @@ def parse_config(doc: dict) -> Config:
     if sim["n_segments"] * sim["segment_ms"] < raw["window_ms"]:
         raise ValueError(f"sim: {sim['n_segments']} x {sim['segment_ms']} ms is shorter "
                          f"than window_ms {raw['window_ms']}: no frame to simulate")
-    train = tr.TrainConfig(seed=raw["seed"], **raw["train"])
-    n = raw["classes"] * raw["n_per_class"]
-    if train.n_val(n) >= n:
-        raise ValueError(f"train.val_fraction {train.val_fraction!r} leaves none of {n} "
-                         f"recordings to train on")
     return Config(raw, {"config": raw, "seed": raw["seed"]}, Path(raw["out"]),
                   tuple(sensors), window, rows, spec, train)
 

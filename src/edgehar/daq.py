@@ -47,8 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Frame, normalize_inputs
-from .persist import SchemaError, read_json_checked, write_json_atomic, write_npy_atomic
+from .model import Frame, check_layout, normalize_inputs
+from .persist import (SchemaError, check_value, read_json_checked, write_json_atomic,
+                      write_npy_atomic)
 from .seeding import substream
 
 __all__ = [
@@ -110,7 +111,9 @@ def count_until(t_ns: int, rate) -> int:
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """One modality: channel count, native rate, and conv dimensionality."""
+    """One modality: channel count, native rate (an int or a float) and conv
+    dimensionality. Every field is checked, each error naming the sensor; the
+    layout (channels, conv_dim, grid) is model.check_layout's, as a BranchSpec's."""
 
     name: str
     channels: int
@@ -120,29 +123,12 @@ class SensorSpec:
     model: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("channels", "conv_dim"):  # a config or a manifest may hold any JSON
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"sensor {self.name!r}: {name} must be an integer, "
-                                 f"got {getattr(self, name)!r}")
-        if self.grid is not None:  # a JSON list from a config or a manifest
-            if not (type(self.grid) in (list, tuple) and len(self.grid) == 2
-                    and all(type(d) is int and d >= 1 for d in self.grid)):
-                raise ValueError(f"sensor {self.name!r}: grid must be two positive integers, "
-                                 f"got {self.grid!r}")
-            if self.conv_dim == 1:
-                raise ValueError(f"sensor {self.name!r}: a 1D sensor takes no grid, "
-                                 f"got {self.grid!r}")
-            object.__setattr__(self, "grid", tuple(self.grid))
-        if self.channels < 1:
-            raise ValueError(f"sensor {self.name!r} needs channels >= 1")
-        if not self.rate_hz > 0:
-            raise ValueError(f"sensor {self.name!r} needs a positive rate")
-        if self.conv_dim not in (1, 2):
-            raise ValueError(f"sensor {self.name!r}: conv_dim must be 1 or 2, got {self.conv_dim}")
-        if self.conv_dim == 2 and (
-            self.grid is None or self.grid[0] * self.grid[1] != self.channels
-        ):
-            raise ValueError(f"sensor {self.name!r}: 2D sensors need a matching grid")
+        label = f"sensor {self.name!r}"
+        check_value(f"{label}: name", self.name, str)
+        check_value(f"{label}: model", self.model, str)
+        check_value(f"{label}: rate_hz", self.rate_hz, float, 0, ">")
+        object.__setattr__(self, "grid",
+                           check_layout(label, self.channels, self.conv_dim, self.grid))
 
     @property
     def rate(self) -> Fraction:
@@ -195,8 +181,8 @@ class SensorFifo:
 
     def __init__(self, name: str, t_track: np.ndarray, v_track: np.ndarray,
                  depth: int | None = None):
-        if depth is not None and (type(depth) is not int or depth < 1):
-            raise ValueError(f"sensor {name!r}: FIFO depth must be an int >= 1, got {depth!r}")
+        if depth is not None:
+            check_value(f"sensor {name!r}: FIFO depth", depth, int, 1)
         self.name = name
         self.depth = depth
         self.t_track = t_track
@@ -551,10 +537,8 @@ def gen_dataset(
     modality see only an aspect of the label (e.g. one bit of it); modalities
     then complement instead of duplicating each other.
     """
-    if classes < 2:
-        raise ValueError("need at least 2 classes")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
+    check_value("classes", classes, int, 2)
+    check_value("n_per_class", n_per_class, int, 1)
     window = WindowConfig(window_s, window_s)
     informative = dict(informative or {s.name: True for s in specs})
     for s in specs:

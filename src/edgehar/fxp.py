@@ -4,11 +4,12 @@ requantization.
 This module is the single definition of the arithmetic semantics: the
 quantizer and the integer engine call these functions instead of restating
 any rule. storage_format is the one signed (n + 1)-bit storage format of an
-n-bit model and holds the one width rule: 1 to 15 magnitude bits, so that a
-word fits 16 bits. round_nearest and requantize take numpy arrays only and
-work in their argument's own buffer; the exact scalar references that tests
-compare them against live in tests/oracles.py. Requantization is the integer
-multiply and rounding right-shift of Jacob et al. 2018 (arXiv:1712.05877).
+n-bit model and holds the one width rule: an integer (persist.check_value)
+of 1 to 15 magnitude bits, so that a word fits 16 bits. round_nearest and
+requantize take numpy arrays only and work in their argument's own buffer;
+the exact scalar references that tests compare them against live in
+tests/oracles.py. Requantization is the integer multiply and rounding
+right-shift of Jacob et al. 2018 (arXiv:1712.05877).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .persist import check_value
 
 __all__ = [
     "FxFormat",
@@ -46,12 +49,13 @@ class FxFormat:
         return (1 << (self.n_bits - 1)) - 1
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 are not 1's key
 def storage_format(n_bits: int) -> FxFormat:
     """Signed (n_bits + 1)-bit storage with n_bits fractional bits: the format
     of every activation of an n_bits model. Made once per width. It holds
-    the one width rule: n_bits counts magnitude bits, 1 to 15, so that a
-    word with its sign fits 16 bits."""
+    the one width rule: n_bits is an integer count of magnitude bits, 1 to
+    15, so that a word with its sign fits 16 bits."""
+    check_value("n_bits", n_bits, int)
     if not 1 <= n_bits <= 15:
         raise ValueError(f"n_bits must be 1 to 15 magnitude bits, a sign and magnitude "
                          f"within the 16-bit storage cap, got {n_bits}")

@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .persist import read_json_checked, write_json_atomic
+from .persist import check_value, read_json_checked, write_json_atomic
 
 __all__ = [
     "ConvSpec",
@@ -56,6 +56,7 @@ __all__ = [
     "ModelParams",
     "Frame",
     "ShapeError",
+    "check_layout",
     "forward_batch",
     "count_params",
     "normalize_inputs",
@@ -92,6 +93,28 @@ class ShapeError(ValueError):
     """An input window is too small for one of a branch's layers."""
 
 
+def check_layout(label: str, channels, conv_dim, grid) -> tuple[int, int] | None:
+    """The one layout rule of a sensor's or a branch's input, its errors led by
+    label: a 1D input takes no grid, a 2D one two positive integers whose
+    product is channels. Returns grid as a tuple (JSON gives a list)."""
+    check_value(f"{label}: channels", channels, int, 1)
+    check_value(f"{label}: conv_dim", conv_dim, int, 1)
+    if conv_dim > 2:
+        raise ValueError(f"{label}: conv_dim must be 1 or 2, got {conv_dim!r}")
+    if conv_dim == 1:
+        if grid is not None:
+            raise ValueError(f"{label}: a 1D input takes no grid, got {grid!r}")
+        return None
+    if type(grid) not in (list, tuple) or len(grid) != 2:
+        raise ValueError(f"{label}: a 2D input's grid must be two positive integers, "
+                         f"got {grid!r}")
+    for d in grid:
+        check_value(f"{label}: each entry of grid {grid!r}", d, int, 1)
+    if grid[0] * grid[1] != channels:
+        raise ValueError(f"{label}: grid {grid!r} does not hold {channels} channels")
+    return tuple(grid)
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     """One convolution layer: F filters, K-tap kernel, optional max-pool of size pool."""
@@ -101,10 +124,10 @@ class ConvSpec:
     pool: int | None = None
 
     def __post_init__(self) -> None:
-        if self.filters < 1 or self.kernel < 1:
-            raise ValueError(f"filters and kernel must be >= 1, got {self}")
-        if self.pool is not None and self.pool < 2:
-            raise ValueError(f"pool size must be >= 2 when set, got {self.pool}")
+        check_value("filters", self.filters, int, 1)
+        check_value("kernel", self.kernel, int, 1)
+        if self.pool is not None:
+            check_value("pool", self.pool, int, 2)
 
 
 @dataclass(frozen=True)
@@ -112,8 +135,8 @@ class BranchSpec:
     """One per-sensor feature branch.
 
     conv_dim 1 treats the input as (time x channels); conv_dim 2 treats each
-    timestep's channels as a (rows x cols) grid with a single feature channel
-    (grid is required and rows*cols must equal channels). head is "gmax"
+    timestep's channels as a (rows x cols) grid with a single feature channel;
+    check_layout, a SensorSpec's rule too, checks them. head is "gmax"
     (global max-pool over all non-filter axes, giving 1xF) or "flatten"
     (used only by the data-fusion baseline).
     """
@@ -128,18 +151,8 @@ class BranchSpec:
     def __post_init__(self) -> None:
         if len(self.layers) != 3:
             raise ValueError(f"branch {self.name!r} must have exactly 3 conv layers")
-        if self.channels < 1:
-            raise ValueError(f"branch {self.name!r} needs channels >= 1")
-        if self.conv_dim not in (1, 2):
-            raise ValueError(f"conv_dim must be 1 or 2, got {self.conv_dim}")
-        if self.conv_dim == 2:
-            if self.grid is None:
-                raise ValueError(f"2D branch {self.name!r} requires a grid")
-            r, c = self.grid
-            if r * c != self.channels:
-                raise ValueError(
-                    f"branch {self.name!r}: grid {self.grid} != {self.channels} channels"
-                )
+        object.__setattr__(self, "grid", check_layout(f"branch {self.name!r}", self.channels,
+                                                      self.conv_dim, self.grid))
         if self.head not in ("gmax", "flatten"):
             raise ValueError(f"unknown head {self.head!r}")
 
@@ -170,8 +183,8 @@ class ModelSpec:
     window_rows: int | None = None  # fixed input rows, required for flatten heads
 
     def __post_init__(self) -> None:
-        if self.classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.classes}")
+        check_value("classes", self.classes, int, 2)
+        check_value("hidden", self.hidden, int, 1)
         if self.fusion not in ("feature", "data"):
             raise ValueError(f"unknown fusion mode {self.fusion!r}")
         if not self.branches:
@@ -613,13 +626,13 @@ def data_fusion_spec(
 # Persistence (versioned JSON, canonical field order)
 # ---------------------------------------------------------------------------
 
-def _spec_from_dict(d: dict) -> ModelSpec:
-    branches = tuple(
-        BranchSpec(**(b | {"layers": tuple(ConvSpec(**l) for l in b["layers"]),
-                           "grid": b["grid"] and tuple(b["grid"])}))
-        for b in d["branches"]
-    )
-    return ModelSpec(**(d | {"branches": branches}))
+def _spec_from_dict(d: dict, path) -> ModelSpec:
+    try:  # a spec class's error names the file it came from
+        branches = tuple(BranchSpec(**(b | {"layers": tuple(ConvSpec(**l) for l in b["layers"])}))
+                         for b in d["branches"])
+        return ModelSpec(**(d | {"branches": branches}))
+    except ValueError as ex:
+        raise type(ex)(f"{path}: {ex}") from None
 
 
 def save_model(path, spec: ModelSpec, params: ModelParams, meta: dict | None = None) -> None:
@@ -640,7 +653,7 @@ def save_model(path, spec: ModelSpec, params: ModelParams, meta: dict | None = N
 
 def load_model(path) -> tuple[ModelSpec, ModelParams, dict]:
     doc = read_json_checked(path, MODEL_SCHEMA)
-    spec = _spec_from_dict(doc["spec"])
+    spec = _spec_from_dict(doc["spec"], path)
     w = doc["weights"]
     dt = np.float64
     params = ModelParams(

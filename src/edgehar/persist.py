@@ -2,11 +2,14 @@
 
 Writers go through a temp-then-rename so a failed run never leaves a partial
 primary artifact behind. JSON documents carry a "schema" tag checked on load.
+check_value is the one scalar rule of every input field, kept by the class
+that owns the field: the only code that tests for an int, a float or a bool.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -19,7 +22,10 @@ __all__ = [
     "write_json_atomic",
     "write_csv_atomic",
     "read_json_checked",
+    "check_value",
 ]
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
 class SchemaError(ValueError):
@@ -61,3 +67,16 @@ def read_json_checked(path, schema: str) -> dict:
     if found != schema:
         raise SchemaError(f"{path}: expected schema {schema!r}, found {found!r}")
     return doc
+
+
+def check_value(name: str, value, kind, least=None, op: str = ">=") -> None:
+    """Raise a ValueError naming name unless value is of kind and, if least is
+    given, value op least; float is a finite int or float, and a bool neither."""
+    ok = type(value) in ((int, float) if kind is float else (kind,))
+    if ok and kind is float:
+        ok = math.isfinite(value)
+    if ok and least is not None:
+        ok = value > least if op == ">" else value >= least
+    if not ok:
+        bound = "" if least is None else f" {op} {least}"
+        raise ValueError(f"{name} must be {_KINDS[kind]}{bound}, got {value!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fxp import FxFormat, round_nearest, storage_format
 from .model import ModelParams, ModelSpec, _spec_from_dict, _walk, forward_batch, validate_params
-from .persist import read_json_checked, write_json_atomic
+from .persist import check_value, read_json_checked, write_json_atomic
 
 __all__ = [
     "CalibStats",
@@ -123,6 +123,9 @@ class QLayer:
     w_float: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_value("mult", self.mult, int, 1)
+        check_value("shift", self.shift, int, 0)
+        check_value("relu", self.relu, bool)
         w = np.array(self.w_int, dtype=np.int64)
         w_float = w.astype(np.float64)
         w.flags.writeable = w_float.flags.writeable = False
@@ -144,7 +147,8 @@ class QLayer:
 class QuantizedModel:
     """Integer weights, shared conv rescales, dense scales, and requant pairs.
 
-    Building one checks every layer's weight shape against spec (one stored
+    Building one checks n_bits (storage_format) first, each input_rows value
+    (an int >= 1), every layer's weight shape against spec (one stored
     branch per spec branch, two dense layers), its weight storage and the
     requantization headroom, fixes acc_width and the storage format fmt, and
     proves each layer's accumulator range: every layer input lies in fmt
@@ -169,6 +173,9 @@ class QuantizedModel:
     acc_bounds: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        fmt = storage_format(self.n_bits)
+        for name, rows in self.input_rows.items():
+            check_value(f"input_rows[{name!r}]", rows, int, 1)
         if len(self.dense) != 2:
             raise ValueError(f"{len(self.dense)} dense layers, expected 2")
         validate_params(self.spec, ModelParams([[l.w_int for l in ls] for ls in self.branches],
@@ -192,8 +199,7 @@ class QuantizedModel:
                     f"{where}: MAC bound {bounds[where]} reaches 2^{limit.bit_length() - 1}, "
                     f"beyond the {acc_width}-bit accumulator or exact float64"
                 )
-        derived = {"acc_width": acc_width, "fmt": storage_format(self.n_bits),
-                   "acc_bounds": bounds}
+        derived = {"acc_width": acc_width, "fmt": fmt, "acc_bounds": bounds}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         # the engine multiplies int64 accumulators by mult; keep that exact
@@ -344,26 +350,28 @@ def save_qmodel(path, qm: QuantizedModel, meta: dict | None = None) -> None:
 
 def load_qmodel(path) -> tuple[QuantizedModel, dict]:
     """A saved QuantizedModel and its meta. A layer whose stored pool is not
-    its spec's, a missing or extra branch and a weight whose shape is not
-    its spec layer's are rejected, naming the file, the branch and the
-    layer."""
+    its spec's, a layer field QLayer rejects, a missing or extra branch and a
+    weight whose shape is not its spec layer's are rejected, naming the file,
+    the branch and the layer."""
     doc = read_json_checked(path, QMODEL_SCHEMA)
-    spec = _spec_from_dict(doc["spec"])
+    spec = _spec_from_dict(doc["spec"], path)
     for b, ls in zip(spec.branches, doc["branches"]):
         for i, (c, l) in enumerate(zip(b.layers, ls)):
             if l["pool"] != c.pool:
                 raise ValueError(f"{path}: branch {b.name!r} layer {i} stores pool "
                                  f"{l['pool']!r}, but its spec has pool {c.pool!r}")
-    branches = [
-        [QLayer(np.asarray(l["w"], dtype=np.int64), l["mult"], l["shift"], relu=True)
-         for l in ls]
-        for ls in doc["branches"]
-    ]
-    dense = [
-        QLayer(np.asarray(l["w"], dtype=np.int64), l["mult"], l["shift"],
-               relu=l["relu"])
-        for l in doc["dense"]
-    ]
+
+    def qlayer(l, where, relu=True):
+        try:
+            return QLayer(np.asarray(l["w"], dtype=np.int64), l["mult"], l["shift"], relu)
+        except ValueError as ex:
+            raise ValueError(f"{path}: {where}: {ex}") from None
+
+    # a stored branch beyond the spec's is named by its index; QuantizedModel rejects it
+    names = {j: repr(b.name) for j, b in enumerate(spec.branches)}
+    branches = [[qlayer(l, f"branch {names.get(j, j)} layer {i}") for i, l in enumerate(ls)]
+                for j, ls in enumerate(doc["branches"])]
+    dense = [qlayer(l, f"dense layer {j}", l["relu"]) for j, l in enumerate(doc["dense"])]
     try:
         qm = QuantizedModel(
             spec,
@@ -372,7 +380,7 @@ def load_qmodel(path) -> tuple[QuantizedModel, dict]:
             [(float(a), float(b)) for a, b in doc["dense_scales"]],
             branches,
             dense,
-            {k: int(v) for k, v in doc["input_rows"].items()},
+            doc["input_rows"],
         )
     except ValueError as ex:
         raise ValueError(f"{path}: {ex}") from None

@@ -44,7 +44,7 @@ propagation, Gowal et al. 2018).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .model import (
     forward_batch,
     softmax,
 )
-from .persist import write_csv_atomic
+from .persist import check_value, write_csv_atomic
 from .seeding import substream
 
 __all__ = [
@@ -79,6 +79,12 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite during training."""
 
 
+# Each TrainConfig field's persist.check_value rule (eps 0 makes a zero
+# gradient's update 0/0); val_fraction, beta1 and beta2 are also < 1
+_RULES = {"epochs": (int, 0), "batch_size": (int, 1), "lr": (float, 0, ">"), "beta1": (float, 0),
+          "beta2": (float, 0), "eps": (float, 0, ">"), "seed": (int, 0), "val_fraction": (float, 0)}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
@@ -91,22 +97,19 @@ class TrainConfig:
     val_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "seed"):  # a bool would run as 0 or 1
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for f in fields(self):
+            check_value(f.name, getattr(self, f.name), *_RULES[f.name])
         for name in ("val_fraction", "beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
+            if getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        for name in ("lr", "eps"):  # eps 0 makes a zero gradient's update 0/0
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def n_val(self, n: int) -> int:
-        """Validation samples held out of a set of n."""
-        return int(round(n * self.val_fraction))
+        """Validation samples held out of a set of n, at least one left to train on."""
+        held = int(round(n * self.val_fraction))
+        if held >= n:
+            raise ValueError(f"val_fraction {self.val_fraction!r} leaves none of {n} "
+                             f"recordings to train on")
+        return held
 
 
 @dataclass
@@ -489,8 +492,6 @@ def train(
     n_val = config.n_val(n)
     perm = substream(config.seed, "split").permutation(n)
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
-    if tr_idx.size == 0:
-        raise ValueError("val_fraction leaves no training samples")
 
     opt = _Adam(init_params(spec, config.seed), config)
     params = opt.params

@@ -110,9 +110,9 @@ class TestStartSync:
 
     @pytest.mark.parametrize("fifo_depth, message", [
         ({"toff": 3}, r"fifo_depth names no sensor of the session: \['toff'\]"),
-        ({"tof": 2.5}, "sensor 'tof': FIFO depth must be an int >= 1, got 2.5"),
-        ({"tof": 0}, "sensor 'tof': FIFO depth must be an int >= 1, got 0"),
-        ({"tof": True}, "sensor 'tof': FIFO depth must be an int >= 1, got True"),
+        ({"tof": 2.5}, "sensor 'tof': FIFO depth must be an integer >= 1, got 2.5"),
+        ({"tof": 0}, "sensor 'tof': FIFO depth must be an integer >= 1, got 0"),
+        ({"tof": True}, "sensor 'tof': FIFO depth must be an integer >= 1, got True"),
     ], ids=["unknown_name", "float", "zero", "bool"])
     def test_bad_fifo_depth_rejected_before_any_source_starts(self, fifo_depth, message):
         tof = _const_source(CATALOG["tof"], 1)
@@ -672,7 +672,7 @@ class TestGenDataset:
     ])
     def test_non_int_channels_and_conv_dim_rejected(self, tmp_path, field, value):
         # conv_dim True was taken as 1D; a manifest is input from outside
-        msg = f"^sensor 'u': {field} must be an integer, got {value!r}$"
+        msg = f"^sensor 'u': {field} must be an integer >= 1, got {value!r}$"
         with pytest.raises(ValueError, match=msg):
             SensorSpec(**{"name": "u", "channels": 2, "rate_hz": 24, field: value})
         save_dataset(tmp_path / "ds", gen_dataset(self._sensors(), 2, 1, seed=5))
