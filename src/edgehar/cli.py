@@ -30,8 +30,9 @@ exact, so a frame's logits do not depend on the frames classified with it.
 The whole config is checked at load, before any stage runs: an unknown key,
 a bad type or range, or a config that cannot run exits 2 naming the key and
 its value. A rule is written once, by the class that owns the field:
-TrainConfig checks train (as train.<field>), SensorSpec a custom sensor, and
-storage_format each bits entry; _SCHEMA holds the rest. model.fusion is fixed
+TrainConfig checks train (as train.<field>), SensorSpec a custom sensor,
+ConvSpec and ModelSpec model.filters, model.kernel, model.hidden and classes,
+storage_format each bits entry, and _SCHEMA the rest. model.fusion is fixed
 to "feature" and model.alpha_enabled to false (select trains its own
 importance model). A stage writes all of its outputs or none.
 
@@ -39,8 +40,8 @@ select retrains on the sensors it keeps, unless it keeps every sensor and
 out holds exactly what train writes for the run: that model is the one a
 retrain would make, and select takes its weights and history instead.
 
-Exit codes: 0 success, 1 usage, 2 validation (bad config/schema/arguments),
-3 runtime failure.
+Exit codes: 0 success, 1 usage, 2 validation (bad config/schema/arguments,
+or a malformed artifact, whose loader names the file), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ import numpy as np
 
 from . import daq, engine, model as mdl, quantize as qz, train as tr
 from .fxp import storage_format
-from .persist import (SchemaError, check_value, write_csv_atomic, write_json_atomic,
-                      write_text_atomic)
+from .persist import (SchemaError, check_array, check_value, labelled, write_csv_atomic,
+                      write_json_atomic, write_text_atomic)
 from .seeding import substream
 
 __all__ = ["main", "DEFAULT_CONFIG", "Config", "parse_config"]
@@ -91,14 +92,15 @@ DEFAULT_CONFIG: dict = {
 # Every key of the config by section ("sensors" is a custom sensor entry), with
 # the persist.check_value rule of each scalar the CLI owns. None marks a key
 # that is not a scalar, or whose class checks it: TrainConfig's fields but
-# seed (train.*) and SensorSpec's (sensors.*).
+# seed (train.*), SensorSpec's (sensors.*), ConvSpec's (model.filters,
+# model.kernel) and ModelSpec's (model.hidden, classes).
 _SCHEMA = {
     "seed": (int, 0), "out": (str,), "sensors": None, "informative": None,
-    "classes": (int, 2), "n_per_class": (int, 1), "n_per_class_test": (int, 1),
+    "classes": None, "n_per_class": (int, 1), "n_per_class_test": (int, 1),
     "noise_level": (float, 0), "window_ms": (int, 1), "step_ms": (int, 1), "model": None,
     "train": None, "bits": None, "keep": (int, 1), "schedule": (str,),
     "clock_hz": (float, 0, ">"), "kappa": (int, 0), "calib_frames": (int, 1), "sim": None,
-    "model.filters": (int, 1), "model.kernel": (int, 1), "model.hidden": (int, 1),
+    "model.filters": None, "model.kernel": None, "model.hidden": None,
     "model.fusion": (str,), "model.alpha_enabled": (bool,),
     "sim.n_segments": (int, 1), "sim.segment_ms": (int, 1),
 }
@@ -195,10 +197,8 @@ def _sensors(entries) -> list[daq.SensorSpec]:
             raise ValueError(f"unknown catalog sensor {e!r}; known: {sorted(daq.CATALOG)}")
         if type(e) is not str:
             _check_object(e, f"sensors[{i}]", _rules("sensors"))
-        try:
+        with labelled(f"sensors[{i}]", values=False):  # a required field is missing
             out.append(daq.CATALOG[e] if type(e) is str else daq.SensorSpec(**e))
-        except TypeError as ex:  # a required field is missing
-            raise ValueError(f"sensors[{i}]: {ex}") from None
     names = [s.name for s in out]
     dup = next((n for n in names if names.count(n) > 1), None)
     if dup:
@@ -214,11 +214,6 @@ def parse_config(doc: dict) -> Config:
     for section in ("model", "train", "sim"):
         _check_object(doc.get(section, {}), section, _rules(section))
     raw = _merge(DEFAULT_CONFIG, doc)
-    try:  # each message starts with the field's name
-        train = tr.TrainConfig(seed=raw["seed"], **raw["train"])
-        train.n_val(raw["classes"] * raw["n_per_class"])
-    except ValueError as ex:
-        raise ValueError(f"train.{ex}") from None
     m, sim, bits = raw["model"], raw["sim"], raw["bits"]
     for k, v in _FIXED.items():
         if m.get(k, v) != v:
@@ -237,9 +232,17 @@ def parse_config(doc: dict) -> Config:
     _check_object(raw["informative"], "informative", {s.name: (bool,) for s in sensors})
     if raw["keep"] > len(sensors):
         raise ValueError(f"keep must be in [1, {len(sensors)}], got {raw['keep']}")
+    try:  # each message starts with the field's name: classes, or a model.* key
+        spec = mdl.feature_fusion_spec(sensors, m["filters"], m["kernel"], m["hidden"],
+                                       raw["classes"])
+    except ValueError as ex:
+        raise ValueError(("" if str(ex).startswith("classes") else "model.") + str(ex)) from None
+    try:  # each message starts with the field's name
+        train = tr.TrainConfig(seed=raw["seed"], **raw["train"])
+        train.n_val(raw["classes"] * raw["n_per_class"])
+    except ValueError as ex:
+        raise ValueError(f"train.{ex}") from None
     window = daq.WindowConfig(Fraction(raw["window_ms"], 1000), Fraction(raw["step_ms"], 1000))
-    spec = mdl.feature_fusion_spec(sensors, m["filters"], m["kernel"], m["hidden"],
-                                   raw["classes"])
     rows = {}
     for s, branch in zip(sensors, spec.branches):
         try:
@@ -397,16 +400,23 @@ def _load_qmodel(cfg: Config, args, spec: mdl.ModelSpec):
 
 
 def _load_model_for(cfg: Config, args):
-    """The --model file (model.json by default), checked against the config's sensors."""
+    """The --model file (model.json by default), checked against the config's
+    sensors, and its meta's norm_stats: an object of (lo, hi) number pairs."""
     path = getattr(args, "model", None) or cfg.out / "model.json"
     spec, params, meta = mdl.load_model(path)
+    stats = {}
+    with labelled(path):
+        for k, v in meta.get("norm_stats", {}).items():
+            lo_hi = check_array(f"norm_stats[{k!r}]", v, float)
+            if lo_hi.shape != (2,):
+                raise ValueError(f"norm_stats[{k!r}] must be two numbers (lo, hi), got {v!r}")
+            stats[k] = tuple(lo_hi.tolist())
     inputs = {b.name: (b.channels, b.conv_dim, b.grid) for b in cfg.spec.branches}
     for b in spec.branches:
         if inputs.get(b.name) != (b.channels, b.conv_dim, b.grid):
             have = {s.name: s.channels for s in cfg.sensors}
             raise ValueError(f"{path} has a branch for sensor {b.name!r} of {b.channels} "
                              f"channels, which the config lacks; config sensors: {have}")
-    stats = {k: tuple(v) for k, v in meta.get("norm_stats", {}).items()}
     return spec, params, stats
 
 

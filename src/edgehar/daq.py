@@ -48,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import Frame, check_layout, normalize_inputs
-from .persist import (SchemaError, check_value, read_json_checked, write_json_atomic,
-                      write_npy_atomic)
+from .persist import (SchemaError, check_array, check_value, labelled, read_json_checked,
+                      write_json_atomic, write_npy_atomic)
 from .seeding import substream
 
 __all__ = [
@@ -669,17 +669,26 @@ def save_dataset(out_dir, bundle: DatasetBundle, meta: dict | None = None) -> No
 
 
 def load_dataset(in_dir) -> DatasetBundle:
+    """A split saved by save_dataset. A sensor entry SensorSpec rejects fails
+    naming the sensor; bad labels (check_array's rule, one list), a badly
+    shaped manifest or a .npy of the wrong dtype or shape names its file."""
     root = Path(in_dir)
-    man = read_json_checked(root / "manifest.json", DATASET_SCHEMA)
-    specs = [SensorSpec(**d) for d in man["sensors"]]
-    labels = np.array(man["labels"], dtype=np.int64)
+    path = root / "manifest.json"
+    man = read_json_checked(path, DATASET_SCHEMA)
+    with labelled(path, values=False):
+        specs = [SensorSpec(**d) for d in man["sensors"]]
+    with labelled(path):
+        labels = check_array("labels", man["labels"], int)
+        if labels.ndim != 1:
+            raise ValueError(f"labels must be a list of integers, got shape {labels.shape}")
+        info = (man["classes"], man["informative"], man["noise_level"], man["seed"],
+                Fraction(man["window_s"]))
     arrays = {}
     for s in specs:
-        path = root / f"{s.name}.npy"
-        v = np.load(path, allow_pickle=False)
+        npy = root / f"{s.name}.npy"
+        v = np.load(npy, allow_pickle=False)
         if v.dtype != np.float64 or v.ndim != 3 or v.shape[::2] != (labels.size, s.channels):
-            raise SchemaError(f"{path}: {v.dtype} array of shape {v.shape}, expected "
+            raise SchemaError(f"{npy}: {v.dtype} array of shape {v.shape}, expected "
                               f"float64 ({labels.size}, rows, {s.channels})")
         arrays[s.name] = v
-    return DatasetBundle(specs, arrays, labels, man["classes"], man["informative"],
-                         man["noise_level"], man["seed"], Fraction(man["window_s"]))
+    return DatasetBundle(specs, arrays, labels, *info)

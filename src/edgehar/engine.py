@@ -71,7 +71,7 @@ from .fxp import requantize, round_nearest, storage_format
 from .model import (
     BranchSpec, ModelSpec, _branch_input, _conv_batch, _head, _pool_windows, count_params,
 )
-from .quantize import QLayer, QuantizedModel
+from .quantize import QLayer, QuantizedModel, _no_mixing
 
 __all__ = [
     "CycleReport",
@@ -396,8 +396,7 @@ def estimate_resources(
         raise ValueError(f"schedule must be one of {_SCHEDULES}, got {schedule!r}")
     if stored_width < 2:
         raise ValueError(f"stored width must be >= 2, got {stored_width}")
-    if spec.alpha_enabled:
-        raise ValueError("the integer engine runs models without importance mixing")
+    _no_mixing(spec)
 
     feature_words = spec.hidden + spec.classes
     for b in spec.branches:

@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .persist import check_value, read_json_checked, write_json_atomic
+from .persist import check_array, check_value, labelled, read_json_checked, write_json_atomic
 
 __all__ = [
     "ConvSpec",
@@ -626,13 +626,10 @@ def data_fusion_spec(
 # Persistence (versioned JSON, canonical field order)
 # ---------------------------------------------------------------------------
 
-def _spec_from_dict(d: dict, path) -> ModelSpec:
-    try:  # a spec class's error names the file it came from
-        branches = tuple(BranchSpec(**(b | {"layers": tuple(ConvSpec(**l) for l in b["layers"])}))
-                         for b in d["branches"])
-        return ModelSpec(**(d | {"branches": branches}))
-    except ValueError as ex:
-        raise type(ex)(f"{path}: {ex}") from None
+def _spec_from_dict(d: dict) -> ModelSpec:
+    branches = tuple(BranchSpec(**(b | {"layers": tuple(ConvSpec(**l) for l in b["layers"])}))
+                     for b in d["branches"])
+    return ModelSpec(**(d | {"branches": branches}))
 
 
 def save_model(path, spec: ModelSpec, params: ModelParams, meta: dict | None = None) -> None:
@@ -652,15 +649,19 @@ def save_model(path, spec: ModelSpec, params: ModelParams, meta: dict | None = N
 
 
 def load_model(path) -> tuple[ModelSpec, ModelParams, dict]:
+    """A saved model's spec, weights and meta. A spec its classes reject, a weight
+    check_array rejects or of a shape not the spec's, and a badly shaped
+    document are rejected, naming the file."""
     doc = read_json_checked(path, MODEL_SCHEMA)
-    spec = _spec_from_dict(doc["spec"], path)
-    w = doc["weights"]
-    dt = np.float64
-    params = ModelParams(
-        [[np.asarray(a, dtype=dt) for a in ws] for ws in w["branches"]],
-        np.asarray(w["dense1"], dtype=dt),
-        np.asarray(w["dense2"], dtype=dt),
-        None if w["alpha"] is None else np.asarray(w["alpha"], dtype=dt),
-    )
-    validate_params(spec, params)
+    with labelled(path):
+        spec = _spec_from_dict(doc["spec"])
+        w = doc["weights"]
+        params = ModelParams(
+            [[check_array(f"weights.branches[{j}][{i}]", a, float) for i, a in enumerate(ws)]
+             for j, ws in enumerate(w["branches"])],
+            check_array("weights.dense1", w["dense1"], float),
+            check_array("weights.dense2", w["dense2"], float),
+            None if w["alpha"] is None else check_array("weights.alpha", w["alpha"], float),
+        )
+        validate_params(spec, params)
     return spec, params, doc.get("meta", {})

@@ -4,10 +4,13 @@ Writers go through a temp-then-rename so a failed run never leaves a partial
 primary artifact behind. JSON documents carry a "schema" tag checked on load.
 check_value is the one scalar rule of every input field, kept by the class
 that owns the field: the only code that tests for an int, a float or a bool.
+check_array is the one array rule, the only code that makes a loaded JSON
+array an ndarray, and labelled the one label of a loader's errors.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -23,9 +26,12 @@ __all__ = [
     "write_csv_atomic",
     "read_json_checked",
     "check_value",
+    "check_array",
+    "labelled",
 ]
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+_ARRAYS = {int: ("iu", np.int64), float: ("iuf", np.float64), str: ("U", np.str_)}
 
 
 class SchemaError(ValueError):
@@ -63,7 +69,7 @@ def write_csv_atomic(path, header: list[str], rows) -> None:
 def read_json_checked(path, schema: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    found = doc.get("schema")
+    found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:
         raise SchemaError(f"{path}: expected schema {schema!r}, found {found!r}")
     return doc
@@ -80,3 +86,33 @@ def check_value(name: str, value, kind, least=None, op: str = ">=") -> None:
     if not ok:
         bound = "" if least is None else f" {op} {least}"
         raise ValueError(f"{name} must be {_KINDS[kind]}{bound}, got {value!r}")
+
+
+def check_array(name: str, value, kind) -> np.ndarray:
+    """value, an ndarray or nested lists, as a new int64 (kind int), float64
+    (kind float) or str array. Raises a ValueError naming name unless the
+    lists are rectangular and each entry is one check_value takes as kind."""
+    codes, dtype = _ARRAYS[kind]
+    a = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    if a.dtype.kind not in codes:  # one entry of each type; a ragged list's entry is a list
+        for x in {type(x): x for x in a.flat}.values():
+            check_value(f"each entry of {name}", x, kind)
+    out = a.astype(dtype)  # an int beyond dtype raises OverflowError
+    if kind is float and not np.isfinite(out).all():  # the walk saw one entry per type
+        check_value(f"each entry of {name}", out[~np.isfinite(out)][0].item(), float)
+    return out
+
+
+@contextlib.contextmanager
+def labelled(where, values: bool = True):
+    """Lead the errors of the document-reading code inside with where: a
+    ValueError keeps its type (and, unless values, its text), and a badly shaped
+    document's TypeError, AttributeError, KeyError or OverflowError becomes one."""
+    try:
+        yield
+    except ValueError as ex:
+        if not values:
+            raise
+        raise type(ex)(f"{where}: {ex}") from None
+    except (TypeError, AttributeError, KeyError, OverflowError) as ex:
+        raise ValueError(f"{where}: {type(ex).__name__}: {ex}") from None

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fxp import FxFormat, round_nearest, storage_format
 from .model import ModelParams, ModelSpec, _spec_from_dict, _walk, forward_batch, validate_params
-from .persist import check_value, read_json_checked, write_json_atomic
+from .persist import check_array, check_value, labelled, read_json_checked, write_json_atomic
 
 __all__ = [
     "CalibStats",
@@ -60,17 +60,19 @@ class CalibStats:
     n_samples: int
 
 
+def _no_mixing(spec: ModelSpec) -> None:
+    if spec.alpha_enabled:
+        raise ValueError("the integer path runs models without importance mixing; "
+                         "retrain without alpha first")
+
+
 def calibrate(spec: ModelSpec, params: ModelParams, calib_X: dict) -> CalibStats:
     """Collect per-(layer, branch) weight and output magnitudes.
 
     One walk of the network over the whole set keeps only each layer's
     running maximum, so no activation outlives its layer.
     """
-    if spec.alpha_enabled:
-        raise ValueError(
-            "quantization applies to models without importance mixing; "
-            "retrain without alpha first"
-        )
+    _no_mixing(spec)
     n = next(iter(calib_X.values())).shape[0]
     if n == 0:
         raise ValueError("calibration set is empty")
@@ -126,7 +128,7 @@ class QLayer:
         check_value("mult", self.mult, int, 1)
         check_value("shift", self.shift, int, 0)
         check_value("relu", self.relu, bool)
-        w = np.array(self.w_int, dtype=np.int64)
+        w = check_array("w", self.w_int, int)
         w_float = w.astype(np.float64)
         w.flags.writeable = w_float.flags.writeable = False
         lo, hi = (int(w.min()), int(w.max())) if w.size else (0, 0)
@@ -249,11 +251,7 @@ def quantize(
     spec: ModelSpec, params: ModelParams, stats: CalibStats, n_bits: int
 ) -> QuantizedModel:
     """Build the full integer model from calibration statistics."""
-    if spec.alpha_enabled:
-        raise ValueError(
-            "quantization applies to models without importance mixing; "
-            "retrain without alpha first"
-        )
+    _no_mixing(spec)
     rescales = [compute_rescale(stats, l) for l in (1, 2, 3)]
     w_ints = quantize_weights(params, rescales, n_bits)
 
@@ -350,38 +348,36 @@ def save_qmodel(path, qm: QuantizedModel, meta: dict | None = None) -> None:
 
 def load_qmodel(path) -> tuple[QuantizedModel, dict]:
     """A saved QuantizedModel and its meta. A layer whose stored pool is not
-    its spec's, a layer field QLayer rejects, a missing or extra branch and a
-    weight whose shape is not its spec layer's are rejected, naming the file,
-    the branch and the layer."""
+    its spec's, a layer field QLayer rejects (its weight by check_array), a
+    scale check_array rejects (each a repr string), a missing or extra branch,
+    a weight whose shape is not its spec layer's and a badly shaped document
+    are rejected, naming the file and, for a layer, the branch and the layer."""
     doc = read_json_checked(path, QMODEL_SCHEMA)
-    spec = _spec_from_dict(doc["spec"], path)
-    for b, ls in zip(spec.branches, doc["branches"]):
-        for i, (c, l) in enumerate(zip(b.layers, ls)):
-            if l["pool"] != c.pool:
-                raise ValueError(f"{path}: branch {b.name!r} layer {i} stores pool "
-                                 f"{l['pool']!r}, but its spec has pool {c.pool!r}")
 
     def qlayer(l, where, relu=True):
-        try:
-            return QLayer(np.asarray(l["w"], dtype=np.int64), l["mult"], l["shift"], relu)
-        except ValueError as ex:
-            raise ValueError(f"{path}: {where}: {ex}") from None
+        with labelled(where):
+            return QLayer(l["w"], l["mult"], l["shift"], relu)
 
-    # a stored branch beyond the spec's is named by its index; QuantizedModel rejects it
-    names = {j: repr(b.name) for j, b in enumerate(spec.branches)}
-    branches = [[qlayer(l, f"branch {names.get(j, j)} layer {i}") for i, l in enumerate(ls)]
-                for j, ls in enumerate(doc["branches"])]
-    dense = [qlayer(l, f"dense layer {j}", l["relu"]) for j, l in enumerate(doc["dense"])]
-    try:
+    with labelled(path):
+        spec = _spec_from_dict(doc["spec"])
+        for b, ls in zip(spec.branches, doc["branches"]):
+            for i, (c, l) in enumerate(zip(b.layers, ls)):
+                if l["pool"] != c.pool:
+                    raise ValueError(f"branch {b.name!r} layer {i} stores pool "
+                                     f"{l['pool']!r}, but its spec has pool {c.pool!r}")
+        # a stored branch beyond the spec's is named by its index; QuantizedModel rejects it
+        names = {j: repr(b.name) for j, b in enumerate(spec.branches)}
+        branches = [[qlayer(l, f"branch {names.get(j, j)} layer {i}") for i, l in enumerate(ls)]
+                    for j, ls in enumerate(doc["branches"])]
+        dense = [qlayer(l, f"dense layer {j}", l["relu"]) for j, l in enumerate(doc["dense"])]
         qm = QuantizedModel(
             spec,
             doc["n_bits"],
-            [float(r) for r in doc["rescales"]],
-            [(float(a), float(b)) for a, b in doc["dense_scales"]],
+            [float(r) for r in check_array("rescales", doc["rescales"], str)],
+            [(float(a), float(b))
+             for a, b in check_array("dense_scales", doc["dense_scales"], str)],
             branches,
             dense,
             doc["input_rows"],
         )
-    except ValueError as ex:
-        raise ValueError(f"{path}: {ex}") from None
     return qm, doc.get("meta", {})

@@ -7,7 +7,10 @@ tests call is a second definition of what the package does, and goes.
 
 persist.check_value is the one scalar rule: no other src/ code compares
 type(...) with int, float or bool. The CLI's schema holds no rule of its own
-for a train.* or sensors.* key, which TrainConfig and SensorSpec check.
+for a train.* or sensors.* key, which TrainConfig and SensorSpec check, or
+for the keys ConvSpec and ModelSpec check.
+persist.check_array is the one array rule: no loader of a document, and no
+owner of a loaded array, calls np.asarray or np.array itself.
 """
 
 import ast
@@ -73,3 +76,44 @@ def test_schema_restates_no_class_rule():
     owned = [k for k in cli._SCHEMA if k.startswith(("train.", "sensors."))]
     assert "train.lr" in owned and "sensors.rate_hz" in owned
     assert not [k for k in owned if cli._SCHEMA[k] is not None]
+
+
+def test_schema_restates_no_spec_rule():
+    # ConvSpec checks model.filters and model.kernel, ModelSpec model.hidden and classes
+    spec_keys = ("model.filters", "model.kernel", "model.hidden", "classes")
+    assert not [k for k in spec_keys if cli._SCHEMA[k] is not None]
+
+
+# The loaders of every document and the owners of its arrays, by module
+ARRAY_READERS = {
+    "model": ["load_model", "_spec_from_dict"],
+    "quantize": ["load_qmodel", "QLayer.__post_init__"],
+    "daq": ["load_dataset"],
+    "cli": ["_load_model_for"],
+}
+
+
+def _definition(tree: ast.Module, dotted: str):
+    node = tree
+    for name in dotted.split("."):
+        node = next(n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == name)
+    return node
+
+
+def _casts(node):
+    """The line of each np.asarray or np.array call in node."""
+    for n in ast.walk(node):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ("asarray", "array")
+                and isinstance(n.func.value, ast.Name) and n.func.value.id == "np"):
+            yield n.lineno
+
+
+def test_only_check_array_casts_a_loaded_array():
+    found = [f"{module}.py:{line} ({name})" for module, names in ARRAY_READERS.items()
+             for name in names
+             for line in _casts(_definition(ast.parse((SRC / f"{module}.py").read_text()), name))]
+    assert not found, f"array casts outside persist.check_array: {found}"
+    persist = ast.parse((SRC / "persist.py").read_text())
+    assert list(_casts(_definition(persist, "check_array")))  # the scan sees a cast
