@@ -36,9 +36,21 @@ storage_format each bits entry, and _SCHEMA the rest. model.fusion is fixed
 to "feature" and model.alpha_enabled to false (select trains its own
 importance model). A stage writes all of its outputs or none.
 
-select retrains on the sensors it keeps, unless it keeps every sensor and
-out holds exactly what train writes for the run: that model is the one a
-retrain would make, and select takes its weights and history instead.
+A stage takes a result from out instead of computing it only when the files
+holding it say they were made from the stage's own inputs (_trusted), and a
+file it cannot use, missing, unreadable, malformed or of other inputs, is
+recomputed, never an error. Each computation is deterministic, so a taken
+result writes the bytes a recomputed one would:
+- select retrains on the sensors it keeps, unless it keeps every sensor and
+  out holds exactly what train writes for the run: that model is the one a
+  retrain would make, and select takes its weights and history instead.
+- quantize and sweep calibrate the same model on the same calib_frames
+  frames, and sweep and infer without --qmodel run the same FP pass over
+  the test split. Whichever stage runs first writes the result as a record
+  (_reuse): calib.json holds every CalibStats field, and fp_test.json each
+  test frame's FP32 argmax class. A record's key is the sha256 of the model
+  file's bytes, the sha256 of the frames it was computed from and the config
+  echo; the later stage takes the result when all three are its own.
 
 Exit codes: 0 success, 1 usage, 2 validation (bad config/schema/arguments,
 or a malformed artifact, whose loader names the file), 3 runtime failure.
@@ -47,11 +59,12 @@ or a malformed artifact, whose loader names the file), 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,8 +72,8 @@ import numpy as np
 
 from . import daq, engine, model as mdl, quantize as qz, train as tr
 from .fxp import storage_format
-from .persist import (SchemaError, check_array, check_value, labelled, write_csv_atomic,
-                      write_json_atomic, write_text_atomic)
+from .persist import (SchemaError, check_array, check_value, labelled, read_json_checked,
+                      write_csv_atomic, write_json_atomic, write_text_atomic)
 from .seeding import substream
 
 __all__ = ["main", "DEFAULT_CONFIG", "Config", "parse_config"]
@@ -322,22 +335,85 @@ def _same_json(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def _trusted(read, key):
+    """The one rule by which a stage takes a result from out instead of
+    computing it: read() returns (result, the provenance stored with it), and
+    the result is taken when that provenance is key, compared as JSON. None
+    when read raises, as a missing, unreadable or malformed file makes it, or
+    the files were made from other inputs."""
+    try:
+        result, found = read()
+        return result if _same_json(found, key) else None
+    except Exception:  # noqa: BLE001 - a file a stage cannot use is recomputed, never an error
+        return None
+
+
 def _trained(cfg: Config, stats):
     """(params, history.csv text) of train's model in out, when model.json,
     history.csv and history.meta.json are what cmd_train writes for this
-    config and the dataset's stats; None when any is missing, unreadable or
-    of another run."""
-    try:
+    config and the dataset's stats; None otherwise (_trusted)."""
+    def read():
         spec, params, meta = mdl.load_model(cfg.out / "model.json")
         history = (cfg.out / "history.csv").read_text(encoding="utf-8")
-        with open(cfg.out / "history.meta.json", encoding="utf-8") as fh:
-            history_meta = json.load(fh)
-    except Exception:  # noqa: BLE001 - a file select cannot use is retrained, never an error
-        return None
-    if (spec == cfg.spec and _same_json(meta, _train_meta(cfg, stats))
-            and _same_json(history_meta, cfg.echo)):
-        return params, history
-    return None
+        history_meta = json.loads((cfg.out / "history.meta.json").read_text(encoding="utf-8"))
+        return (params, history), [asdict(spec), meta, history_meta]
+
+    return _trusted(read, [asdict(cfg.spec), _train_meta(cfg, stats), cfg.echo])
+
+
+def _record_key(cfg: Config, args, X: dict) -> dict:
+    """What a record's result is a function of: the model file's bytes, the
+    model input frames X (each sensor's name, dtype, shape and bytes) and the
+    config."""
+    frames = hashlib.sha256()
+    for name, x in X.items():
+        frames.update(f"{name} {x.dtype.str} {x.shape}".encode())
+        frames.update(np.ascontiguousarray(x))
+    model = hashlib.sha256(_model_path(cfg, args).read_bytes())
+    return {"model_sha256": model.hexdigest(), "frames_sha256": frames.hexdigest()} | cfg.echo
+
+
+def _reuse(path: Path, schema: str, key: dict, decode, compute, encode):
+    """(result, save) of a record, a file in out holding one result under
+    schema and key. The result is decode(doc)'s when _trusted takes the
+    record at path, and compute()'s otherwise; then save writes the record,
+    {"schema", "key"} | encode(result), and else it does nothing. The stage
+    calls save with its other outputs, so a failed stage writes no record."""
+    def read():
+        doc = read_json_checked(path, schema)
+        return decode(doc), doc["key"]
+
+    found = _trusted(read, key)
+    if found is not None:
+        return found, lambda: None
+    result = compute()
+    return result, lambda: write_json_atomic(path, {"schema": schema, "key": key}
+                                             | encode(result))
+
+
+def _calibration(cfg: Config, args, spec, params, X: dict):
+    """(CalibStats over the calibration frames X, save): quantize and sweep
+    calibrate once per run, through calib.json (_reuse)."""
+    names = [b.name for b in spec.branches]
+    return _reuse(cfg.out / "calib.json", "edgehar.calib/v1", _record_key(cfg, args, X),
+                  lambda doc: qz.CalibStats.from_dict(doc["stats"], names),
+                  lambda: qz.calibrate(spec, params, X), lambda stats: {"stats": asdict(stats)})
+
+
+def _fp_test(cfg: Config, args, spec, params, Xt: dict):
+    """(the FP32 argmax class of each test frame Xt, save): sweep and infer
+    run the FP pass over the test split once per run, through fp_test.json
+    (_reuse)."""
+    def decode(doc):
+        classes = check_array("classes", doc["classes"], int)
+        n = len(next(iter(Xt.values())))
+        if classes.shape != (n,) or not ((classes >= 0) & (classes < spec.classes)).all():
+            raise ValueError(f"classes must be {n} classes in [0, {spec.classes})")
+        return classes
+
+    return _reuse(cfg.out / "fp_test.json", "edgehar.fp_test/v1", _record_key(cfg, args, Xt),
+                  decode, lambda: np.argmax(mdl.forward_batch(spec, params, Xt), axis=1),
+                  lambda classes: {"classes": classes.tolist()})
 
 
 def cmd_select(cfg: Config, args) -> int:
@@ -399,10 +475,14 @@ def _load_qmodel(cfg: Config, args, spec: mdl.ModelSpec):
     return qm
 
 
+def _model_path(cfg: Config, args) -> Path:
+    return Path(getattr(args, "model", None) or cfg.out / "model.json")
+
+
 def _load_model_for(cfg: Config, args):
     """The --model file (model.json by default), checked against the config's
     sensors, and its meta's norm_stats: an object of (lo, hi) number pairs."""
-    path = getattr(args, "model", None) or cfg.out / "model.json"
+    path = _model_path(cfg, args)
     spec, params, meta = mdl.load_model(path)
     stats = {}
     with labelled(path):
@@ -423,10 +503,11 @@ def _load_model_for(cfg: Config, args):
 def cmd_quantize(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
     X, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg.raw["calib_frames"])
-    calib = qz.calibrate(spec, params, X)
+    calib, save_calib = _calibration(cfg, args, spec, params, X)
     qms = [qz.quantize(spec, params, calib, n) for n in cfg.raw["bits"]]
     for qm in qms:
         qz.save_qmodel(cfg.out / f"qmodel_n{qm.n_bits}.json", qm, meta=cfg.echo)
+    save_calib()
     print(f"quantized at bits {cfg.raw['bits']}")
     return 0
 
@@ -435,10 +516,14 @@ def cmd_sweep(cfg: Config, args) -> int:
     spec, params, stats = _load_model_for(cfg, args)
     Xc, _, _ = _load_bundle_arrays(cfg, spec, stats, limit=cfg.raw["calib_frames"])
     Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
-    curve = qz.sweep_bits(spec, params, (Xt, yt), cfg.raw["bits"], calib_X=Xc)
+    calib, save_calib = _calibration(cfg, args, spec, params, Xc)
+    fp_pred, save_fp = _fp_test(cfg, args, spec, params, Xt)
+    curve = qz.sweep_bits(spec, params, (Xt, yt), cfg.raw["bits"], calib, fp_pred)
     write_csv_atomic(cfg.out / "sweep.csv", ["n_bits", "accuracy_ratio"],
                      [(n, repr(r)) for n, r in curve])
     write_json_atomic(cfg.out / "sweep.meta.json", cfg.echo)
+    save_calib()
+    save_fp()
     for n, r in curve:
         print(f"n={n:3d}  ratio={'undefined (FP32 accuracy 0)' if math.isnan(r) else f'{r:.4f}'}")
     return 0
@@ -449,16 +534,17 @@ def cmd_infer(cfg: Config, args) -> int:
     qm = _load_qmodel(cfg, args, spec) if args.qmodel else None
     Xt, yt, _ = _load_bundle_arrays(cfg, spec, stats, test=True)
     if qm is not None:
-        preds = engine.qinfer_batch(qm, Xt)
+        preds, save_fp = engine.qinfer_batch(qm, Xt), lambda: None
         kind = f"integer n={qm.n_bits}"
     else:
-        preds = np.argmax(mdl.forward_batch(spec, params, Xt), axis=1)
+        preds, save_fp = _fp_test(cfg, args, spec, params, Xt)
         kind = "fp32"
     acc = float(np.mean(preds == yt))
     write_csv_atomic(cfg.out / "predictions.csv", ["index", "label", "predicted"],
                      ((i, int(l), int(p)) for i, (l, p) in enumerate(zip(yt, preds))))
     write_json_atomic(cfg.out / "predictions.meta.json",
                       cfg.echo | {"accuracy": acc, "engine": kind})
+    save_fp()
     print(f"{kind} accuracy {acc:.4f} over {len(yt)} frames")
     return 0
 

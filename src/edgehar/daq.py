@@ -478,6 +478,11 @@ class Recording:
     duration_ns: int
 
 
+# The persist.check_value rule of each scalar of a split's manifest; window_s
+# is a fraction string and informative an object of flags
+_MANIFEST = {"classes": (int, 2), "noise_level": (float, 0), "seed": (int, 0)}
+
+
 @dataclass
 class DatasetBundle:
     """One split: per sensor a (recordings, rows, channels) array holding one
@@ -537,7 +542,7 @@ def gen_dataset(
     modality see only an aspect of the label (e.g. one bit of it); modalities
     then complement instead of duplicating each other.
     """
-    check_value("classes", classes, int, 2)
+    check_value("classes", classes, *_MANIFEST["classes"])
     check_value("n_per_class", n_per_class, int, 1)
     window = WindowConfig(window_s, window_s)
     informative = dict(informative or {s.name: True for s in specs})
@@ -670,8 +675,11 @@ def save_dataset(out_dir, bundle: DatasetBundle, meta: dict | None = None) -> No
 
 def load_dataset(in_dir) -> DatasetBundle:
     """A split saved by save_dataset. A sensor entry SensorSpec rejects fails
-    naming the sensor; bad labels (check_array's rule, one list), a badly
-    shaped manifest or a .npy of the wrong dtype or shape names its file."""
+    naming the sensor. Bad labels (check_array's rule, one list), a scalar
+    _MANIFEST's rule rejects, an informative entry that is not a bool and a
+    window_s that is not a positive fraction string fail naming the file and
+    the field; a badly shaped manifest or a .npy of the wrong dtype or shape
+    names its file."""
     root = Path(in_dir)
     path = root / "manifest.json"
     man = read_json_checked(path, DATASET_SCHEMA)
@@ -681,8 +689,17 @@ def load_dataset(in_dir) -> DatasetBundle:
         labels = check_array("labels", man["labels"], int)
         if labels.ndim != 1:
             raise ValueError(f"labels must be a list of integers, got shape {labels.shape}")
-        info = (man["classes"], man["informative"], man["noise_level"], man["seed"],
-                Fraction(man["window_s"]))
+        for key, rule in _MANIFEST.items():
+            check_value(key, man[key], *rule)
+        with labelled("informative"):
+            for name, flag in man["informative"].items():
+                check_value(repr(name), flag, bool)
+        with labelled("window_s"):  # a list's TypeError; Fraction also takes true as 1
+            window_s = Fraction(man["window_s"])
+        check_value("window_s", man["window_s"], str)
+        if window_s <= 0:
+            raise ValueError(f"window_s must be positive, got {man['window_s']!r}")
+        info = (man["classes"], man["informative"], man["noise_level"], man["seed"], window_s)
     arrays = {}
     for s in specs:
         npy = root / f"{s.name}.npy"

@@ -572,7 +572,8 @@ def normalize_inputs(
             raise ValueError(f"no normalization stats for sensor {name!r}")
         lo, hi = stats[name]
         if not hi > lo:
-            raise ValueError(f"degenerate stats for sensor {name!r}: min == max == {lo}")
+            same = f"min == max == {lo}" if lo == hi else f"min {lo} > max {hi}"
+            raise ValueError(f"degenerate stats for sensor {name!r}: {same}")
         y = (np.asarray(x, dtype=np.float64) - lo) * (2.0 / (hi - lo)) - 1.0
         tensors[name] = np.clip(y, -1.0, 1.0)
     return tensors

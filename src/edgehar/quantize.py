@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .fxp import FxFormat, round_nearest, storage_format
-from .model import ModelParams, ModelSpec, _spec_from_dict, _walk, forward_batch, validate_params
+from .model import ModelParams, ModelSpec, _spec_from_dict, _walk, validate_params
 from .persist import check_array, check_value, labelled, read_json_checked, write_json_atomic
 
 __all__ = [
@@ -58,6 +58,24 @@ class CalibStats:
     dense_o: list[float]
     input_rows: dict[str, int]
     n_samples: int
+
+    @classmethod
+    def from_dict(cls, doc: dict, names: list[str]) -> CalibStats:
+        """The stats asdict made doc of, for the branches names. Raises a
+        ValueError, or a badly shaped doc's TypeError, AttributeError or
+        KeyError, on a missing, mistyped, non-finite or misshapen stat."""
+        conv = [check_array(k, [[d[n] for n in names] for d in doc[k]], float)
+                for k in ("conv_w", "conv_o")]
+        dense = [check_array(k, doc[k], float) for k in ("dense_w", "dense_o")]
+        rows = check_array("input_rows", [doc["input_rows"][n] for n in names], int)
+        check_value("n_samples", doc["n_samples"], int, 1)
+        shapes = [a.shape for a in conv + dense]
+        if shapes != [(3, len(names))] * 2 + [(2,)] * 2 or (rows < 1).any():
+            raise ValueError(f"stats of shapes {shapes} and input_rows {rows.tolist()} "
+                             f"for {len(names)} branches")
+        return cls(*([dict(zip(names, r)) for r in a.tolist()] for a in conv),
+                   *(a.tolist() for a in dense), dict(zip(names, rows.tolist())),
+                   doc["n_samples"])
 
 
 def _no_mixing(spec: ModelSpec) -> None:
@@ -293,12 +311,16 @@ def sweep_bits(
     params: ModelParams,
     test_set: tuple[dict, np.ndarray],
     n_range,
-    calib_X: dict,
+    stats: CalibStats,
+    fp_pred: np.ndarray,
 ) -> list[tuple[int, float]]:
-    """One (n, ratio) point per precision from one calibration on calib_X and
-    one FP32 pass, where ratio = (integer argmax accuracy) / (FP32 argmax
-    accuracy) on the labeled test set; every ratio is nan when FP32 accuracy
-    is zero (undefined)."""
+    """One (n, ratio) point per precision, each model quantized from the
+    calibration statistics stats, where ratio = (integer argmax accuracy) /
+    (FP32 argmax accuracy) on the labeled test set (X, y), and fp_pred holds
+    the FP32 argmax class of each test frame; every ratio is nan when FP32
+    accuracy is zero (undefined). The caller computes stats (calibrate) and
+    fp_pred (forward_batch), so a pipeline that also quantizes and runs FP
+    inference on the same frames makes each of them once."""
     from .engine import qinfer_batch  # here: engine imports this module
 
     n_range = list(n_range)
@@ -307,8 +329,7 @@ def sweep_bits(
     X, y = test_set[0], np.asarray(test_set[1])
     if y.size == 0:
         raise ValueError("test set is empty")
-    fp_acc = float(np.mean(np.argmax(forward_batch(spec, params, X), axis=1) == y))
-    stats = calibrate(spec, params, calib_X)
+    fp_acc = float(np.mean(fp_pred == y))
     curve = []
     for n in n_range:
         q_acc = float(np.mean(qinfer_batch(quantize(spec, params, stats, n), X) == y))

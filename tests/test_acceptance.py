@@ -28,7 +28,7 @@ from edgehar.daq import (
     stream_frames,
 )
 from edgehar.engine import estimate_resources, model_cycles, schedule_latency, _q_forward
-from edgehar.model import data_fusion_spec, feature_fusion_spec, count_params
+from edgehar.model import data_fusion_spec, feature_fusion_spec, count_params, forward_batch
 from edgehar.quantize import calibrate, quantize, sweep_bits
 from edgehar.train import (
     TrainConfig,
@@ -147,7 +147,9 @@ def test_criterion_3_bit_sweep_curve():
     Xt, yt = bundle_arrays(te_b, names, stats)
     params, _ = train(spec, (X, y), TrainConfig(epochs=40, batch_size=16,
                                                 lr=3e-3, seed=3))
-    curve = dict(sweep_bits(spec, params, (Xt, yt), range(4, 16), calib_X=X))
+    fp_pred = np.argmax(forward_batch(spec, params, Xt), axis=1)
+    curve = dict(sweep_bits(spec, params, (Xt, yt), range(4, 16), calibrate(spec, params, X),
+                            fp_pred))
     elapsed = time.time() - t0
 
     high = {n: r for n, r in curve.items() if n >= 12}

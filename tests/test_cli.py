@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import re
 import shutil
 import tempfile
@@ -1013,6 +1014,148 @@ class TestSelectReuse:
         assert _run("train", "--config", cfg) == 0
         (out / "model.json").write_text("{not json")
         assert self._select(monkeypatch, cfg, out) == (2, retrained)
+
+
+# Ways to leave out/ with a record the next stage cannot use, and the
+# (calibrate calls, FP test passes) that sweep then infer make after each
+def _reformat_model(tmp_path, cfg, out):  # the same model in other bytes
+    (out / "model.json").write_text(json.dumps(json.loads((out / "model.json").read_text())))
+    return cfg
+
+
+def _other_calib_frames(tmp_path, cfg, out):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(dict(json.loads(Path(cfg).read_text()), calib_frames=9)))
+    return str(path)
+
+
+def _edit_test_split(tmp_path, cfg, out):
+    path = out / "dataset_test" / "a.npy"
+    np.save(path, np.load(path) * 0.5)
+    return cfg
+
+
+def _truncate_calib(tmp_path, cfg, out):
+    text = (out / "calib.json").read_text()
+    (out / "calib.json").write_text(text[: len(text) // 2])
+    return cfg
+
+
+def _fp_wrong_schema(tmp_path, cfg, out):
+    _edit_json(out / "fp_test.json", lambda doc: doc.update(schema="edgehar.fp_test/v0"))
+    return cfg
+
+
+def _calib_stat(value):
+    def spoil(tmp_path, cfg, out):
+        _edit_json(out / "calib.json", lambda doc: doc["stats"]["conv_o"][1].update(b=value))
+        return cfg
+    return spoil
+
+
+class TestRecordReuse:
+    """quantize and sweep calibrate once per run, through calib.json, and
+    sweep and infer run one FP pass over the test split, through fp_test.json;
+    a record a stage cannot use is recomputed, to the same bytes."""
+
+    OUTPUTS = ("qmodel_n8.json", "qmodel_n10.json", "sweep.csv", "predictions.csv",
+               "predictions.meta.json")
+    RECORDS = ("calib.json", "fp_test.json")
+    N_TEST = CFG["classes"] * CFG["n_per_class_test"]
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("records")
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG, out=str(root / "run"))))
+        for stage in ("gen-data", "train"):
+            assert _run(stage, "--config", str(cfg)) == 0
+        return root
+
+    @pytest.fixture
+    def run(self, trained, tmp_path):
+        shutil.copytree(trained / "run", tmp_path / "run")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG, out=str(tmp_path / "run"))))
+        return str(cfg), tmp_path / "run"
+
+    def _stages(self, monkeypatch, cfg, out, stages, fresh=False):
+        """(quantize.calibrate calls, frames of each FP pass the CLI makes,
+        output bytes) of the stages run in order; with fresh, each record is
+        deleted before every stage."""
+        calls, passes = [], []
+        calibrate, forward = cli.qz.calibrate, cli.mdl.forward_batch
+
+        def counted_calibrate(*args):
+            calls.append(args)
+            return calibrate(*args)
+
+        def counted_forward(spec, params, X):
+            passes.append(len(next(iter(X.values()))))
+            return forward(spec, params, X)
+
+        with monkeypatch.context() as m:
+            m.setattr(cli.qz, "calibrate", counted_calibrate)
+            m.setattr(cli.mdl, "forward_batch", counted_forward)
+            for stage in stages:
+                for name in self.RECORDS if fresh else ():
+                    (out / name).unlink(missing_ok=True)
+                assert _run(stage, "--config", cfg) == 0, stage
+        outputs = {n: (out / n).read_bytes() for n in self.OUTPUTS if (out / n).exists()}
+        return len(calls), passes, outputs
+
+    def test_records_give_the_recompute_bytes(self, run, monkeypatch):
+        cfg, out = run
+        stages = ("quantize", "sweep", "infer")
+        calls, passes, used = self._stages(monkeypatch, cfg, out, stages)
+        assert (calls, passes) == (1, [self.N_TEST])
+        records = {n: (out / n).read_bytes() for n in self.RECORDS}
+        calls, passes, recomputed = self._stages(monkeypatch, cfg, out, stages, fresh=True)
+        assert (calls, passes) == (2, [self.N_TEST] * 2)
+        assert used == recomputed and len(used) == len(self.OUTPUTS)
+        for name in self.RECORDS:  # fresh left fp_test.json, which infer wrote
+            (out / name).unlink(missing_ok=True)
+        assert self._stages(monkeypatch, cfg, out, ("quantize", "sweep"))[:2] == (
+            1, [self.N_TEST])
+        assert records == {n: (out / n).read_bytes() for n in self.RECORDS}
+
+    def test_infer_first_writes_the_record_sweep_takes(self, run, monkeypatch):
+        cfg, out = run
+        assert self._stages(monkeypatch, cfg, out, ("infer", "sweep"))[:2] == (1, [self.N_TEST])
+
+    @pytest.mark.parametrize("mismatch, counts", [
+        (_reformat_model, (1, [N_TEST])), (_other_calib_frames, (1, [N_TEST])),
+        (_edit_test_split, (0, [N_TEST])), (_truncate_calib, (1, [])),
+        (_fp_wrong_schema, (0, [N_TEST])), (_calib_stat(math.nan), (1, [])),
+        (_calib_stat("0.5"), (1, [])), (_calib_stat(True), (1, [])),
+    ], ids=["model_json", "calib_frames", "test_split", "truncated", "schema", "nan_stat",
+            "string_stat", "bool_stat"])
+    def test_mismatch_recomputes(self, run, tmp_path, monkeypatch, mismatch, counts):
+        cfg, out = run
+        assert self._stages(monkeypatch, cfg, out, ("quantize", "sweep"))[:2] == (
+            1, [self.N_TEST])
+        cfg = mismatch(tmp_path, cfg, out)
+        calls, passes, reused = self._stages(monkeypatch, cfg, out, ("sweep", "infer"))
+        assert (calls, passes) == counts
+        _, _, recomputed = self._stages(monkeypatch, cfg, out, ("sweep", "infer"), fresh=True)
+        assert reused == recomputed
+
+    def test_pipeline_walks_each_split_once(self, tmp_path, monkeypatch):
+        """All 8 stages, twice: each run calibrates once and makes one FP pass
+        over the test split, and every file but the records is the bytes of a
+        run whose records are deleted before each stage."""
+        trees = []
+        for name, fresh in (("reused", False), ("defeated", True)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # every artifact echoes the out path
+            cfg, out = _keep_all_config(tmp_path / name, out="run"), tmp_path / name / "run"
+            calls, passes, _ = self._stages(monkeypatch, cfg, out, STAGES, fresh)
+            assert (calls, passes) == ((1, [self.N_TEST]) if not fresh else
+                                       (2, [self.N_TEST] * 2))
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert set(trees[0]) - set(trees[1]) == set(self.RECORDS)
+        assert {k: v for k, v in trees[0].items() if k not in self.RECORDS} == trees[1]
 
 
 class TestSchema:

@@ -87,9 +87,9 @@ def test_schema_restates_no_spec_rule():
 # The loaders of every document and the owners of its arrays, by module
 ARRAY_READERS = {
     "model": ["load_model", "_spec_from_dict"],
-    "quantize": ["load_qmodel", "QLayer.__post_init__"],
+    "quantize": ["load_qmodel", "QLayer.__post_init__", "CalibStats.from_dict"],
     "daq": ["load_dataset"],
-    "cli": ["_load_model_for"],
+    "cli": ["_load_model_for", "_fp_test"],
 }
 
 

@@ -577,6 +577,17 @@ class TestNormalizeInputs:
         with pytest.raises(ValueError, match="gas"):
             normalize_inputs({"gas": np.zeros((2, 1))}, {"gas": (3.0, 3.0)})
 
+    def test_equal_stats_named_once(self):
+        with pytest.raises(ValueError, match="^degenerate stats for sensor 'gas': "
+                                             "min == max == 3.0$"):
+            normalize_inputs({"gas": np.zeros((2, 1))}, {"gas": (3.0, 3.0)})
+
+    def test_inverted_stats_name_both_values(self):
+        # lo > hi read "min == max == 1.0"
+        with pytest.raises(ValueError, match="^degenerate stats for sensor 'gas': "
+                                             "min 1.0 > max 0.0$"):
+            normalize_inputs({"gas": np.zeros((2, 1))}, {"gas": (1.0, 0.0)})
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path, rng):

@@ -342,11 +342,17 @@ class TestQuantizedModel:
             assert float(np.abs(deq - fp).max()) <= tol
 
 
+def _sweep(spec, params, X, y, n_range):
+    """sweep_bits on the labeled set (X, y), calibrated on X."""
+    fp_pred = np.argmax(forward_batch(spec, params, X), axis=1)
+    return sweep_bits(spec, params, (X, y), n_range, calibrate(spec, params, X), fp_pred)
+
+
 class TestAccuracyRatio:
     def test_identical_model_ratio_one(self, rng):
         spec, params, X = _fixture_model(rng)
         y = np.argmax(forward_batch(spec, params, X), axis=1)  # labels = fp32 preds
-        [(n, ratio)] = sweep_bits(spec, params, (X, y), [15], calib_X=X)
+        [(n, ratio)] = _sweep(spec, params, X, y, [15])
         assert n == 15 and ratio == pytest.approx(1.0)
 
     def test_high_precision_preserves_argmax(self, rng):
@@ -362,7 +368,7 @@ class TestAccuracyRatio:
         spec, params, X = _fixture_model(rng)
         pred = np.argmax(forward_batch(spec, params, X), axis=1)
         wrong = (pred + 1) % spec.classes
-        curve = sweep_bits(spec, params, (X, wrong), [4, 10, 15], calib_X=X)
+        curve = _sweep(spec, params, X, wrong, [4, 10, 15])
         assert [n for n, _ in curve] == [4, 10, 15]
         assert all(math.isnan(r) for _, r in curve)
 
@@ -375,17 +381,17 @@ class TestAccuracyRatio:
         qm = quantize(spec, params, stats, 10)
         fp_acc = np.mean(np.argmax(forward_batch(spec, params, X), axis=1) == y)
         direct = float(np.mean(qinfer_batch(qm, X) == y)) / float(fp_acc)
-        curve = sweep_bits(spec, params, (X, y), [10], calib_X=X)
+        curve = _sweep(spec, params, X, y, [10])
         assert curve == [(10, direct)]
 
     def test_sweep_row_count_and_trend(self, rng):
         spec, params, X = _fixture_model(rng)
         y = np.argmax(forward_batch(spec, params, X), axis=1)
-        curve = sweep_bits(spec, params, (X, y), [4, 8, 15], calib_X=X)
+        curve = _sweep(spec, params, X, y, [4, 8, 15])
         assert len(curve) == 3
         assert curve[2][1] >= curve[0][1]  # 15-bit at least as accurate as 4-bit
 
     def test_empty_range_rejected(self, rng):
         spec, params, X = _fixture_model(rng)
         with pytest.raises(ValueError):
-            sweep_bits(spec, params, (X, np.zeros(24, dtype=int)), [], calib_X=X)
+            _sweep(spec, params, X, np.zeros(24, dtype=int), [])

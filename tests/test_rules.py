@@ -455,6 +455,22 @@ MANIFEST_CASES = [
     ("sensor_entry_string", _set(["sensors", 0], "a"), ["must be a mapping"]),
     ("unknown_sensor_key", _set(["sensors", 1, "depth"], 3), ["'depth'"]),
     ("no_classes", lambda d: d.pop("classes"), ["KeyError: 'classes'"]),
+    # these loaded as they were: true as a 1 s window, a string seed as is
+    ("window_s_true", _set(["window_s"], True), ["window_s must be a string, got True"]),
+    ("window_s_number", _set(["window_s"], 1.5), ["window_s must be a string, got 1.5"]),
+    ("window_s_zero", _set(["window_s"], "0"), ["window_s must be positive, got '0'"]),
+    ("window_s_text", _set(["window_s"], "x"), ["window_s: ", "'x'"]),
+    ("seed_string", _set(["seed"], "x"), ["seed must be an integer >= 0, got 'x'"]),
+    ("seed_true", _set(["seed"], True), ["seed must be an integer >= 0, got True"]),
+    ("classes_true", _set(["classes"], True), ["classes must be an integer >= 2, got True"]),
+    ("classes_fraction", _set(["classes"], 2.5), ["classes must be an integer >= 2, got 2.5"]),
+    ("noise_level_nan", _set(["noise_level"], math.nan),
+     ["noise_level must be a number >= 0, got nan"]),
+    ("noise_level_string", _set(["noise_level"], "0.3"),
+     ["noise_level must be a number >= 0, got '0.3'"]),
+    ("informative_int", _set(["informative", "a"], 1),
+     ["informative: 'a' must be true or false, got 1"]),
+    ("informative_list", _set(["informative"], []), ["informative: AttributeError"]),
 ]
 
 
